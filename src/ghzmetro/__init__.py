@@ -62,7 +62,6 @@ from .qfi import (
     separability_test,
 )
 from .bell import (
-    KERNEL_BACKEND,
     CorrelationTensorSummary,
     DetectionRow,
     brute_force_tensor,

@@ -8,16 +8,20 @@ s_{k_n}> is structured:
   diagonal-antidiagonal support);
 * the all-z tuple is a signed sum of diagonal sector weights, zero for odd n;
 * x/y-only tuples with an odd number of y's vanish; with 2t y's at positions
-  Y the value is (-1)^t * sum_i (lambda_i^+ - lambda_i^-) * (-1)^|Y & i|.
+  Y the value is (-1)^t * sum_i d_i * (-1)^|Y & i|, d_i = lambda_i^+ - lambda_i^-.
 
-The squared Hilbert-Schmidt norm sum T^2 over all 3^n tuples therefore
-reduces to a scan of the 2^n equatorial masks plus one axial term.  A value
-below 1 guarantees that the multi-setting correlation Bell condition is
-satisfied (a local hidden-variable model exists for those measurements).
+The squared Hilbert-Schmidt norm sum T^2 over all 3^n tuples is therefore
+the axial term squared plus the sum over even-weight masks Y of squared
+Walsh-Hadamard coefficients of d.  Representatives i < 2^(n-1) never pair
+with their complements, so by Parseval that planar sum is exactly
+2^(n-1) * sum_i d_i^2.  A norm below 1 guarantees that the multi-setting
+correlation Bell condition is satisfied (a local hidden-variable model
+exists for those measurements).
 
-Three independent routes are kept: the float kernel (compiled or pure
-Python, selected at import), an exact-rational evaluation, and a 3^n dense
-brute-force oracle.
+``hs_norm_sq`` evaluates that closed form in exact rationals over the
+coherence support.  Two independent oracles remain: ``hs_norm_sq_exact``
+and ``correlation_summary`` scan the 2^n masks in exact rationals, and
+``brute_force_tensor`` traces all 3^n Pauli tuples against the dense matrix.
 """
 from __future__ import annotations
 
@@ -31,16 +35,7 @@ from .errors import DomainError, SizeLimitError
 from .qfi import qfi_ghz_diagonal
 from .states import GhzDiagonalState, to_dense
 
-try:
-    from ._bell_kernel import planar_square_sum as _planar_square_sum
-    KERNEL_BACKEND = "cython"
-except ImportError:  # pragma: no cover - depends on the build environment
-    from ._bell_kernel_py import planar_square_sum as _planar_square_sum
-    KERNEL_BACKEND = "python"
-
 AXIS_X, AXIS_Y, AXIS_Z = 1, 2, 3
-_AXIS_LETTER = {AXIS_X: "x", AXIS_Y: "y", AXIS_Z: "z"}
-_LETTER_AXIS = {v: k for k, v in _AXIS_LETTER.items()}
 
 PAULI = {
     AXIS_X: np.array([[0, 1], [1, 0]], dtype=complex),
@@ -48,16 +43,7 @@ PAULI = {
     AXIS_Z: np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-HS_CAP = 16
 BRUTE_CAP = 6
-
-
-def tuple_to_letters(axes: Tuple[int, ...]) -> str:
-    return "".join(_AXIS_LETTER[a] for a in axes)
-
-
-def tuple_from_letters(s: str) -> Tuple[int, ...]:
-    return tuple(_LETTER_AXIS[c] for c in s)
 
 
 def _check_axes(axes: Sequence[int], n: int) -> Tuple[int, ...]:
@@ -115,25 +101,23 @@ def pauli_expectation(state: GhzDiagonalState, axes: Sequence[int]) -> float:
     return float(planar_expectation(state, _y_mask(axes, state.n)))
 
 
-def hs_norm_sq(state: GhzDiagonalState, cap: int = HS_CAP) -> float:
-    """Squared Hilbert-Schmidt norm of the full-correlation tensor (float).
+def planar_square_sum(state: GhzDiagonalState) -> Fraction:
+    """Sum of squared x/y-only correlations: 2^(n-1) * sum_i d_i^2 (Parseval)."""
+    total = sum((state.sector_diff(i) ** 2 for i in state.coherence_support()), Fraction(0))
+    return total * (1 << (state.n - 1))
 
-    The equatorial scan runs in the selected kernel backend with Kahan
-    compensation; the axial term is added exactly.  Below 1 the correlation
-    Bell condition is guaranteed satisfied.
+
+def hs_norm_sq(state: GhzDiagonalState) -> Fraction:
+    """Squared Hilbert-Schmidt norm of the full-correlation tensor, exactly.
+
+    Planar part in closed form plus the axial term squared; below 1 the
+    correlation Bell condition is guaranteed satisfied.
     """
-    if state.n > cap:
-        raise SizeLimitError(f"Hilbert-Schmidt scan needs n <= {cap}, got {state.n}")
-    support = [(i, float(state.sector_diff(i))) for i in state.coherence_support()]
-    idx = np.array([i for i, _ in support], dtype=np.int64)
-    cs = np.array([c for _, c in support], dtype=np.float64)
-    planar = _planar_square_sum(state.n, idx, cs)
-    axial = float(axial_expectation(state))
-    return planar + axial * axial
+    return planar_square_sum(state) + axial_expectation(state) ** 2
 
 
 def hs_norm_sq_exact(state: GhzDiagonalState, cap: int = 12) -> Fraction:
-    """Exact-rational Hilbert-Schmidt square; slower, used as an oracle."""
+    """Hilbert-Schmidt square by the exact 2^n-mask scan; oracle for ``hs_norm_sq``."""
     if state.n > cap:
         raise SizeLimitError(f"exact scan needs n <= {cap}, got {state.n}")
     support = [(i, state.sector_diff(i)) for i in state.coherence_support()]
@@ -246,7 +230,7 @@ class DetectionRow:
     n: int
     f_q: Fraction
     f_q_over_n: Fraction
-    hs_norm_sq: float
+    hs_norm_sq: float  # float of the exact norm; the verdict uses the rational
     verdict: str
 
 
@@ -264,7 +248,7 @@ def detection_comparison(
         f_q = qfi_ghz_diagonal(state)
     hs = hs_norm_sq(state)
     qfi_detects = f_q > state.n
-    bell_side = hs >= 1.0
+    bell_side = hs >= 1
     if qfi_detects and not bell_side:
         verdict = "QFI-only detection"
     elif qfi_detects and bell_side:
@@ -277,6 +261,6 @@ def detection_comparison(
         n=state.n,
         f_q=f_q,
         f_q_over_n=Fraction(f_q) / state.n,
-        hs_norm_sq=hs,
+        hs_norm_sq=float(hs),
         verdict=verdict,
     )

@@ -41,12 +41,12 @@ from .states import (
     GhzDiagonalState,
     build_rho_nk,
     build_rho_nkm,
+    check_build_size,
     dense_limit,
     min_ones,
     to_dense,
 )
 
-BELL_HARD_CAP = 16
 ORACLE_TOL = 1e-9
 
 
@@ -273,8 +273,6 @@ def cmd_ppt(args, argv) -> int:
 
 
 def cmd_bell(args, argv) -> int:
-    if args.n > BELL_HARD_CAP:
-        raise SizeLimitError(f"bell computation capped at n = {BELL_HARD_CAP}")
     state = build_state(args)
     meta = provenance(args, argv)
     row = bell_mod.detection_comparison(state)
@@ -307,9 +305,10 @@ def cmd_bell(args, argv) -> int:
         row.verdict,
     ]
     if args.components:
-        summary = bell_mod.correlation_summary(state)
+        planar = bell_mod.planar_square_sum(state)
+        axial = bell_mod.axial_expectation(state)
         header += ["planar_sq", "axial_sq"]
-        values += [format(summary.planar_sq, ".17g"), format(summary.axial_sq, ".17g")]
+        values += [format(float(planar), ".17g"), format(float(axial * axial), ".17g")]
     if args.format == "json":
         payload = {"meta": meta, "row": dict(zip(header, values))}
         if deviation is not None:
@@ -374,10 +373,7 @@ def cmd_figure(args, argv) -> int:
     elif args.id == 4:
         ks = parse_int_list(args.k) if args.k else [2, 3]
         ns = parse_range(args.n) if args.n else list(range(4, 11))
-        if max(ns) > BELL_HARD_CAP:
-            raise SizeLimitError(
-                f"bell computation capped at n = {BELL_HARD_CAP}, range asks {max(ns)}"
-            )
+        check_build_size(max(ns, default=0))
         header = ["n", "k", "f_q_over_n", "hs_norm_sq", "verdict"]
         rows = []
         for k in sorted(ks):

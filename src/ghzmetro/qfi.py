@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CrossCheckError, DomainError
 from .states import (
     GhzDiagonalState,
     _check_family,
@@ -234,11 +234,15 @@ def family_report(
 
 
 def asymptotic_report(n: int, a: Fraction) -> QfiReport:
-    """Report for the linear scan k(n) = round(a*n); asserts only the bound."""
+    """Report for the linear scan k(n) = round(a*n); checks only the bound."""
     a = Fraction(a)
     k = scaled_k(a, n)
     report = family_report(n, k, a=a)
-    assert report.f_q >= report.lower_bound
+    if report.f_q < report.lower_bound:
+        raise CrossCheckError(
+            f"QFI {report.f_q} below its lower bound {report.lower_bound} "
+            f"at n = {n}, k = {k}"
+        )
     return report
 
 

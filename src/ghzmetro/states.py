@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Dict, Iterator, Mapping
 
 import numpy as np
 
@@ -36,9 +36,12 @@ def dense_limit() -> int:
     if raw is None:
         return DEFAULT_DENSE_LIMIT
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError as exc:
         raise DomainError(f"{_DENSE_LIMIT_ENV} must be an integer, got {raw!r}") from exc
+    if limit < 2:
+        raise DomainError(f"{_DENSE_LIMIT_ENV} must be at least 2, got {limit}")
+    return limit
 
 
 def _check_dense(n: int, limit: int | None = None) -> None:
@@ -156,18 +159,17 @@ class GhzDiagonalState:
         """lambda_i^+ - lambda_i^-: twice the antidiagonal entry of sector i."""
         return self.lam_plus(i) - self.lam_minus(i)
 
-    def representatives(self) -> Iterator[int]:
-        return iter(range(1 << (self.n - 1)))
-
     def support(self) -> Iterator[int]:
-        """Representatives with nonzero sector weight."""
-        for i in range(1 << (self.n - 1)):
-            if self.sector_sum(i) != 0:
-                yield i
+        """Representatives with nonzero sector weight, ascending.
+
+        Stored entries are nonzero and nonnegative, so these are exactly the
+        keys of the two tables; the walk costs O(support), not O(2^(n-1)).
+        """
+        return iter(sorted(self.lambda_plus.keys() | self.lambda_minus.keys()))
 
     def coherence_support(self) -> Iterator[int]:
-        """Representatives with a nonzero antidiagonal entry."""
-        for i in range(1 << (self.n - 1)):
+        """Representatives with a nonzero antidiagonal entry, ascending."""
+        for i in self.support():
             if self.sector_diff(i) != 0:
                 yield i
 
@@ -223,11 +225,26 @@ def maximally_mixed_state(n: int) -> GhzDiagonalState:
 # -- the binomial families ---------------------------------------------------
 
 
+FAMILY_BUILD_LIMIT = 20
+
+
 def _check_family(n: int, k: int) -> None:
     if n < 2:
         raise DomainError(f"need at least 2 qubits, got n = {n}")
     if k < 1 or 2 * k > n:
         raise DomainError(f"need 1 <= k <= n/2, got k = {k} for n = {n}")
+
+
+def check_build_size(n: int) -> None:
+    """Refuse a family member whose builder would walk too many sectors.
+
+    The builders visit all 2^(n-1) representatives and may store most of
+    them; closed forms over (n, k) build no table and are not capped.
+    """
+    if n > FAMILY_BUILD_LIMIT:
+        raise SizeLimitError(
+            f"building a family member needs n <= {FAMILY_BUILD_LIMIT}, got n = {n}"
+        )
 
 
 def build_rho_nk(n: int, k: int) -> GhzDiagonalState:
@@ -240,6 +257,7 @@ def build_rho_nk(n: int, k: int) -> GhzDiagonalState:
     sector both sit on the band), which is what keeps the trace at exactly 1.
     """
     _check_family(n, k)
+    check_build_size(n)
     lam = binom_normalizer(n, k)
     lp: Dict[int, Fraction] = {}
     lm: Dict[int, Fraction] = {}
@@ -275,6 +293,7 @@ def build_rho_nkm(n: int, k: int, m: int) -> GhzDiagonalState:
             f"mixing range {list(mixing_bands(k, m))} is not normalizable for "
             f"n = {n}: need k + m <= n/2"
         )
+    check_build_size(n)
     lam = Fraction(1, sum(comb(n, j) for j in range(k + m + 1)))
     mixed = set(mixing_bands(k, m))
     lp: Dict[int, Fraction] = {}

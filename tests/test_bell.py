@@ -1,4 +1,4 @@
-"""Correlation tensor: structure rules, kernel vs oracles, detection verdicts."""
+"""Correlation tensor: structure rules, closed form vs oracles, detection verdicts."""
 from fractions import Fraction
 from itertools import product
 
@@ -9,7 +9,6 @@ from hypothesis import given, settings
 import ghzmetro.bell as bell
 from ghzmetro import (
     GhzDiagonalState,
-    SizeLimitError,
     brute_force_tensor,
     build_rho_nk,
     correlation_summary,
@@ -21,7 +20,6 @@ from ghzmetro import (
     pauli_expectation,
     qfi_closed_nk,
 )
-from ghzmetro._bell_kernel_py import planar_square_sum as planar_py
 from conftest import family_grid, random_state_strategy
 
 X, Y, Z = bell.AXIS_X, bell.AXIS_Y, bell.AXIS_Z
@@ -132,9 +130,9 @@ def test_stored_tuples_are_axial_or_planar():
 # -- Hilbert-Schmidt norm --------------------------------------------------------------
 
 def test_hs_anchors():
-    assert hs_norm_sq(bell_pair()) == pytest.approx(3.0, abs=1e-12)
-    assert hs_norm_sq(maximally_mixed_state(4)) == pytest.approx(0.0, abs=1e-15)
-    assert hs_norm_sq(ghz_state(3)) == pytest.approx(4.0, abs=1e-12)
+    assert hs_norm_sq(bell_pair()) == 3
+    assert hs_norm_sq(maximally_mixed_state(4)) == 0
+    assert hs_norm_sq(ghz_state(3)) == 4
     assert hs_norm_sq_exact(bell_pair()) == 3
 
 
@@ -145,9 +143,19 @@ def test_hs_exact_family_values():
 
 
 def test_hs_float_vs_exact():
+    # both routes are rational, so they must agree exactly
     for n, k in family_grid(9):
         state = build_rho_nk(n, k)
-        assert abs(hs_norm_sq(state) - float(hs_norm_sq_exact(state))) < 1e-12
+        assert hs_norm_sq(state) == hs_norm_sq_exact(state)
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_state_strategy(max_n=8))
+def test_hs_closed_form_equals_scan_random(state):
+    assert hs_norm_sq(state) == hs_norm_sq_exact(state)
+    if state.n <= 5:
+        brute = brute_force_tensor(state)
+        assert abs(float(hs_norm_sq(state)) - brute.hs_norm_sq) < 1e-12
 
 
 def test_product_state_dense_oracle():
@@ -163,47 +171,6 @@ def test_product_state_dense_oracle():
 def test_hs_swap_invariance():
     state = GhzDiagonalState(3, {0: Fraction(1, 4)}, {0: Fraction(3, 4)})
     assert hs_norm_sq_exact(state) == hs_norm_sq_exact(state.plus_dominant())
-
-
-def test_hs_size_cap():
-    with pytest.raises(SizeLimitError):
-        hs_norm_sq(maximally_mixed_state(5), cap=4)
-
-
-# -- kernel backends --------------------------------------------------------------------
-
-def test_kernel_backends_agree():
-    for n, k in ((6, 2), (8, 3), (10, 3)):
-        state = build_rho_nk(n, k)
-        support = [(i, float(state.sector_diff(i))) for i in state.coherence_support()]
-        idx = np.array([i for i, _ in support], dtype=np.int64)
-        cs = np.array([c for _, c in support], dtype=np.float64)
-        via_py = planar_py(n, idx, cs)
-        via_selected = bell._planar_square_sum(n, idx, cs)
-        assert via_py == pytest.approx(via_selected, rel=1e-12, abs=1e-15)
-
-
-def test_kernel_empty_support():
-    assert planar_py(4, np.array([], dtype=np.int64), np.array([], dtype=np.float64)) == 0.0
-
-
-def test_fallback_selected_without_extension():
-    # blocking the compiled module must leave a working python backend
-    import subprocess
-    import sys
-
-    code = (
-        "import sys; sys.modules['ghzmetro._bell_kernel'] = None\n"
-        "import ghzmetro.bell as b\n"
-        "from ghzmetro import build_rho_nk\n"
-        "assert b.KERNEL_BACKEND == 'python'\n"
-        "v = b.hs_norm_sq(build_rho_nk(4, 2))\n"
-        "assert abs(v - 49/121) < 1e-12\n"
-        "print('ok')\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
 
 
 # -- detection comparison ------------------------------------------------------------------
@@ -224,4 +191,4 @@ def test_detection_row_fields():
     row = detection_comparison(build_rho_nk(8, 2))
     assert row.f_q == qfi_closed_nk(8, 2)
     assert row.f_q_over_n == Fraction(352, 37 * 8)
-    assert row.hs_norm_sq == pytest.approx(float(hs_norm_sq_exact(build_rho_nk(8, 2))))
+    assert row.hs_norm_sq == float(hs_norm_sq_exact(build_rho_nk(8, 2)))

@@ -98,8 +98,14 @@ def test_bell_row(capsys):
     assert fields[5] == "neither"
 
 
+def test_bell_runs_at_n17(capsys):
+    code, out, _ = run(capsys, "bell", "--n", "17", "--k", "2", "--no-timestamp")
+    assert code == 0
+    assert out.strip().splitlines()[2].startswith("17,2,")
+
+
 def test_bell_size_cap_exit_code(capsys):
-    code, _, err = run(capsys, "bell", "--n", "20", "--k", "2")
+    code, _, err = run(capsys, "bell", "--n", "21", "--k", "2")
     assert code == 3
     assert "size limit" in err
 
@@ -155,9 +161,18 @@ def test_figure4_detection(capsys):
     assert float(rows[7][2]) > 1
 
 
+def test_figure4_runs_at_n17(capsys):
+    code, out, _ = run(capsys, "figure", "--id", "4", "--n", "16..17", "--k", "2",
+                       "--no-timestamp")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 4
+
+
 def test_figure4_range_cap(capsys):
-    code, _, err = run(capsys, "figure", "--id", "4", "--n", "4..20")
+    code, out, err = run(capsys, "figure", "--id", "4", "--n", "4..21")
     assert code == 3
+    assert out == ""
+    assert "size limit" in err
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """QFI: triple-route agreement, family closed forms, bounds, scan reports."""
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import ghzmetro.qfi as qfi_mod
 from ghzmetro import (
+    CrossCheckError,
     DomainError,
     GhzDiagonalState,
     PhaseGenerator,
@@ -206,6 +209,19 @@ def test_asymptotic_report_100():
     scale = Fraction(1, 4) * Fraction(1, 2) * 100 * 100
     assert report.ratio_limit_form == report.f_q / scale
     assert report.ratio_bound_form == report.f_q / (scale * Fraction(1, 2))
+
+
+def test_asymptotic_report_raises_when_bound_fails(monkeypatch):
+    # an explicit check, unlike an assert, survives python -O
+    real = qfi_mod.family_report
+
+    def broken(n, k, **kw):
+        report = real(n, k, **kw)
+        return dataclasses.replace(report, f_q=report.lower_bound - 1)
+
+    monkeypatch.setattr(qfi_mod, "family_report", broken)
+    with pytest.raises(CrossCheckError):
+        asymptotic_report(40, Fraction(1, 4))
 
 
 def test_bound_alone_certifies_subshotnoise_at_40():

@@ -15,6 +15,7 @@ from ghzmetro import (
     build_rho_nk,
     build_rho_nkm,
     canonical_index,
+    dense_limit,
     ghz_basis_vector,
     ghz_state,
     maximally_mixed_state,
@@ -239,6 +240,30 @@ def test_dense_limit_enforced(monkeypatch):
         to_dense(build_rho_nk(4, 1))
     monkeypatch.delenv("GHZMETRO_DENSE_LIMIT")
     to_dense(build_rho_nk(4, 1))  # default cap of 12 admits n = 4
+
+
+@pytest.mark.parametrize("raw", ["1", "0", "-3"])
+def test_dense_limit_below_two_rejected(monkeypatch, raw):
+    monkeypatch.setenv("GHZMETRO_DENSE_LIMIT", raw)
+    with pytest.raises(DomainError):
+        dense_limit()
+
+
+def test_family_build_size_limit():
+    for build in (lambda: build_rho_nk(21, 2), lambda: build_rho_nkm(21, 2, 1)):
+        with pytest.raises(SizeLimitError):
+            build()
+    with pytest.raises(DomainError):  # the domain is checked before the size
+        build_rho_nk(21, 11)
+
+
+@given(random_state_strategy(max_n=7))
+def test_sparse_iterators_match_range_scan(state):
+    reps = range(1 << (state.n - 1))
+    assert list(state.support()) == [i for i in reps if state.sector_sum(i) != 0]
+    assert list(state.coherence_support()) == [
+        i for i in reps if state.sector_diff(i) != 0
+    ]
 
 
 @given(random_state_strategy(max_n=5))
