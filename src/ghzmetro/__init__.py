@@ -26,6 +26,7 @@ from .states import (
     dense_limit,
     ghz_basis_vector,
     ghz_state,
+    is_band_symmetric,
     maximally_mixed_state,
     min_ones,
     sector_eigenvalues,

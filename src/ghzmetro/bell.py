@@ -43,7 +43,9 @@ PAULI = {
     AXIS_Z: np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-BRUTE_CAP = 6
+SCAN_CAP = 12  # qubit cap of the exact 2^n-mask scans
+BRUTE_CAP = 6  # qubit cap of the 3^n dense-trace enumeration
+ZERO_TOL = 1e-12  # brute-force elements at or below this are reported as zero
 
 
 def _check_axes(axes: Sequence[int], n: int) -> Tuple[int, ...]:
@@ -116,10 +118,10 @@ def hs_norm_sq(state: GhzDiagonalState) -> Fraction:
     return planar_square_sum(state) + axial_expectation(state) ** 2
 
 
-def hs_norm_sq_exact(state: GhzDiagonalState, cap: int = 12) -> Fraction:
+def hs_norm_sq_exact(state: GhzDiagonalState) -> Fraction:
     """Hilbert-Schmidt square by the exact 2^n-mask scan; oracle for ``hs_norm_sq``."""
-    if state.n > cap:
-        raise SizeLimitError(f"exact scan needs n <= {cap}, got {state.n}")
+    if state.n > SCAN_CAP:
+        raise SizeLimitError(f"exact scan needs n <= {SCAN_CAP}, got {state.n}")
     support = [(i, state.sector_diff(i)) for i in state.coherence_support()]
     total = Fraction(0)
     for y in range(1 << state.n):
@@ -146,15 +148,11 @@ class CorrelationTensorSummary:
     planar_sq: float
     axial_sq: float
 
-    @property
-    def bell_upper_bound_satisfied(self) -> bool:
-        return self.hs_norm_sq < 1.0
 
-
-def correlation_summary(state: GhzDiagonalState, cap: int = 12) -> CorrelationTensorSummary:
+def correlation_summary(state: GhzDiagonalState) -> CorrelationTensorSummary:
     """Structure-exploiting tensor summary with exact element values."""
-    if state.n > cap:
-        raise SizeLimitError(f"tensor summary needs n <= {cap}, got {state.n}")
+    if state.n > SCAN_CAP:
+        raise SizeLimitError(f"tensor summary needs n <= {SCAN_CAP}, got {state.n}")
     n = state.n
     elements: Dict[Tuple[int, ...], float] = {}
     planar = Fraction(0)
@@ -183,8 +181,6 @@ def correlation_summary(state: GhzDiagonalState, cap: int = 12) -> CorrelationTe
 def brute_force_tensor(
     state_or_dense: Union[GhzDiagonalState, np.ndarray],
     n: Optional[int] = None,
-    cap: int = BRUTE_CAP,
-    zero_tol: float = 1e-12,
 ) -> CorrelationTensorSummary:
     """Full 3^n dense-trace enumeration; the oracle for the fast paths."""
     if isinstance(state_or_dense, GhzDiagonalState):
@@ -194,8 +190,8 @@ def brute_force_tensor(
         rho = np.asarray(state_or_dense, dtype=complex)
         if n is None:
             n = int(round(np.log2(rho.shape[0])))
-    if n > cap:
-        raise SizeLimitError(f"brute-force tensor needs n <= {cap}, got {n}")
+    if n > BRUTE_CAP:
+        raise SizeLimitError(f"brute-force tensor needs n <= {BRUTE_CAP}, got {n}")
     from itertools import product
 
     elements: Dict[Tuple[int, ...], float] = {}
@@ -208,7 +204,7 @@ def brute_force_tensor(
             op = np.kron(op, PAULI[a])
         t = float(np.sum(op * rho_t).real)  # Tr[op @ rho]
         total += t * t
-        if abs(t) > zero_tol:
+        if abs(t) > ZERO_TOL:
             elements[axes] = t
             if all(a == AXIS_Z for a in axes):
                 axial += t * t

@@ -18,9 +18,9 @@ the empirical spread against the Cramer-Rao bound 1/sqrt(shots * F).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -31,6 +31,10 @@ from .states import GhzDiagonalState, _check_dense, weight
 
 RNG_ALGORITHM = "philox4x64"  # counter-based; pinned for bit-reproducibility
 MLE_TOL = 1e-8
+GRID_POINTS = 512  # coarse likelihood grid across the bracket
+P_ZERO_TOL = 1e-15  # outcome probabilities at or below this count as zero
+SLOPE_TOL = 1e-12  # a zero-probability outcome steeper than this is singular
+FD_STEP = 1e-5  # central finite-difference step of ``classical_fisher_fd``
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -53,11 +57,8 @@ def evolve(state: GhzDiagonalState, theta: float) -> EvolvedState:
     """Apply exp(-i theta Z); purity is preserved sector by sector."""
     sums: Dict[int, Fraction] = {}
     coh: Dict[int, complex] = {}
-    for i in range(1 << (state.n - 1)):
-        s = state.sector_sum(i)
-        if s == 0:
-            continue
-        sums[i] = s
+    for i in state.support():
+        sums[i] = state.sector_sum(i)
         d = state.sector_diff(i)
         if d != 0:
             w = weight(state.n, i)
@@ -65,9 +66,9 @@ def evolve(state: GhzDiagonalState, theta: float) -> EvolvedState:
     return EvolvedState(state.n, float(theta), sums, coh)
 
 
-def evolved_dense(ev: EvolvedState, limit: Optional[int] = None) -> np.ndarray:
+def evolved_dense(ev: EvolvedState) -> np.ndarray:
     """Dense complex realization of an evolved sector table."""
-    _check_dense(ev.n, limit)
+    _check_dense(ev.n)
     dim = 1 << ev.n
     rho = np.zeros((dim, dim), dtype=complex)
     for i, s in ev.sector_sum.items():
@@ -162,13 +163,7 @@ def outcome_distribution(state: GhzDiagonalState, theta: float, model) -> np.nda
     return model.probabilities(state, theta)
 
 
-def classical_fisher(
-    state: GhzDiagonalState,
-    theta: float,
-    model,
-    zero_tol: float = 1e-15,
-    slope_tol: float = 1e-12,
-) -> float:
+def classical_fisher(state: GhzDiagonalState, theta: float, model) -> float:
     """sum_mu (dP/dtheta)^2 / P over outcomes with P > 0 (analytic derivatives).
 
     Outcomes with vanishing probability and vanishing derivative contribute
@@ -179,23 +174,21 @@ def classical_fisher(
     dp = model.derivatives(state, theta)
     total = 0.0
     for k, (pk, dk) in enumerate(zip(p, dp)):
-        if pk > zero_tol:
+        if pk > P_ZERO_TOL:
             total += dk * dk / pk
-        elif abs(dk) > slope_tol:
+        elif abs(dk) > SLOPE_TOL:
             raise FisherSingularityError(
                 f"outcome {k} has P = {pk} but dP/dtheta = {dk} at theta = {theta}"
             )
     return total
 
 
-def classical_fisher_fd(
-    state: GhzDiagonalState, theta: float, model, step: float = 1e-5
-) -> float:
+def classical_fisher_fd(state: GhzDiagonalState, theta: float, model) -> float:
     """Central finite-difference cross-check of ``classical_fisher``."""
     p = model.probabilities(state, theta)
-    dp = (model.probabilities(state, theta + step)
-          - model.probabilities(state, theta - step)) / (2.0 * step)
-    mask = p > 1e-15
+    dp = (model.probabilities(state, theta + FD_STEP)
+          - model.probabilities(state, theta - FD_STEP)) / (2.0 * FD_STEP)
+    mask = p > P_ZERO_TOL
     return float(np.sum(dp[mask] ** 2 / p[mask]))
 
 
@@ -250,7 +243,6 @@ def _mle(
     model,
     counts: np.ndarray,
     bracket: Tuple[float, float],
-    grid_points: int,
 ) -> float:
     """Bracketed maximum likelihood: coarse grid, refine, degeneracy check."""
 
@@ -258,7 +250,7 @@ def _mle(
         return _negative_log_likelihood(counts, model.probabilities(state, t))
 
     lo, hi = bracket
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, GRID_POINTS)
     nll = np.array([nll_at(t) for t in grid])
     best = int(np.argmin(nll))
     interior = (nll[1:-1] <= nll[:-2]) & (nll[1:-1] <= nll[2:])
@@ -266,7 +258,7 @@ def _mle(
 
     def refine(idx: int) -> Tuple[float, float]:
         left = grid[max(idx - 1, 0)]
-        right = grid[min(idx + 1, grid_points - 1)]
+        right = grid[min(idx + 1, GRID_POINTS - 1)]
         res = minimize_scalar(nll_at, bounds=(left, right), method="bounded",
                               options={"xatol": MLE_TOL})
         return float(res.x), float(res.fun)
@@ -292,7 +284,6 @@ def run_monte_carlo(
     repetitions: int,
     seed: int,
     bracket_halfwidth: Optional[float] = None,
-    grid_points: int = 512,
     state_params: Optional[dict] = None,
 ) -> EstimationRun:
     """Repeatedly sample ``shots`` outcomes and estimate theta by bracketed MLE.
@@ -323,7 +314,7 @@ def run_monte_carlo(
     estimates: List[float] = []
     for rep in range(repetitions):
         counts = _rng(seed, rep).multinomial(shots, probs)
-        estimates.append(_mle(state, model, counts, bracket, grid_points))
+        estimates.append(_mle(state, model, counts, bracket))
 
     dev = np.asarray(estimates) - theta_true
     empirical_std = float(np.sqrt(np.mean(dev**2)))

@@ -9,8 +9,12 @@ exact spectrum
     Lambda_i^+- = [ (lambda_i^+ + lambda_i^-) +- (lambda_j^+ - lambda_j^-) ] / 2,
     j = canon(i XOR mask),
 
-without building a matrix.  A dense reshape-based oracle is kept alongside
-for validation.
+without building a matrix.  A cut m:(n-m) is PPT when every size-m subset
+has a nonnegative transposed spectrum.  For a band-symmetric state (every
+family member) all size-m subsets are related by a qubit permutation and
+share one spectrum, so ``cut_classification`` inspects a single subset per
+size; for any other state it inspects every subset.  Both routes are exact.
+A dense reshape-based oracle is kept alongside for validation.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from .errors import CrossCheckError, DomainError
 from .states import (
     GhzDiagonalState,
     canonical_index,
-    dense_limit,
+    is_band_symmetric,
     to_dense,
 )
 
@@ -162,10 +166,8 @@ def ppt_single_qubit_certificate(
     they ever disagree with the certificate.
     """
     result = CertificateResult(True)
-    for j in range(1 << (state.n - 1)):
+    for j in state.coherence_support():
         bound = abs(state.sector_diff(j))
-        if bound == 0:
-            continue
         for i in omega_set(state.n, j).members:
             if state.sector_sum(i) < bound:
                 result = CertificateResult(False, j, i)
@@ -200,48 +202,35 @@ class CutStatus:
         }
 
 
-def _subsets_of_size(n: int, m: int, sample_cap: Optional[int]) -> Iterable[int]:
-    masks = (sum(1 << p for p in pos) for pos in combinations(range(n), m))
-    if sample_cap is None:
-        yield from masks
-        return
-    rng = np.random.default_rng(0)
-    all_masks = list(masks)
-    if len(all_masks) <= sample_cap:
-        yield from all_masks
-        return
-    picks = rng.choice(len(all_masks), size=sample_cap, replace=False)
-    yield from (all_masks[p] for p in sorted(picks))
-
-
 def cut_classification(
-    state: GhzDiagonalState,
-    cut_sizes: Optional[Iterable[int]] = None,
-    exhaustive_limit: int = 12,
-    sample_size: int = 256,
+    state: GhzDiagonalState, cut_sizes: Optional[Iterable[int]] = None
 ) -> List[CutStatus]:
-    """Classify each cut size m as PPT or NPPT over all (or sampled) subsets.
+    """Classify each cut size m as PPT or NPPT, exactly.
 
     A cut m:(n-m) counts as PPT only when every size-m subset has nonnegative
-    transposed spectrum; the first violating subset (lexicographic) is
-    reported as witness.  Sizes above n//2 mirror their complements and are
-    omitted.  Beyond ``exhaustive_limit`` qubits a fixed-seed sample of
-    subsets is inspected per size.
+    transposed spectrum; the first violating subset in ``combinations`` order
+    is reported as witness.  Sizes above n//2 mirror their complements and
+    are omitted by default.  A band-symmetric state is invariant under qubit
+    permutations, so all size-m subsets share one transposed spectrum and
+    the first subset, mask ``(1 << m) - 1``, decides the cut; any other
+    state has every size-m subset inspected.
     """
     n = state.n
     sizes = list(cut_sizes) if cut_sizes is not None else list(range(1, n // 2 + 1))
     for m in sizes:
         if not 1 <= m <= n - 1:
             raise DomainError(f"cut size {m} outside 1..{n - 1}")
-    sample_cap = None if n <= exhaustive_limit else sample_size
+    symmetric = is_band_symmetric(state)
     out: List[CutStatus] = []
     for m in sizes:
-        witness = None
-        for mask in _subsets_of_size(n, m, sample_cap):
-            subset = QubitSubset(n, mask)
-            if pt_spectrum(state, subset).min_eigenvalue() < 0:
-                witness = mask
-                break
+        if symmetric:
+            masks = [(1 << m) - 1]
+        else:
+            masks = (sum(1 << p for p in pos) for pos in combinations(range(n), m))
+        witness = next(
+            (mask for mask in masks if min_pt_eigenvalue(state, QubitSubset(n, mask)) < 0),
+            None,
+        )
         if witness is None:
             out.append(CutStatus(m, "PPT"))
         else:
@@ -249,11 +238,9 @@ def cut_classification(
     return out
 
 
-def pt_dense_oracle(
-    state: GhzDiagonalState, subset: QubitSubset, limit: Optional[int] = None
-) -> np.ndarray:
+def pt_dense_oracle(state: GhzDiagonalState, subset: QubitSubset) -> np.ndarray:
     """Element-wise partial transposition of the dense realization."""
-    rho = to_dense(state, limit)
+    rho = to_dense(state)
     return partial_transpose_dense(rho, state.n, subset.mask)
 
 

@@ -26,9 +26,11 @@ from .states import (
     GhzDiagonalState,
     _check_family,
     binom_normalizer,
-    build_rho_nk,
     weight,
 )
+
+NORM_TOL = 1e-10  # unit-trace and nonnegativity tolerance of a decomposition
+SUPPORT_TOL = 1e-12  # pairs with p_a + p_b at or below this are off the support
 
 
 @dataclass(frozen=True)
@@ -48,24 +50,20 @@ class PhaseGenerator:
 
 
 def qfi_spectral(
-    eigenvalues: Sequence[float],
-    eigenvectors: np.ndarray,
-    generator: PhaseGenerator,
-    norm_tol: float = 1e-10,
-    support_tol: float = 1e-12,
+    eigenvalues: Sequence[float], eigenvectors: np.ndarray, generator: PhaseGenerator
 ) -> float:
     """Spectral-formula QFI from an eigendecomposition of a unit-trace state.
 
-    Pairs with p_a + p_b below ``support_tol`` are skipped (the formula is
+    Pairs with p_a + p_b below ``SUPPORT_TOL`` are skipped (the formula is
     restricted to the support, where it is finite).  The decomposition is
-    validated: eigenvalues must sum to 1 and be nonnegative to ``norm_tol``,
+    validated: eigenvalues must sum to 1 and be nonnegative to ``NORM_TOL``,
     the eigenvector columns orthonormal to 1e-10.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     v = np.asarray(eigenvectors)
-    if abs(lam.sum() - 1.0) > norm_tol:
+    if abs(lam.sum() - 1.0) > NORM_TOL:
         raise DomainError(f"eigenvalues sum to {lam.sum()}, not 1")
-    if lam.min() < -norm_tol:
+    if lam.min() < -NORM_TOL:
         raise DomainError(f"negative eigenvalue {lam.min()} beyond tolerance")
     lam = np.clip(lam, 0.0, None)
     gram = v.conj().T @ v
@@ -75,7 +73,7 @@ def qfi_spectral(
     zmat = v.conj().T @ (z[:, None] * v)
     num = (lam[:, None] - lam[None, :]) ** 2
     den = lam[:, None] + lam[None, :]
-    mask = den > support_tol
+    mask = den > SUPPORT_TOL
     return float(2.0 * np.sum(num[mask] / den[mask] * np.abs(zmat[mask]) ** 2))
 
 
@@ -88,15 +86,10 @@ def qfi_from_dense(rho: np.ndarray, generator: PhaseGenerator) -> float:
 def qfi_ghz_diagonal(state: GhzDiagonalState) -> Fraction:
     """Exact QFI of a GHZ-diagonal state; empty sectors contribute nothing."""
     total = Fraction(0)
-    for i in range(1 << (state.n - 1)):
-        s = state.sector_sum(i)
-        if s == 0:
-            continue
+    for i in state.coherence_support():
         d = state.sector_diff(i)
-        if d == 0:
-            continue
         w = weight(state.n, i)
-        total += w * w * d * d / s
+        total += w * w * d * d / state.sector_sum(i)
     return total
 
 

@@ -44,8 +44,8 @@ def dense_limit() -> int:
     return limit
 
 
-def _check_dense(n: int, limit: int | None = None) -> None:
-    cap = dense_limit() if limit is None else limit
+def _check_dense(n: int) -> None:
+    cap = dense_limit()
     if n > cap:
         raise SizeLimitError(f"dense computation needs n <= {cap}, got n = {n}")
 
@@ -255,21 +255,9 @@ def build_rho_nk(n: int, k: int) -> GhzDiagonalState:
     band k are equal even/odd mixtures.  When 2k == n the band-k sectors
     each absorb the weight of two index strings (the two members of the
     sector both sit on the band), which is what keeps the trace at exactly 1.
+    This is the width-0 member of ``build_rho_nkm``.
     """
-    _check_family(n, k)
-    check_build_size(n)
-    lam = binom_normalizer(n, k)
-    lp: Dict[int, Fraction] = {}
-    lm: Dict[int, Fraction] = {}
-    for i in range(1 << (n - 1)):
-        band = min_ones(n, i)
-        if band < k:
-            lp[i] = lam
-        elif band == k:
-            w = lam if 2 * k == n else lam / 2
-            lp[i] = w
-            lm[i] = w
-    return GhzDiagonalState(n, lp, lm)
+    return build_rho_nkm(n, k, 0)
 
 
 def mixing_bands(k: int, m: int) -> range:
@@ -280,10 +268,9 @@ def mixing_bands(k: int, m: int) -> range:
 def build_rho_nkm(n: int, k: int, m: int) -> GhzDiagonalState:
     """Wider-mixing family: bands k..k+m mixed, bands below k pure-even.
 
-    The normalizer is ``1 / sum_{j<=k+m} C(n,j)``; m = 0 reduces exactly to
-    ``build_rho_nk``.  Parameters with k+m > n/2 would make the table sum to
-    less than 1 (the required bands do not exist) and are rejected rather
-    than renormalized.
+    The normalizer is ``1 / sum_{j<=k+m} C(n,j)``; m = 0 is ``build_rho_nk``.
+    Parameters with k+m > n/2 would make the table sum to less than 1 (the
+    required bands do not exist) and are rejected rather than renormalized.
     """
     if m < 0:
         raise DomainError(f"mixing width must be >= 0, got m = {m}")
@@ -294,7 +281,7 @@ def build_rho_nkm(n: int, k: int, m: int) -> GhzDiagonalState:
             f"n = {n}: need k + m <= n/2"
         )
     check_build_size(n)
-    lam = Fraction(1, sum(comb(n, j) for j in range(k + m + 1)))
+    lam = binom_normalizer(n, k + m)
     mixed = set(mixing_bands(k, m))
     lp: Dict[int, Fraction] = {}
     lm: Dict[int, Fraction] = {}
@@ -306,18 +293,31 @@ def build_rho_nkm(n: int, k: int, m: int) -> GhzDiagonalState:
             w = lam if 2 * band == n else lam / 2
             lp[i] = w
             lm[i] = w
-    state = GhzDiagonalState(n, lp, lm)
-    if state.trace() != 1:  # unreachable given the domain check above
-        raise DomainError("mixing range inconsistent with normalization")
-    return state
+    return GhzDiagonalState(n, lp, lm)
+
+
+def is_band_symmetric(state: GhzDiagonalState) -> bool:
+    """True when every sector carries the weights of its band's representative.
+
+    Such a state depends on a sector only through its band, which no qubit
+    permutation changes, so the state is invariant under every permutation
+    of the qubits.  Every family member is band-symmetric.
+    """
+    n = state.n
+    lp, lm = state.lambda_plus, state.lambda_minus
+    for i in range(1 << (n - 1)):
+        rep = (1 << min_ones(n, i)) - 1
+        if lp.get(i) != lp.get(rep) or lm.get(i) != lm.get(rep):
+            return False
+    return True
 
 
 # -- dense oracle substrate ---------------------------------------------------
 
 
-def to_dense(state: GhzDiagonalState, limit: int | None = None) -> np.ndarray:
+def to_dense(state: GhzDiagonalState) -> np.ndarray:
     """Dense real-symmetric realization of the state (diagonal-antidiagonal)."""
-    _check_dense(state.n, limit)
+    _check_dense(state.n)
     dim = 1 << state.n
     rho = np.zeros((dim, dim))
     for i in range(1 << (state.n - 1)):

@@ -55,6 +55,7 @@ from ghzmetro import (
     s_factor,
     to_dense,
 )
+from conftest import family_grid
 
 SPECTRAL_TOL = 1e-9
 TENSOR_ORACLE_TOL = 1e-10
@@ -67,13 +68,6 @@ def report(criterion: str, detail: str) -> None:
 
 def report_expected_failure(criterion: str, detail: str) -> None:
     print(f"[FAIL] {criterion}: {detail} (expected failure, documented defect)")
-
-
-def family_grid(n_max, strict=False):
-    for n in range(2, n_max + 1):
-        top = (n - 1) // 2 if strict else n // 2
-        for k in range(1, top + 1):
-            yield n, k
 
 
 # -- criterion 1: exact instance reproduction ---------------------------------

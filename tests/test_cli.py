@@ -86,6 +86,23 @@ def test_ppt_json_rows(capsys):
     assert payload["oracle_max_deviation"] <= 1e-9
 
 
+def test_ppt_boundary_member_all_cuts_ppt(capsys):
+    code, out, _ = run(capsys, "ppt", "--n", "12", "--k", "6", "--cuts", "all",
+                       "--format", "json", "--no-timestamp")
+    assert code == 0
+    payload = json.loads(out)
+    assert [r["cut_size"] for r in payload["cuts"]] == list(range(1, 7))
+    assert all(r["status"] == "PPT" for r in payload["cuts"])
+
+
+def test_ppt_witness_is_first_subset_beyond_twelve_qubits(capsys):
+    code, out, _ = run(capsys, "ppt", "--n", "14", "--k", "3", "--no-timestamp")
+    assert code == 0
+    assert "cut 1: PPT" in out
+    for m in range(2, 8):
+        assert f"cut {m}: NPPT (witness mask {(1 << m) - 1:#06b}" in out
+
+
 def test_bell_row(capsys):
     code, out, _ = run(capsys, "bell", "--n", "4", "--k", "2", "--no-timestamp",
                        "--oracle")

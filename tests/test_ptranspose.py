@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghzmetro import (
+    CutStatus,
     DomainError,
     GhzDiagonalState,
     QubitSubset,
     build_rho_nk,
     build_rho_nkm,
-    canonical_index,
     cut_classification,
     ghz_state,
+    is_band_symmetric,
     maximally_mixed_state,
     min_ones,
     min_pt_eigenvalue,
@@ -251,7 +252,85 @@ def test_mixed_family_nppt_beyond_width():
     assert table[3] == "NPPT"
 
 
-def test_sampled_subsets_beyond_limit():
-    state = build_rho_nk(7, 2)
-    rows = cut_classification(state, cut_sizes=[2], exhaustive_limit=6, sample_size=10)
-    assert rows[0].status == "NPPT"  # negativity is dense enough to sample
+def first_nppt_mask(state, m):
+    """Exhaustive oracle: first violating size-m mask in ``combinations`` order."""
+    for pos in combinations(range(state.n), m):
+        mask = sum(1 << p for p in pos)
+        if min_pt_eigenvalue(state, QubitSubset(state.n, mask)) < 0:
+            return mask
+    return None
+
+
+def assert_matches_exhaustive(state, sizes=None):
+    rows = cut_classification(state, cut_sizes=sizes)
+    for row in rows:
+        expected = first_nppt_mask(state, row.cut_size)
+        assert row.witness_mask == expected, (state.n, row)
+        assert row.status == ("PPT" if expected is None else "NPPT")
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_cut_classification_matches_exhaustive_family(n):
+    for k in range(1, n // 2 + 1):
+        for m in range(0, n // 2 - k + 1):
+            assert_matches_exhaustive(build_rho_nkm(n, k, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_state_strategy(max_n=6))
+def test_cut_classification_matches_exhaustive_random(state):
+    assert_matches_exhaustive(state)
+
+
+@st.composite
+def band_symmetric_states(draw, max_n=7):
+    """Random states whose sector weights depend only on the band."""
+    n = draw(st.integers(2, max_n))
+    bands = n // 2 + 1
+    weights = draw(
+        st.lists(st.integers(0, 9), min_size=2 * bands, max_size=2 * bands)
+        .filter(lambda ws: sum(ws) > 0)
+    )
+    band = {i: min_ones(n, i) for i in range(1 << (n - 1))}
+    total = sum(weights[2 * b] + weights[2 * b + 1] for b in band.values())
+    lp = {i: Fraction(weights[2 * b], total) for i, b in band.items()}
+    lm = {i: Fraction(weights[2 * b + 1], total) for i, b in band.items()}
+    return GhzDiagonalState(n, lp, lm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(band_symmetric_states())
+def test_band_symmetric_route_matches_exhaustive(state):
+    assert is_band_symmetric(state)
+    assert_matches_exhaustive(state, sizes=range(1, state.n))
+
+
+def test_asymmetric_state_is_scanned_past_the_first_subset():
+    # coherence on sector 0 only: a pair cut is NPPT exactly when the
+    # sector of the transposed pair is empty; 0b0011 is filled, 0b0101 is not
+    state = GhzDiagonalState(
+        4, {0: Fraction(1, 2), 0b0011: Fraction(1, 4)}, {0b0011: Fraction(1, 4)}
+    )
+    assert not is_band_symmetric(state)
+    assert min_pt_eigenvalue(state, QubitSubset(4, 0b0011)) >= 0
+    assert min_pt_eigenvalue(state, QubitSubset(4, 0b0101)) < 0
+    assert cut_classification(state, cut_sizes=[2]) == [CutStatus(2, "NPPT", 0b0101)]
+
+
+def range_walk_certificate(state):
+    """Single-qubit certificate witness found by walking every representative."""
+    for j in range(1 << (state.n - 1)):
+        bound = abs(state.sector_diff(j))
+        if bound == 0:
+            continue
+        for i in omega_set(state.n, j).members:
+            if state.sector_sum(i) < bound:
+                return j, i
+    return None, None
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_state_strategy(max_n=6))
+def test_certificate_witness_matches_range_walk(state):
+    cert = ppt_single_qubit_certificate(state)
+    assert (cert.witness_j, cert.witness_i) == range_walk_certificate(state)

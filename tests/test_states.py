@@ -18,6 +18,7 @@ from ghzmetro import (
     dense_limit,
     ghz_basis_vector,
     ghz_state,
+    is_band_symmetric,
     maximally_mixed_state,
     min_ones,
     sector_eigenvalues,
@@ -187,6 +188,29 @@ def test_rho_nkm_boundary_band_doubles():
     top = [i for i in state.support() if min_ones(6, i) == 3]
     assert len(top) == comb(6, 3) // 2
     assert all(state.lam_plus(i) == lam for i in top)
+
+
+def test_band_symmetric_references():
+    for n in range(2, 11):
+        for k in range(1, n // 2 + 1):
+            for m in range(0, n // 2 - k + 1):
+                assert is_band_symmetric(build_rho_nkm(n, k, m)), (n, k, m)
+        assert is_band_symmetric(ghz_state(n))
+        assert is_band_symmetric(maximally_mixed_state(n))
+
+
+def test_band_symmetry_broken_by_one_sector():
+    # move weight from sector 0 (alone in band 0) to any other sector; at
+    # n = 6 every other band holds several sectors, so the symmetry breaks
+    state = build_rho_nk(6, 2)
+    shift = state.lam_plus(0) / 2
+    for i in range(1, 1 << 5):
+        lp = dict(state.lambda_plus)
+        lp[0] -= shift
+        lp[i] = lp.get(i, Fraction(0)) + shift
+        tilted = GhzDiagonalState(6, lp, state.lambda_minus)
+        assert tilted.trace() == 1
+        assert not is_band_symmetric(tilted), i
 
 
 # -- state invariants ---------------------------------------------------------
