@@ -82,6 +82,5 @@ from .estimation import (
     evolve,
     evolved_dense,
     get_model,
-    outcome_distribution,
     run_monte_carlo,
 )

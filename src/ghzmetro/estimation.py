@@ -11,10 +11,12 @@ modeled in closed form:
   measure parity within it:
   P(i, +-) = [(lambda_i^+ + lambda_i^-) +- (lambda_i^+ - lambda_i^-) cos(w_i theta)] / 2.
 
-Classical Fisher information uses the analytic derivatives (a central
+Both are one fringe formula, written once in ``_FringeModel``.  Classical
+Fisher information uses the analytic derivatives (a central
 finite-difference cross-check is provided), and a seeded counter-based
-Monte Carlo loop estimates theta by bracketed maximum likelihood to compare
-the empirical spread against the Cramer-Rao bound 1/sqrt(shots * F).
+Monte Carlo loop estimates theta by bracketed maximum likelihood (a grid,
+then golden-section search) to compare the empirical spread against the
+Cramer-Rao bound 1/sqrt(shots * F).
 """
 from __future__ import annotations
 
@@ -23,14 +25,14 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, FisherSingularityError, LikelihoodDegeneracyError
 from .qfi import qfi_ghz_diagonal
 from .states import GhzDiagonalState, _check_dense, weight
 
 RNG_ALGORITHM = "philox4x64"  # counter-based; pinned for bit-reproducibility
-MLE_TOL = 1e-8
+MLE_TOL = 1e-8  # the refined bracket is narrower than this
+INV_PHI = (5**0.5 - 1) / 2  # golden-section ratio
 GRID_POINTS = 512  # coarse likelihood grid across the bracket
 P_ZERO_TOL = 1e-15  # outcome probabilities at or below this count as zero
 SLOPE_TOL = 1e-12  # a zero-probability outcome steeper than this is singular
@@ -83,7 +85,29 @@ def evolved_dense(ev: EvolvedState) -> np.ndarray:
 # -- measurement models -------------------------------------------------------
 
 
-class GlobalParity:
+class _FringeModel:
+    """Outcome probabilities P(theta) = (base + coef . cos(w theta)) / 2, one
+    ``coef`` column per distinct sector weight w.  A model only maps the sector
+    sums s and coherences (d_i in the column of w_i) to outcome rows."""
+
+    def probabilities(self, state: GhzDiagonalState, theta: float) -> np.ndarray:
+        base, coef, w = self._tables(state)
+        return (base + coef @ np.cos(w * theta)) / 2.0
+
+    def derivatives(self, state: GhzDiagonalState, theta: float) -> np.ndarray:
+        _, coef, w = self._tables(state)
+        return -(coef @ (w * np.sin(w * theta))) / 2.0
+
+    def _tables(self, state: GhzDiagonalState):
+        support = list(state.support())
+        s = np.array([float(state.sector_sum(i)) for i in support])
+        d = np.array([float(state.sector_diff(i)) for i in support])
+        w, col = np.unique([weight(state.n, i) for i in support], return_inverse=True)
+        base, coef = self._rows(s, np.eye(len(w))[col] * d[:, None])
+        return base, coef, w.astype(float)
+
+
+class GlobalParity(_FringeModel):
     """Product of single-qubit sigma_x outcomes; two outcomes +1 / -1."""
 
     name = "global-parity"
@@ -91,29 +115,12 @@ class GlobalParity:
     def outcomes(self, state: GhzDiagonalState) -> Tuple:
         return (+1, -1)
 
-    def _fringe(self, state: GhzDiagonalState, theta: float) -> Tuple[float, float]:
-        c = sum(
-            float(state.sector_diff(i)) * np.cos(weight(state.n, i) * theta)
-            for i in state.coherence_support()
-        )
-        dc = sum(
-            -float(state.sector_diff(i))
-            * weight(state.n, i)
-            * np.sin(weight(state.n, i) * theta)
-            for i in state.coherence_support()
-        )
-        return c, dc
-
-    def probabilities(self, state: GhzDiagonalState, theta: float) -> np.ndarray:
-        c, _ = self._fringe(state, theta)
-        return np.array([(1.0 + c) / 2.0, (1.0 - c) / 2.0])
-
-    def derivatives(self, state: GhzDiagonalState, theta: float) -> np.ndarray:
-        _, dc = self._fringe(state, theta)
-        return np.array([dc / 2.0, -dc / 2.0])
+    def _rows(self, s: np.ndarray, coh: np.ndarray):
+        c = coh.sum(axis=0)
+        return np.ones(2), np.array([c, -c])
 
 
-class SectorParity:
+class SectorParity(_FringeModel):
     """Project onto a sector's span, then measure parity within the sector.
 
     Outcomes are (i, +1) and (i, -1) for every populated sector i; the
@@ -126,25 +133,8 @@ class SectorParity:
     def outcomes(self, state: GhzDiagonalState) -> Tuple:
         return tuple((i, s) for i in state.support() for s in (+1, -1))
 
-    def probabilities(self, state: GhzDiagonalState, theta: float) -> np.ndarray:
-        out = []
-        for i in state.support():
-            s = float(state.sector_sum(i))
-            d = float(state.sector_diff(i))
-            c = np.cos(weight(state.n, i) * theta)
-            out.append((s + d * c) / 2.0)
-            out.append((s - d * c) / 2.0)
-        return np.array(out)
-
-    def derivatives(self, state: GhzDiagonalState, theta: float) -> np.ndarray:
-        out = []
-        for i in state.support():
-            d = float(state.sector_diff(i))
-            w = weight(state.n, i)
-            slope = -d * w * np.sin(w * theta) / 2.0
-            out.append(slope)
-            out.append(-slope)
-        return np.array(out)
+    def _rows(self, s: np.ndarray, coh: np.ndarray):
+        return np.repeat(s, 2), np.stack([coh, -coh], axis=1).reshape(2 * len(s), -1)
 
 
 MODELS = {GlobalParity.name: GlobalParity, SectorParity.name: SectorParity}
@@ -156,11 +146,6 @@ def get_model(name: str):
     except KeyError as exc:
         raise DomainError(f"unknown measurement model {name!r}; "
                           f"choose from {sorted(MODELS)}") from exc
-
-
-def outcome_distribution(state: GhzDiagonalState, theta: float, model) -> np.ndarray:
-    """Outcome probabilities at the given phase; nonnegative, sum to 1."""
-    return model.probabilities(state, theta)
 
 
 def classical_fisher(state: GhzDiagonalState, theta: float, model) -> float:
@@ -233,9 +218,20 @@ class EstimationRun:
         }
 
 
-def _negative_log_likelihood(counts: np.ndarray, probs: np.ndarray) -> float:
-    p = np.clip(probs, 1e-300, None)
-    return float(-np.sum(counts * np.log(p)))
+def _golden_section(f, lo: float, hi: float) -> Tuple[float, float]:
+    """Minimize a unimodal f on [lo, hi] until the bracket is below ``MLE_TOL``."""
+    c, d = hi - INV_PHI * (hi - lo), lo + INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo >= MLE_TOL:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - INV_PHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + INV_PHI * (hi - lo)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
 
 
 def _mle(
@@ -247,7 +243,8 @@ def _mle(
     """Bracketed maximum likelihood: coarse grid, refine, degeneracy check."""
 
     def nll_at(t: float) -> float:
-        return _negative_log_likelihood(counts, model.probabilities(state, t))
+        p = np.clip(model.probabilities(state, t), 1e-300, None)
+        return float(-np.sum(counts * np.log(p)))
 
     lo, hi = bracket
     grid = np.linspace(lo, hi, GRID_POINTS)
@@ -259,9 +256,7 @@ def _mle(
     def refine(idx: int) -> Tuple[float, float]:
         left = grid[max(idx - 1, 0)]
         right = grid[min(idx + 1, GRID_POINTS - 1)]
-        res = minimize_scalar(nll_at, bounds=(left, right), method="bounded",
-                              options={"xatol": MLE_TOL})
-        return float(res.x), float(res.fun)
+        return _golden_section(nll_at, float(left), float(right))
 
     refined = sorted((refine(idx) for idx in candidates), key=lambda p: p[1])
     theta_hat, nll_hat = refined[0]

@@ -13,8 +13,9 @@ without building a matrix.  A cut m:(n-m) is PPT when every size-m subset
 has a nonnegative transposed spectrum.  For a band-symmetric state (every
 family member) all size-m subsets are related by a qubit permutation and
 share one spectrum, so ``cut_classification`` inspects a single subset per
-size; for any other state it inspects every subset.  Both routes are exact.
-A dense reshape-based oracle is kept alongside for validation.
+size; for any other state it inspects every subset.  Both routes are exact
+and read only the coherence support; ``pt_spectrum`` and a dense
+reshape-based oracle are kept alongside for validation.
 """
 from __future__ import annotations
 
@@ -213,7 +214,9 @@ def cut_classification(
     are omitted by default.  A band-symmetric state is invariant under qubit
     permutations, so all size-m subsets share one transposed spectrum and
     the first subset, mask ``(1 << m) - 1``, decides the cut; any other
-    state has every size-m subset inspected.
+    state has every size-m subset inspected.  No spectrum is built: as
+    i -> canon(i XOR mask) is a bijection, a subset is NPPT exactly when some
+    coherent sector j has s_{canon(j XOR mask)} < |d_j|.
     """
     n = state.n
     sizes = list(cut_sizes) if cut_sizes is not None else list(range(1, n // 2 + 1))
@@ -221,16 +224,19 @@ def cut_classification(
         if not 1 <= m <= n - 1:
             raise DomainError(f"cut size {m} outside 1..{n - 1}")
     symmetric = is_band_symmetric(state)
+    coherent = [(j, abs(state.sector_diff(j))) for j in state.coherence_support()]
+
+    def nppt(mask: int) -> bool:
+        return any(state.sector_sum(canonical_index(j ^ mask, n)) < bound
+                   for j, bound in coherent)
+
     out: List[CutStatus] = []
     for m in sizes:
         if symmetric:
             masks = [(1 << m) - 1]
         else:
             masks = (sum(1 << p for p in pos) for pos in combinations(range(n), m))
-        witness = next(
-            (mask for mask in masks if min_pt_eigenvalue(state, QubitSubset(n, mask)) < 0),
-            None,
-        )
+        witness = next((mask for mask in masks if nppt(mask)), None)
         if witness is None:
             out.append(CutStatus(m, "PPT"))
         else:

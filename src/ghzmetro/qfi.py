@@ -7,7 +7,7 @@ Three routes to the same number, used as mutual oracles:
 * ``qfi_ghz_diagonal`` — the GHZ-diagonal closed form
   sum_i w_i^2 (lambda_i^+ - lambda_i^-)^2 / (lambda_i^+ + lambda_i^-) (exact);
 * ``qfi_closed_nk`` — the binomial-family closed form
-  lam * sum_{j<k} (n-2j)^2 C(n,j) (exact).
+  lam * sum_{j<k} (n-2j)^2 C(n,j) with lam = 1 / sum_{j<=k+m} C(n,j) (exact).
 
 Alongside live the family lower bounds, the separability threshold F_Q <= n,
 and scan-report helpers.
@@ -93,10 +93,14 @@ def qfi_ghz_diagonal(state: GhzDiagonalState) -> Fraction:
     return total
 
 
-def qfi_closed_nk(n: int, k: int) -> Fraction:
-    """Exact QFI of the (n, k) family without building the state."""
-    _check_family(n, k)
-    lam = binom_normalizer(n, k)
+def qfi_closed_nk(n: int, k: int, m: int = 0) -> Fraction:
+    """Exact QFI of the (n, k, m) family without building the state.
+
+    The mixed bands k..k+m carry no coherence, so only the pure bands j < k
+    contribute, each with w^2 * lam per sector and C(n, j) sectors.
+    """
+    _check_family(n, k, m)
+    lam = binom_normalizer(n, k + m)
     return lam * sum((n - 2 * j) ** 2 * comb(n, j) for j in range(k))
 
 
@@ -197,14 +201,8 @@ def family_report(
     n: int, k: int, m: Optional[int] = None, a: Optional[Fraction] = None
 ) -> QfiReport:
     """Assemble the full report for one (n, k[, m]) family member."""
-    if m is not None and m >= 1:
-        from .states import build_rho_nkm  # local import avoids cycle at module load
-
-        f_q = qfi_ghz_diagonal(build_rho_nkm(n, k, m))
-        mixed_bound = qfi_lower_bound_nkm(n, k, m)
-    else:
-        f_q = qfi_closed_nk(n, k)
-        mixed_bound = None
+    f_q = qfi_closed_nk(n, k, m or 0)
+    mixed_bound = qfi_lower_bound_nkm(n, k, m) if m else None
     ratio_limit = ratio_bound = None
     if a is not None:
         a = Fraction(a)

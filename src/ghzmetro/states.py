@@ -228,11 +228,20 @@ def maximally_mixed_state(n: int) -> GhzDiagonalState:
 FAMILY_BUILD_LIMIT = 20
 
 
-def _check_family(n: int, k: int) -> None:
+def _check_family(n: int, k: int, m: int = 0) -> None:
+    """Parameters with k+m > n/2 would make the table sum to less than 1 (the
+    required bands do not exist) and are rejected rather than renormalized."""
+    if m < 0:
+        raise DomainError(f"mixing width must be >= 0, got m = {m}")
     if n < 2:
         raise DomainError(f"need at least 2 qubits, got n = {n}")
     if k < 1 or 2 * k > n:
         raise DomainError(f"need 1 <= k <= n/2, got k = {k} for n = {n}")
+    if 2 * (k + m) > n:
+        raise DomainError(
+            f"mixing range {list(mixing_bands(k, m))} is not normalizable for "
+            f"n = {n}: need k + m <= n/2"
+        )
 
 
 def check_build_size(n: int) -> None:
@@ -269,17 +278,8 @@ def build_rho_nkm(n: int, k: int, m: int) -> GhzDiagonalState:
     """Wider-mixing family: bands k..k+m mixed, bands below k pure-even.
 
     The normalizer is ``1 / sum_{j<=k+m} C(n,j)``; m = 0 is ``build_rho_nk``.
-    Parameters with k+m > n/2 would make the table sum to less than 1 (the
-    required bands do not exist) and are rejected rather than renormalized.
     """
-    if m < 0:
-        raise DomainError(f"mixing width must be >= 0, got m = {m}")
-    _check_family(n, k)
-    if 2 * (k + m) > n:
-        raise DomainError(
-            f"mixing range {list(mixing_bands(k, m))} is not normalizable for "
-            f"n = {n}: need k + m <= n/2"
-        )
+    _check_family(n, k, m)
     check_build_size(n)
     lam = binom_normalizer(n, k + m)
     mixed = set(mixing_bands(k, m))

@@ -1,8 +1,13 @@
 """CLI contracts: output formats, determinism, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ghzmetro
 from ghzmetro.cli import main, parse_fraction, parse_range
 from ghzmetro.states import GhzDiagonalState
 
@@ -206,6 +211,27 @@ def test_byte_identical_without_timestamp(capsys):
     _, a, _ = run(capsys, *args)
     _, b, _ = run(capsys, *args)
     assert a == b
+
+
+def test_qfi_mixed_member_beyond_build_limit(capsys):
+    # the mixed-family QFI is a closed form: no 2^(n-1) table, no size guard
+    code, out, _ = run(capsys, "qfi", "--n", "100", "--k", "3", "--m", "2",
+                       "--exact", "--no-timestamp")
+    assert code == 0
+    assert "mixed_lower_bound" in out
+    code, _, err = run(capsys, "qfi", "--n", "8", "--k", "2", "--m", "-1")
+    assert code == 2
+    assert "mixing width" in err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.optimize alone would add about 0.6 s to every command's startup
+    probe = ("import sys, ghzmetro.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(ghzmetro.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
 
 
 def test_qfi_json_payload(capsys):

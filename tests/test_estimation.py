@@ -20,12 +20,12 @@ from ghzmetro import (
     get_model,
     ghz_basis_vector,
     ghz_state,
-    outcome_distribution,
     qfi_ghz_diagonal,
     run_monte_carlo,
     to_dense,
     weight,
 )
+from ghzmetro.estimation import _mle
 from conftest import random_state_strategy
 
 
@@ -61,7 +61,7 @@ def test_evolve_matches_dense_conjugation(state, theta):
 def test_ghz_parity_fringe():
     n, model = 4, GlobalParity()
     for theta in (0.0, 0.1, 0.7, 2.0):
-        p = outcome_distribution(ghz_state(n), theta, model)
+        p = model.probabilities(ghz_state(n), theta)
         assert p[0] == pytest.approx((1 + np.cos(n * theta)) / 2)
         assert p[1] == pytest.approx((1 - np.cos(n * theta)) / 2)
 
@@ -69,7 +69,7 @@ def test_ghz_parity_fringe():
 def test_sector_parity_at_zero_phase():
     state = build_rho_nk(4, 2)
     model = SectorParity()
-    p = outcome_distribution(state, 0.0, model)
+    p = model.probabilities(state, 0.0)
     for (i, sign), prob in zip(model.outcomes(state), p):
         expected = state.lam_plus(i) if sign > 0 else state.lam_minus(i)
         assert prob == pytest.approx(float(expected))
@@ -80,7 +80,7 @@ def test_distribution_normalization(model_name):
     model = get_model(model_name)
     for state in (ghz_state(3), build_rho_nk(6, 2), build_rho_nk(5, 2)):
         for theta in np.linspace(-2, 2, 17):
-            p = outcome_distribution(state, theta, model)
+            p = model.probabilities(state, theta)
             assert p.min() > -1e-15
             assert abs(p.sum() - 1.0) < 1e-12
 
@@ -97,7 +97,7 @@ def test_global_parity_matches_born_rule():
     for theta in (0.2, 0.9):
         rho_t = evolved_dense(evolve(state, theta))
         born = float(np.trace(proj_plus @ rho_t).real)
-        assert outcome_distribution(state, theta, model)[0] == pytest.approx(born, abs=1e-12)
+        assert model.probabilities(state, theta)[0] == pytest.approx(born, abs=1e-12)
 
 
 def test_sector_parity_matches_born_rule():
@@ -105,7 +105,7 @@ def test_sector_parity_matches_born_rule():
     model = SectorParity()
     for theta in (0.3, 1.1):
         rho_t = evolved_dense(evolve(state, theta))
-        p = outcome_distribution(state, theta, model)
+        p = model.probabilities(state, theta)
         for (i, sign), prob in zip(model.outcomes(state), p):
             v = ghz_basis_vector(4, i, sign)
             assert prob == pytest.approx(float((v @ rho_t @ v).real), abs=1e-12)
@@ -221,6 +221,25 @@ def test_quadruple_shots_halves_spread():
     small = run_monte_carlo(state, shots=2_500, seed=3, **base)
     big = run_monte_carlo(state, shots=10_000, seed=4, **base)
     assert small.empirical_std / big.empirical_std == pytest.approx(2.0, abs=0.5)
+
+
+@pytest.mark.parametrize("model_name", ["global-parity", "sector-parity"])
+@pytest.mark.parametrize("state", [ghz_state(4), build_rho_nk(8, 2)], ids=["ghz4", "rho82"])
+def test_refined_estimate_is_local_likelihood_minimum(state, model_name):
+    model = get_model(model_name)
+    theta = 0.9 * np.pi / (2 * state.n)
+    halfwidth = np.pi / (4 * state.n)
+    bracket = (theta - halfwidth, theta + halfwidth)
+
+    def nll(t):
+        return -float(np.sum(counts * np.log(model.probabilities(state, t))))
+
+    for seed in range(3):
+        counts = np.random.default_rng(seed).multinomial(
+            2000, model.probabilities(state, theta))
+        est = _mle(state, model, counts, bracket)
+        assert bracket[0] < est < bracket[1]
+        assert nll(est) <= min(nll(est - 1e-6), nll(est + 1e-6))
 
 
 def test_degenerate_bracket_reported():

@@ -170,6 +170,7 @@ def test_mixed_bound_holds_on_grid():
         for k in range(1, n // 2):
             for m in range(1, n // 2 - k + 1):
                 f_q = qfi_ghz_diagonal(build_rho_nkm(n, k, m))
+                assert qfi_closed_nk(n, k, m) == f_q, (n, k, m)
                 assert f_q >= qfi_lower_bound_nkm(n, k, m), (n, k, m)
 
 
