@@ -23,7 +23,6 @@ from .states import (
     build_rho_nk,
     build_rho_nkm,
     canonical_index,
-    dense_limit,
     ghz_basis_vector,
     ghz_state,
     is_band_symmetric,
@@ -35,7 +34,6 @@ from .states import (
 )
 from .ptranspose import (
     CutStatus,
-    OmegaSet,
     PtSpectrum,
     QubitSubset,
     cut_classification,

@@ -230,9 +230,7 @@ class DetectionRow:
     verdict: str
 
 
-def detection_comparison(
-    state: GhzDiagonalState, f_q: Optional[Fraction] = None
-) -> DetectionRow:
+def detection_comparison(state: GhzDiagonalState) -> DetectionRow:
     """Classify which entanglement test fires: QFI (f_q/n > 1), Bell (hs >= 1).
 
     ``hs_norm_sq < 1`` certifies a hidden-variable model for the correlation
@@ -240,8 +238,7 @@ def detection_comparison(
     the Bell condition undecided and is reported as the Bell side "firing"
     for comparison purposes.
     """
-    if f_q is None:
-        f_q = qfi_ghz_diagonal(state)
+    f_q = qfi_ghz_diagonal(state)
     hs = hs_norm_sq(state)
     qfi_detects = f_q > state.n
     bell_side = hs >= 1
@@ -256,7 +253,7 @@ def detection_comparison(
     return DetectionRow(
         n=state.n,
         f_q=f_q,
-        f_q_over_n=Fraction(f_q) / state.n,
+        f_q_over_n=f_q / state.n,
         hs_norm_sq=float(hs),
         verdict=verdict,
     )

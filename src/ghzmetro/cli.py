@@ -42,7 +42,6 @@ from .states import (
     build_rho_nk,
     build_rho_nkm,
     check_build_size,
-    dense_limit,
     min_ones,
     to_dense,
 )
@@ -217,27 +216,31 @@ def cmd_qfi(args, argv) -> int:
 def cmd_ppt(args, argv) -> int:
     state = build_state(args)
     meta = provenance(args, argv)
-    cert = ppt_single_qubit_certificate(state, verify=args.oracle)
+    cert = ppt_single_qubit_certificate(state)
     sizes = None if args.cuts == "all" else parse_int_list(args.cuts)
+    if sizes == []:  # an empty table would leave --oracle nothing to check
+        raise DomainError(f"--cuts {args.cuts!r} names no cut size")
     table = cut_classification(state, cut_sizes=sizes)
     deviation = None
     if args.oracle:
         deviation = 0.0
-        if state.n <= dense_limit():
-            for row in table:
-                mask = row.witness_mask if row.witness_mask is not None else (
-                    (1 << row.cut_size) - 1
-                )
-                subset = QubitSubset(state.n, mask)
-                exact = [float(v) for v in pt_spectrum(state, subset).eigenvalues()]
-                dense = sorted(np.linalg.eigvalsh(pt_dense_oracle(state, subset)))
-                deviation = max(
-                    deviation, max(abs(a - b) for a, b in zip(exact, dense))
-                )
-            if deviation > ORACLE_TOL:
-                raise CrossCheckError(
-                    f"dense transposition oracle deviates by {deviation}"
-                )
+        for row in table:
+            mask = row.witness_mask if row.witness_mask is not None else (
+                (1 << row.cut_size) - 1
+            )
+            subset = QubitSubset(state.n, mask)
+            exact = [float(v) for v in pt_spectrum(state, subset).eigenvalues()]
+            dense = sorted(np.linalg.eigvalsh(pt_dense_oracle(state, subset)))
+            deviation = max(deviation, max(abs(a - b) for a, b in zip(exact, dense)))
+        if deviation > ORACLE_TOL:
+            raise CrossCheckError(f"dense transposition oracle deviates by {deviation}")
+        spectra_ok = all(
+            pt_spectrum(state, QubitSubset.from_qubits(state.n, [q])).is_nonnegative()
+            for q in range(1, state.n + 1)
+        )
+        if spectra_ok != cert.holds:
+            raise CrossCheckError(f"certificate says {cert.holds} but "
+                                  f"single-qubit spectra say {spectra_ok}")
     if args.format == "json":
         payload = {
             "meta": meta,

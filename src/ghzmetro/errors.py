@@ -10,7 +10,7 @@ class DomainError(GhzmetroError, ValueError):
 
 
 class SizeLimitError(GhzmetroError, ValueError):
-    """A dense or enumerative computation would exceed its configured cap."""
+    """A dense or enumerative computation would exceed its fixed cap."""
 
 
 class CrossCheckError(GhzmetroError, RuntimeError):

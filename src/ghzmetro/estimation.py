@@ -20,7 +20,7 @@ Cramer-Rao bound 1/sqrt(shots * F).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -88,7 +88,10 @@ def evolved_dense(ev: EvolvedState) -> np.ndarray:
 class _FringeModel:
     """Outcome probabilities P(theta) = (base + coef . cos(w theta)) / 2, one
     ``coef`` column per distinct sector weight w.  A model only maps the sector
-    sums s and coherences (d_i in the column of w_i) to outcome rows."""
+    sums s and coherences (d_i in the column of w_i) to outcome rows.  The
+    tables of the last state read are kept, so a run reads its state once."""
+
+    _state = None
 
     def probabilities(self, state: GhzDiagonalState, theta: float) -> np.ndarray:
         base, coef, w = self._tables(state)
@@ -99,12 +102,17 @@ class _FringeModel:
         return -(coef @ (w * np.sin(w * theta))) / 2.0
 
     def _tables(self, state: GhzDiagonalState):
-        support = list(state.support())
-        s = np.array([float(state.sector_sum(i)) for i in support])
-        d = np.array([float(state.sector_diff(i)) for i in support])
-        w, col = np.unique([weight(state.n, i) for i in support], return_inverse=True)
-        base, coef = self._rows(s, np.eye(len(w))[col] * d[:, None])
-        return base, coef, w.astype(float)
+        # the state holds dicts, so it is compared by identity, not hashed;
+        # holding it keeps its id from being reused by another state
+        if self._state is not state:
+            support = list(state.support())
+            s = np.array([float(state.sector_sum(i)) for i in support])
+            d = np.array([float(state.sector_diff(i)) for i in support])
+            w, col = np.unique([weight(state.n, i) for i in support],
+                               return_inverse=True)
+            base, coef = self._rows(s, np.eye(len(w))[col] * d[:, None])
+            self._state, self._cached = state, (base, coef, w.astype(float))
+        return self._cached
 
 
 class GlobalParity(_FringeModel):
@@ -200,22 +208,7 @@ class EstimationRun:
     bracket: Tuple[float, float]
 
     def to_json_dict(self) -> dict:
-        return {
-            "state_params": self.state_params,
-            "model": self.model,
-            "theta_true": self.theta_true,
-            "shots": self.shots,
-            "repetitions": self.repetitions,
-            "seed": self.seed,
-            "rng_algorithm": self.rng_algorithm,
-            "estimates": list(self.estimates),
-            "empirical_std": self.empirical_std,
-            "empirical_std_err": self.empirical_std_err,
-            "crlb": self.crlb,
-            "fisher_classical": self.fisher_classical,
-            "fisher_quantum": self.fisher_quantum,
-            "bracket": list(self.bracket),
-        }
+        return asdict(self)
 
 
 def _golden_section(f, lo: float, hi: float) -> Tuple[float, float]:

@@ -14,19 +14,20 @@ has a nonnegative transposed spectrum.  For a band-symmetric state (every
 family member) all size-m subsets are related by a qubit permutation and
 share one spectrum, so ``cut_classification`` inspects a single subset per
 size; for any other state it inspects every subset.  Both routes are exact
-and read only the coherence support; ``pt_spectrum`` and a dense
-reshape-based oracle are kept alongside for validation.
+and read only the coherence support.  ``pt_spectrum`` and the dense
+reshape-based ``pt_dense_oracle`` are the independent oracles; the library
+never runs them on its own (the CLI's ``ppt --oracle`` does).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import CrossCheckError, DomainError
+from .errors import DomainError
 from .states import (
     GhzDiagonalState,
     canonical_index,
@@ -86,23 +87,16 @@ def transpose_partner(n: int, i: int, subset: QubitSubset) -> int:
     return canonical_index(i ^ subset.mask, n)
 
 
-@dataclass(frozen=True)
-class OmegaSet:
-    """Partners of sector j under all single-qubit transpositions."""
+def omega_set(n: int, j: int) -> frozenset:
+    """Partners of sector j under all single-qubit transpositions.
 
-    j: int
-    members: frozenset
-
-
-def omega_set(n: int, j: int) -> OmegaSet:
-    """Canonicalized set {canon(j XOR e_q) : q = 1..n}; size <= n.
+    The canonicalized set {canon(j XOR e_q) : q = 1..n}; size <= n.
 
     Complementing all bits but the first coincides, after canonicalization,
     with flipping the first bit alone, which is why a single XOR sweep covers
     both single-qubit rules.
     """
-    members = frozenset(canonical_index(j ^ (1 << q), n) for q in range(n))
-    return OmegaSet(j, members)
+    return frozenset(canonical_index(j ^ (1 << q), n) for q in range(n))
 
 
 @dataclass(frozen=True)
@@ -156,34 +150,23 @@ class CertificateResult:
     witness_i: Optional[int] = None
 
 
-def ppt_single_qubit_certificate(
-    state: GhzDiagonalState, verify: bool = False
-) -> CertificateResult:
+def ppt_single_qubit_certificate(state: GhzDiagonalState) -> CertificateResult:
     """Check min_{i in Omega_j} (lambda_i^+ + lambda_i^-) >= |lambda_j^+ - lambda_j^-|.
 
     Holding for every sector j is equivalent to nonnegativity of the
-    transposed spectrum for every single-qubit subset.  ``verify=True``
-    recomputes all n single-qubit spectra and raises ``CrossCheckError`` if
-    they ever disagree with the certificate.
+    transposed spectrum for every single-qubit subset; the first failing
+    pair (j, i) in ascending coherent j is the witness.  The n single-qubit
+    ``pt_spectrum`` calls are its oracle.
     """
     result = CertificateResult(True)
     for j in state.coherence_support():
         bound = abs(state.sector_diff(j))
-        for i in omega_set(state.n, j).members:
+        for i in omega_set(state.n, j):
             if state.sector_sum(i) < bound:
                 result = CertificateResult(False, j, i)
                 break
         if not result.holds:
             break
-    if verify:
-        spectra_ok = all(
-            pt_spectrum(state, QubitSubset.from_qubits(state.n, [q])).is_nonnegative()
-            for q in range(1, state.n + 1)
-        )
-        if spectra_ok != result.holds:
-            raise CrossCheckError(
-                f"certificate says {result.holds} but single-qubit spectra say {spectra_ok}"
-            )
     return result
 
 
@@ -196,11 +179,7 @@ class CutStatus:
     witness_mask: Optional[int] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "cut_size": self.cut_size,
-            "status": self.status,
-            "witness_mask": self.witness_mask,
-        }
+        return asdict(self)
 
 
 def cut_classification(

@@ -124,9 +124,7 @@ def qfi_lower_bound_nkm(n: int, k: int, m: int) -> Fraction:
     """
     if m < 1:
         raise DomainError(f"mixing width must be >= 1 for this bound, got m = {m}")
-    _check_family(n, k)
-    if 2 * (k + m) > n:
-        raise DomainError(f"need k + m <= n/2, got k = {k}, m = {m}, n = {n}")
+    _check_family(n, k, m)
     num = (n - 2 * k) ** 2
     for t in range(k, k + m + 1):
         num *= t

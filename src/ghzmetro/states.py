@@ -13,10 +13,11 @@ Sector tables are keyed on representative indices ``i < 2**(n-1)`` (the
 n-bit pattern of a representative starts with 0); ``2**n - 1 - i`` labels
 the same two-dimensional sector.  All eigenvalues are exact rationals, so
 normalization and every closed-form quantity downstream are tolerance-free.
+The dense realization ``to_dense`` exists only as an oracle substrate and
+refuses states above the fixed cap ``DENSE_LIMIT`` = 12 qubits.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -26,28 +27,14 @@ import numpy as np
 
 from .errors import DomainError, SizeLimitError
 
-DEFAULT_DENSE_LIMIT = 12
-_DENSE_LIMIT_ENV = "GHZMETRO_DENSE_LIMIT"
-
-
-def dense_limit() -> int:
-    """Qubit cap for dense-matrix oracles (env ``GHZMETRO_DENSE_LIMIT`` overrides)."""
-    raw = os.environ.get(_DENSE_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_DENSE_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{_DENSE_LIMIT_ENV} must be an integer, got {raw!r}") from exc
-    if limit < 2:
-        raise DomainError(f"{_DENSE_LIMIT_ENV} must be at least 2, got {limit}")
-    return limit
+DENSE_LIMIT = 12  # qubit cap of every dense-matrix oracle
 
 
 def _check_dense(n: int) -> None:
-    cap = dense_limit()
-    if n > cap:
-        raise SizeLimitError(f"dense computation needs n <= {cap}, got n = {n}")
+    if n > DENSE_LIMIT:
+        raise SizeLimitError(
+            f"dense computation needs n <= {DENSE_LIMIT}, got n = {n}"
+        )
 
 
 def canonical_index(r: int, n: int) -> int:
@@ -57,12 +44,8 @@ def canonical_index(r: int, n: int) -> int:
     return min(r, (1 << n) - 1 - r)
 
 
-def is_representative(i: int, n: int) -> bool:
-    return 0 <= i < (1 << (n - 1))
-
-
 def _check_representative(i: int, n: int) -> None:
-    if not is_representative(i, n):
+    if not 0 <= i < (1 << (n - 1)):
         raise DomainError(
             f"index {i} out of representative range [0, 2^{n - 1}) for n = {n}"
         )

@@ -139,7 +139,7 @@ def test_c4_certificate_and_oracle():
     # certificate holds for the whole family and matches single-qubit spectra
     for n, k in family_grid(12):
         state = build_rho_nk(n, k)
-        cert = ppt_single_qubit_certificate(state, verify=True)
+        cert = ppt_single_qubit_certificate(state)
         assert cert.holds, (n, k)
         for q in range(1, n + 1):
             assert pt_spectrum(state, QubitSubset.from_qubits(n, [q])).min_eigenvalue() >= 0

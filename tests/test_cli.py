@@ -91,6 +91,31 @@ def test_ppt_json_rows(capsys):
     assert payload["oracle_max_deviation"] <= 1e-9
 
 
+def test_ppt_oracle_above_dense_cap_exits_3(capsys):
+    code, out, err = run(capsys, "ppt", "--n", "13", "--k", "4", "--oracle",
+                         "--no-timestamp")
+    assert code == 3
+    assert out == ""
+    assert "size limit" in err
+    # an empty cut list is refused, so no oracle row can be left out
+    code, out, _ = run(capsys, "ppt", "--n", "14", "--k", "3", "--cuts", ",",
+                       "--oracle", "--no-timestamp")
+    assert (code, out) == (2, "")
+
+
+def test_ppt_oracle_certificate_mismatch_exits_4(capsys, monkeypatch):
+    import ghzmetro.cli as cli_mod
+    from ghzmetro.ptranspose import CertificateResult
+
+    monkeypatch.setattr(cli_mod, "ppt_single_qubit_certificate",
+                        lambda state: CertificateResult(False, 0, 1))
+    code, out, err = run(capsys, "ppt", "--n", "6", "--k", "2", "--oracle",
+                         "--no-timestamp")
+    assert code == 4
+    assert out == ""
+    assert "certificate" in err
+
+
 def test_ppt_boundary_member_all_cuts_ppt(capsys):
     code, out, _ = run(capsys, "ppt", "--n", "12", "--k", "6", "--cuts", "all",
                        "--format", "json", "--no-timestamp")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ghzmetro import (
     DomainError,
     FisherSingularityError,
+    GhzDiagonalState,
     GlobalParity,
     LikelihoodDegeneracyError,
     PhaseGenerator,
@@ -204,6 +205,22 @@ def test_run_reproducible():
     assert a.to_json_dict() == b.to_json_dict()
     c = run_monte_carlo(state, **{**kwargs, "seed": 8})
     assert c.estimates != a.estimates
+
+
+@pytest.mark.parametrize("model_name", ["global-parity", "sector-parity"])
+def test_run_reads_state_tables_once(monkeypatch, model_name):
+    state = build_rho_nk(6, 2)
+    calls = []
+    support = GhzDiagonalState.support
+
+    def counted(self):
+        calls.append(1)
+        return support(self)
+
+    monkeypatch.setattr(GhzDiagonalState, "support", counted)
+    run_monte_carlo(state, theta_true=0.2, model=model_name, shots=1000,
+                    repetitions=3, seed=5)
+    assert len(calls) <= 5  # not once per likelihood evaluation
 
 
 def test_run_tracks_cramer_rao():

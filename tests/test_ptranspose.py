@@ -68,8 +68,8 @@ def test_subset_validation():
 # -- omega sets -----------------------------------------------------------------
 
 def test_omega_examples():
-    assert omega_set(4, 0).members == frozenset({7, 4, 2, 1})
-    assert omega_set(4, 7).members == frozenset({0, 3, 5, 6})
+    assert omega_set(4, 0) == frozenset({7, 4, 2, 1})
+    assert omega_set(4, 7) == frozenset({0, 3, 5, 6})
 
 
 def test_omega_band_steps():
@@ -81,14 +81,14 @@ def test_omega_band_steps():
             allowed = {t - 1, t + 1}
             if n == 2 * t + 1:
                 allowed.add(t)
-            for i in omega_set(n, j).members:
+            for i in omega_set(n, j):
                 assert min_ones(n, i) in allowed
 
 
 def test_omega_size_bound():
     for n in range(2, 9):
         for j in range(1 << (n - 1)):
-            assert 1 <= len(omega_set(n, j).members) <= n
+            assert 1 <= len(omega_set(n, j)) <= n
 
 
 # -- spectra ----------------------------------------------------------------------
@@ -171,7 +171,7 @@ def test_uniform_state_certificate_holds():
 @settings(max_examples=80, deadline=None)
 @given(random_state_strategy(max_n=6))
 def test_certificate_equals_single_qubit_spectra(state):
-    cert = ppt_single_qubit_certificate(state, verify=True)  # raises on mismatch
+    cert = ppt_single_qubit_certificate(state)
     spectra_ok = all(
         pt_spectrum(state, QubitSubset.from_qubits(state.n, [q])).is_nonnegative()
         for q in range(1, state.n + 1)
@@ -323,7 +323,7 @@ def range_walk_certificate(state):
         bound = abs(state.sector_diff(j))
         if bound == 0:
             continue
-        for i in omega_set(state.n, j).members:
+        for i in omega_set(state.n, j):
             if state.sector_sum(i) < bound:
                 return j, i
     return None, None

@@ -15,7 +15,6 @@ from ghzmetro import (
     build_rho_nk,
     build_rho_nkm,
     canonical_index,
-    dense_limit,
     ghz_basis_vector,
     ghz_state,
     is_band_symmetric,
@@ -258,19 +257,10 @@ def test_dense_maximally_mixed():
     assert np.allclose(rho, np.eye(1 << n) / (1 << n))
 
 
-def test_dense_limit_enforced(monkeypatch):
-    monkeypatch.setenv("GHZMETRO_DENSE_LIMIT", "3")
+def test_dense_limit_enforced():
     with pytest.raises(SizeLimitError):
-        to_dense(build_rho_nk(4, 1))
-    monkeypatch.delenv("GHZMETRO_DENSE_LIMIT")
-    to_dense(build_rho_nk(4, 1))  # default cap of 12 admits n = 4
-
-
-@pytest.mark.parametrize("raw", ["1", "0", "-3"])
-def test_dense_limit_below_two_rejected(monkeypatch, raw):
-    monkeypatch.setenv("GHZMETRO_DENSE_LIMIT", raw)
-    with pytest.raises(DomainError):
-        dense_limit()
+        to_dense(ghz_state(13))
+    to_dense(build_rho_nk(4, 1))  # the fixed cap of 12 admits n = 4
 
 
 def test_family_build_size_limit():
