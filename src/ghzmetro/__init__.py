@@ -23,12 +23,10 @@ from .states import (
     build_rho_nk,
     build_rho_nkm,
     canonical_index,
-    ghz_basis_vector,
     ghz_state,
     is_band_symmetric,
     maximally_mixed_state,
     min_ones,
-    sector_eigenvalues,
     to_dense,
     weight,
 )
@@ -37,19 +35,15 @@ from .ptranspose import (
     PtSpectrum,
     QubitSubset,
     cut_classification,
-    min_pt_eigenvalue,
     omega_set,
     ppt_single_qubit_certificate,
     pt_dense_oracle,
     pt_spectrum,
-    transpose_partner,
 )
 from .qfi import (
     PhaseGenerator,
     QfiReport,
-    asymptotic_report,
     family_report,
-    nk_limit_ratio,
     qfi_closed_nk,
     qfi_from_dense,
     qfi_ghz_diagonal,
@@ -58,17 +52,14 @@ from .qfi import (
     qfi_spectral,
     s_factor,
     scaled_k,
-    separability_test,
 )
 from .bell import (
     CorrelationTensorSummary,
     DetectionRow,
     brute_force_tensor,
-    correlation_summary,
     detection_comparison,
     hs_norm_sq,
     hs_norm_sq_exact,
-    pauli_expectation,
 )
 from .estimation import (
     RNG_ALGORITHM,
@@ -76,9 +67,6 @@ from .estimation import (
     GlobalParity,
     SectorParity,
     classical_fisher,
-    classical_fisher_fd,
-    evolve,
-    evolved_dense,
     get_model,
     run_monte_carlo,
 )

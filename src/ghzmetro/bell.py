@@ -20,18 +20,19 @@ exists for those measurements).
 
 ``hs_norm_sq`` evaluates that closed form in exact rationals over the
 coherence support.  Two independent oracles remain: ``hs_norm_sq_exact``
-and ``correlation_summary`` scan the 2^n masks in exact rationals, and
-``brute_force_tensor`` traces all 3^n Pauli tuples against the dense matrix.
+scans the 2^n masks in exact rationals, and ``brute_force_tensor`` traces
+all 3^n Pauli tuples against the dense matrix.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple, Union
+from itertools import product
+from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import DomainError, SizeLimitError
+from .errors import SizeLimitError
 from .qfi import qfi_ghz_diagonal
 from .states import GhzDiagonalState, to_dense
 
@@ -48,24 +49,6 @@ BRUTE_CAP = 6  # qubit cap of the 3^n dense-trace enumeration
 ZERO_TOL = 1e-12  # brute-force elements at or below this are reported as zero
 
 
-def _check_axes(axes: Sequence[int], n: int) -> Tuple[int, ...]:
-    axes = tuple(axes)
-    if len(axes) != n:
-        raise DomainError(f"tuple length {len(axes)} does not match n = {n}")
-    if any(a not in (AXIS_X, AXIS_Y, AXIS_Z) for a in axes):
-        raise DomainError(f"axes must be in {{1, 2, 3}} (x, y, z), got {axes}")
-    return axes
-
-
-def _y_mask(axes: Tuple[int, ...], n: int) -> int:
-    """Bit mask of y positions; axes[0] acts on the most significant bit."""
-    mask = 0
-    for pos, a in enumerate(axes):
-        if a == AXIS_Y:
-            mask |= 1 << (n - 1 - pos)
-    return mask
-
-
 def axial_expectation(state: GhzDiagonalState) -> Fraction:
     """All-z full correlation: signed sum of sector weights, 0 for odd n."""
     if state.n % 2:
@@ -75,32 +58,6 @@ def axial_expectation(state: GhzDiagonalState) -> Fraction:
         sign = -1 if i.bit_count() & 1 else 1
         total += sign * state.sector_sum(i)
     return total
-
-
-def planar_expectation(state: GhzDiagonalState, y_mask: int) -> Fraction:
-    """x/y-only full correlation with y on the bits of ``y_mask``, exactly."""
-    y = y_mask.bit_count()
-    if y & 1:
-        return Fraction(0)
-    total = Fraction(0)
-    for i in state.coherence_support():
-        sign = -1 if (y_mask & i).bit_count() & 1 else 1
-        total += sign * state.sector_diff(i)
-    if (y // 2) & 1:
-        total = -total
-    return total
-
-
-def pauli_expectation(state: GhzDiagonalState, axes: Sequence[int]) -> float:
-    """Tr[s_{k_1} x ... x s_{k_n} rho] via the structure rules; no matrices."""
-    axes = _check_axes(axes, state.n)
-    has_z = AXIS_Z in axes
-    has_planar = any(a in (AXIS_X, AXIS_Y) for a in axes)
-    if has_z and has_planar:
-        return 0.0
-    if has_z:
-        return float(axial_expectation(state))
-    return float(planar_expectation(state, _y_mask(axes, state.n)))
 
 
 def planar_square_sum(state: GhzDiagonalState) -> Fraction:
@@ -149,55 +106,15 @@ class CorrelationTensorSummary:
     axial_sq: float
 
 
-def correlation_summary(state: GhzDiagonalState) -> CorrelationTensorSummary:
-    """Structure-exploiting tensor summary with exact element values."""
-    if state.n > SCAN_CAP:
-        raise SizeLimitError(f"tensor summary needs n <= {SCAN_CAP}, got {state.n}")
-    n = state.n
-    elements: Dict[Tuple[int, ...], float] = {}
-    planar = Fraction(0)
-    for y in range(1 << n):
-        if y.bit_count() & 1:
-            continue
-        t = planar_expectation(state, y)
-        if t != 0:
-            axes = tuple(
-                AXIS_Y if y >> (n - 1 - pos) & 1 else AXIS_X for pos in range(n)
-            )
-            elements[axes] = float(t)
-            planar += t * t
-    axial = axial_expectation(state)
-    if axial != 0:
-        elements[(AXIS_Z,) * n] = float(axial)
-    return CorrelationTensorSummary(
-        n=n,
-        nonzero_elements=elements,
-        hs_norm_sq=float(planar + axial * axial),
-        planar_sq=float(planar),
-        axial_sq=float(axial * axial),
-    )
-
-
-def brute_force_tensor(
-    state_or_dense: Union[GhzDiagonalState, np.ndarray],
-    n: Optional[int] = None,
-) -> CorrelationTensorSummary:
+def brute_force_tensor(state: GhzDiagonalState) -> CorrelationTensorSummary:
     """Full 3^n dense-trace enumeration; the oracle for the fast paths."""
-    if isinstance(state_or_dense, GhzDiagonalState):
-        n = state_or_dense.n
-        rho = to_dense(state_or_dense)
-    else:
-        rho = np.asarray(state_or_dense, dtype=complex)
-        if n is None:
-            n = int(round(np.log2(rho.shape[0])))
+    n = state.n
     if n > BRUTE_CAP:
         raise SizeLimitError(f"brute-force tensor needs n <= {BRUTE_CAP}, got {n}")
-    from itertools import product
-
     elements: Dict[Tuple[int, ...], float] = {}
     planar = axial = 0.0
     total = 0.0
-    rho_t = rho.T.copy()
+    rho_t = to_dense(state).T.copy()
     for axes in product((AXIS_X, AXIS_Y, AXIS_Z), repeat=n):
         op = PAULI[axes[0]]
         for a in axes[1:]:

@@ -12,23 +12,21 @@ modeled in closed form:
   P(i, +-) = [(lambda_i^+ + lambda_i^-) +- (lambda_i^+ - lambda_i^-) cos(w_i theta)] / 2.
 
 Both are one fringe formula, written once in ``_FringeModel``.  Classical
-Fisher information uses the analytic derivatives (a central
-finite-difference cross-check is provided), and a seeded counter-based
-Monte Carlo loop estimates theta by bracketed maximum likelihood (a grid,
-then golden-section search) to compare the empirical spread against the
-Cramer-Rao bound 1/sqrt(shots * F).
+Fisher information uses the analytic derivatives, and a seeded
+counter-based Monte Carlo loop estimates theta by bracketed maximum
+likelihood (a grid, then golden-section search) to compare the empirical
+spread against the Cramer-Rao bound 1/sqrt(shots * F).
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, FisherSingularityError, LikelihoodDegeneracyError
 from .qfi import qfi_ghz_diagonal
-from .states import GhzDiagonalState, _check_dense, weight
+from .states import GhzDiagonalState, weight
 
 RNG_ALGORITHM = "philox4x64"  # counter-based; pinned for bit-reproducibility
 MLE_TOL = 1e-8  # the refined bracket is narrower than this
@@ -36,50 +34,12 @@ INV_PHI = (5**0.5 - 1) / 2  # golden-section ratio
 GRID_POINTS = 512  # coarse likelihood grid across the bracket
 P_ZERO_TOL = 1e-15  # outcome probabilities at or below this count as zero
 SLOPE_TOL = 1e-12  # a zero-probability outcome steeper than this is singular
-FD_STEP = 1e-5  # central finite-difference step of ``classical_fisher_fd``
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
     """Independent reproducible stream: Philox keyed by (seed, stream index)."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(ss))
-
-
-@dataclass(frozen=True)
-class EvolvedState:
-    """Sector table after phase evolution: sums invariant, coherences rotated."""
-
-    n: int
-    theta: float
-    sector_sum: Dict[int, Fraction]
-    coherence: Dict[int, complex]  # (lambda^+ - lambda^-)/2 * exp(-i theta w_i)
-
-
-def evolve(state: GhzDiagonalState, theta: float) -> EvolvedState:
-    """Apply exp(-i theta Z); purity is preserved sector by sector."""
-    sums: Dict[int, Fraction] = {}
-    coh: Dict[int, complex] = {}
-    for i in state.support():
-        sums[i] = state.sector_sum(i)
-        d = state.sector_diff(i)
-        if d != 0:
-            w = weight(state.n, i)
-            coh[i] = float(d) / 2.0 * np.exp(-1j * theta * w)
-    return EvolvedState(state.n, float(theta), sums, coh)
-
-
-def evolved_dense(ev: EvolvedState) -> np.ndarray:
-    """Dense complex realization of an evolved sector table."""
-    _check_dense(ev.n)
-    dim = 1 << ev.n
-    rho = np.zeros((dim, dim), dtype=complex)
-    for i, s in ev.sector_sum.items():
-        j = dim - 1 - i
-        rho[i, i] = rho[j, j] = float(s) / 2.0
-        c = ev.coherence.get(i, 0.0)
-        rho[i, j] = c
-        rho[j, i] = np.conj(c)
-    return rho
 
 
 # -- measurement models -------------------------------------------------------
@@ -174,15 +134,6 @@ def classical_fisher(state: GhzDiagonalState, theta: float, model) -> float:
                 f"outcome {k} has P = {pk} but dP/dtheta = {dk} at theta = {theta}"
             )
     return total
-
-
-def classical_fisher_fd(state: GhzDiagonalState, theta: float, model) -> float:
-    """Central finite-difference cross-check of ``classical_fisher``."""
-    p = model.probabilities(state, theta)
-    dp = (model.probabilities(state, theta + FD_STEP)
-          - model.probabilities(state, theta - FD_STEP)) / (2.0 * FD_STEP)
-    mask = p > P_ZERO_TOL
-    return float(np.sum(dp[mask] ** 2 / p[mask]))
 
 
 # -- Monte Carlo estimation ---------------------------------------------------
@@ -281,6 +232,9 @@ def run_monte_carlo(
     theta_true +- pi/(4 * w_max) stays within one monotone branch of the
     fastest sector's fringe; widen it only knowingly, since a symmetric
     likelihood develops mirror maxima (reported, never silently resolved).
+    A bracket that is empty in floating point (zero or negative width, or
+    one too narrow to change theta_true) would return theta_true itself as
+    every estimate, so it is refused.
     """
     if shots < 100:
         raise DomainError(f"need shots >= 100, got {shots}")
@@ -292,6 +246,9 @@ def run_monte_carlo(
     if bracket_halfwidth is None:
         bracket_halfwidth = np.pi / (4.0 * w_max)
     bracket = (theta_true - bracket_halfwidth, theta_true + bracket_halfwidth)
+    if not -np.inf < bracket[0] < theta_true < bracket[1] < np.inf:
+        raise DomainError(f"bracket {bracket} around theta = {theta_true} is "
+                          "empty or unbounded; need a finite theta and halfwidth > 0")
 
     probs = model.probabilities(state, theta_true)
     if probs.min() < -1e-12 or abs(probs.sum() - 1.0) > 1e-9:

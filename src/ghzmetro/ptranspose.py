@@ -64,27 +64,8 @@ class QubitSubset:
         return cls(n, mask)
 
     @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    @property
     def qubits(self) -> Tuple[int, ...]:
         return tuple(q for q in range(1, self.n + 1) if self.mask >> (self.n - q) & 1)
-
-    def complement(self) -> "QubitSubset":
-        return QubitSubset(self.n, ((1 << self.n) - 1) ^ self.mask)
-
-
-def transpose_partner(n: int, i: int, subset: QubitSubset) -> int:
-    """Sector whose antidiagonal entry lands on sector i after transposition.
-
-    For a single transposed qubit this reproduces the two classical cases:
-    flipping a non-leading bit stays in representative range, while flipping
-    the leading bit is canonicalized into complementing all other bits.
-    """
-    if subset.n != n:
-        raise DomainError("subset size does not match qubit count")
-    return canonical_index(i ^ subset.mask, n)
 
 
 def omega_set(n: int, j: int) -> frozenset:
@@ -119,9 +100,6 @@ class PtSpectrum:
     def is_nonnegative(self) -> bool:
         return self.min_eigenvalue() >= 0
 
-    def trace(self) -> Fraction:
-        return sum((p + m for p, m in self.pairs.values()), Fraction(0))
-
 
 def pt_spectrum(state: GhzDiagonalState, subset: QubitSubset) -> PtSpectrum:
     """Spectrum of the state transposed over ``subset``; no dense matrix built."""
@@ -129,16 +107,11 @@ def pt_spectrum(state: GhzDiagonalState, subset: QubitSubset) -> PtSpectrum:
         raise DomainError("subset size does not match state")
     pairs: Dict[int, Tuple[Fraction, Fraction]] = {}
     for i in range(1 << (state.n - 1)):
-        j = transpose_partner(state.n, i, subset)
+        j = canonical_index(i ^ subset.mask, state.n)
         s = state.sector_sum(i)
         d = state.sector_diff(j)
         pairs[i] = ((s + d) / 2, (s - d) / 2)
     return PtSpectrum(subset, pairs)
-
-
-def min_pt_eigenvalue(state: GhzDiagonalState, subset: QubitSubset) -> Fraction:
-    """Minimum transposed eigenvalue; a negative value certifies NPPT for the cut."""
-    return pt_spectrum(state, subset).min_eigenvalue()
 
 
 @dataclass(frozen=True)

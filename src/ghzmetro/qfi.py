@@ -9,19 +9,19 @@ Three routes to the same number, used as mutual oracles:
 * ``qfi_closed_nk`` — the binomial-family closed form
   lam * sum_{j<k} (n-2j)^2 C(n,j) with lam = 1 / sum_{j<=k+m} C(n,j) (exact).
 
-Alongside live the family lower bounds, the separability threshold F_Q <= n,
-and scan-report helpers.
+Alongside live the family lower bounds and the report that the CLI prints
+for one family member.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CrossCheckError, DomainError
+from .errors import DomainError
 from .states import (
     GhzDiagonalState,
     _check_family,
@@ -134,15 +134,6 @@ def qfi_lower_bound_nkm(n: int, k: int, m: int) -> Fraction:
     return Fraction(num, den)
 
 
-def separability_test(f_q, n: int) -> str:
-    """Strict witness: any separable n-qubit state has QFI <= n.
-
-    Returns "entangled" when f_q > n; otherwise "inconclusive" (the test
-    never certifies separability).
-    """
-    return "entangled" if f_q > n else "inconclusive"
-
-
 def scaled_k(a: Fraction, n: int) -> int:
     """k(n) = round(a*n), half-up, clipped into [1, ceil(n/2) - 1]."""
     if not 0 < a < Fraction(1, 2):
@@ -177,22 +168,14 @@ class QfiReport:
     ratio_bound_form: Optional[Fraction] = None
 
     def to_json_dict(self) -> dict:
-        def enc(x):
-            return None if x is None else {"exact": str(x), "float": float(x)}
-
-        return {
-            "n": self.n,
-            "k": self.k,
-            "m": self.m,
-            "a": None if self.a is None else str(self.a),
-            "f_q": enc(self.f_q),
-            "snl_ratio": enc(self.snl_ratio),
-            "lower_bound": enc(self.lower_bound),
-            "mixed_lower_bound": enc(self.mixed_lower_bound),
-            "s_nk": enc(self.s_nk),
-            "ratio_limit_form": enc(self.ratio_limit_form),
-            "ratio_bound_form": enc(self.ratio_bound_form),
-        }
+        """Every rational becomes {"exact", "float"}, except the input ratio a."""
+        out = {}
+        for f in fields(self):
+            x = getattr(self, f.name)
+            if isinstance(x, Fraction):
+                x = str(x) if f.name == "a" else {"exact": str(x), "float": float(x)}
+            out[f.name] = x
+        return out
 
 
 def family_report(
@@ -220,21 +203,3 @@ def family_report(
         ratio_limit_form=ratio_limit,
         ratio_bound_form=ratio_bound,
     )
-
-
-def asymptotic_report(n: int, a: Fraction) -> QfiReport:
-    """Report for the linear scan k(n) = round(a*n); checks only the bound."""
-    a = Fraction(a)
-    k = scaled_k(a, n)
-    report = family_report(n, k, a=a)
-    if report.f_q < report.lower_bound:
-        raise CrossCheckError(
-            f"QFI {report.f_q} below its lower bound {report.lower_bound} "
-            f"at n = {n}, k = {k}"
-        )
-    return report
-
-
-def nk_limit_ratio(n: int, k: int) -> Fraction:
-    """Exact QFI over its large-n limit n*k for fixed k; below 1 at finite n."""
-    return qfi_closed_nk(n, k) / (n * k)

@@ -69,18 +69,6 @@ def min_ones(n: int, i: int) -> int:
     return min(ones, n - ones)
 
 
-def ghz_basis_vector(n: int, i: int, sign: int = +1) -> np.ndarray:
-    """Unit vector (|i> + sign * |i_bar>)/sqrt(2) in the computational basis."""
-    _check_representative(i, n)
-    if sign not in (+1, -1):
-        raise DomainError("sign must be +1 or -1")
-    v = np.zeros(1 << n)
-    amp = 1.0 / np.sqrt(2.0)
-    v[i] = amp
-    v[(1 << n) - 1 - i] = sign * amp
-    return v
-
-
 def binom_normalizer(n: int, k: int) -> Fraction:
     """Exact 1 / sum_{j=0}^{k} C(n, j); big-integer arithmetic, no overflow."""
     if not 0 <= k <= n:
@@ -161,18 +149,6 @@ class GhzDiagonalState:
             self.lambda_minus.values(), Fraction(0)
         )
 
-    def plus_dominant(self) -> "GhzDiagonalState":
-        """Copy with each sector swapped so that lambda^+ >= lambda^-.
-
-        Every formula in this package depends only on sector sums and squared
-        differences, so this is a convention, not a physical change.
-        """
-        lp, lm = {}, {}
-        for i in set(self.lambda_plus) | set(self.lambda_minus):
-            a, b = self.lam_plus(i), self.lam_minus(i)
-            lp[i], lm[i] = max(a, b), min(a, b)
-        return GhzDiagonalState(self.n, lp, lm)
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -183,12 +159,6 @@ class GhzDiagonalState:
                 continue
             entries.append({"i": i, "lp": str(lp), "lm": str(lm)})
         return {"n": self.n, "entries": entries}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GhzDiagonalState":
-        lp = {e["i"]: Fraction(e["lp"]) for e in data["entries"]}
-        lm = {e["i"]: Fraction(e["lm"]) for e in data["entries"]}
-        return cls(int(data["n"]), lp, lm)
 
 
 # -- reference states -------------------------------------------------------
@@ -312,16 +282,3 @@ def to_dense(state: GhzDiagonalState) -> np.ndarray:
         rho[i, j] = d
         rho[j, i] = d
     return rho
-
-
-def sector_eigenvalues(state: GhzDiagonalState) -> list[Fraction]:
-    """Eigenvalue multiset {lambda_i^+} u {lambda_i^-}, exactly.
-
-    Each (i, i_bar) block of the dense form is [[s/2, d/2], [d/2, s/2]] with
-    eigenvalues (s +- d)/2 = lambda^+/-, so no numerics are needed.
-    """
-    out: list[Fraction] = []
-    for i in range(1 << (state.n - 1)):
-        out.append(state.lam_plus(i))
-        out.append(state.lam_minus(i))
-    return sorted(out)

@@ -29,20 +29,16 @@ from ghzmetro import (
     PhaseGenerator,
     QubitSubset,
     SectorParity,
-    asymptotic_report,
     brute_force_tensor,
     build_rho_nk,
     build_rho_nkm,
     classical_fisher,
-    correlation_summary,
     cut_classification,
+    family_report,
     ghz_state,
     hs_norm_sq,
     hs_norm_sq_exact,
     maximally_mixed_state,
-    min_pt_eigenvalue,
-    nk_limit_ratio,
-    pauli_expectation,
     ppt_single_qubit_certificate,
     pt_dense_oracle,
     pt_spectrum,
@@ -53,8 +49,10 @@ from ghzmetro import (
     qfi_lower_bound_nkm,
     run_monte_carlo,
     s_factor,
+    scaled_k,
     to_dense,
 )
+from ghzmetro.bell import axial_expectation
 from conftest import family_grid
 
 SPECTRAL_TOL = 1e-9
@@ -183,7 +181,7 @@ def test_c4_two_qubit_cuts_go_nppt_below_the_boundary():
     for n, k in ((6, 2), (7, 2), (8, 2), (8, 3), (9, 3)):
         state = build_rho_nk(n, k)
         mins = [
-            min_pt_eigenvalue(state, QubitSubset.from_qubits(n, pos))
+            pt_spectrum(state, QubitSubset.from_qubits(n, pos)).min_eigenvalue()
             for pos in combinations(range(1, n + 1), 2)
         ]
         assert min(mins) < 0, (n, k)
@@ -200,7 +198,7 @@ def test_c4_two_qubit_cuts_go_nppt_below_the_boundary():
 def test_c4_rho42_two_cut_negativity_claim():
     state = build_rho_nk(4, 2)
     mins = [
-        min_pt_eigenvalue(state, QubitSubset.from_qubits(4, pos))
+        pt_spectrum(state, QubitSubset.from_qubits(4, pos)).min_eigenvalue()
         for pos in combinations(range(1, 5), 2)
     ]
     report_expected_failure("criterion 4 (rho_4,2 2:2 cut)",
@@ -229,6 +227,11 @@ def test_c5_bounds_exact():
 
 # -- criterion 6: fixed-k ratio scan ------------------------------------------------
 
+def nk_limit_ratio(n, k):
+    """Exact QFI over its large-n limit n*k for fixed k, as figure 2 prints it."""
+    return qfi_closed_nk(n, k) / (n * k)
+
+
 def test_c6_fixed_k_ratios():
     for k in (2, 3):
         prev = Fraction(0)
@@ -249,12 +252,12 @@ def test_c6_fixed_k_ratios():
 def test_c7_linear_scans():
     for a in (Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)):
         for n in range(8, 201):
-            rep = asymptotic_report(n, a)
+            rep = family_report(n, scaled_k(a, n), a=a)
             assert rep.f_q >= rep.lower_bound
             # the limiting-form normalization is emitted, never asserted
             assert rep.ratio_limit_form is not None
     for n in range(40, 301):
-        rep = asymptotic_report(n, Fraction(1, 4))
+        rep = family_report(n, scaled_k(Fraction(1, 4), n), a=Fraction(1, 4))
         assert rep.lower_bound > n
     report("criterion 7", "bound below value on every scan point; a = 1/4 bound "
                           "alone certifies sub-shot-noise for all n in 40..300")
@@ -320,8 +323,9 @@ def test_c8_planar_component_below_one_everywhere():
     # correlation content, which is what the multi-setting inequalities scan,
     # stays below 1 for all five members
     for n, k in HEADLINE:
-        summary = correlation_summary(build_rho_nk(n, k))
-        assert summary.planar_sq < 1, (n, k)
+        state = build_rho_nk(n, k)
+        planar_sq = hs_norm_sq_exact(state) - axial_expectation(state) ** 2
+        assert planar_sq < 1, (n, k)
     report("criterion 8 (planar side)",
            "planar correlation square below 1 for all five headline members")
 
@@ -332,24 +336,23 @@ def test_c9_tensor_structure():
     start = time.monotonic()
     for n, k in family_grid(6):
         state = build_rho_nk(n, k)
-        fast = correlation_summary(state)
         brute = brute_force_tensor(state)
-        keys = set(fast.nonzero_elements) | set(brute.nonzero_elements)
-        for axes in keys:
-            a = fast.nonzero_elements.get(axes, 0.0)
-            b = brute.nonzero_elements.get(axes, 0.0)
-            assert abs(a - b) <= TENSOR_ORACLE_TOL, (n, k, axes)
+        assert abs(brute.hs_norm_sq - float(hs_norm_sq(state))) <= TENSOR_ORACLE_TOL
+        assert abs(brute.hs_norm_sq - float(hs_norm_sq_exact(state))) <= TENSOR_ORACLE_TOL
         # mixed axial/planar tuples vanish identically
-        for axes in keys:
+        for axes in brute.nonzero_elements:
             assert all(x == 3 for x in axes) or all(x != 3 for x in axes)
         probe = (3,) + (1,) * (n - 1)
-        assert pauli_expectation(state, probe) == 0.0
+        assert probe not in brute.nonzero_elements
+        # every even-y planar tuple survives, plus the all-z tuple for even n
+        assert len(brute.nonzero_elements) == (1 << (n - 1)) + (n % 2 == 0)
     bell_pair = GhzDiagonalState(2, {0: Fraction(1)}, {})
     assert hs_norm_sq_exact(bell_pair) == 3
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
-    report("criterion 9", f"fast tensor equals 3^n brute force element-wise; "
-                          f"Bell pair norm exactly 3 ({elapsed:.1f}s)")
+    report("criterion 9", f"closed form and mask scan equal the 3^n brute force; "
+                          f"only axial or planar tuples survive; Bell pair norm "
+                          f"exactly 3 ({elapsed:.1f}s)")
 
 
 # -- criterion 10: estimation suite ------------------------------------------------------

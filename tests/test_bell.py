@@ -11,14 +11,13 @@ from ghzmetro import (
     GhzDiagonalState,
     brute_force_tensor,
     build_rho_nk,
-    correlation_summary,
     detection_comparison,
     ghz_state,
     hs_norm_sq,
     hs_norm_sq_exact,
     maximally_mixed_state,
-    pauli_expectation,
     qfi_closed_nk,
+    to_dense,
 )
 from conftest import family_grid, random_state_strategy
 
@@ -29,101 +28,102 @@ def bell_pair():
     return GhzDiagonalState(2, {0: Fraction(1)}, {})
 
 
+def structure_rule(state, axes):
+    """One full correlation, exactly, by the structure rules in ``ghzmetro.bell``."""
+    if Z in axes:
+        return bell.axial_expectation(state) if set(axes) == {Z} else Fraction(0)
+    y_mask = sum(1 << (state.n - 1 - pos) for pos, a in enumerate(axes) if a == Y)
+    y = y_mask.bit_count()
+    if y & 1:
+        return Fraction(0)
+    total = sum((-state.sector_diff(i) if (y_mask & i).bit_count() & 1
+                 else state.sector_diff(i) for i in state.coherence_support()), Fraction(0))
+    return -total if (y // 2) & 1 else total
+
+
+def dense_trace(rho, axes):
+    op = bell.PAULI[axes[0]]
+    for a in axes[1:]:
+        op = np.kron(op, bell.PAULI[a])
+    return float(np.trace(op @ rho).real)
+
+
 # -- single-tuple expectations -----------------------------------------------------
 
 def test_bell_state_correlations():
     state = bell_pair()
-    assert pauli_expectation(state, (X, X)) == 1.0
-    assert pauli_expectation(state, (Y, Y)) == -1.0
-    assert pauli_expectation(state, (Z, Z)) == 1.0
-    assert pauli_expectation(state, (X, Y)) == 0.0
+    assert structure_rule(state, (X, X)) == 1
+    assert structure_rule(state, (Y, Y)) == -1
+    assert structure_rule(state, (Z, Z)) == 1
+    assert structure_rule(state, (X, Y)) == 0
 
 
 def test_mixed_axis_tuples_vanish():
     for n, k in family_grid(5):
-        state = build_rho_nk(n, k)
-        for axes in product((X, Y, Z), repeat=n):
-            if Z in axes and (X in axes or Y in axes):
-                assert pauli_expectation(state, axes) == 0.0
+        for axes in brute_force_tensor(build_rho_nk(n, k)).nonzero_elements:
+            assert not (Z in axes and (X in axes or Y in axes)), axes
 
 
 def test_all_z_odd_n_vanishes():
     for n, k in ((3, 1), (5, 2), (7, 3)):
-        assert pauli_expectation(build_rho_nk(n, k), (Z,) * n) == 0.0
+        assert bell.axial_expectation(build_rho_nk(n, k)) == 0
 
 
 def test_all_z_rho_42():
-    assert pauli_expectation(build_rho_nk(4, 2), (Z,) * 4) == pytest.approx(3 / 11)
+    assert bell.axial_expectation(build_rho_nk(4, 2)) == pytest.approx(3 / 11)
 
 
 def test_expectations_match_dense_traces():
     state = build_rho_nk(4, 2)
-    from ghzmetro import to_dense
-
     rho = to_dense(state)
     for axes in product((X, Y, Z), repeat=4):
-        op = bell.PAULI[axes[0]]
-        for a in axes[1:]:
-            op = np.kron(op, bell.PAULI[a])
-        dense_val = float(np.trace(op @ rho).real)
-        assert pauli_expectation(state, axes) == pytest.approx(dense_val, abs=1e-12)
+        dense_val = dense_trace(rho, axes)
+        assert float(structure_rule(state, axes)) == pytest.approx(dense_val, abs=1e-12)
 
 
-# -- fast path vs brute force ---------------------------------------------------------
+# -- structure rules and norms vs brute force -------------------------------------------
+
+def assert_rules_match_brute_force(state):
+    brute = brute_force_tensor(state)
+    for axes in product((X, Y, Z), repeat=state.n):
+        a = float(structure_rule(state, axes))
+        b = brute.nonzero_elements.get(axes, 0.0)
+        assert abs(a - b) < 1e-10, axes
+    assert abs(float(hs_norm_sq_exact(state)) - brute.hs_norm_sq) < 1e-10
+
 
 @pytest.mark.parametrize("n,k", list(family_grid(6)))
 def test_summary_matches_brute_force(n, k):
-    state = build_rho_nk(n, k)
-    fast = correlation_summary(state)
-    brute = brute_force_tensor(state)
-    keys = set(fast.nonzero_elements) | set(brute.nonzero_elements)
-    for axes in keys:
-        a = fast.nonzero_elements.get(axes, 0.0)
-        b = brute.nonzero_elements.get(axes, 0.0)
-        assert abs(a - b) < 1e-10, axes
-    assert abs(fast.hs_norm_sq - brute.hs_norm_sq) < 1e-10
+    assert_rules_match_brute_force(build_rho_nk(n, k))
 
 
 @settings(max_examples=25, deadline=None)
 @given(random_state_strategy(max_n=4))
 def test_summary_matches_brute_force_random(state):
-    fast = correlation_summary(state)
-    brute = brute_force_tensor(state)
-    assert abs(fast.hs_norm_sq - brute.hs_norm_sq) < 1e-10
-    keys = set(fast.nonzero_elements) | set(brute.nonzero_elements)
-    for axes in keys:
-        a = fast.nonzero_elements.get(axes, 0.0)
-        b = brute.nonzero_elements.get(axes, 0.0)
-        assert abs(a - b) < 1e-10
+    assert_rules_match_brute_force(state)
 
 
 @settings(max_examples=20, deadline=None)
 @given(random_state_strategy(max_n=4))
 def test_single_tuple_matches_dense_random(state):
-    from ghzmetro import to_dense
-
     rho = to_dense(state)
     for axes in [(X,) * state.n, (Y, Y) + (X,) * (state.n - 2),
                  (Z,) * state.n, (Z, X) + (Y,) * (state.n - 2)]:
-        op = bell.PAULI[axes[0]]
-        for a in axes[1:]:
-            op = np.kron(op, bell.PAULI[a])
-        dense_val = float(np.trace(op @ rho).real)
-        assert pauli_expectation(state, axes) == pytest.approx(dense_val, abs=1e-12)
+        dense_val = dense_trace(rho, axes)
+        assert float(structure_rule(state, axes)) == pytest.approx(dense_val, abs=1e-12)
 
 
 def test_nonzero_tuple_count():
     # every even-y planar tuple survives for these states, plus all-z when n even
     for n, k in family_grid(6):
-        state = build_rho_nk(n, k)
-        summary = correlation_summary(state)
+        brute = brute_force_tensor(build_rho_nk(n, k))
         expected = (1 << (n - 1)) + (1 if n % 2 == 0 else 0)
-        assert len(summary.nonzero_elements) == expected
-    assert len(correlation_summary(bell_pair()).nonzero_elements) == 3
+        assert len(brute.nonzero_elements) == expected
+    assert len(brute_force_tensor(bell_pair()).nonzero_elements) == 3
 
 
 def test_stored_tuples_are_axial_or_planar():
-    for axes in correlation_summary(build_rho_nk(6, 2)).nonzero_elements:
+    for axes in brute_force_tensor(build_rho_nk(6, 2)).nonzero_elements:
         assert all(a == Z for a in axes) or all(a != Z for a in axes)
 
 
@@ -158,19 +158,10 @@ def test_hs_closed_form_equals_scan_random(state):
         assert abs(float(hs_norm_sq(state)) - brute.hs_norm_sq) < 1e-12
 
 
-def test_product_state_dense_oracle():
-    # |0...0> is not GHZ-diagonal; only the all-z correlation survives
-    for n in (2, 3, 4):
-        rho = np.zeros((1 << n, 1 << n), dtype=complex)
-        rho[0, 0] = 1.0
-        summary = brute_force_tensor(rho, n=n)
-        assert summary.hs_norm_sq == pytest.approx(1.0, abs=1e-12)
-        assert set(summary.nonzero_elements) == {(Z,) * n}
-
-
 def test_hs_swap_invariance():
     state = GhzDiagonalState(3, {0: Fraction(1, 4)}, {0: Fraction(3, 4)})
-    assert hs_norm_sq_exact(state) == hs_norm_sq_exact(state.plus_dominant())
+    swapped = GhzDiagonalState(3, {0: Fraction(3, 4)}, {0: Fraction(1, 4)})
+    assert hs_norm_sq_exact(state) == hs_norm_sq_exact(swapped)
 
 
 # -- detection comparison ------------------------------------------------------------------

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ghzmetro
 from ghzmetro.cli import main, parse_fraction, parse_range
-from ghzmetro.states import GhzDiagonalState
+from ghzmetro.states import GhzDiagonalState, build_rho_nkm
 
 
 def run(capsys, *argv):
@@ -37,8 +38,12 @@ def test_state_json_roundtrip(capsys):
                        "--format", "json", "--no-timestamp")
     assert code == 0
     payload = json.loads(out)
-    state = GhzDiagonalState.from_json_dict(payload["state"])
+    entries = payload["state"]["entries"]
+    state = GhzDiagonalState(payload["state"]["n"],
+                             {e["i"]: Fraction(e["lp"]) for e in entries},
+                             {e["i"]: Fraction(e["lm"]) for e in entries})
     assert state.trace() == 1
+    assert state == build_rho_nkm(8, 2, 1)
     assert payload["state"]["entries"][0]["lp"] == "1/93"
 
 
@@ -46,6 +51,24 @@ def test_state_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "state", "--n", "4", "--k", "3")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ppt", "--n", "6", "--k", "2", "--cuts", "a"),
+    ("ppt", "--n", "6", "--k", "2", "--cuts", "1..2"),
+    ("figure", "--id", "4", "--n", "4..x"),
+    ("figure", "--id", "2", "--k", "x"),
+    ("estimate", "--n", "4", "--k", "1", "--theta", "0.3", "--reps", "2",
+     "--bracket", "0"),
+    ("estimate", "--n", "4", "--k", "1", "--theta", "0.3", "--reps", "2",
+     "--bracket", "-0.1"),
+    ("estimate", "--n", "4", "--k", "1", "--theta", "nan", "--reps", "2"),
+])
+def test_malformed_option_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
 
 
 def test_qfi_exact_output(capsys):

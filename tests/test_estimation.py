@@ -1,6 +1,4 @@
 """Phase evolution, measurement models, classical Fisher, Monte Carlo runs."""
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,49 +9,52 @@ from ghzmetro import (
     GhzDiagonalState,
     GlobalParity,
     LikelihoodDegeneracyError,
-    PhaseGenerator,
     SectorParity,
     build_rho_nk,
     classical_fisher,
-    classical_fisher_fd,
-    evolve,
-    evolved_dense,
     get_model,
-    ghz_basis_vector,
     ghz_state,
     qfi_ghz_diagonal,
     run_monte_carlo,
-    to_dense,
     weight,
 )
 from ghzmetro.estimation import _mle
-from conftest import random_state_strategy
+from conftest import evolve_dense, ghz_vector, random_state_strategy
+
+FD_STEP = 1e-5  # central finite-difference step of the Fisher cross-check
 
 
 # -- evolution -----------------------------------------------------------------
 
 def test_evolve_zero_phase_identity():
     state = build_rho_nk(4, 2)
-    ev = evolve(state, 0.0)
+    rho_t = evolve_dense(state, 0.0)
     for i in state.coherence_support():
-        assert ev.coherence[i] == pytest.approx(float(state.sector_diff(i)) / 2)
+        assert rho_t[i, 15 - i] == pytest.approx(float(state.sector_diff(i)) / 2)
     for i in state.support():
-        assert ev.sector_sum[i] == state.sector_sum(i)
+        assert rho_t[i, i] == pytest.approx(float(state.sector_sum(i)) / 2)
 
 
 def test_evolve_ghz_half_period():
     n = 4
-    ev = evolve(ghz_state(n), np.pi / n)
-    assert ev.coherence[0] == pytest.approx(-0.5)  # phase angle pi
+    rho_t = evolve_dense(ghz_state(n), np.pi / n)
+    assert rho_t[0, (1 << n) - 1] == pytest.approx(-0.5)  # phase angle pi
 
 
 @settings(max_examples=40, deadline=None)
 @given(random_state_strategy(max_n=5), st.floats(-3.0, 3.0))
 def test_evolve_matches_dense_conjugation(state, theta):
-    z = PhaseGenerator(state.n).diagonal()
-    u = np.exp(-1j * theta * z)
-    expected = (u[:, None] * to_dense(state)) * np.conj(u)[None, :]
-    got = evolved_dense(evolve(state, theta))
+    # the fringe models assume sector sums stay put while the antidiagonal
+    # entry of sector i turns at speed w_i
+    dim = 1 << state.n
+    expected = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim // 2):
+        j = dim - 1 - i
+        expected[i, i] = expected[j, j] = float(state.sector_sum(i)) / 2
+        phase = np.exp(-1j * theta * weight(state.n, i))
+        coherence = float(state.sector_diff(i)) / 2 * phase
+        expected[i, j], expected[j, i] = coherence, np.conj(coherence)
+    got = evolve_dense(state, theta)
     assert np.max(np.abs(expected - got)) < 1e-12
 
 
@@ -96,7 +97,7 @@ def test_global_parity_matches_born_rule():
     proj_plus = (np.eye(1 << n) + op) / 2
     model = GlobalParity()
     for theta in (0.2, 0.9):
-        rho_t = evolved_dense(evolve(state, theta))
+        rho_t = evolve_dense(state, theta)
         born = float(np.trace(proj_plus @ rho_t).real)
         assert model.probabilities(state, theta)[0] == pytest.approx(born, abs=1e-12)
 
@@ -105,10 +106,10 @@ def test_sector_parity_matches_born_rule():
     state = build_rho_nk(4, 1)
     model = SectorParity()
     for theta in (0.3, 1.1):
-        rho_t = evolved_dense(evolve(state, theta))
+        rho_t = evolve_dense(state, theta)
         p = model.probabilities(state, theta)
         for (i, sign), prob in zip(model.outcomes(state), p):
-            v = ghz_basis_vector(4, i, sign)
+            v = ghz_vector(4, i, sign)
             assert prob == pytest.approx(float((v @ rho_t @ v).real), abs=1e-12)
 
 
@@ -129,18 +130,20 @@ def test_fisher_finite_difference_agreement():
     for state in (build_rho_nk(6, 2), build_rho_nk(5, 2)):
         for theta in (0.15, 0.6):
             a = classical_fisher(state, theta, model)
-            b = classical_fisher_fd(state, theta, model)
+            p = model.probabilities(state, theta)
+            dp = (model.probabilities(state, theta + FD_STEP)
+                  - model.probabilities(state, theta - FD_STEP)) / (2.0 * FD_STEP)
+            b = float(np.sum(dp[p > 1e-15] ** 2 / p[p > 1e-15]))
             assert a == pytest.approx(b, abs=1e-6)
 
 
 def test_probability_derivatives_match_finite_differences():
-    step = 1e-5
     for model in (GlobalParity(), SectorParity()):
         for state in (build_rho_nk(6, 2), build_rho_nk(4, 2), ghz_state(5)):
             for theta in (0.1, 0.45, 1.2):
                 analytic = model.derivatives(state, theta)
-                fd = (model.probabilities(state, theta + step)
-                      - model.probabilities(state, theta - step)) / (2 * step)
+                fd = (model.probabilities(state, theta + FD_STEP)
+                      - model.probabilities(state, theta - FD_STEP)) / (2 * FD_STEP)
                 assert np.max(np.abs(analytic - fd)) < 1e-6
 
 
@@ -275,6 +278,15 @@ def test_run_validates_inputs():
     with pytest.raises(DomainError):
         run_monte_carlo(ghz_state(2), 0.3, "no-such-model",
                         shots=1000, repetitions=1, seed=0)
+    # a zero-width bracket returns theta itself as every estimate, with a
+    # spread of 0 below the Cramer-Rao bound; a negative one is reversed; at
+    # theta = 1e17 the default halfwidth pi/16 rounds away to zero width
+    nan, inf = float("nan"), float("inf")
+    for theta, halfwidth in ((nan, None), (inf, None), (1e17, None), (0.3, 0.0),
+                             (0.3, -0.1), (0.3, nan), (0.3, inf)):
+        with pytest.raises(DomainError):
+            run_monte_carlo(build_rho_nk(4, 1), theta, "global-parity", shots=1000,
+                            repetitions=2, seed=0, bracket_halfwidth=halfwidth)
 
 
 def test_run_json_fields():

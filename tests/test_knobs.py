@@ -2,7 +2,8 @@
 
 A new defaulted parameter (an option a caller may leave out) or an
 environment variable read by the package fails this test until it is
-added to ``PINNED`` on purpose.
+added to ``PINNED`` on purpose.  Likewise a new package export fails until
+it is added to ``EXPORTS``, so a name that only tests call is a visible edit.
 """
 import importlib
 import inspect
@@ -13,7 +14,6 @@ import ghzmetro
 LIBRARY_MODULES = ("states", "qfi", "ptranspose", "bell", "estimation")
 
 PINNED = {
-    "bell.brute_force_tensor(n)",
     "estimation.run_monte_carlo(bracket_halfwidth)",
     "estimation.run_monte_carlo(state_params)",
     "ptranspose.CertificateResult.__init__(witness_i)",
@@ -31,7 +31,29 @@ PINNED = {
     "states.GhzDiagonalState.__init__(lambda_minus)",
     "states.GhzDiagonalState.__init__(lambda_plus)",
     "states._check_family(m)",
-    "states.ghz_basis_vector(sign)",
+}
+
+EXPORTS = {
+    # states
+    "GhzDiagonalState", "binom_normalizer", "build_rho_nk", "build_rho_nkm",
+    "canonical_index", "ghz_state", "is_band_symmetric", "maximally_mixed_state",
+    "min_ones", "to_dense", "weight",
+    # ptranspose
+    "CutStatus", "PtSpectrum", "QubitSubset", "cut_classification", "omega_set",
+    "ppt_single_qubit_certificate", "pt_dense_oracle", "pt_spectrum",
+    # qfi
+    "PhaseGenerator", "QfiReport", "family_report", "qfi_closed_nk", "qfi_from_dense",
+    "qfi_ghz_diagonal", "qfi_lower_bound_nk", "qfi_lower_bound_nkm", "qfi_spectral",
+    "s_factor", "scaled_k",
+    # bell
+    "CorrelationTensorSummary", "DetectionRow", "brute_force_tensor",
+    "detection_comparison", "hs_norm_sq", "hs_norm_sq_exact",
+    # estimation
+    "RNG_ALGORITHM", "EstimationRun", "GlobalParity", "SectorParity",
+    "classical_fisher", "get_model", "run_monte_carlo",
+    # errors
+    "CrossCheckError", "DomainError", "FisherSingularityError", "GhzmetroError",
+    "LikelihoodDegeneracyError", "SizeLimitError",
 }
 
 
@@ -62,3 +84,9 @@ def test_options_are_pinned_and_environment_is_not_read():
     for path in Path(ghzmetro.__file__).parent.glob("*.py"):
         text = path.read_text()
         assert "environ" not in text and "getenv" not in text, path.name
+
+
+def test_package_exports_are_pinned():
+    exported = {name for name, value in vars(ghzmetro).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == EXPORTS

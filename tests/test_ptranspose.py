@@ -13,18 +13,17 @@ from ghzmetro import (
     QubitSubset,
     build_rho_nk,
     build_rho_nkm,
+    canonical_index,
     cut_classification,
     ghz_state,
     is_band_symmetric,
     maximally_mixed_state,
     min_ones,
-    min_pt_eigenvalue,
     omega_set,
     ppt_single_qubit_certificate,
     pt_dense_oracle,
     pt_spectrum,
     to_dense,
-    transpose_partner,
 )
 from conftest import family_grid, random_state_strategy
 
@@ -39,18 +38,26 @@ def all_subsets(n, sizes=None):
 # -- partner map ----------------------------------------------------------------
 
 def test_partner_single_qubit_rules():
+    # the GHZ coherence sits on sector 0 alone, so the one negative
+    # transposed eigenvalue marks the sector that receives it
+    ghz = ghz_state(4)
+
+    def receiver(qubits):
+        pairs = pt_spectrum(ghz, QubitSubset.from_qubits(4, qubits)).pairs
+        return [i for i, (_, minus) in pairs.items() if minus < 0]
+
     # leading qubit: flipping it canonicalizes to complementing all others
-    assert transpose_partner(4, 0, QubitSubset.from_qubits(4, [1])) == 0b0111
+    assert receiver([1]) == [0b0111]
     # trailing qubit: plain single-bit flip stays representative
-    assert transpose_partner(4, 0, QubitSubset.from_qubits(4, [4])) == 0b0001
+    assert receiver([4]) == [0b0001]
 
 
 def test_partner_involution():
     for n in (3, 4, 5):
         for subset in all_subsets(n):
             for i in range(1 << (n - 1)):
-                j = transpose_partner(n, i, subset)
-                assert transpose_partner(n, j, subset) == i
+                j = canonical_index(i ^ subset.mask, n)
+                assert canonical_index(j ^ subset.mask, n) == i
 
 
 def test_subset_validation():
@@ -62,7 +69,6 @@ def test_subset_validation():
         QubitSubset.from_qubits(4, [5])
     assert QubitSubset.from_qubits(4, [1, 4]).mask == 0b1001
     assert QubitSubset(4, 0b1001).qubits == (1, 4)
-    assert QubitSubset(4, 0b1001).complement().mask == 0b0110
 
 
 # -- omega sets -----------------------------------------------------------------
@@ -99,7 +105,7 @@ def test_bell_state_pt_spectrum():
     assert spectrum.pairs[0] == (Fraction(1, 2), Fraction(1, 2))
     assert spectrum.pairs[1] == (Fraction(1, 2), Fraction(-1, 2))
     assert spectrum.min_eigenvalue() == Fraction(-1, 2)
-    assert spectrum.trace() == 1
+    assert sum(spectrum.eigenvalues()) == 1
 
 
 @pytest.mark.parametrize("n,k", list(family_grid(7)))
@@ -128,7 +134,7 @@ def test_pt_preserves_trace_and_diagonal():
         pt = pt_dense_oracle(state, subset)
         assert np.allclose(np.diag(pt), np.diag(rho))
         assert np.trace(pt) == pytest.approx(1.0)
-        assert pt_spectrum(state, subset).trace() == 1
+        assert sum(pt_spectrum(state, subset).eigenvalues()) == 1
 
 
 def test_double_transposition_is_identity():
@@ -146,7 +152,8 @@ def test_complement_subset_same_spectrum():
     state = build_rho_nk(6, 2)
     for subset in all_subsets(6, sizes=[1, 2, 3]):
         a = pt_spectrum(state, subset).eigenvalues()
-        b = pt_spectrum(state, subset.complement()).eigenvalues()
+        complement = QubitSubset(6, 0b111111 ^ subset.mask)
+        b = pt_spectrum(state, complement).eigenvalues()
         assert a == b
 
 
@@ -185,12 +192,12 @@ def test_min_pt_eigenvalue_values():
     # k strictly below floor(n/2): a 2-qubit cut must expose negativity
     state = build_rho_nk(6, 2)
     values = [
-        min_pt_eigenvalue(state, subset) for subset in all_subsets(6, sizes=[2])
+        pt_spectrum(state, s).min_eigenvalue() for s in all_subsets(6, sizes=[2])
     ]
     assert min(values) == Fraction(-1, 44)
     # single-qubit cuts stay nonnegative
     assert all(
-        min_pt_eigenvalue(state, s) >= 0 for s in all_subsets(6, sizes=[1])
+        pt_spectrum(state, s).min_eigenvalue() >= 0 for s in all_subsets(6, sizes=[1])
     )
 
 
@@ -199,7 +206,7 @@ def test_boundary_family_ppt_everywhere():
     # every transposed eigenvalue is exactly >= 0 -- all cuts are PPT
     for n, k in ((4, 2), (5, 2)):
         state = build_rho_nk(n, k)
-        mins = [min_pt_eigenvalue(state, s) for s in all_subsets(n)]
+        mins = [pt_spectrum(state, s).min_eigenvalue() for s in all_subsets(n)]
         assert min(mins) == 0
 
 
@@ -208,7 +215,7 @@ def test_separable_diagonal_state_ppt():
     w = Fraction(1, 16)
     reps = range(1 << (n - 1))
     state = GhzDiagonalState(n, {i: w for i in reps}, {i: w for i in reps})
-    assert all(min_pt_eigenvalue(state, s) >= 0 for s in all_subsets(n))
+    assert all(pt_spectrum(state, s).min_eigenvalue() >= 0 for s in all_subsets(n))
 
 
 def test_cut_classification_62():
@@ -222,10 +229,11 @@ def test_cut_classification_42_boundary():
 
 
 def test_cut_witness_reproduces_negativity():
-    rows = cut_classification(build_rho_nk(7, 2))
-    for row in rows:
+    state = build_rho_nk(7, 2)
+    for row in cut_classification(state):
         if row.status == "NPPT":
-            assert min_pt_eigenvalue(build_rho_nk(7, 2), QubitSubset(7, row.witness_mask)) < 0
+            subset = QubitSubset(7, row.witness_mask)
+            assert pt_spectrum(state, subset).min_eigenvalue() < 0
 
 
 def test_ghz_nppt_every_cut():
@@ -256,7 +264,7 @@ def first_nppt_mask(state, m):
     """Exhaustive oracle: first violating size-m mask in ``combinations`` order."""
     for pos in combinations(range(state.n), m):
         mask = sum(1 << p for p in pos)
-        if min_pt_eigenvalue(state, QubitSubset(state.n, mask)) < 0:
+        if pt_spectrum(state, QubitSubset(state.n, mask)).min_eigenvalue() < 0:
             return mask
     return None
 
@@ -312,8 +320,8 @@ def test_asymmetric_state_is_scanned_past_the_first_subset():
         4, {0: Fraction(1, 2), 0b0011: Fraction(1, 4)}, {0b0011: Fraction(1, 4)}
     )
     assert not is_band_symmetric(state)
-    assert min_pt_eigenvalue(state, QubitSubset(4, 0b0011)) >= 0
-    assert min_pt_eigenvalue(state, QubitSubset(4, 0b0101)) < 0
+    assert pt_spectrum(state, QubitSubset(4, 0b0011)).min_eigenvalue() >= 0
+    assert pt_spectrum(state, QubitSubset(4, 0b0101)).min_eigenvalue() < 0
     assert cut_classification(state, cut_sizes=[2]) == [CutStatus(2, "NPPT", 0b0101)]
 
 

@@ -1,25 +1,19 @@
 """QFI: triple-route agreement, family closed forms, bounds, scan reports."""
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-import ghzmetro.qfi as qfi_mod
 from ghzmetro import (
-    CrossCheckError,
     DomainError,
     GhzDiagonalState,
     PhaseGenerator,
-    asymptotic_report,
     build_rho_nk,
     build_rho_nkm,
     family_report,
-    ghz_basis_vector,
     ghz_state,
     maximally_mixed_state,
-    nk_limit_ratio,
     qfi_closed_nk,
     qfi_from_dense,
     qfi_ghz_diagonal,
@@ -28,11 +22,10 @@ from ghzmetro import (
     qfi_spectral,
     s_factor,
     scaled_k,
-    separability_test,
     to_dense,
     weight,
 )
-from conftest import family_grid, random_state_strategy
+from conftest import family_grid, ghz_vector, random_state_strategy
 
 
 # -- generator -----------------------------------------------------------------
@@ -48,8 +41,8 @@ def test_generator_diagonal_matches_weights():
 def test_generator_sector_matrix_element():
     z = np.diag(PhaseGenerator(4).diagonal())
     for i in (0, 1, 3, 7):
-        plus = ghz_basis_vector(4, i, +1)
-        minus = ghz_basis_vector(4, i, -1)
+        plus = ghz_vector(4, i, +1)
+        minus = ghz_vector(4, i, -1)
         assert plus @ z @ minus == pytest.approx(weight(4, i) / 2)
 
 
@@ -97,7 +90,7 @@ def test_balanced_sectors_give_zero():
 
 def test_diagonal_form_swap_invariant():
     state = GhzDiagonalState(3, {0: Fraction(1, 4)}, {0: Fraction(3, 4)})
-    swapped = state.plus_dominant()
+    swapped = GhzDiagonalState(3, {0: Fraction(3, 4)}, {0: Fraction(1, 4)})
     assert qfi_ghz_diagonal(state) == qfi_ghz_diagonal(swapped)
 
 
@@ -181,16 +174,6 @@ def test_mixed_bound_domain():
         qfi_lower_bound_nkm(8, 2, 3)
 
 
-# -- separability threshold ---------------------------------------------------------
-
-def test_separability_verdicts():
-    assert separability_test(Fraction(32, 11), 4) == "inconclusive"
-    assert separability_test(Fraction(224, 29), 7) == "entangled"
-    for n in range(2, 8):
-        assert separability_test(n**2, n) == "entangled"
-    assert separability_test(Fraction(4), 4) == "inconclusive"  # strict
-
-
 # -- scan reports ------------------------------------------------------------------
 
 def test_scaled_k_rounding_and_clipping():
@@ -202,8 +185,13 @@ def test_scaled_k_rounding_and_clipping():
         scaled_k(Fraction(1, 2), 10)
 
 
+def linear_scan_report(n, a):
+    """Family report at k = round(a*n), as ``qfi --a`` and figure 3 build it."""
+    return family_report(n, scaled_k(a, n), a=a)
+
+
 def test_asymptotic_report_100():
-    report = asymptotic_report(100, Fraction(1, 4))
+    report = linear_scan_report(100, Fraction(1, 4))
     assert report.k == 25
     assert report.f_q >= Fraction(62500, 101)
     assert report.lower_bound == Fraction(62500, 101)
@@ -212,21 +200,8 @@ def test_asymptotic_report_100():
     assert report.ratio_bound_form == report.f_q / (scale * Fraction(1, 2))
 
 
-def test_asymptotic_report_raises_when_bound_fails(monkeypatch):
-    # an explicit check, unlike an assert, survives python -O
-    real = qfi_mod.family_report
-
-    def broken(n, k, **kw):
-        report = real(n, k, **kw)
-        return dataclasses.replace(report, f_q=report.lower_bound - 1)
-
-    monkeypatch.setattr(qfi_mod, "family_report", broken)
-    with pytest.raises(CrossCheckError):
-        asymptotic_report(40, Fraction(1, 4))
-
-
 def test_bound_alone_certifies_subshotnoise_at_40():
-    report = asymptotic_report(40, Fraction(1, 4))
+    report = linear_scan_report(40, Fraction(1, 4))
     assert report.lower_bound == Fraction(400 * 10, 41)
     assert report.lower_bound > 40
 
@@ -238,6 +213,11 @@ def test_family_report_mixed():
 
 
 # -- fixed-k limit ratios ------------------------------------------------------------
+
+def nk_limit_ratio(n, k):
+    """Exact QFI over its large-n limit n*k for fixed k, as figure 2 prints it."""
+    return qfi_closed_nk(n, k) / (n * k)
+
 
 def test_limit_ratio_values():
     assert nk_limit_ratio(100, 2) == Fraction(4852, 5051)

@@ -1,5 +1,4 @@
 """State construction: index conventions, families, dense realization."""
-import json
 from fractions import Fraction
 from math import comb
 
@@ -15,16 +14,14 @@ from ghzmetro import (
     build_rho_nk,
     build_rho_nkm,
     canonical_index,
-    ghz_basis_vector,
     ghz_state,
     is_band_symmetric,
     maximally_mixed_state,
     min_ones,
-    sector_eigenvalues,
     to_dense,
     weight,
 )
-from conftest import family_grid, random_state_strategy
+from conftest import family_grid, ghz_vector, random_state_strategy
 
 
 # -- index conventions --------------------------------------------------------
@@ -61,7 +58,7 @@ def test_weight_rejects_non_representative():
 # -- GHZ basis ----------------------------------------------------------------
 
 def test_basis_vector_four_qubits():
-    v = ghz_basis_vector(4, 2, +1)
+    v = ghz_vector(4, 2, +1)
     amp = 1 / np.sqrt(2)
     assert v[0b0010] == pytest.approx(amp)
     assert v[0b1101] == pytest.approx(amp)
@@ -70,7 +67,7 @@ def test_basis_vector_four_qubits():
 
 
 def test_basis_vector_bell():
-    v = ghz_basis_vector(2, 0, +1)
+    v = ghz_vector(2, 0, +1)
     assert v[0] == pytest.approx(1 / np.sqrt(2))
     assert v[3] == pytest.approx(1 / np.sqrt(2))
 
@@ -78,11 +75,11 @@ def test_basis_vector_bell():
 def test_basis_orthogonality():
     for n in (2, 3, 4):
         for i in range(1 << (n - 1)):
-            plus = ghz_basis_vector(n, i, +1)
-            minus = ghz_basis_vector(n, i, -1)
+            plus = ghz_vector(n, i, +1)
+            minus = ghz_vector(n, i, -1)
             assert abs(plus @ minus) < 1e-15
             for j in range(i + 1, 1 << (n - 1)):
-                assert abs(plus @ ghz_basis_vector(n, j, +1)) < 1e-15
+                assert abs(plus @ ghz_vector(n, j, +1)) < 1e-15
 
 
 # -- normalizer ---------------------------------------------------------------
@@ -225,14 +222,17 @@ def test_state_rejects_bad_tables():
         GhzDiagonalState(2, {0: 0.5, 1: 0.5}, {})  # floats rejected
 
 
-def test_plus_dominant_swaps_convention():
-    state = GhzDiagonalState(2, {0: Fraction(1, 4)}, {0: Fraction(3, 4)})
-    swapped = state.plus_dominant()
-    assert swapped.lam_plus(0) == Fraction(3, 4)
-    assert swapped.lam_minus(0) == Fraction(1, 4)
-
-
 # -- dense realization --------------------------------------------------------
+
+def table_eigenvalues(state):
+    """Eigenvalue multiset {lambda_i^+} u {lambda_i^-}, read off the table.
+
+    Each (i, i_bar) block of the dense form is [[s/2, d/2], [d/2, s/2]] with
+    eigenvalues (s +- d)/2 = lambda^+/-.
+    """
+    reps = range(1 << (state.n - 1))
+    return sorted([state.lam_plus(i) for i in reps] + [state.lam_minus(i) for i in reps])
+
 
 def test_dense_rho_42_entries():
     rho = to_dense(build_rho_nk(4, 2))
@@ -247,7 +247,7 @@ def test_dense_eigenvalues_match_table():
     for n, k in family_grid(6):
         state = build_rho_nk(n, k)
         dense_eigs = np.sort(np.linalg.eigvalsh(to_dense(state)))
-        exact = np.array([float(v) for v in sector_eigenvalues(state)])
+        exact = np.array([float(v) for v in table_eigenvalues(state)])
         assert np.max(np.abs(dense_eigs - exact)) < 1e-12
 
 
@@ -283,23 +283,6 @@ def test_sparse_iterators_match_range_scan(state):
 @given(random_state_strategy(max_n=5))
 def test_random_state_dense_roundtrip(state):
     dense_eigs = np.sort(np.linalg.eigvalsh(to_dense(state)))
-    exact = np.array([float(v) for v in sector_eigenvalues(state)])
+    exact = np.array([float(v) for v in table_eigenvalues(state)])
     assert np.max(np.abs(dense_eigs - exact)) < 1e-12
 
-
-# -- serialization ------------------------------------------------------------
-
-def test_json_roundtrip_exact():
-    for state in (build_rho_nk(5, 2), build_rho_nkm(8, 2, 1), ghz_state(3)):
-        blob = json.dumps(state.to_json_dict())
-        again = GhzDiagonalState.from_json_dict(json.loads(blob))
-        assert again == state
-
-
-@given(random_state_strategy(max_n=4))
-def test_json_roundtrip_random(state):
-    again = GhzDiagonalState.from_json_dict(state.to_json_dict())
-    assert again.n == state.n
-    for i in range(1 << (state.n - 1)):
-        assert again.lam_plus(i) == state.lam_plus(i)
-        assert again.lam_minus(i) == state.lam_minus(i)
