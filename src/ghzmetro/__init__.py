@@ -18,13 +18,13 @@ from .errors import (
     SizeLimitError,
 )
 from .states import (
+    BandState,
     GhzDiagonalState,
     binom_normalizer,
     build_rho_nk,
     build_rho_nkm,
     canonical_index,
     ghz_state,
-    is_band_symmetric,
     maximally_mixed_state,
     min_ones,
     to_dense,

@@ -18,10 +18,12 @@ with their complements, so by Parseval that planar sum is exactly
 correlation Bell condition is satisfied (a local hidden-variable model
 exists for those measurements).
 
-``hs_norm_sq`` evaluates that closed form in exact rationals over the
-coherence support.  Two independent oracles remain: ``hs_norm_sq_exact``
-scans the 2^n masks in exact rationals, and ``brute_force_tensor`` traces
-all 3^n Pauli tuples against the dense matrix.
+``hs_norm_sq`` evaluates that closed form in exact rationals as one sum
+over the state's sector classes, the O(n) band classes of a ``BandState``
+(every family member), so it has no size limit.  Two independent oracles
+remain: ``hs_norm_sq_exact`` scans the 2^n masks against the sectors listed
+one by one, in exact rationals, and ``brute_force_tensor`` traces all 3^n
+Pauli tuples against the dense matrix.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import SizeLimitError
 from .qfi import qfi_ghz_diagonal
-from .states import GhzDiagonalState, to_dense
+from .states import SectorState, to_dense
 
 AXIS_X, AXIS_Y, AXIS_Z = 1, 2, 3
 
@@ -49,24 +51,21 @@ BRUTE_CAP = 6  # qubit cap of the 3^n dense-trace enumeration
 ZERO_TOL = 1e-12  # brute-force elements at or below this are reported as zero
 
 
-def axial_expectation(state: GhzDiagonalState) -> Fraction:
+def axial_expectation(state: SectorState) -> Fraction:
     """All-z full correlation: signed sum of sector weights, 0 for odd n."""
     if state.n % 2:
         return Fraction(0)
-    total = Fraction(0)
-    for i in state.support():
-        sign = -1 if i.bit_count() & 1 else 1
-        total += sign * state.sector_sum(i)
-    return total
+    return sum(((-mult if j.bit_count() & 1 else mult) * s
+                for j, mult, s, _ in state.classes()), Fraction(0))
 
 
-def planar_square_sum(state: GhzDiagonalState) -> Fraction:
+def planar_square_sum(state: SectorState) -> Fraction:
     """Sum of squared x/y-only correlations: 2^(n-1) * sum_i d_i^2 (Parseval)."""
-    total = sum((state.sector_diff(i) ** 2 for i in state.coherence_support()), Fraction(0))
+    total = sum((mult * d * d for _, mult, _, d in state.classes()), Fraction(0))
     return total * (1 << (state.n - 1))
 
 
-def hs_norm_sq(state: GhzDiagonalState) -> Fraction:
+def hs_norm_sq(state: SectorState) -> Fraction:
     """Squared Hilbert-Schmidt norm of the full-correlation tensor, exactly.
 
     Planar part in closed form plus the axial term squared; below 1 the
@@ -75,11 +74,11 @@ def hs_norm_sq(state: GhzDiagonalState) -> Fraction:
     return planar_square_sum(state) + axial_expectation(state) ** 2
 
 
-def hs_norm_sq_exact(state: GhzDiagonalState) -> Fraction:
+def hs_norm_sq_exact(state: SectorState) -> Fraction:
     """Hilbert-Schmidt square by the exact 2^n-mask scan; oracle for ``hs_norm_sq``."""
     if state.n > SCAN_CAP:
         raise SizeLimitError(f"exact scan needs n <= {SCAN_CAP}, got {state.n}")
-    support = [(i, state.sector_diff(i)) for i in state.coherence_support()]
+    support = [(i, c) for i in state.support() if (c := state.sector_diff(i))]
     total = Fraction(0)
     for y in range(1 << state.n):
         if y.bit_count() & 1:
@@ -106,7 +105,7 @@ class CorrelationTensorSummary:
     axial_sq: float
 
 
-def brute_force_tensor(state: GhzDiagonalState) -> CorrelationTensorSummary:
+def brute_force_tensor(state: SectorState) -> CorrelationTensorSummary:
     """Full 3^n dense-trace enumeration; the oracle for the fast paths."""
     n = state.n
     if n > BRUTE_CAP:
@@ -147,7 +146,7 @@ class DetectionRow:
     verdict: str
 
 
-def detection_comparison(state: GhzDiagonalState) -> DetectionRow:
+def detection_comparison(state: SectorState) -> DetectionRow:
     """Classify which entanglement test fires: QFI (f_q/n > 1), Bell (hs >= 1).
 
     ``hs_norm_sq < 1`` certifies a hidden-variable model for the correlation

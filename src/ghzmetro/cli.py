@@ -38,10 +38,9 @@ from .qfi import (
     scaled_k,
 )
 from .states import (
-    GhzDiagonalState,
+    BandState,
     build_rho_nk,
     build_rho_nkm,
-    check_build_size,
     min_ones,
     to_dense,
 )
@@ -102,8 +101,11 @@ def provenance(args: argparse.Namespace, argv: Sequence[str]) -> dict:
 
 def emit(text: str, output: Optional[str]) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write --output {output!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -121,11 +123,10 @@ def json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def build_state(args: argparse.Namespace) -> GhzDiagonalState:
-    m = getattr(args, "m", None)
-    if m:
-        return build_rho_nkm(args.n, args.k, m)
-    return build_rho_nk(args.n, args.k)
+def build_state(args: argparse.Namespace) -> BandState:
+    if args.k is None:
+        raise DomainError("a family member needs --k")
+    return build_rho_nkm(args.n, args.k, args.m or 0)
 
 
 def state_label(args: argparse.Namespace) -> str:
@@ -141,16 +142,13 @@ def state_label(args: argparse.Namespace) -> str:
 def cmd_state(args, argv) -> int:
     state = build_state(args)
     meta = provenance(args, argv)
-    pure = sum(
-        1 for i in state.support() if state.sector_diff(i) == state.sector_sum(i)
-    )
-    mixed = sum(1 for i in state.support() if state.sector_diff(i) == 0)
+    classes = list(state.classes())
     summary = {
         "trace": str(state.trace()),
         "sectors_total": 1 << (state.n - 1),
-        "sectors_populated": sum(1 for _ in state.support()),
-        "sectors_pure_even": pure,
-        "sectors_balanced": mixed,
+        "sectors_populated": sum(mult for _, mult, _, _ in classes),
+        "sectors_pure_even": sum(mult for _, mult, s, d in classes if d == s),
+        "sectors_balanced": sum(mult for _, mult, _, d in classes if d == 0),
     }
     if args.format == "json":
         emit(json_text({"meta": meta, "state": state.to_json_dict(),
@@ -185,7 +183,7 @@ def cmd_qfi(args, argv) -> int:
     meta = provenance(args, argv)
     deviation = None
     if args.oracle:
-        state = build_state(argparse.Namespace(n=report.n, k=report.k, m=report.m))
+        state = build_rho_nkm(report.n, report.k, report.m or 0)
         spectral = qfi_from_dense(to_dense(state), PhaseGenerator(state.n))
         deviation = abs(spectral - float(report.f_q))
         if deviation > ORACLE_TOL:
@@ -237,8 +235,9 @@ def cmd_ppt(args, argv) -> int:
                 (1 << row.cut_size) - 1
             )
             subset = QubitSubset(state.n, mask)
-            exact = [float(v) for v in pt_spectrum(state, subset).eigenvalues()]
+            # dense first: it refuses n > DENSE_LIMIT before the 2^(n-1) spectrum
             dense = sorted(np.linalg.eigvalsh(pt_dense_oracle(state, subset)))
+            exact = [float(v) for v in pt_spectrum(state, subset).eigenvalues()]
             deviation = max(deviation, max(abs(a - b) for a, b in zip(exact, dense)))
         if deviation > ORACLE_TOL:
             raise CrossCheckError(f"dense transposition oracle deviates by {deviation}")
@@ -374,7 +373,6 @@ def cmd_figure(args, argv) -> int:
     elif args.id == 4:
         ks = parse_int_list(args.k) if args.k else [2, 3]
         ns = parse_range(args.n) if args.n else list(range(4, 11))
-        check_build_size(max(ns, default=0))
         header = ["n", "k", "f_q_over_n", "hs_norm_sq", "verdict"]
         rows = []
         for k in sorted(ks):

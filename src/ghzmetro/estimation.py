@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, FisherSingularityError, LikelihoodDegeneracyError
 from .qfi import qfi_ghz_diagonal
-from .states import GhzDiagonalState, weight
+from .states import SectorState, weight
 
 RNG_ALGORITHM = "philox4x64"  # counter-based; pinned for bit-reproducibility
 MLE_TOL = 1e-8  # the refined bracket is narrower than this
@@ -53,17 +53,17 @@ class _FringeModel:
 
     _state = None
 
-    def probabilities(self, state: GhzDiagonalState, theta: float) -> np.ndarray:
+    def probabilities(self, state: SectorState, theta: float) -> np.ndarray:
         base, coef, w = self._tables(state)
         return (base + coef @ np.cos(w * theta)) / 2.0
 
-    def derivatives(self, state: GhzDiagonalState, theta: float) -> np.ndarray:
+    def derivatives(self, state: SectorState, theta: float) -> np.ndarray:
         _, coef, w = self._tables(state)
         return -(coef @ (w * np.sin(w * theta))) / 2.0
 
-    def _tables(self, state: GhzDiagonalState):
-        # the state holds dicts, so it is compared by identity, not hashed;
-        # holding it keeps its id from being reused by another state
+    def _tables(self, state: SectorState):
+        # a sparse state holds dicts, so states are compared by identity, not
+        # hashed; holding it keeps its id from being reused by another state
         if self._state is not state:
             support = list(state.support())
             s = np.array([float(state.sector_sum(i)) for i in support])
@@ -80,9 +80,6 @@ class GlobalParity(_FringeModel):
 
     name = "global-parity"
 
-    def outcomes(self, state: GhzDiagonalState) -> Tuple:
-        return (+1, -1)
-
     def _rows(self, s: np.ndarray, coh: np.ndarray):
         c = coh.sum(axis=0)
         return np.ones(2), np.array([c, -c])
@@ -97,9 +94,6 @@ class SectorParity(_FringeModel):
     """
 
     name = "sector-parity"
-
-    def outcomes(self, state: GhzDiagonalState) -> Tuple:
-        return tuple((i, s) for i in state.support() for s in (+1, -1))
 
     def _rows(self, s: np.ndarray, coh: np.ndarray):
         return np.repeat(s, 2), np.stack([coh, -coh], axis=1).reshape(2 * len(s), -1)
@@ -116,7 +110,7 @@ def get_model(name: str):
                           f"choose from {sorted(MODELS)}") from exc
 
 
-def classical_fisher(state: GhzDiagonalState, theta: float, model) -> float:
+def classical_fisher(state: SectorState, theta: float, model) -> float:
     """sum_mu (dP/dtheta)^2 / P over outcomes with P > 0 (analytic derivatives).
 
     Outcomes with vanishing probability and vanishing derivative contribute
@@ -179,7 +173,7 @@ def _golden_section(f, lo: float, hi: float) -> Tuple[float, float]:
 
 
 def _mle(
-    state: GhzDiagonalState,
+    state: SectorState,
     model,
     counts: np.ndarray,
     bracket: Tuple[float, float],
@@ -216,7 +210,7 @@ def _mle(
 
 
 def run_monte_carlo(
-    state: GhzDiagonalState,
+    state: SectorState,
     theta_true: float,
     model,
     shots: int,

@@ -10,13 +10,14 @@ exact spectrum
     j = canon(i XOR mask),
 
 without building a matrix.  A cut m:(n-m) is PPT when every size-m subset
-has a nonnegative transposed spectrum.  For a band-symmetric state (every
-family member) all size-m subsets are related by a qubit permutation and
-share one spectrum, so ``cut_classification`` inspects a single subset per
-size; for any other state it inspects every subset.  Both routes are exact
-and read only the coherence support.  ``pt_spectrum`` and the dense
-reshape-based ``pt_dense_oracle`` are the independent oracles; the library
-never runs them on its own (the CLI's ``ppt --oracle`` does).
+has a nonnegative transposed spectrum.  ``cut_classification`` takes its
+route from the state's type: a ``BandState`` (every family member) is
+invariant under qubit permutations, so all size-m subsets share one
+spectrum and the band rule decides the cut in O(n^2) over the band
+classes; a sparse ``GhzDiagonalState`` has every subset inspected.  Both
+routes are exact.  ``pt_spectrum`` and the dense reshape-based
+``pt_dense_oracle`` are the independent oracles; the library never runs
+them on its own (the CLI's ``ppt --oracle`` does).
 """
 from __future__ import annotations
 
@@ -29,9 +30,9 @@ import numpy as np
 
 from .errors import DomainError
 from .states import (
-    GhzDiagonalState,
+    BandState,
+    SectorState,
     canonical_index,
-    is_band_symmetric,
     to_dense,
 )
 
@@ -101,7 +102,7 @@ class PtSpectrum:
         return self.min_eigenvalue() >= 0
 
 
-def pt_spectrum(state: GhzDiagonalState, subset: QubitSubset) -> PtSpectrum:
+def pt_spectrum(state: SectorState, subset: QubitSubset) -> PtSpectrum:
     """Spectrum of the state transposed over ``subset``; no dense matrix built."""
     if subset.n != state.n:
         raise DomainError("subset size does not match state")
@@ -123,24 +124,22 @@ class CertificateResult:
     witness_i: Optional[int] = None
 
 
-def ppt_single_qubit_certificate(state: GhzDiagonalState) -> CertificateResult:
+def ppt_single_qubit_certificate(state: SectorState) -> CertificateResult:
     """Check min_{i in Omega_j} (lambda_i^+ + lambda_i^-) >= |lambda_j^+ - lambda_j^-|.
 
     Holding for every sector j is equivalent to nonnegativity of the
     transposed spectrum for every single-qubit subset; the first failing
-    pair (j, i) in ascending coherent j is the witness.  The n single-qubit
-    ``pt_spectrum`` calls are its oracle.
+    pair (j, i) in ascending j is the witness.  The check depends on j only
+    through its class, and the lowest sector of the lowest failing class is
+    that class's representative, so one walk over the class representatives
+    finds the same pair.  The n single-qubit ``pt_spectrum`` calls are its
+    oracle.
     """
-    result = CertificateResult(True)
-    for j in state.coherence_support():
-        bound = abs(state.sector_diff(j))
-        for i in omega_set(state.n, j):
-            if state.sector_sum(i) < bound:
-                result = CertificateResult(False, j, i)
-                break
-        if not result.holds:
-            break
-    return result
+    for j, _, _, d in state.classes():
+        for i in omega_set(state.n, j) if d else ():
+            if state.sector_sum(i) < abs(d):
+                return CertificateResult(False, j, i)
+    return CertificateResult(True)
 
 
 @dataclass(frozen=True)
@@ -156,39 +155,48 @@ class CutStatus:
 
 
 def cut_classification(
-    state: GhzDiagonalState, cut_sizes: Optional[Iterable[int]] = None
+    state: SectorState, cut_sizes: Optional[Iterable[int]] = None
 ) -> List[CutStatus]:
     """Classify each cut size m as PPT or NPPT, exactly.
 
     A cut m:(n-m) counts as PPT only when every size-m subset has nonnegative
     transposed spectrum; the first violating subset in ``combinations`` order
     is reported as witness.  Sizes above n//2 mirror their complements and
-    are omitted by default.  A band-symmetric state is invariant under qubit
-    permutations, so all size-m subsets share one transposed spectrum and
-    the first subset, mask ``(1 << m) - 1``, decides the cut; any other
-    state has every size-m subset inspected.  No spectrum is built: as
-    i -> canon(i XOR mask) is a bijection, a subset is NPPT exactly when some
-    coherent sector j has s_{canon(j XOR mask)} < |d_j|.
+    are omitted by default.  No spectrum is built: as i -> canon(i XOR mask)
+    is a bijection, a subset is NPPT exactly when some sector j has
+    s_{canon(j XOR mask)} < |d_j|.  A sparse state has every size-m subset
+    inspected.  A ``BandState`` shares one verdict over all of them, so the
+    first, mask ``(1 << m) - 1``, is the witness, decided by the band rule: a
+    class of popcount a meets that mask in b places, for every b its members
+    allow, and moves to popcount t = a + m - 2b, whose band is min(t, n-t).
     """
     n = state.n
     sizes = list(cut_sizes) if cut_sizes is not None else list(range(1, n // 2 + 1))
     for m in sizes:
         if not 1 <= m <= n - 1:
             raise DomainError(f"cut size {m} outside 1..{n - 1}")
-    symmetric = is_band_symmetric(state)
-    coherent = [(j, abs(state.sector_diff(j))) for j in state.coherence_support()]
+    coherent = [(j, abs(d)) for j, _, _, d in state.classes() if d]
 
-    def nppt(mask: int) -> bool:
+    def band_nppt(m: int) -> bool:
+        for j, bound in coherent:
+            a = j.bit_count()
+            # class members keep bit n-1 clear, so at most n-1-m ones miss the mask
+            for b in range(max(0, a + m - n + 1), min(a, m) + 1):
+                if state.sector_sum((1 << (a + m - 2 * b)) - 1) < bound:
+                    return True
+        return False
+
+    def sparse_nppt(mask: int) -> bool:
         return any(state.sector_sum(canonical_index(j ^ mask, n)) < bound
                    for j, bound in coherent)
 
     out: List[CutStatus] = []
     for m in sizes:
-        if symmetric:
-            masks = [(1 << m) - 1]
+        if isinstance(state, BandState):
+            witness = (1 << m) - 1 if band_nppt(m) else None
         else:
             masks = (sum(1 << p for p in pos) for pos in combinations(range(n), m))
-        witness = next((mask for mask in masks if nppt(mask)), None)
+            witness = next((mask for mask in masks if sparse_nppt(mask)), None)
         if witness is None:
             out.append(CutStatus(m, "PPT"))
         else:
@@ -196,7 +204,7 @@ def cut_classification(
     return out
 
 
-def pt_dense_oracle(state: GhzDiagonalState, subset: QubitSubset) -> np.ndarray:
+def pt_dense_oracle(state: SectorState, subset: QubitSubset) -> np.ndarray:
     """Element-wise partial transposition of the dense realization."""
     rho = to_dense(state)
     return partial_transpose_dense(rho, state.n, subset.mask)

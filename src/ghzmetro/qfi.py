@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .states import (
-    GhzDiagonalState,
+    SectorState,
     _check_family,
     binom_normalizer,
     weight,
@@ -83,14 +83,10 @@ def qfi_from_dense(rho: np.ndarray, generator: PhaseGenerator) -> float:
     return qfi_spectral(lam, v, generator)
 
 
-def qfi_ghz_diagonal(state: GhzDiagonalState) -> Fraction:
-    """Exact QFI of a GHZ-diagonal state; empty sectors contribute nothing."""
-    total = Fraction(0)
-    for i in state.coherence_support():
-        d = state.sector_diff(i)
-        w = weight(state.n, i)
-        total += w * w * d * d / state.sector_sum(i)
-    return total
+def qfi_ghz_diagonal(state: SectorState) -> Fraction:
+    """Exact QFI of a GHZ-diagonal state, summed over its sector classes."""
+    return sum((mult * weight(state.n, j) ** 2 * d * d / s
+                for j, mult, s, d in state.classes()), Fraction(0))
 
 
 def qfi_closed_nk(n: int, k: int, m: int = 0) -> Fraction:

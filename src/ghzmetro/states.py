@@ -9,9 +9,12 @@ with
     rho[i, i] = rho[i_bar, i_bar] = (lambda_i^+ + lambda_i^-) / 2
     rho[i, i_bar]                 = (lambda_i^+ - lambda_i^-) / 2
 
-Sector tables are keyed on representative indices ``i < 2**(n-1)`` (the
-n-bit pattern of a representative starts with 0); ``2**n - 1 - i`` labels
-the same two-dimensional sector.  All eigenvalues are exact rationals, so
+Sectors are keyed on representative indices ``i < 2**(n-1)`` (the n-bit
+pattern of a representative starts with 0); ``2**n - 1 - i`` labels the
+same two-dimensional sector.  ``GhzDiagonalState`` stores a sparse sector
+table; ``BandState`` stores one weight pair per band, O(n), and holds every
+family member.  Formulas read either through ``classes()``, so they run on
+the band classes at any n.  All eigenvalues are exact rationals, so
 normalization and every closed-form quantity downstream are tolerance-free.
 The dense realization ``to_dense`` exists only as an oracle substrate and
 refuses states above the fixed cap ``DENSE_LIMIT`` = 12 qubits.
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterator, Mapping
+from typing import Iterator, Mapping, Tuple
 
 import numpy as np
 
@@ -82,45 +85,22 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class GhzDiagonalState:
-    """Exact eigenvalue table of an n-qubit GHZ-diagonal state.
-
-    ``lambda_plus[i]`` / ``lambda_minus[i]`` are the weights of the even and
-    odd GHZ projectors of sector i; missing representatives carry weight 0.
-    The table must be nonnegative and sum to exactly 1.
+class SectorState:
+    """Reads shared by both state types, written once over what each supplies:
+    ``lam_plus(i)``/``lam_minus(i)``, the ascending ``support()`` of populated
+    sectors and ``classes()``, rows ``(representative, multiplicity, s, d)``
+    in ascending representative order that cover the support.  The sectors
+    of a row are related by a qubit permutation, share s and d, and the
+    representative is the lowest of them.
     """
-
-    n: int
-    lambda_plus: Mapping[int, Fraction] = field(default_factory=dict)
-    lambda_minus: Mapping[int, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 2:
             raise DomainError(f"need at least 2 qubits, got n = {self.n}")
-        lp = {i: _as_fraction(v) for i, v in self.lambda_plus.items()}
-        lm = {i: _as_fraction(v) for i, v in self.lambda_minus.items()}
-        for table in (lp, lm):
-            for i, v in table.items():
-                _check_representative(i, self.n)
-                if v < 0:
-                    raise DomainError(f"negative eigenvalue {v} at sector {i}")
-        total = sum(lp.values(), Fraction(0)) + sum(lm.values(), Fraction(0))
+        self._normalize()
+        total = self.trace()
         if total != 1:
             raise DomainError(f"eigenvalues must sum to 1 exactly, got {total}")
-        # canonical sparse storage: zero entries and missing entries coincide
-        object.__setattr__(self, "lambda_plus", {i: v for i, v in lp.items() if v})
-        object.__setattr__(self, "lambda_minus", {i: v for i, v in lm.items() if v})
-
-    # -- sector accessors -------------------------------------------------
-
-    def lam_plus(self, i: int) -> Fraction:
-        _check_representative(i, self.n)
-        return self.lambda_plus.get(i, Fraction(0))
-
-    def lam_minus(self, i: int) -> Fraction:
-        _check_representative(i, self.n)
-        return self.lambda_minus.get(i, Fraction(0))
 
     def sector_sum(self, i: int) -> Fraction:
         """lambda_i^+ + lambda_i^-: twice the diagonal entry of sector i."""
@@ -130,6 +110,47 @@ class GhzDiagonalState:
         """lambda_i^+ - lambda_i^-: twice the antidiagonal entry of sector i."""
         return self.lam_plus(i) - self.lam_minus(i)
 
+    def trace(self) -> Fraction:
+        return sum((mult * s for _, mult, s, _ in self.classes()), Fraction(0))
+
+    def to_json_dict(self) -> dict:
+        entries = [{"i": i, "lp": str(self.lam_plus(i)), "lm": str(self.lam_minus(i))}
+                   for i in self.support()]
+        return {"n": self.n, "entries": entries}
+
+
+@dataclass(frozen=True)
+class GhzDiagonalState(SectorState):
+    """Exact eigenvalue table of an n-qubit GHZ-diagonal state, sector by sector.
+
+    ``lambda_plus[i]`` / ``lambda_minus[i]`` are the weights of the even and
+    odd GHZ projectors of sector i; missing representatives carry weight 0.
+    The table must be nonnegative and sum to exactly 1.  Each populated
+    sector is its own class, with multiplicity 1.
+    """
+
+    n: int
+    lambda_plus: Mapping[int, Fraction] = field(default_factory=dict)
+    lambda_minus: Mapping[int, Fraction] = field(default_factory=dict)
+
+    def _normalize(self) -> None:
+        for name in ("lambda_plus", "lambda_minus"):
+            table = {i: _as_fraction(v) for i, v in getattr(self, name).items()}
+            for i, v in table.items():
+                _check_representative(i, self.n)
+                if v < 0:
+                    raise DomainError(f"negative eigenvalue {v} at sector {i}")
+            # canonical sparse storage: zero entries and missing entries coincide
+            object.__setattr__(self, name, {i: v for i, v in table.items() if v})
+
+    def lam_plus(self, i: int) -> Fraction:
+        _check_representative(i, self.n)
+        return self.lambda_plus.get(i, Fraction(0))
+
+    def lam_minus(self, i: int) -> Fraction:
+        _check_representative(i, self.n)
+        return self.lambda_minus.get(i, Fraction(0))
+
     def support(self) -> Iterator[int]:
         """Representatives with nonzero sector weight, ascending.
 
@@ -138,47 +159,78 @@ class GhzDiagonalState:
         """
         return iter(sorted(self.lambda_plus.keys() | self.lambda_minus.keys()))
 
-    def coherence_support(self) -> Iterator[int]:
-        """Representatives with a nonzero antidiagonal entry, ascending."""
+    def classes(self) -> Iterator[Tuple[int, int, Fraction, Fraction]]:
         for i in self.support():
-            if self.sector_diff(i) != 0:
-                yield i
+            yield i, 1, self.sector_sum(i), self.sector_diff(i)
 
-    def trace(self) -> Fraction:
-        return sum(self.lambda_plus.values(), Fraction(0)) + sum(
-            self.lambda_minus.values(), Fraction(0)
-        )
 
-    # -- serialization -----------------------------------------------------
+SECTOR_LIST_LIMIT = 20  # qubit cap of listing a band state's sectors one by one
 
-    def to_json_dict(self) -> dict:
-        entries = []
-        for i in sorted(set(self.lambda_plus) | set(self.lambda_minus)):
-            lp, lm = self.lam_plus(i), self.lam_minus(i)
-            if lp == 0 and lm == 0:
-                continue
-            entries.append({"i": i, "lp": str(lp), "lm": str(lm)})
-        return {"n": self.n, "entries": entries}
+
+@dataclass(frozen=True)
+class BandState(SectorState):
+    """GHZ-diagonal state that depends on a sector only through its band.
+
+    ``plus[b]`` / ``minus[b]`` are the even and odd weights of every sector
+    on band b = 0..n//2 (``min_ones``).  No qubit permutation changes a band,
+    so the state is invariant under all of them.  Its classes are the
+    popcounts c < n of the representatives: representative ``(1 << c) - 1``,
+    multiplicity C(n-1, c), band min(c, n-c).  Every family member is stored
+    this way, and only ``support()`` lists sectors one by one.
+    """
+
+    n: int
+    plus: Tuple[Fraction, ...]
+    minus: Tuple[Fraction, ...]
+
+    def _normalize(self) -> None:
+        for name in ("plus", "minus"):
+            table = tuple(_as_fraction(v) for v in getattr(self, name))
+            if len(table) != self.n // 2 + 1:
+                raise DomainError(f"need {self.n // 2 + 1} band weights for "
+                                  f"n = {self.n}, got {len(table)}")
+            if min(table) < 0:
+                raise DomainError(f"negative eigenvalue {min(table)} in {name}")
+            object.__setattr__(self, name, table)
+
+    def lam_plus(self, i: int) -> Fraction:
+        return self.plus[min_ones(self.n, i)]
+
+    def lam_minus(self, i: int) -> Fraction:
+        return self.minus[min_ones(self.n, i)]
+
+    def support(self) -> Iterator[int]:
+        """Populated representatives, ascending; refused above ``SECTOR_LIST_LIMIT``
+        qubits before anything is listed."""
+        if self.n > SECTOR_LIST_LIMIT:
+            raise SizeLimitError(f"listing the sectors one by one needs "
+                                 f"n <= {SECTOR_LIST_LIMIT}, got n = {self.n}")
+        return (i for i in range(1 << (self.n - 1)) if self.sector_sum(i))
+
+    def classes(self) -> Iterator[Tuple[int, int, Fraction, Fraction]]:
+        for c in range(self.n):
+            band = min(c, self.n - c)
+            s = self.plus[band] + self.minus[band]
+            if s:
+                d = self.plus[band] - self.minus[band]
+                yield (1 << c) - 1, comb(self.n - 1, c), s, d
 
 
 # -- reference states -------------------------------------------------------
 
 
-def ghz_state(n: int) -> GhzDiagonalState:
+def ghz_state(n: int) -> BandState:
     """Pure n-qubit GHZ state: all weight on the even projector of sector 0."""
-    return GhzDiagonalState(n, {0: Fraction(1)}, {})
+    zeros = (0,) * (n // 2)
+    return BandState(n, (1,) + zeros, (0,) + zeros)
 
 
-def maximally_mixed_state(n: int) -> GhzDiagonalState:
-    w = Fraction(1, 1 << n)
-    reps = range(1 << (n - 1))
-    return GhzDiagonalState(n, {i: w for i in reps}, {i: w for i in reps})
+def maximally_mixed_state(n: int) -> BandState:
+    w = (Fraction(1, 1 << n),) * (n // 2 + 1)
+    return BandState(n, w, w)
 
 
 # -- the binomial families ---------------------------------------------------
-
-
-FAMILY_BUILD_LIMIT = 20
 
 
 def _check_family(n: int, k: int, m: int = 0) -> None:
@@ -186,8 +238,6 @@ def _check_family(n: int, k: int, m: int = 0) -> None:
     required bands do not exist) and are rejected rather than renormalized."""
     if m < 0:
         raise DomainError(f"mixing width must be >= 0, got m = {m}")
-    if n < 2:
-        raise DomainError(f"need at least 2 qubits, got n = {n}")
     if k < 1 or 2 * k > n:
         raise DomainError(f"need 1 <= k <= n/2, got k = {k} for n = {n}")
     if 2 * (k + m) > n:
@@ -197,19 +247,7 @@ def _check_family(n: int, k: int, m: int = 0) -> None:
         )
 
 
-def check_build_size(n: int) -> None:
-    """Refuse a family member whose builder would walk too many sectors.
-
-    The builders visit all 2^(n-1) representatives and may store most of
-    them; closed forms over (n, k) build no table and are not capped.
-    """
-    if n > FAMILY_BUILD_LIMIT:
-        raise SizeLimitError(
-            f"building a family member needs n <= {FAMILY_BUILD_LIMIT}, got n = {n}"
-        )
-
-
-def build_rho_nk(n: int, k: int) -> GhzDiagonalState:
+def build_rho_nk(n: int, k: int) -> BandState:
     """Noisy GHZ-diagonal family member with ones-threshold k.
 
     Sectors whose band (smaller one-count) is below k carry the full weight
@@ -227,48 +265,23 @@ def mixing_bands(k: int, m: int) -> range:
     return range(k, k + m + 1)
 
 
-def build_rho_nkm(n: int, k: int, m: int) -> GhzDiagonalState:
+def build_rho_nkm(n: int, k: int, m: int) -> BandState:
     """Wider-mixing family: bands k..k+m mixed, bands below k pure-even.
 
     The normalizer is ``1 / sum_{j<=k+m} C(n,j)``; m = 0 is ``build_rho_nk``.
     """
     _check_family(n, k, m)
-    check_build_size(n)
     lam = binom_normalizer(n, k + m)
-    mixed = set(mixing_bands(k, m))
-    lp: Dict[int, Fraction] = {}
-    lm: Dict[int, Fraction] = {}
-    for i in range(1 << (n - 1)):
-        band = min_ones(n, i)
-        if band < k:
-            lp[i] = lam
-        elif band in mixed:
-            w = lam if 2 * band == n else lam / 2
-            lp[i] = w
-            lm[i] = w
-    return GhzDiagonalState(n, lp, lm)
-
-
-def is_band_symmetric(state: GhzDiagonalState) -> bool:
-    """True when every sector carries the weights of its band's representative.
-
-    Such a state depends on a sector only through its band, which no qubit
-    permutation changes, so the state is invariant under every permutation
-    of the qubits.  Every family member is band-symmetric.
-    """
-    n = state.n
-    lp, lm = state.lambda_plus, state.lambda_minus
-    for i in range(1 << (n - 1)):
-        rep = (1 << min_ones(n, i)) - 1
-        if lp.get(i) != lp.get(rep) or lm.get(i) != lm.get(rep):
-            return False
-    return True
+    mixed = {b: lam if 2 * b == n else lam / 2 for b in mixing_bands(k, m)}
+    bands = range(n // 2 + 1)
+    return BandState(n, tuple(lam if b < k else mixed.get(b, 0) for b in bands),
+                     tuple(mixed.get(b, 0) for b in bands))
 
 
 # -- dense oracle substrate ---------------------------------------------------
 
 
-def to_dense(state: GhzDiagonalState) -> np.ndarray:
+def to_dense(state: SectorState) -> np.ndarray:
     """Dense real-symmetric realization of the state (diagonal-antidiagonal)."""
     _check_dense(state.n)
     dim = 1 << state.n

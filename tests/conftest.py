@@ -1,10 +1,11 @@
 """Shared strategies and helpers for the test suite."""
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 from hypothesis import strategies as st
 
-from ghzmetro import GhzDiagonalState, PhaseGenerator, to_dense
+from ghzmetro import GhzDiagonalState, PhaseGenerator, QubitSubset, pt_spectrum, to_dense
 
 
 def random_state_strategy(min_n=2, max_n=5):
@@ -25,6 +26,30 @@ def random_state_strategy(min_n=2, max_n=5):
         return GhzDiagonalState(n, lp, lm)
 
     return build()
+
+
+def as_sparse(state):
+    """The same state as a sparse ``GhzDiagonalState``, sector by sector."""
+    support = list(state.support())
+    return GhzDiagonalState(state.n, {i: state.lam_plus(i) for i in support},
+                            {i: state.lam_minus(i) for i in support})
+
+
+def family_members(n_max, n_min=2):
+    """Every (n, k, m) family member with n_min <= n <= n_max."""
+    for n in range(n_min, n_max + 1):
+        for k in range(1, n // 2 + 1):
+            for m in range(0, n // 2 - k + 1):
+                yield n, k, m
+
+
+def first_nppt_mask(state, m):
+    """Exhaustive oracle: first violating size-m mask in ``combinations`` order."""
+    for pos in combinations(range(state.n), m):
+        mask = sum(1 << p for p in pos)
+        if pt_spectrum(state, QubitSubset(state.n, mask)).min_eigenvalue() < 0:
+            return mask
+    return None
 
 
 def family_grid(n_max, strict=False):

@@ -37,7 +37,7 @@ def structure_rule(state, axes):
     if y & 1:
         return Fraction(0)
     total = sum((-state.sector_diff(i) if (y_mask & i).bit_count() & 1
-                 else state.sector_diff(i) for i in state.coherence_support()), Fraction(0))
+                 else state.sector_diff(i) for i in state.support()), Fraction(0))
     return -total if (y // 2) & 1 else total
 
 

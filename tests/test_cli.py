@@ -11,6 +11,7 @@ import pytest
 import ghzmetro
 from ghzmetro.cli import main, parse_fraction, parse_range
 from ghzmetro.states import GhzDiagonalState, build_rho_nkm
+from conftest import as_sparse
 
 
 def run(capsys, *argv):
@@ -43,7 +44,7 @@ def test_state_json_roundtrip(capsys):
                              {e["i"]: Fraction(e["lp"]) for e in entries},
                              {e["i"]: Fraction(e["lm"]) for e in entries})
     assert state.trace() == 1
-    assert state == build_rho_nkm(8, 2, 1)
+    assert state == as_sparse(build_rho_nkm(8, 2, 1))
     assert payload["state"]["entries"][0]["lp"] == "1/93"
 
 
@@ -63,6 +64,11 @@ def test_state_domain_error_exit_code(capsys):
     ("estimate", "--n", "4", "--k", "1", "--theta", "0.3", "--reps", "2",
      "--bracket", "-0.1"),
     ("estimate", "--n", "4", "--k", "1", "--theta", "nan", "--reps", "2"),
+    ("state", "--n", "8"),
+    ("ppt", "--n", "8"),
+    ("bell", "--n", "8"),
+    ("estimate", "--n", "4", "--theta", "0.3"),
+    ("figure", "--id", "2", "--k", "0"),
 ])
 def test_malformed_option_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -120,6 +126,11 @@ def test_ppt_oracle_above_dense_cap_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "size limit" in err
+    # far above the cap the refusal comes before any per-sector spectrum
+    code, out, err = run(capsys, "ppt", "--n", "64", "--k", "16", "--oracle",
+                         "--no-timestamp")
+    assert (code, out) == (3, "")
+    assert "size limit" in err
     # an empty cut list is refused, so no oracle row can be left out
     code, out, _ = run(capsys, "ppt", "--n", "14", "--k", "3", "--cuts", ",",
                        "--oracle", "--no-timestamp")
@@ -174,10 +185,30 @@ def test_bell_runs_at_n17(capsys):
     assert out.strip().splitlines()[2].startswith("17,2,")
 
 
-def test_bell_size_cap_exit_code(capsys):
-    code, _, err = run(capsys, "bell", "--n", "21", "--k", "2")
-    assert code == 3
-    assert "size limit" in err
+def test_bell_and_ppt_beyond_twenty_qubits(capsys):
+    # family members are band states: no 2^(n-1) table, no size guard
+    code, out, _ = run(capsys, "bell", "--n", "64", "--k", "16", "--exact",
+                       "--no-timestamp")
+    assert code == 0
+    f_q = "272324527646980096/713250450657109"
+    assert Fraction(f_q) == ghzmetro.qfi_closed_nk(64, 16)
+    assert out.splitlines()[2] == (f"64,16,{f_q},4255070744484064/713250450657109,"
+                                   "4074.5744857433929,both")
+    code, out, _ = run(capsys, "ppt", "--n", "64", "--k", "16", "--no-timestamp")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1:4] == ["rho_64,16: single-qubit PPT certificate: holds", "cut 1: PPT",
+                          "cut 2: NPPT (witness mask 0b0011 = qubits (63, 64))"]
+    assert len(lines) == 34 and lines[-1].startswith(
+        f"cut 32: NPPT (witness mask {(1 << 32) - 1:#b} = qubits (33, ")
+
+
+def test_sector_listing_commands_keep_size_cap(capsys):
+    for argv in (("state", "--n", "21", "--k", "2"),
+                 ("estimate", "--n", "21", "--k", "2", "--theta", "0.05")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "size limit" in err
 
 
 def test_estimate_reproducible_bytes(capsys):
@@ -238,11 +269,12 @@ def test_figure4_runs_at_n17(capsys):
     assert len(out.strip().splitlines()) == 4
 
 
-def test_figure4_range_cap(capsys):
-    code, out, err = run(capsys, "figure", "--id", "4", "--n", "4..21")
-    assert code == 3
-    assert out == ""
-    assert "size limit" in err
+def test_figure4_runs_to_forty_qubits(capsys):
+    code, out, _ = run(capsys, "figure", "--id", "4", "--n", "4..40", "--no-timestamp")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2 + 37 + 35  # k = 2 from n = 4, k = 3 from n = 6
+    assert lines[-1] == "40,3,2.5003270722362396,3941525.4968661941,both"
 
 
 def test_output_file(tmp_path, capsys):
@@ -252,6 +284,14 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[1] == "n,k,f_q,n_times_k,ratio"
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "row.csv"
+    code, out, err = run(capsys, "bell", "--n", "8", "--k", "2", "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--output" in err
+    assert not target.parent.exists()
 
 
 def test_byte_identical_without_timestamp(capsys):

@@ -29,9 +29,8 @@ FD_STEP = 1e-5  # central finite-difference step of the Fisher cross-check
 def test_evolve_zero_phase_identity():
     state = build_rho_nk(4, 2)
     rho_t = evolve_dense(state, 0.0)
-    for i in state.coherence_support():
-        assert rho_t[i, 15 - i] == pytest.approx(float(state.sector_diff(i)) / 2)
     for i in state.support():
+        assert rho_t[i, 15 - i] == pytest.approx(float(state.sector_diff(i)) / 2)
         assert rho_t[i, i] == pytest.approx(float(state.sector_sum(i)) / 2)
 
 
@@ -60,6 +59,11 @@ def test_evolve_matches_dense_conjugation(state, theta):
 
 # -- outcome distributions -------------------------------------------------------
 
+def sector_outcomes(state):
+    """Labels of the sector-parity rows: (i, +1) and (i, -1) per populated sector."""
+    return [(i, s) for i in state.support() for s in (+1, -1)]
+
+
 def test_ghz_parity_fringe():
     n, model = 4, GlobalParity()
     for theta in (0.0, 0.1, 0.7, 2.0):
@@ -72,7 +76,7 @@ def test_sector_parity_at_zero_phase():
     state = build_rho_nk(4, 2)
     model = SectorParity()
     p = model.probabilities(state, 0.0)
-    for (i, sign), prob in zip(model.outcomes(state), p):
+    for (i, sign), prob in zip(sector_outcomes(state), p):
         expected = state.lam_plus(i) if sign > 0 else state.lam_minus(i)
         assert prob == pytest.approx(float(expected))
 
@@ -108,7 +112,7 @@ def test_sector_parity_matches_born_rule():
     for theta in (0.3, 1.1):
         rho_t = evolve_dense(state, theta)
         p = model.probabilities(state, theta)
-        for (i, sign), prob in zip(model.outcomes(state), p):
+        for (i, sign), prob in zip(sector_outcomes(state), p):
             v = ghz_vector(4, i, sign)
             assert prob == pytest.approx(float((v @ rho_t @ v).real), abs=1e-12)
 
@@ -165,9 +169,8 @@ def test_sector_parity_saturates_sector_term():
     theta = np.pi / (2 * weight(4, i0))
     p = model.probabilities(state, theta)
     dp = model.derivatives(state, theta)
-    outcomes = model.outcomes(state)
     contrib = sum(
-        d * d / v for (o, _), v, d in zip(outcomes, p, dp) if o == i0
+        d * d / v for (o, _), v, d in zip(sector_outcomes(state), p, dp) if o == i0
     )
     s, d = state.sector_sum(i0), state.sector_diff(i0)
     expected = float(weight(4, i0) ** 2 * d * d / s)

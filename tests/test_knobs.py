@@ -35,8 +35,8 @@ PINNED = {
 
 EXPORTS = {
     # states
-    "GhzDiagonalState", "binom_normalizer", "build_rho_nk", "build_rho_nkm",
-    "canonical_index", "ghz_state", "is_band_symmetric", "maximally_mixed_state",
+    "BandState", "GhzDiagonalState", "binom_normalizer", "build_rho_nk",
+    "build_rho_nkm", "canonical_index", "ghz_state", "maximally_mixed_state",
     "min_ones", "to_dense", "weight",
     # ptranspose
     "CutStatus", "PtSpectrum", "QubitSubset", "cut_classification", "omega_set",

@@ -1,12 +1,14 @@
 """Partial transposition: closed-form spectra vs dense oracle, certificates, cuts."""
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghzmetro import (
+    BandState,
     CutStatus,
     DomainError,
     GhzDiagonalState,
@@ -16,7 +18,6 @@ from ghzmetro import (
     canonical_index,
     cut_classification,
     ghz_state,
-    is_band_symmetric,
     maximally_mixed_state,
     min_ones,
     omega_set,
@@ -25,7 +26,13 @@ from ghzmetro import (
     pt_spectrum,
     to_dense,
 )
-from conftest import family_grid, random_state_strategy
+from conftest import (
+    as_sparse,
+    family_grid,
+    family_members,
+    first_nppt_mask,
+    random_state_strategy,
+)
 
 
 def all_subsets(n, sizes=None):
@@ -260,15 +267,6 @@ def test_mixed_family_nppt_beyond_width():
     assert table[3] == "NPPT"
 
 
-def first_nppt_mask(state, m):
-    """Exhaustive oracle: first violating size-m mask in ``combinations`` order."""
-    for pos in combinations(range(state.n), m):
-        mask = sum(1 << p for p in pos)
-        if pt_spectrum(state, QubitSubset(state.n, mask)).min_eigenvalue() < 0:
-            return mask
-    return None
-
-
 def assert_matches_exhaustive(state, sizes=None):
     rows = cut_classification(state, cut_sizes=sizes)
     for row in rows:
@@ -279,9 +277,8 @@ def assert_matches_exhaustive(state, sizes=None):
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_cut_classification_matches_exhaustive_family(n):
-    for k in range(1, n // 2 + 1):
-        for m in range(0, n // 2 - k + 1):
-            assert_matches_exhaustive(build_rho_nkm(n, k, m))
+    for _, k, m in family_members(n, n_min=n):
+        assert_matches_exhaustive(build_rho_nkm(n, k, m))
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,25 +289,38 @@ def test_cut_classification_matches_exhaustive_random(state):
 
 @st.composite
 def band_symmetric_states(draw, max_n=7):
-    """Random states whose sector weights depend only on the band."""
+    """Random band states: one drawn weight pair per band."""
     n = draw(st.integers(2, max_n))
     bands = n // 2 + 1
     weights = draw(
         st.lists(st.integers(0, 9), min_size=2 * bands, max_size=2 * bands)
         .filter(lambda ws: sum(ws) > 0)
     )
-    band = {i: min_ones(n, i) for i in range(1 << (n - 1))}
-    total = sum(weights[2 * b] + weights[2 * b + 1] for b in band.values())
-    lp = {i: Fraction(weights[2 * b], total) for i, b in band.items()}
-    lm = {i: Fraction(weights[2 * b + 1], total) for i, b in band.items()}
-    return GhzDiagonalState(n, lp, lm)
+    sectors = [0] * bands  # sectors per band
+    for c in range(n):
+        sectors[min(c, n - c)] += comb(n - 1, c)
+    total = sum(sectors[b] * (weights[2 * b] + weights[2 * b + 1]) for b in range(bands))
+    return BandState(n, [Fraction(w, total) for w in weights[0::2]],
+                     [Fraction(w, total) for w in weights[1::2]])
 
 
 @settings(max_examples=60, deadline=None)
 @given(band_symmetric_states())
 def test_band_symmetric_route_matches_exhaustive(state):
-    assert is_band_symmetric(state)
     assert_matches_exhaustive(state, sizes=range(1, state.n))
+
+
+@pytest.mark.parametrize("n,k,m", [(13, 6, 0), (14, 3, 1), (15, 2, 2), (16, 4, 0)])
+def test_band_cut_verdicts_match_spectra_beyond_twelve_qubits(n, k, m):
+    # a band state shares one spectrum over the subsets of a size, so the
+    # exact spectrum of the first subset decides each cut independently of
+    # the band rule; the members cover an odd boundary, widths 1 and 2 and
+    # an even m = 0 member
+    state = build_rho_nkm(n, k, m)
+    sparse = as_sparse(state)
+    for row in cut_classification(state):
+        lowest = pt_spectrum(sparse, QubitSubset(n, (1 << row.cut_size) - 1)).min_eigenvalue()
+        assert row.status == ("NPPT" if lowest < 0 else "PPT"), row
 
 
 def test_asymmetric_state_is_scanned_past_the_first_subset():
@@ -319,7 +329,6 @@ def test_asymmetric_state_is_scanned_past_the_first_subset():
     state = GhzDiagonalState(
         4, {0: Fraction(1, 2), 0b0011: Fraction(1, 4)}, {0b0011: Fraction(1, 4)}
     )
-    assert not is_band_symmetric(state)
     assert pt_spectrum(state, QubitSubset(4, 0b0011)).min_eigenvalue() >= 0
     assert pt_spectrum(state, QubitSubset(4, 0b0101)).min_eigenvalue() < 0
     assert cut_classification(state, cut_sizes=[2]) == [CutStatus(2, "NPPT", 0b0101)]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ghzmetro import (
+    BandState,
     DomainError,
     GhzDiagonalState,
     SizeLimitError,
@@ -14,14 +15,25 @@ from ghzmetro import (
     build_rho_nk,
     build_rho_nkm,
     canonical_index,
+    cut_classification,
     ghz_state,
-    is_band_symmetric,
+    hs_norm_sq,
     maximally_mixed_state,
     min_ones,
+    ppt_single_qubit_certificate,
+    qfi_ghz_diagonal,
     to_dense,
     weight,
 )
-from conftest import family_grid, ghz_vector, random_state_strategy
+from ghzmetro.bell import axial_expectation, planar_square_sum
+from conftest import (
+    as_sparse,
+    family_grid,
+    family_members,
+    first_nppt_mask,
+    ghz_vector,
+    random_state_strategy,
+)
 
 
 # -- index conventions --------------------------------------------------------
@@ -163,10 +175,8 @@ def test_rho_821():
 
 
 def test_rho_nkm_trace_exact_grid():
-    for n in range(4, 11):
-        for k in range(1, n // 2 + 1):
-            for m in range(0, n // 2 - k + 1):
-                assert build_rho_nkm(n, k, m).trace() == 1
+    for n, k, m in family_members(10, n_min=4):
+        assert build_rho_nkm(n, k, m).trace() == 1
 
 
 def test_rho_nkm_rejects_overwide_mixing():
@@ -187,18 +197,26 @@ def test_rho_nkm_boundary_band_doubles():
 
 
 def test_band_symmetric_references():
-    for n in range(2, 11):
-        for k in range(1, n // 2 + 1):
-            for m in range(0, n // 2 - k + 1):
-                assert is_band_symmetric(build_rho_nkm(n, k, m)), (n, k, m)
-        assert is_band_symmetric(ghz_state(n))
-        assert is_band_symmetric(maximally_mixed_state(n))
+    # family members and the reference states are band states, and each
+    # class row stands for exactly the listed sectors of its popcount
+    states = [build_rho_nkm(n, k, m) for n, k, m in family_members(10)]
+    states += [f(n) for n in range(2, 11) for f in (ghz_state, maximally_mixed_state)]
+    for state in states:
+        assert isinstance(state, BandState)
+        support = list(state.support())
+        rows = list(state.classes())
+        assert sum(mult for _, mult, _, _ in rows) == len(support)
+        for rep, _, s, d in rows:
+            members = [i for i in support if i.bit_count() == rep.bit_count()]
+            assert members[0] == rep
+            assert {(state.sector_sum(i), state.sector_diff(i)) for i in members} == {(s, d)}
 
 
 def test_band_symmetry_broken_by_one_sector():
-    # move weight from sector 0 (alone in band 0) to any other sector; at
-    # n = 6 every other band holds several sectors, so the symmetry breaks
-    state = build_rho_nk(6, 2)
+    # moving weight from sector 0 (alone in band 0) to any other sector of
+    # the sparse expansion breaks the symmetry at n = 6; the subset-by-subset
+    # scan still reports the first NPPT subset of every cut
+    state = as_sparse(build_rho_nk(6, 2))
     shift = state.lam_plus(0) / 2
     for i in range(1, 1 << 5):
         lp = dict(state.lambda_plus)
@@ -206,7 +224,28 @@ def test_band_symmetry_broken_by_one_sector():
         lp[i] = lp.get(i, Fraction(0)) + shift
         tilted = GhzDiagonalState(6, lp, state.lambda_minus)
         assert tilted.trace() == 1
-        assert not is_band_symmetric(tilted), i
+        for row in cut_classification(tilted):
+            assert row.witness_mask == first_nppt_mask(tilted, row.cut_size), (i, row)
+
+
+CLASS_SUMS = (qfi_ghz_diagonal, planar_square_sum, axial_expectation, hs_norm_sq,
+              ppt_single_qubit_certificate)
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_band_classes_match_sparse_expansion(n):
+    # every class sum over the O(n) band rows equals the same function on the
+    # state listed sector by sector; the sparse cut scan visits every subset
+    # of a PPT cut, which is affordable up to n = 10 and for NPPT cuts above
+    for _, k, m in family_members(n, n_min=n):
+        state = build_rho_nkm(n, k, m)
+        sparse = as_sparse(state)
+        for f in CLASS_SUMS:
+            assert f(state) == f(sparse), (n, k, m, f)
+        table = cut_classification(state, cut_sizes=range(1, n))
+        sizes = [row.cut_size for row in table if n <= 10 or row.status == "NPPT"]
+        assert cut_classification(sparse, cut_sizes=sizes) == [
+            row for row in table if row.cut_size in sizes], (n, k, m)
 
 
 # -- state invariants ---------------------------------------------------------
@@ -263,19 +302,36 @@ def test_dense_limit_enforced():
     to_dense(build_rho_nk(4, 1))  # the fixed cap of 12 admits n = 4
 
 
-def test_family_build_size_limit():
-    for build in (lambda: build_rho_nk(21, 2), lambda: build_rho_nkm(21, 2, 1)):
-        with pytest.raises(SizeLimitError):
-            build()
-    with pytest.raises(DomainError):  # the domain is checked before the size
+def test_family_sector_listing_size_limit():
+    # a member builds at any n; only listing its sectors one by one is capped,
+    # and the refusal comes before the first sector is listed
+    for state in (build_rho_nk(21, 2), build_rho_nkm(21, 2, 1)):
+        for listing in (state.support, state.to_json_dict):
+            with pytest.raises(SizeLimitError):
+                listing()
+    with pytest.raises(DomainError):  # the domain is still checked on build
         build_rho_nk(21, 11)
+
+
+def test_band_state_rejects_bad_tables():
+    half = Fraction(1, 2)
+    with pytest.raises(DomainError):
+        BandState(2, (half, 0), (half,))  # one weight pair per band 0..n//2
+    with pytest.raises(DomainError):
+        BandState(2, (1, half), (0, -half))  # negative weight
+    with pytest.raises(DomainError):
+        BandState(2, (0.5, 0), (0.5, 0))  # floats rejected
+    with pytest.raises(DomainError):
+        BandState(4, (half, 0, 0), (0, 0, 0))  # trace 1/2
+    with pytest.raises(DomainError):
+        BandState(1, (1,), (0,))
 
 
 @given(random_state_strategy(max_n=7))
 def test_sparse_iterators_match_range_scan(state):
     reps = range(1 << (state.n - 1))
     assert list(state.support()) == [i for i in reps if state.sector_sum(i) != 0]
-    assert list(state.coherence_support()) == [
+    assert [j for j, _, _, d in state.classes() if d] == [
         i for i in reps if state.sector_diff(i) != 0
     ]
 
