@@ -1,40 +1,35 @@
 """Command-line front end: scans, figure data, certificates, machine output.
 
 Subcommands mirror the library modules (state / qfi / ppt / bell / estimate)
-plus ``figure`` for regenerating the scan CSVs.  Every run emits a
-provenance header (tool version, command line, seed, timestamp unless
-``--no-timestamp``); identical command plus seed gives byte-identical
-output.  Exit codes: 0 success, 2 domain error, 3 size-limit error,
-4 internal cross-check failure.
+plus ``figure`` for regenerating the scan CSVs.  Each returns a JSON payload
+or the lines of its text or CSV body; ``main`` puts the provenance header
+(tool version, command line, seed, timestamp unless ``--no-timestamp``) on
+it and writes it once, so identical command plus seed gives byte-identical
+output.  ``--oracle`` hands what a command prints to ``oracles.check_*``.
+Exit codes: 0 success, 2 domain error, 3 size-limit error, 4 internal
+cross-check failure.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from . import __version__
 from .errors import CrossCheckError, DomainError, GhzmetroError, SizeLimitError
 from . import bell as bell_mod
 from . import estimation as est_mod
+from . import oracles
 from .ptranspose import (
     QubitSubset,
     cut_classification,
     ppt_single_qubit_certificate,
-    pt_dense_oracle,
-    pt_spectrum,
 )
 from .qfi import (
-    PhaseGenerator,
     family_report,
-    qfi_from_dense,
     scaled_k,
 )
 from .states import (
@@ -42,10 +37,7 @@ from .states import (
     build_rho_nk,
     build_rho_nkm,
     min_ones,
-    to_dense,
 )
-
-ORACLE_TOL = 1e-9
 
 
 # -- small parsing / formatting helpers --------------------------------------
@@ -110,19 +102,6 @@ def emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def csv_text(meta: dict, header: List[str], rows: List[List[str]]) -> str:
-    buf = io.StringIO()
-    buf.write("# " + " | ".join(f"{k}: {v}" for k, v in meta.items()) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def build_state(args: argparse.Namespace) -> BandState:
     if args.k is None:
         raise DomainError("a family member needs --k")
@@ -137,11 +116,12 @@ def state_label(args: argparse.Namespace) -> str:
 
 
 # -- subcommands ---------------------------------------------------------------
+# Each returns (body, deviation): a JSON payload or the body lines, and the
+# oracle deviation when --oracle ran, else None.
 
 
-def cmd_state(args, argv) -> int:
+def cmd_state(args):
     state = build_state(args)
-    meta = provenance(args, argv)
     classes = list(state.classes())
     summary = {
         "trace": str(state.trace()),
@@ -151,11 +131,8 @@ def cmd_state(args, argv) -> int:
         "sectors_balanced": sum(mult for _, mult, _, d in classes if d == 0),
     }
     if args.format == "json":
-        emit(json_text({"meta": meta, "state": state.to_json_dict(),
-                        "summary": summary}), args.output)
-        return 0
-    lines = ["# " + " | ".join(f"{k}: {v}" for k, v in meta.items())]
-    lines.append(f"{state_label(args)} on {state.n} qubits")
+        return {"state": state.to_json_dict(), "summary": summary}, None
+    lines = [f"{state_label(args)} on {state.n} qubits"]
     lines.append(f"normalization: {state.trace()} (exact)")
     lines.append(
         "sectors: {sectors_populated}/{sectors_total} populated, "
@@ -167,12 +144,13 @@ def cmd_state(args, argv) -> int:
             f"{i:>6}  {i:0{state.n}b}  {min_ones(state.n, i):>4}  "
             f"{str(state.lam_plus(i)):<9}  {str(state.lam_minus(i)):<9}"
         )
-    emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return lines, None
 
 
-def cmd_qfi(args, argv) -> int:
+def cmd_qfi(args):
     if args.a is not None:
+        if args.k is not None or args.m is not None:
+            raise DomainError("--a sets k itself; it takes no --k or --m")
         a = parse_fraction(args.a)
         k = scaled_k(a, args.n)
         report = family_report(args.n, k, a=a)
@@ -180,24 +158,10 @@ def cmd_qfi(args, argv) -> int:
         if args.k is None:
             raise DomainError("qfi needs --k or --a")
         report = family_report(args.n, args.k, m=args.m)
-    meta = provenance(args, argv)
-    deviation = None
-    if args.oracle:
-        state = build_rho_nkm(report.n, report.k, report.m or 0)
-        spectral = qfi_from_dense(to_dense(state), PhaseGenerator(state.n))
-        deviation = abs(spectral - float(report.f_q))
-        if deviation > ORACLE_TOL:
-            raise CrossCheckError(
-                f"spectral oracle deviates by {deviation} from exact QFI"
-            )
+    deviation = oracles.check_qfi(report) if args.oracle else None
     if args.format == "json":
-        payload = {"meta": meta, "report": report.to_json_dict()}
-        if deviation is not None:
-            payload["oracle_max_deviation"] = deviation
-        emit(json_text(payload), args.output)
-        return 0
-    lines = ["# " + " | ".join(f"{k}: {v}" for k, v in meta.items())]
-    lines.append(fmt_number(report.f_q, args.exact))
+        return {"report": report.to_json_dict()}, deviation
+    lines = [fmt_number(report.f_q, args.exact)]
     lines.append(f"f_q/n = {fmt_number(report.snl_ratio, args.exact)}")
     lines.append(f"lower_bound = {fmt_number(report.lower_bound, args.exact)}")
     if report.mixed_lower_bound is not None:
@@ -213,58 +177,28 @@ def cmd_qfi(args, argv) -> int:
         lines.append(
             f"ratio_bound_form = {fmt_number(report.ratio_bound_form, args.exact)}"
         )
-    if deviation is not None:
-        lines.append(f"oracle max deviation = {deviation:.3e}")
-    emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return lines, deviation
 
 
-def cmd_ppt(args, argv) -> int:
+def cmd_ppt(args):
     state = build_state(args)
-    meta = provenance(args, argv)
     cert = ppt_single_qubit_certificate(state)
     sizes = None if args.cuts == "all" else parse_int_list(args.cuts)
     if sizes == []:  # an empty table would leave --oracle nothing to check
         raise DomainError(f"--cuts {args.cuts!r} names no cut size")
     table = cut_classification(state, cut_sizes=sizes)
-    deviation = None
-    if args.oracle:
-        deviation = 0.0
-        for row in table:
-            mask = row.witness_mask if row.witness_mask is not None else (
-                (1 << row.cut_size) - 1
-            )
-            subset = QubitSubset(state.n, mask)
-            # dense first: it refuses n > DENSE_LIMIT before the 2^(n-1) spectrum
-            dense = sorted(np.linalg.eigvalsh(pt_dense_oracle(state, subset)))
-            exact = [float(v) for v in pt_spectrum(state, subset).eigenvalues()]
-            deviation = max(deviation, max(abs(a - b) for a, b in zip(exact, dense)))
-        if deviation > ORACLE_TOL:
-            raise CrossCheckError(f"dense transposition oracle deviates by {deviation}")
-        spectra_ok = all(
-            pt_spectrum(state, QubitSubset.from_qubits(state.n, [q])).is_nonnegative()
-            for q in range(1, state.n + 1)
-        )
-        if spectra_ok != cert.holds:
-            raise CrossCheckError(f"certificate says {cert.holds} but "
-                                  f"single-qubit spectra say {spectra_ok}")
+    deviation = oracles.check_ppt(state, cert, table) if args.oracle else None
     if args.format == "json":
-        payload = {
-            "meta": meta,
+        return {
             "single_qubit_certificate": {
                 "holds": cert.holds,
                 "witness_j": cert.witness_j,
                 "witness_i": cert.witness_i,
             },
             "cuts": [row.to_json_dict() for row in table],
-        }
-        if deviation is not None:
-            payload["oracle_max_deviation"] = deviation
-        emit(json_text(payload), args.output)
-        return 0
-    lines = ["# " + " | ".join(f"{k}: {v}" for k, v in meta.items())]
-    lines.append(f"{state_label(args)}: single-qubit PPT certificate: "
-                 f"{'holds' if cert.holds else 'fails'}")
+        }, deviation
+    lines = [f"{state_label(args)}: single-qubit PPT certificate: "
+             f"{'holds' if cert.holds else 'fails'}"]
     if not cert.holds:
         lines.append(f"  witness: j = {cert.witness_j}, i = {cert.witness_i}")
     for row in table:
@@ -276,25 +210,13 @@ def cmd_ppt(args, argv) -> int:
                 f"cut {row.cut_size}: NPPT (witness mask {row.witness_mask:#06b}"
                 f" = qubits {qubits})"
             )
-    if deviation is not None:
-        lines.append(f"oracle max deviation = {deviation:.3e}")
-    emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return lines, deviation
 
 
-def cmd_bell(args, argv) -> int:
+def cmd_bell(args):
     state = build_state(args)
-    meta = provenance(args, argv)
     row = bell_mod.detection_comparison(state)
-    deviation = None
-    if args.oracle:
-        if state.n <= bell_mod.BRUTE_CAP:
-            oracle = bell_mod.brute_force_tensor(state).hs_norm_sq
-        else:
-            oracle = float(bell_mod.hs_norm_sq_exact(state))
-        deviation = abs(oracle - row.hs_norm_sq)
-        if deviation > ORACLE_TOL:
-            raise CrossCheckError(f"correlation oracle deviates by {deviation}")
+    deviation = oracles.check_bell(state, row) if args.oracle else None
     header = ["n", "k", "f_q", "f_q_over_n", "hs_norm_sq", "verdict"]
     values = [
         str(args.n),
@@ -310,16 +232,11 @@ def cmd_bell(args, argv) -> int:
         header += ["planar_sq", "axial_sq"]
         values += [format(float(planar), ".17g"), format(float(axial * axial), ".17g")]
     if args.format == "json":
-        payload = {"meta": meta, "row": dict(zip(header, values))}
-        if deviation is not None:
-            payload["oracle_max_deviation"] = deviation
-        emit(json_text(payload), args.output)
-        return 0
-    emit(csv_text(meta, header, [values]), args.output)
-    return 0
+        return {"row": dict(zip(header, values))}, deviation
+    return [",".join(header), ",".join(values)], deviation
 
 
-def cmd_estimate(args, argv) -> int:
+def cmd_estimate(args):
     state = build_state(args)
     run = est_mod.run_monte_carlo(
         state,
@@ -331,13 +248,10 @@ def cmd_estimate(args, argv) -> int:
         bracket_halfwidth=args.bracket,
         state_params={"n": args.n, "k": args.k, "m": args.m},
     )
-    payload = {"meta": provenance(args, argv), "run": run.to_json_dict()}
-    emit(json_text(payload), args.output)
-    return 0
+    return {"run": run.to_json_dict()}, None
 
 
-def cmd_figure(args, argv) -> int:
-    meta = provenance(args, argv)
+def cmd_figure(args):
     exact = args.exact
     if args.id == 2:
         ks = parse_int_list(args.k) if args.k else [2, 3]
@@ -370,7 +284,7 @@ def cmd_figure(args, argv) -> int:
                     fmt_number(rep.ratio_limit_form, exact),
                     fmt_number(rep.ratio_bound_form, exact),
                 ])
-    elif args.id == 4:
+    else:  # argparse admits only ids 2, 3 and 4
         ks = parse_int_list(args.k) if args.k else [2, 3]
         ns = parse_range(args.n) if args.n else list(range(4, 11))
         header = ["n", "k", "f_q_over_n", "hs_norm_sq", "verdict"]
@@ -386,10 +300,7 @@ def cmd_figure(args, argv) -> int:
                     format(row.hs_norm_sq, ".17g"),
                     row.verdict,
                 ])
-    else:
-        raise DomainError(f"unknown figure id {args.id}; choose 2, 3 or 4")
-    emit(csv_text(meta, header, rows), args.output)
-    return 0
+    return [",".join(header)] + [",".join(row) for row in rows], None
 
 
 # -- parser --------------------------------------------------------------------
@@ -412,8 +323,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="write here instead of stdout")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp from the provenance header")
-        p.add_argument("--exact", action="store_true",
-                       help="print rationals as p/q instead of decimals")
 
     p = sub.add_parser("state", help="eigenvalue table of a family state")
     common(p)
@@ -422,6 +331,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qfi", help="quantum Fisher information and bounds")
     common(p)
+    p.add_argument("--exact", action="store_true",
+                   help="print rationals as p/q instead of decimals")
     p.add_argument("--a", default=None, help="rational scan ratio, e.g. 1/4")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the dense spectral formula")
@@ -438,6 +349,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bell", help="correlation tensor norm and detection row")
     common(p)
+    p.add_argument("--exact", action="store_true",
+                   help="print rationals as p/q instead of decimals")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against brute-force / exact tensor")
     p.add_argument("--components", action="store_true",
@@ -464,6 +377,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", default=None, help='comma list, e.g. "1/8,1/4"')
     p.add_argument("--n", default=None, help='range like "8..120"')
     common(p, with_family=False)
+    p.add_argument("--exact", action="store_true",
+                   help="print rationals as p/q instead of decimals")
     p.set_defaults(func=cmd_figure)
 
     return parser
@@ -474,7 +389,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, argv)
+        meta = provenance(args, argv)
+        body, deviation = args.func(args)
+        if isinstance(body, dict):
+            if deviation is not None:
+                body["oracle_max_deviation"] = deviation
+            text = json.dumps({"meta": meta, **body}, indent=2, sort_keys=True)
+        else:
+            if deviation is not None and args.format == "text":
+                body.append(f"oracle max deviation = {deviation:.3e}")
+            header = "# " + " | ".join(f"{k}: {v}" for k, v in meta.items())
+            text = "\n".join([header, *body])
+        emit(text + "\n", args.output)
+        return 0
     except CrossCheckError as exc:
         print(f"cross-check failure: {exc}", file=sys.stderr)
         return 4

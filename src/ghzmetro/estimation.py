@@ -230,8 +230,8 @@ def run_monte_carlo(
     one too narrow to change theta_true) would return theta_true itself as
     every estimate, so it is refused.
     """
-    if shots < 100:
-        raise DomainError(f"need shots >= 100, got {shots}")
+    if not 100 <= shots <= np.iinfo(np.int64).max:  # the multinomial draws int64
+        raise DomainError(f"need 100 <= shots <= 2^63 - 1, got {shots}")
     if repetitions < 1:
         raise DomainError("need at least one repetition")
     if isinstance(model, str):

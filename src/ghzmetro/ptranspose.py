@@ -15,25 +15,19 @@ route from the state's type: a ``BandState`` (every family member) is
 invariant under qubit permutations, so all size-m subsets share one
 spectrum and the band rule decides the cut in O(n^2) over the band
 classes; a sparse ``GhzDiagonalState`` has every subset inspected.  Both
-routes are exact.  ``pt_spectrum`` and the dense reshape-based
-``pt_dense_oracle`` are the independent oracles; the library never runs
-them on its own (the CLI's ``ppt --oracle`` does).
+routes are exact.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import Iterable, List, Optional, Tuple
 
 from .errors import DomainError
 from .states import (
     BandState,
     SectorState,
     canonical_index,
-    to_dense,
 )
 
 
@@ -82,40 +76,6 @@ def omega_set(n: int, j: int) -> frozenset:
 
 
 @dataclass(frozen=True)
-class PtSpectrum:
-    """Exact eigenvalue pairs of a partially transposed GHZ-diagonal state."""
-
-    subset: QubitSubset
-    pairs: Dict[int, Tuple[Fraction, Fraction]]
-
-    def eigenvalues(self) -> List[Fraction]:
-        out: List[Fraction] = []
-        for plus, minus in self.pairs.values():
-            out.append(plus)
-            out.append(minus)
-        return sorted(out)
-
-    def min_eigenvalue(self) -> Fraction:
-        return min(min(p) for p in self.pairs.values())
-
-    def is_nonnegative(self) -> bool:
-        return self.min_eigenvalue() >= 0
-
-
-def pt_spectrum(state: SectorState, subset: QubitSubset) -> PtSpectrum:
-    """Spectrum of the state transposed over ``subset``; no dense matrix built."""
-    if subset.n != state.n:
-        raise DomainError("subset size does not match state")
-    pairs: Dict[int, Tuple[Fraction, Fraction]] = {}
-    for i in range(1 << (state.n - 1)):
-        j = canonical_index(i ^ subset.mask, state.n)
-        s = state.sector_sum(i)
-        d = state.sector_diff(j)
-        pairs[i] = ((s + d) / 2, (s - d) / 2)
-    return PtSpectrum(subset, pairs)
-
-
-@dataclass(frozen=True)
 class CertificateResult:
     """Outcome of the single-qubit PPT certificate with failure witness."""
 
@@ -132,8 +92,7 @@ def ppt_single_qubit_certificate(state: SectorState) -> CertificateResult:
     pair (j, i) in ascending j is the witness.  The check depends on j only
     through its class, and the lowest sector of the lowest failing class is
     that class's representative, so one walk over the class representatives
-    finds the same pair.  The n single-qubit ``pt_spectrum`` calls are its
-    oracle.
+    finds the same pair.
     """
     for j, _, _, d in state.classes():
         for i in omega_set(state.n, j) if d else ():
@@ -202,18 +161,3 @@ def cut_classification(
         else:
             out.append(CutStatus(m, "NPPT", witness))
     return out
-
-
-def pt_dense_oracle(state: SectorState, subset: QubitSubset) -> np.ndarray:
-    """Element-wise partial transposition of the dense realization."""
-    rho = to_dense(state)
-    return partial_transpose_dense(rho, state.n, subset.mask)
-
-
-def partial_transpose_dense(rho: np.ndarray, n: int, mask: int) -> np.ndarray:
-    """Transpose the qubits marked in ``mask`` of a 2^n x 2^n matrix."""
-    t = rho.reshape((2,) * (2 * n))
-    for axis in range(n):
-        if mask >> (n - 1 - axis) & 1:
-            t = np.swapaxes(t, axis, n + axis)
-    return t.reshape(rho.shape)

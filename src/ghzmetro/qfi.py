@@ -1,25 +1,23 @@
 """Quantum Fisher information for phase rotations generated by half the total sigma_z.
 
-Three routes to the same number, used as mutual oracles:
+Two exact routes to the same number, each the other's check:
 
-* ``qfi_spectral`` — the generic spectral formula on an eigendecomposition,
-  2 sum_{a,b} (p_a - p_b)^2 / (p_a + p_b) |<a|Z|b>|^2 (dense, float);
 * ``qfi_ghz_diagonal`` — the GHZ-diagonal closed form
-  sum_i w_i^2 (lambda_i^+ - lambda_i^-)^2 / (lambda_i^+ + lambda_i^-) (exact);
+  sum_i w_i^2 (lambda_i^+ - lambda_i^-)^2 / (lambda_i^+ + lambda_i^-),
+  summed over the state's sector classes;
 * ``qfi_closed_nk`` — the binomial-family closed form
-  lam * sum_{j<k} (n-2j)^2 C(n,j) with lam = 1 / sum_{j<=k+m} C(n,j) (exact).
+  lam * sum_{j<k} (n-2j)^2 C(n,j) with lam = 1 / sum_{j<=k+m} C(n,j).
 
-Alongside live the family lower bounds and the report that the CLI prints
-for one family member.
+The generic spectral formula on a dense eigendecomposition is their oracle
+in ``oracles``.  Alongside live the family lower bounds and the report that
+the CLI prints for one family member.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from .errors import DomainError
 from .states import (
@@ -28,59 +26,6 @@ from .states import (
     binom_normalizer,
     weight,
 )
-
-NORM_TOL = 1e-10  # unit-trace and nonnegativity tolerance of a decomposition
-SUPPORT_TOL = 1e-12  # pairs with p_a + p_b at or below this are off the support
-
-
-@dataclass(frozen=True)
-class PhaseGenerator:
-    """Diagonal generator (sigma_z^(1) + ... + sigma_z^(n)) / 2.
-
-    Entry r of the diagonal is (zeros(r) - ones(r)) / 2, so the matrix
-    element between the two projectors of sector i is w_i / 2.
-    """
-
-    n: int
-
-    def diagonal(self) -> np.ndarray:
-        dim = 1 << self.n
-        counts = np.array([r.bit_count() for r in range(dim)])
-        return (self.n - 2 * counts) / 2.0
-
-
-def qfi_spectral(
-    eigenvalues: Sequence[float], eigenvectors: np.ndarray, generator: PhaseGenerator
-) -> float:
-    """Spectral-formula QFI from an eigendecomposition of a unit-trace state.
-
-    Pairs with p_a + p_b below ``SUPPORT_TOL`` are skipped (the formula is
-    restricted to the support, where it is finite).  The decomposition is
-    validated: eigenvalues must sum to 1 and be nonnegative to ``NORM_TOL``,
-    the eigenvector columns orthonormal to 1e-10.
-    """
-    lam = np.asarray(eigenvalues, dtype=float)
-    v = np.asarray(eigenvectors)
-    if abs(lam.sum() - 1.0) > NORM_TOL:
-        raise DomainError(f"eigenvalues sum to {lam.sum()}, not 1")
-    if lam.min() < -NORM_TOL:
-        raise DomainError(f"negative eigenvalue {lam.min()} beyond tolerance")
-    lam = np.clip(lam, 0.0, None)
-    gram = v.conj().T @ v
-    if np.max(np.abs(gram - np.eye(len(lam)))) > 1e-10:
-        raise DomainError("eigenvector columns are not orthonormal to 1e-10")
-    z = generator.diagonal()
-    zmat = v.conj().T @ (z[:, None] * v)
-    num = (lam[:, None] - lam[None, :]) ** 2
-    den = lam[:, None] + lam[None, :]
-    mask = den > SUPPORT_TOL
-    return float(2.0 * np.sum(num[mask] / den[mask] * np.abs(zmat[mask]) ** 2))
-
-
-def qfi_from_dense(rho: np.ndarray, generator: PhaseGenerator) -> float:
-    """Convenience wrapper: eigendecompose a dense state and apply the formula."""
-    lam, v = np.linalg.eigh(rho)
-    return qfi_spectral(lam, v, generator)
 
 
 def qfi_ghz_diagonal(state: SectorState) -> Fraction:

@@ -16,8 +16,6 @@ table; ``BandState`` stores one weight pair per band, O(n), and holds every
 family member.  Formulas read either through ``classes()``, so they run on
 the band classes at any n.  All eigenvalues are exact rationals, so
 normalization and every closed-form quantity downstream are tolerance-free.
-The dense realization ``to_dense`` exists only as an oracle substrate and
-refuses states above the fixed cap ``DENSE_LIMIT`` = 12 qubits.
 """
 from __future__ import annotations
 
@@ -26,18 +24,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, Mapping, Tuple
 
-import numpy as np
-
 from .errors import DomainError, SizeLimitError
-
-DENSE_LIMIT = 12  # qubit cap of every dense-matrix oracle
-
-
-def _check_dense(n: int) -> None:
-    if n > DENSE_LIMIT:
-        raise SizeLimitError(
-            f"dense computation needs n <= {DENSE_LIMIT}, got n = {n}"
-        )
 
 
 def canonical_index(r: int, n: int) -> int:
@@ -276,22 +263,3 @@ def build_rho_nkm(n: int, k: int, m: int) -> BandState:
     bands = range(n // 2 + 1)
     return BandState(n, tuple(lam if b < k else mixed.get(b, 0) for b in bands),
                      tuple(mixed.get(b, 0) for b in bands))
-
-
-# -- dense oracle substrate ---------------------------------------------------
-
-
-def to_dense(state: SectorState) -> np.ndarray:
-    """Dense real-symmetric realization of the state (diagonal-antidiagonal)."""
-    _check_dense(state.n)
-    dim = 1 << state.n
-    rho = np.zeros((dim, dim))
-    for i in range(1 << (state.n - 1)):
-        s = float(state.sector_sum(i)) / 2.0
-        d = float(state.sector_diff(i)) / 2.0
-        j = dim - 1 - i
-        rho[i, i] = s
-        rho[j, j] = s
-        rho[i, j] = d
-        rho[j, i] = d
-    return rho

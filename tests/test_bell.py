@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import ghzmetro.bell as bell
+import ghzmetro.oracles as oracles
 from ghzmetro import (
     GhzDiagonalState,
     brute_force_tensor,
@@ -21,7 +22,7 @@ from ghzmetro import (
 )
 from conftest import family_grid, random_state_strategy
 
-X, Y, Z = bell.AXIS_X, bell.AXIS_Y, bell.AXIS_Z
+X, Y, Z = oracles.AXIS_X, oracles.AXIS_Y, oracles.AXIS_Z
 
 
 def bell_pair():
@@ -42,9 +43,9 @@ def structure_rule(state, axes):
 
 
 def dense_trace(rho, axes):
-    op = bell.PAULI[axes[0]]
+    op = oracles.PAULI[axes[0]]
     for a in axes[1:]:
-        op = np.kron(op, bell.PAULI[a])
+        op = np.kron(op, oracles.PAULI[a])
     return float(np.trace(op @ rho).real)
 
 

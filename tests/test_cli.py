@@ -69,12 +69,29 @@ def test_state_domain_error_exit_code(capsys):
     ("bell", "--n", "8"),
     ("estimate", "--n", "4", "--theta", "0.3"),
     ("figure", "--id", "2", "--k", "0"),
+    ("qfi", "--n", "10", "--a", "1/4", "--k", "1", "--m", "3"),
+    ("qfi", "--n", "10", "--a", "1/4", "--k", "1"),
+    ("qfi", "--n", "10", "--a", "1/4", "--m", "3"),
+    ("estimate", "--n", "4", "--k", "1", "--theta", "0.3", "--reps", "2",
+     "--shots", "9223372036854775808"),
 ])
 def test_malformed_option_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ("ppt", "--n", "6", "--k", "2"),
+    ("state", "--n", "6", "--k", "2"),
+    ("estimate", "--n", "4", "--k", "1", "--theta", "0.3", "--reps", "2"),
+])
+def test_exact_only_on_commands_that_print_rationals(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--exact"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_qfi_exact_output(capsys):
@@ -148,6 +165,24 @@ def test_ppt_oracle_certificate_mismatch_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "certificate" in err
+
+
+@pytest.mark.parametrize("k, status", [(2, "PPT"), (3, "NPPT")])
+def test_ppt_oracle_catches_a_wrong_verdict(capsys, monkeypatch, k, status):
+    # rho_{6,2} is NPPT at cuts 2 and 3 and rho_{6,3} is PPT at every cut;
+    # reporting the opposite verdict must fail the oracle, not print a table
+    import ghzmetro.cli as cli_mod
+    from ghzmetro.ptranspose import CutStatus
+
+    def flipped(state, cut_sizes):
+        return [CutStatus(m, status, None if status == "PPT" else (1 << m) - 1)
+                for m in range(1, state.n // 2 + 1)]
+
+    monkeypatch.setattr(cli_mod, "cut_classification", flipped)
+    code, out, err = run(capsys, "ppt", "--n", "6", "--k", str(k), "--oracle",
+                         "--no-timestamp")
+    assert (code, out) == (4, "")
+    assert "reported " + status in err
 
 
 def test_ppt_boundary_member_all_cuts_ppt(capsys):
@@ -344,9 +379,9 @@ def test_estimate_sector_parity_model(capsys):
 
 
 def test_oracle_failure_exit_code(capsys, monkeypatch):
-    import ghzmetro.cli as cli_mod
+    import ghzmetro.oracles as oracles
 
-    monkeypatch.setattr(cli_mod, "qfi_from_dense", lambda rho, gen: 1e9)
+    monkeypatch.setattr(oracles, "qfi_from_dense", lambda rho, gen: 1e9)
     code, _, err = run(capsys, "qfi", "--n", "4", "--k", "2", "--oracle")
     assert code == 4
     assert "cross-check" in err

@@ -7,11 +7,12 @@ it is added to ``EXPORTS``, so a name that only tests call is a visible edit.
 """
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import ghzmetro
 
-LIBRARY_MODULES = ("states", "qfi", "ptranspose", "bell", "estimation")
+LIBRARY_MODULES = ("states", "qfi", "ptranspose", "bell", "oracles", "estimation")
 
 PINNED = {
     "estimation.run_monte_carlo(bracket_halfwidth)",
@@ -37,17 +38,19 @@ EXPORTS = {
     # states
     "BandState", "GhzDiagonalState", "binom_normalizer", "build_rho_nk",
     "build_rho_nkm", "canonical_index", "ghz_state", "maximally_mixed_state",
-    "min_ones", "to_dense", "weight",
+    "min_ones", "weight",
     # ptranspose
-    "CutStatus", "PtSpectrum", "QubitSubset", "cut_classification", "omega_set",
-    "ppt_single_qubit_certificate", "pt_dense_oracle", "pt_spectrum",
+    "CutStatus", "QubitSubset", "cut_classification", "omega_set",
+    "ppt_single_qubit_certificate",
     # qfi
-    "PhaseGenerator", "QfiReport", "family_report", "qfi_closed_nk", "qfi_from_dense",
-    "qfi_ghz_diagonal", "qfi_lower_bound_nk", "qfi_lower_bound_nkm", "qfi_spectral",
-    "s_factor", "scaled_k",
+    "QfiReport", "family_report", "qfi_closed_nk", "qfi_ghz_diagonal",
+    "qfi_lower_bound_nk", "qfi_lower_bound_nkm", "s_factor", "scaled_k",
     # bell
-    "CorrelationTensorSummary", "DetectionRow", "brute_force_tensor",
-    "detection_comparison", "hs_norm_sq", "hs_norm_sq_exact",
+    "DetectionRow", "detection_comparison", "hs_norm_sq",
+    # oracles
+    "CorrelationTensorSummary", "PhaseGenerator", "PtSpectrum", "brute_force_tensor",
+    "hs_norm_sq_exact", "pt_dense_oracle", "pt_spectrum", "qfi_from_dense",
+    "qfi_spectral", "to_dense",
     # estimation
     "RNG_ALGORITHM", "EstimationRun", "GlobalParity", "SectorParity",
     "classical_fisher", "get_model", "run_monte_carlo",
@@ -84,6 +87,13 @@ def test_options_are_pinned_and_environment_is_not_read():
     for path in Path(ghzmetro.__file__).parent.glob("*.py"):
         text = path.read_text()
         assert "environ" not in text and "getenv" not in text, path.name
+
+
+def test_only_oracles_and_estimation_import_numpy():
+    # the exact routes stay in rationals; floats belong to oracles and sampling
+    importers = {path.name for path in Path(ghzmetro.__file__).parent.glob("*.py")
+                 if re.search(r"^(import|from) numpy\b", path.read_text(), re.M)}
+    assert importers == {"oracles.py", "estimation.py"}
 
 
 def test_package_exports_are_pinned():

@@ -13,6 +13,7 @@ from ghzmetro import (
     DomainError,
     GhzDiagonalState,
     QubitSubset,
+    SizeLimitError,
     build_rho_nk,
     build_rho_nkm,
     canonical_index,
@@ -115,6 +116,13 @@ def test_bell_state_pt_spectrum():
     assert sum(spectrum.eigenvalues()) == 1
 
 
+def test_pt_spectrum_refuses_above_sector_listing_cap():
+    # a band state is O(n) at any n; its spectrum would list 2^29 sectors
+    with pytest.raises(SizeLimitError):
+        pt_spectrum(build_rho_nk(30, 7), QubitSubset(30, 1))
+    assert pt_spectrum(build_rho_nk(6, 2), QubitSubset(6, 1)).is_nonnegative()
+
+
 @pytest.mark.parametrize("n,k", list(family_grid(7)))
 def test_family_spectra_match_dense(n, k):
     state = build_rho_nk(n, k)
@@ -146,7 +154,7 @@ def test_pt_preserves_trace_and_diagonal():
 
 def test_double_transposition_is_identity():
     state = build_rho_nk(5, 2)
-    from ghzmetro.ptranspose import partial_transpose_dense
+    from ghzmetro.oracles import partial_transpose_dense
 
     rho = to_dense(state)
     for subset in all_subsets(5, sizes=[1, 2]):

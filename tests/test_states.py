@@ -10,6 +10,7 @@ from ghzmetro import (
     BandState,
     DomainError,
     GhzDiagonalState,
+    PhaseGenerator,
     SizeLimitError,
     binom_normalizer,
     build_rho_nk,
@@ -299,6 +300,8 @@ def test_dense_maximally_mixed():
 def test_dense_limit_enforced():
     with pytest.raises(SizeLimitError):
         to_dense(ghz_state(13))
+    with pytest.raises(SizeLimitError):
+        PhaseGenerator(13).diagonal()
     to_dense(build_rho_nk(4, 1))  # the fixed cap of 12 admits n = 4
 
 
