@@ -5,8 +5,11 @@ information for z-axis phase estimation, partial-transpose certificates
 across arbitrary qubit cuts, the Hilbert-Schmidt bound on multi-setting
 correlation Bell inequalities, and a seeded Monte Carlo phase-estimation
 loop against the Cramer-Rao bound.  The independent oracles that check the
-exact routes live in ``oracles``.
+exact routes live in ``oracles``.  The ``oracles`` and ``estimation`` names
+are imported on first use, since only those two modules need numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -52,24 +55,24 @@ from .bell import (
     detection_comparison,
     hs_norm_sq,
 )
-from .oracles import (
-    CorrelationTensorSummary,
-    PhaseGenerator,
-    PtSpectrum,
-    brute_force_tensor,
-    hs_norm_sq_exact,
-    pt_dense_oracle,
-    pt_spectrum,
-    qfi_from_dense,
-    qfi_spectral,
-    to_dense,
-)
-from .estimation import (
-    RNG_ALGORITHM,
-    EstimationRun,
-    GlobalParity,
-    SectorParity,
-    classical_fisher,
-    get_model,
-    run_monte_carlo,
-)
+
+# Lazy exports (PEP 562): a command that prints exact rationals starts without numpy.
+_LAZY = {
+    "oracles": ("CorrelationTensorSummary", "PhaseGenerator", "PtSpectrum",
+                "brute_force_tensor", "hs_norm_sq_exact", "pt_dense_oracle",
+                "pt_spectrum", "qfi_from_dense", "qfi_spectral", "to_dense"),
+    "estimation": ("RNG_ALGORITHM", "EstimationRun", "GlobalParity", "SectorParity",
+                   "classical_fisher", "get_model", "run_monte_carlo"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_MODULE))

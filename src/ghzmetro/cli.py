@@ -6,6 +6,8 @@ or the lines of its text or CSV body; ``main`` puts the provenance header
 (tool version, command line, seed, timestamp unless ``--no-timestamp``) on
 it and writes it once, so identical command plus seed gives byte-identical
 output.  ``--oracle`` hands what a command prints to ``oracles.check_*``.
+``oracles`` and ``estimation`` load numpy, so they are imported only by
+``--oracle`` and ``estimate``.
 Exit codes: 0 success, 2 domain error, 3 size-limit error, 4 internal
 cross-check failure.
 """
@@ -21,8 +23,6 @@ from typing import List, Optional, Sequence
 from . import __version__
 from .errors import CrossCheckError, DomainError, GhzmetroError, SizeLimitError
 from . import bell as bell_mod
-from . import estimation as est_mod
-from . import oracles
 from .ptranspose import (
     QubitSubset,
     cut_classification,
@@ -71,6 +71,14 @@ def parse_range(text: str) -> List[int]:
         lo, hi = text.split("..", 1)
         return list(range(parse_int(lo), parse_int(hi) + 1))
     return parse_int_list(text)
+
+
+def parse_nonempty(parse, text: str, option: str) -> list:
+    """``parse(text)``, refusing a list that names nothing (an empty table)."""
+    values = parse(text)
+    if not values:
+        raise DomainError(f"{option} {text!r} names nothing")
+    return values
 
 
 def fmt_number(x, exact: bool) -> str:
@@ -158,7 +166,10 @@ def cmd_qfi(args):
         if args.k is None:
             raise DomainError("qfi needs --k or --a")
         report = family_report(args.n, args.k, m=args.m)
-    deviation = oracles.check_qfi(report) if args.oracle else None
+    deviation = None
+    if args.oracle:
+        from . import oracles
+        deviation = oracles.check_qfi(report)
     if args.format == "json":
         return {"report": report.to_json_dict()}, deviation
     lines = [fmt_number(report.f_q, args.exact)]
@@ -183,11 +194,12 @@ def cmd_qfi(args):
 def cmd_ppt(args):
     state = build_state(args)
     cert = ppt_single_qubit_certificate(state)
-    sizes = None if args.cuts == "all" else parse_int_list(args.cuts)
-    if sizes == []:  # an empty table would leave --oracle nothing to check
-        raise DomainError(f"--cuts {args.cuts!r} names no cut size")
+    sizes = None if args.cuts == "all" else parse_nonempty(parse_int_list, args.cuts, "--cuts")
     table = cut_classification(state, cut_sizes=sizes)
-    deviation = oracles.check_ppt(state, cert, table) if args.oracle else None
+    deviation = None
+    if args.oracle:
+        from . import oracles
+        deviation = oracles.check_ppt(state, cert, table)
     if args.format == "json":
         return {
             "single_qubit_certificate": {
@@ -216,7 +228,10 @@ def cmd_ppt(args):
 def cmd_bell(args):
     state = build_state(args)
     row = bell_mod.detection_comparison(state)
-    deviation = oracles.check_bell(state, row) if args.oracle else None
+    deviation = None
+    if args.oracle:
+        from . import oracles
+        deviation = oracles.check_bell(state, row)
     header = ["n", "k", "f_q", "f_q_over_n", "hs_norm_sq", "verdict"]
     values = [
         str(args.n),
@@ -237,8 +252,10 @@ def cmd_bell(args):
 
 
 def cmd_estimate(args):
+    from . import estimation
+
     state = build_state(args)
-    run = est_mod.run_monte_carlo(
+    run = estimation.run_monte_carlo(
         state,
         theta_true=args.theta,
         model=args.model,
@@ -254,7 +271,7 @@ def cmd_estimate(args):
 def cmd_figure(args):
     exact = args.exact
     if args.id == 2:
-        ks = parse_int_list(args.k) if args.k else [2, 3]
+        ks = [2, 3] if args.k is None else parse_nonempty(parse_int_list, args.k, "--k")
         header = ["n", "k", "f_q", "n_times_k", "ratio"]
         rows = []
         for k in sorted(ks):
@@ -267,10 +284,10 @@ def cmd_figure(args):
                     fmt_number(rep.f_q / (n * k), exact),
                 ])
     elif args.id == 3:
-        alphas = parse_fraction_list(args.a) if args.a else (
-            [Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)]
+        alphas = [Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)] if args.a is None else (
+            parse_nonempty(parse_fraction_list, args.a, "--a")
         )
-        ns = parse_range(args.n) if args.n else list(range(8, 121))
+        ns = list(range(8, 121)) if args.n is None else parse_nonempty(parse_range, args.n, "--n")
         header = ["n", "a", "k", "f_q", "lower_bound",
                   "ratio_limit_form", "ratio_bound_form"]
         rows = []
@@ -285,8 +302,8 @@ def cmd_figure(args):
                     fmt_number(rep.ratio_bound_form, exact),
                 ])
     else:  # argparse admits only ids 2, 3 and 4
-        ks = parse_int_list(args.k) if args.k else [2, 3]
-        ns = parse_range(args.n) if args.n else list(range(4, 11))
+        ks = [2, 3] if args.k is None else parse_nonempty(parse_int_list, args.k, "--k")
+        ns = list(range(4, 11)) if args.n is None else parse_nonempty(parse_range, args.n, "--n")
         header = ["n", "k", "f_q_over_n", "hs_norm_sq", "verdict"]
         rows = []
         for k in sorted(ks):
@@ -364,8 +381,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=10000)
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
+    # sorted(estimation.MODELS), spelled out so that parsing needs no numpy
     p.add_argument("--model", default="global-parity",
-                   choices=sorted(est_mod.MODELS))
+                   choices=["global-parity", "sector-parity"])
     p.add_argument("--bracket", type=float, default=None,
                    help="maximum-likelihood bracket halfwidth (radians)")
     p.set_defaults(func=cmd_estimate)

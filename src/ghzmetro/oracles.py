@@ -30,6 +30,7 @@ NORM_TOL = 1e-10  # unit-trace and nonnegativity tolerance of a decomposition
 SUPPORT_TOL = 1e-12  # pairs with p_a + p_b at or below this are off the support
 ZERO_TOL = 1e-12  # brute-force elements at or below this are reported as zero
 ORACLE_TOL = 1e-9  # largest deviation an ``--oracle`` check lets pass
+EIGVEC_BLOCK = 256  # eigenvectors per block of the spectral QFI sum
 
 
 def _check_size(what: str, n: int, cap: int) -> None:
@@ -85,7 +86,9 @@ def qfi_spectral(
     Pairs with p_a + p_b below ``SUPPORT_TOL`` are skipped (the formula is
     restricted to the support, where it is finite).  The decomposition is
     validated: eigenvalues must sum to 1 and be nonnegative to ``NORM_TOL``,
-    the eigenvector columns orthonormal to 1e-10.
+    the eigenvector columns orthonormal to 1e-10.  Both the check and the sum
+    run over ``EIGVEC_BLOCK`` eigenvectors <a| at a time, so no temporary is
+    dim x dim.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     v = np.asarray(eigenvectors)
@@ -94,15 +97,21 @@ def qfi_spectral(
     if lam.min() < -NORM_TOL:
         raise DomainError(f"negative eigenvalue {lam.min()} beyond tolerance")
     lam = np.clip(lam, 0.0, None)
-    gram = v.conj().T @ v
-    if np.max(np.abs(gram - np.eye(len(lam)))) > 1e-10:
-        raise DomainError("eigenvector columns are not orthonormal to 1e-10")
     z = generator.diagonal()
-    zmat = v.conj().T @ (z[:, None] * v)
-    num = (lam[:, None] - lam[None, :]) ** 2
-    den = lam[:, None] + lam[None, :]
-    mask = den > SUPPORT_TOL
-    return float(2.0 * np.sum(num[mask] / den[mask] * np.abs(zmat[mask]) ** 2))
+    total = 0.0
+    for start in range(0, len(lam), EIGVEC_BLOCK):
+        block = slice(start, start + EIGVEC_BLOCK)
+        bras = v[:, block].conj().T
+        gram = bras @ v
+        gram[:, block] -= np.eye(len(bras))
+        if np.max(np.abs(gram)) > 1e-10:
+            raise DomainError("eigenvector columns are not orthonormal to 1e-10")
+        zmat = (bras * z) @ v
+        num = (lam[block, None] - lam[None, :]) ** 2
+        den = lam[block, None] + lam[None, :]
+        mask = den > SUPPORT_TOL
+        total += np.sum(num[mask] / den[mask] * np.abs(zmat[mask]) ** 2)
+    return float(2.0 * total)
 
 
 def qfi_from_dense(rho: np.ndarray, generator: PhaseGenerator) -> float:

@@ -1,4 +1,5 @@
-"""CLI contracts: output formats, determinism, exit codes."""
+"""CLI contracts: output formats, determinism, exit codes, imports."""
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import ghzmetro
-from ghzmetro.cli import main, parse_fraction, parse_range
+from ghzmetro import estimation
+from ghzmetro.cli import main, make_parser, parse_fraction, parse_range
 from ghzmetro.states import GhzDiagonalState, build_rho_nkm
 from conftest import as_sparse
 
@@ -74,6 +76,11 @@ def test_state_domain_error_exit_code(capsys):
     ("qfi", "--n", "10", "--a", "1/4", "--m", "3"),
     ("estimate", "--n", "4", "--k", "1", "--theta", "0.3", "--reps", "2",
      "--shots", "9223372036854775808"),
+    ("figure", "--id", "3", "--n", "10..4"),
+    ("figure", "--id", "4", "--k", ","),
+    ("figure", "--id", "3", "--a", ","),
+    ("figure", "--id", "2", "--k", ""),
+    ("ppt", "--n", "6", "--k", "2", "--cuts", ","),
 ])
 def test_malformed_option_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -347,14 +354,64 @@ def test_qfi_mixed_member_beyond_build_limit(capsys):
     assert "mixing width" in err
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy.optimize alone would add about 0.6 s to every command's startup
-    probe = ("import sys, ghzmetro.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def cli_in_fresh_interpreter(*argvs):
+    """Exit codes of ``cli.main`` on each argv, run in turn in one new
+    interpreter, and the sorted numpy/scipy top-level modules it then holds."""
+    probe = ("import contextlib, io, json, sys, ghzmetro.cli as cli\n"
+             "codes = []\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        try:\n"
+             "            codes.append(cli.main(argv))\n"
+             "        except SystemExit as exc:\n"
+             "            codes.append(exc.code)\n"
+             "heavy = {m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}\n"
+             "print(json.dumps([codes, sorted(heavy)]))")
     src = str(Path(ghzmetro.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    return tuple(json.loads(out))
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.optimize alone would add about 0.6 s to every command's startup,
+    # numpy about 0.17 s
+    assert cli_in_fresh_interpreter() == ([], [])
+
+
+def test_exact_commands_start_without_numpy():
+    argvs = [
+        ["--version"],
+        ["qfi", "--n", "7", "--k", "2", "--exact"],
+        ["ppt", "--n", "8", "--k", "2", "--cuts", "all", "--format", "json"],
+        ["bell", "--n", "8", "--k", "2", "--components"],
+        ["state", "--n", "6", "--k", "2"],
+        ["figure", "--id", "4"],
+    ]
+    assert cli_in_fresh_interpreter(*argvs) == ([0] * len(argvs), [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["qfi", "--n", "6", "--k", "2", "--oracle"],
+    ["ppt", "--n", "6", "--k", "2", "--oracle"],
+    ["bell", "--n", "6", "--k", "2", "--oracle"],
+    ["estimate", "--n", "4", "--k", "1", "--theta", "0.3", "--reps", "2",
+     "--shots", "100"],
+])
+def test_float_commands_load_numpy(argv):
+    assert cli_in_fresh_interpreter(argv) == ([0], ["numpy"])
+
+
+def test_estimate_models_are_the_parser_choices(capsys):
+    sub = next(a for a in make_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    model = next(a for a in sub.choices["estimate"]._actions if a.dest == "model")
+    assert model.choices == sorted(estimation.MODELS)
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--n", "4", "--k", "1", "--theta", "0.3", "--model", "bogus"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_qfi_json_payload(capsys):

@@ -97,6 +97,11 @@ def test_only_oracles_and_estimation_import_numpy():
 
 
 def test_package_exports_are_pinned():
-    exported = {name for name, value in vars(ghzmetro).items()
-                if not name.startswith("_") and not inspect.ismodule(value)}
+    # dir(), not vars(): the oracles and estimation names are lazy exports
+    exported = {name for name in dir(ghzmetro)
+                if not name.startswith("_") and not inspect.ismodule(getattr(ghzmetro, name))}
     assert exported == EXPORTS
+    for module in ("oracles", "estimation"):
+        defined = importlib.import_module(f"ghzmetro.{module}")
+        for name in ghzmetro._LAZY[module]:
+            assert getattr(ghzmetro, name) is getattr(defined, name), name

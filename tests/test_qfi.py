@@ -1,9 +1,11 @@
 """QFI: triple-route agreement, family closed forms, bounds, scan reports."""
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzmetro import (
     DomainError,
@@ -14,6 +16,7 @@ from ghzmetro import (
     family_report,
     ghz_state,
     maximally_mixed_state,
+    oracles,
     qfi_closed_nk,
     qfi_from_dense,
     qfi_ghz_diagonal,
@@ -100,6 +103,23 @@ def test_diagonal_vs_spectral_random(state):
     exact = float(qfi_ghz_diagonal(state))
     spectral = qfi_from_dense(to_dense(state), PhaseGenerator(state.n))
     assert abs(exact - spectral) < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_state_strategy(max_n=8), st.integers(1, 300))
+def test_blocked_spectral_sum_is_the_double_sum(state, block):
+    # any block size, a ragged last block included, gives the plain double sum
+    lam, v = np.linalg.eigh(to_dense(state))
+    gen = PhaseGenerator(state.n)
+    zmat = (v.T @ (gen.diagonal()[:, None] * v)).tolist()
+    p = np.clip(lam, 0.0, None).tolist()
+    expected = 0.0
+    for a in range(len(p)):
+        for b in range(len(p)):
+            if p[a] + p[b] > oracles.SUPPORT_TOL:
+                expected += 2 * (p[a] - p[b]) ** 2 / (p[a] + p[b]) * zmat[a][b] ** 2
+    with mock.patch.object(oracles, "EIGVEC_BLOCK", block):
+        assert qfi_spectral(lam, v, gen) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 # -- family closed form --------------------------------------------------------------
