@@ -10,6 +10,7 @@ are imported on first use, since only those two modules need numpy.
 """
 
 import importlib
+import types
 
 __version__ = "0.1.0"
 
@@ -37,7 +38,6 @@ from .ptranspose import (
     CutStatus,
     QubitSubset,
     cut_classification,
-    omega_set,
     ppt_single_qubit_certificate,
 )
 from .qfi import (
@@ -65,6 +65,10 @@ _LAZY = {
                    "classical_fisher", "get_model", "run_monte_carlo"),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+# a star import reads the lazy names too, so it loads numpy
+__all__ = sorted({name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+                 | set(_LAZY_MODULE))
 
 
 def __getattr__(name):

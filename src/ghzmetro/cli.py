@@ -268,14 +268,21 @@ def cmd_estimate(args):
     return {"run": run.to_json_dict()}, None
 
 
+FIGURE_OPTIONS = {2: ("k", "n_max"), 3: ("a", "n"), 4: ("k", "n")}  # what each figure reads
+
+
 def cmd_figure(args):
+    for option in ("n_max", "k", "a", "n"):
+        if getattr(args, option) is not None and option not in FIGURE_OPTIONS[args.id]:
+            raise DomainError(f"figure {args.id} does not read --{option.replace('_', '-')}")
     exact = args.exact
     if args.id == 2:
         ks = [2, 3] if args.k is None else parse_nonempty(parse_int_list, args.k, "--k")
+        n_max = 200 if args.n_max is None else args.n_max
         header = ["n", "k", "f_q", "n_times_k", "ratio"]
         rows = []
         for k in sorted(ks):
-            for n in range(2 * k + 1, args.n_max + 1):
+            for n in range(2 * k + 1, n_max + 1):
                 rep = family_report(n, k)
                 rows.append([
                     str(n), str(k),
@@ -317,6 +324,8 @@ def cmd_figure(args):
                     format(row.hs_norm_sq, ".17g"),
                     row.verdict,
                 ])
+    if not rows:
+        raise DomainError(f"figure {args.id}: no family member in the requested grid")
     return [",".join(header)] + [",".join(row) for row in rows], None
 
 
@@ -390,7 +399,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="regenerate scan CSVs")
     p.add_argument("--id", type=int, required=True, choices=[2, 3, 4])
-    p.add_argument("--n-max", type=int, default=200, help="figure 2 scan end")
+    p.add_argument("--n-max", type=int, default=None,
+                   help="figure 2 scan end (default 200)")
     p.add_argument("--k", default=None, help='comma list, e.g. "2,3"')
     p.add_argument("--a", default=None, help='comma list, e.g. "1/8,1/4"')
     p.add_argument("--n", default=None, help='range like "8..120"')

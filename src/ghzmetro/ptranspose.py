@@ -10,12 +10,13 @@ exact spectrum
     j = canon(i XOR mask),
 
 without building a matrix.  A cut m:(n-m) is PPT when every size-m subset
-has a nonnegative transposed spectrum.  ``cut_classification`` takes its
-route from the state's type: a ``BandState`` (every family member) is
-invariant under qubit permutations, so all size-m subsets share one
-spectrum and the band rule decides the cut in O(n^2) over the band
-classes; a sparse ``GhzDiagonalState`` has every subset inspected.  Both
-routes are exact.
+has a nonnegative transposed spectrum.  One exact search, ``_first_violation``,
+decides every verdict: each cut size of ``cut_classification`` and the
+single-qubit certificate, which is cut size 1.  It takes its route from the
+state's type: a ``BandState`` (every family member) is invariant under qubit
+permutations, so all size-m subsets share one spectrum and a walk over the
+band classes decides the cut; a sparse ``GhzDiagonalState`` has every subset
+inspected.
 """
 from __future__ import annotations
 
@@ -63,18 +64,6 @@ class QubitSubset:
         return tuple(q for q in range(1, self.n + 1) if self.mask >> (self.n - q) & 1)
 
 
-def omega_set(n: int, j: int) -> frozenset:
-    """Partners of sector j under all single-qubit transpositions.
-
-    The canonicalized set {canon(j XOR e_q) : q = 1..n}; size <= n.
-
-    Complementing all bits but the first coincides, after canonicalization,
-    with flipping the first bit alone, which is why a single XOR sweep covers
-    both single-qubit rules.
-    """
-    return frozenset(canonical_index(j ^ (1 << q), n) for q in range(n))
-
-
 @dataclass(frozen=True)
 class CertificateResult:
     """Outcome of the single-qubit PPT certificate with failure witness."""
@@ -87,18 +76,16 @@ class CertificateResult:
 def ppt_single_qubit_certificate(state: SectorState) -> CertificateResult:
     """Check min_{i in Omega_j} (lambda_i^+ + lambda_i^-) >= |lambda_j^+ - lambda_j^-|.
 
-    Holding for every sector j is equivalent to nonnegativity of the
-    transposed spectrum for every single-qubit subset; the first failing
-    pair (j, i) in ascending j is the witness.  The check depends on j only
-    through its class, and the lowest sector of the lowest failing class is
-    that class's representative, so one walk over the class representatives
-    finds the same pair.
+    Omega_j holds the partners canon(j XOR mask) of sector j over the n
+    single-qubit masks, so the check holding for every j is the cut of size
+    1 being PPT.  The witness of a failure is the lowest violating sector j
+    at the first violating single-qubit mask, paired with its partner there.
     """
-    for j, _, _, d in state.classes():
-        for i in omega_set(state.n, j) if d else ():
-            if state.sector_sum(i) < abs(d):
-                return CertificateResult(False, j, i)
-    return CertificateResult(True)
+    hit = _first_violation(state, 1, _class_table(state))
+    if hit is None:
+        return CertificateResult(True)
+    mask, j = hit
+    return CertificateResult(False, j, canonical_index(j ^ mask, state.n))
 
 
 @dataclass(frozen=True)
@@ -121,43 +108,51 @@ def cut_classification(
     A cut m:(n-m) counts as PPT only when every size-m subset has nonnegative
     transposed spectrum; the first violating subset in ``combinations`` order
     is reported as witness.  Sizes above n//2 mirror their complements and
-    are omitted by default.  No spectrum is built: as i -> canon(i XOR mask)
-    is a bijection, a subset is NPPT exactly when some sector j has
-    s_{canon(j XOR mask)} < |d_j|.  A sparse state has every size-m subset
-    inspected.  A ``BandState`` shares one verdict over all of them, so the
-    first, mask ``(1 << m) - 1``, is the witness, decided by the band rule: a
-    class of popcount a meets that mask in b places, for every b its members
-    allow, and moves to popcount t = a + m - 2b, whose band is min(t, n-t).
+    are omitted by default.
     """
     n = state.n
     sizes = list(cut_sizes) if cut_sizes is not None else list(range(1, n // 2 + 1))
     for m in sizes:
         if not 1 <= m <= n - 1:
             raise DomainError(f"cut size {m} outside 1..{n - 1}")
-    coherent = [(j, abs(d)) for j, _, _, d in state.classes() if d]
-
-    def band_nppt(m: int) -> bool:
-        for j, bound in coherent:
-            a = j.bit_count()
-            # class members keep bit n-1 clear, so at most n-1-m ones miss the mask
-            for b in range(max(0, a + m - n + 1), min(a, m) + 1):
-                if state.sector_sum((1 << (a + m - 2 * b)) - 1) < bound:
-                    return True
-        return False
-
-    def sparse_nppt(mask: int) -> bool:
-        return any(state.sector_sum(canonical_index(j ^ mask, n)) < bound
-                   for j, bound in coherent)
-
+    table = _class_table(state)
     out: List[CutStatus] = []
     for m in sizes:
-        if isinstance(state, BandState):
-            witness = (1 << m) - 1 if band_nppt(m) else None
-        else:
-            masks = (sum(1 << p for p in pos) for pos in combinations(range(n), m))
-            witness = next((mask for mask in masks if sparse_nppt(mask)), None)
-        if witness is None:
-            out.append(CutStatus(m, "PPT"))
-        else:
-            out.append(CutStatus(m, "NPPT", witness))
+        hit = _first_violation(state, m, table)
+        out.append(CutStatus(m, "PPT") if hit is None else CutStatus(m, "NPPT", hit[0]))
     return out
+
+
+def _class_table(state: SectorState) -> dict:
+    """{representative: (s, |d|)} over ``classes()``, ascending, read once per call."""
+    return {j: (s, abs(d)) for j, _, s, d in state.classes()}
+
+
+def _first_violation(state: SectorState, m: int, table: dict) -> Optional[Tuple[int, int]]:
+    """``(mask, j)``: the first NPPT size-m mask in ``combinations`` order and
+    the lowest sector j there with s_{canon(j XOR mask)} < |d_j|; None if the
+    cut is PPT.
+
+    No spectrum is built: as i -> canon(i XOR mask) is a bijection, a mask is
+    NPPT exactly when such a j exists.  A sparse state has every size-m mask
+    inspected.  A ``BandState`` shares one verdict over all of them, so the
+    first, ``(1 << m) - 1``, is the witness.  A sector with r ones outside
+    that mask and b inside sits in class r + b and moves to popcount
+    r + m - b, whose band decides it; walking (r, b) in ascending order meets
+    the lowest violating sector, ``(1 << b) - 1 | ((1 << r) - 1) << m``, first.
+    """
+    n, empty = state.n, (0, 0)
+    if isinstance(state, BandState):
+        for r in range(n - m):  # a representative keeps bit n-1 clear
+            for b in range(m + 1):
+                bound = table.get((1 << (r + b)) - 1, empty)[1]
+                if bound and table.get((1 << (r + m - b)) - 1, empty)[0] < bound:
+                    return (1 << m) - 1, (1 << b) - 1 | ((1 << r) - 1) << m
+        return None
+    coherent = [(j, bound) for j, (_, bound) in table.items() if bound]
+    for pos in combinations(range(n), m):
+        mask = sum(1 << p for p in pos)
+        for j, bound in coherent:
+            if table.get(canonical_index(j ^ mask, n), empty)[0] < bound:
+                return mask, j
+    return None

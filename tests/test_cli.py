@@ -81,6 +81,17 @@ def test_state_domain_error_exit_code(capsys):
     ("figure", "--id", "3", "--a", ","),
     ("figure", "--id", "2", "--k", ""),
     ("ppt", "--n", "6", "--k", "2", "--cuts", ","),
+    # list options the figure does not read
+    ("figure", "--id", "2", "--n-max", "6", "--n", "10..4", "--a", ","),
+    ("figure", "--id", "2", "--n", "4..8"),
+    ("figure", "--id", "2", "--a", "1/4"),
+    ("figure", "--id", "3", "--k", "2"),
+    ("figure", "--id", "3", "--n-max", "10"),
+    ("figure", "--id", "4", "--a", "1/4"),
+    ("figure", "--id", "4", "--n-max", "10"),
+    # grids that hold no family member
+    ("figure", "--id", "4", "--n", "4..5", "--k", "3"),
+    ("figure", "--id", "2", "--k", "5", "--n-max", "10"),
 ])
 def test_malformed_option_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

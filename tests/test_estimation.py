@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from ghzmetro import (
     DomainError,
     FisherSingularityError,
-    GhzDiagonalState,
     GlobalParity,
     LikelihoodDegeneracyError,
     SectorParity,
@@ -217,16 +216,16 @@ def test_run_reproducible():
 def test_run_reads_state_tables_once(monkeypatch, model_name):
     state = build_rho_nk(6, 2)
     calls = []
-    support = GhzDiagonalState.support
+    support = type(state).support
 
     def counted(self):
         calls.append(1)
         return support(self)
 
-    monkeypatch.setattr(GhzDiagonalState, "support", counted)
+    monkeypatch.setattr(type(state), "support", counted)
     run_monte_carlo(state, theta_true=0.2, model=model_name, shots=1000,
                     repetitions=3, seed=5)
-    assert len(calls) <= 5  # not once per likelihood evaluation
+    assert 1 <= len(calls) <= 5  # not once per likelihood evaluation
 
 
 def test_run_tracks_cramer_rao():

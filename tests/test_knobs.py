@@ -7,7 +7,11 @@ it is added to ``EXPORTS``, so a name that only tests call is a visible edit.
 """
 import importlib
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import ghzmetro
@@ -40,7 +44,7 @@ EXPORTS = {
     "build_rho_nkm", "canonical_index", "ghz_state", "maximally_mixed_state",
     "min_ones", "weight",
     # ptranspose
-    "CutStatus", "QubitSubset", "cut_classification", "omega_set",
+    "CutStatus", "QubitSubset", "cut_classification",
     "ppt_single_qubit_certificate",
     # qfi
     "QfiReport", "family_report", "qfi_closed_nk", "qfi_ghz_diagonal",
@@ -101,7 +105,18 @@ def test_package_exports_are_pinned():
     exported = {name for name in dir(ghzmetro)
                 if not name.startswith("_") and not inspect.ismodule(getattr(ghzmetro, name))}
     assert exported == EXPORTS
+    assert set(ghzmetro.__all__) == EXPORTS
     for module in ("oracles", "estimation"):
         defined = importlib.import_module(f"ghzmetro.{module}")
         for name in ghzmetro._LAZY[module]:
             assert getattr(ghzmetro, name) is getattr(defined, name), name
+
+
+def test_star_import_binds_every_export():
+    # a new interpreter, where no lazy module is loaded yet
+    probe = "import json\nfrom ghzmetro import *\nprint(json.dumps(dir()))"
+    src = str(Path(ghzmetro.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert EXPORTS <= set(json.loads(out))

@@ -20,13 +20,12 @@ from ghzmetro import (
     cut_classification,
     ghz_state,
     maximally_mixed_state,
-    min_ones,
-    omega_set,
     ppt_single_qubit_certificate,
     pt_dense_oracle,
     pt_spectrum,
     to_dense,
 )
+from ghzmetro.ptranspose import _class_table, _first_violation
 from conftest import (
     as_sparse,
     family_grid,
@@ -77,32 +76,6 @@ def test_subset_validation():
         QubitSubset.from_qubits(4, [5])
     assert QubitSubset.from_qubits(4, [1, 4]).mask == 0b1001
     assert QubitSubset(4, 0b1001).qubits == (1, 4)
-
-
-# -- omega sets -----------------------------------------------------------------
-
-def test_omega_examples():
-    assert omega_set(4, 0) == frozenset({7, 4, 2, 1})
-    assert omega_set(4, 7) == frozenset({0, 3, 5, 6})
-
-
-def test_omega_band_steps():
-    # members sit one band away, except at the top band of odd n where the
-    # complement fold lands back on the same band
-    for n in range(2, 11):
-        for j in range(1 << (n - 1)):
-            t = min_ones(n, j)
-            allowed = {t - 1, t + 1}
-            if n == 2 * t + 1:
-                allowed.add(t)
-            for i in omega_set(n, j):
-                assert min_ones(n, i) in allowed
-
-
-def test_omega_size_bound():
-    for n in range(2, 9):
-        for j in range(1 << (n - 1)):
-            assert 1 <= len(omega_set(n, j)) <= n
 
 
 # -- spectra ----------------------------------------------------------------------
@@ -180,10 +153,11 @@ def test_family_certificate_holds(n, k):
 
 
 def test_ghz_certificate_fails_with_witness():
-    for n in (2, 3, 5):
+    # the coherence of sector 0 meets the empty sector 1 at the first mask
+    for n in (2, 3, 5, 7, 8):
         result = ppt_single_qubit_certificate(ghz_state(n))
         assert not result.holds
-        assert result.witness_j == 0
+        assert (result.witness_j, result.witness_i) == (0, 1)
 
 
 def test_uniform_state_certificate_holds():
@@ -316,13 +290,20 @@ def band_symmetric_states(draw, max_n=7):
 @given(band_symmetric_states())
 def test_band_symmetric_route_matches_exhaustive(state):
     assert_matches_exhaustive(state, sizes=range(1, state.n))
+    # the (r, b) walk meets the lowest violating sector that the scan of the
+    # same state, listed sector by sector, finds at the same mask
+    sparse = as_sparse(state)
+    for m in range(1, state.n):
+        assert (_first_violation(state, m, _class_table(state))
+                == _first_violation(sparse, m, _class_table(sparse))), m
+    assert ppt_single_qubit_certificate(state) == ppt_single_qubit_certificate(sparse)
 
 
 @pytest.mark.parametrize("n,k,m", [(13, 6, 0), (14, 3, 1), (15, 2, 2), (16, 4, 0)])
 def test_band_cut_verdicts_match_spectra_beyond_twelve_qubits(n, k, m):
     # a band state shares one spectrum over the subsets of a size, so the
     # exact spectrum of the first subset decides each cut independently of
-    # the band rule; the members cover an odd boundary, widths 1 and 2 and
+    # the band walk; the members cover an odd boundary, widths 1 and 2 and
     # an even m = 0 member
     state = build_rho_nkm(n, k, m)
     sparse = as_sparse(state)
@@ -343,13 +324,13 @@ def test_asymmetric_state_is_scanned_past_the_first_subset():
 
 
 def range_walk_certificate(state):
-    """Single-qubit certificate witness found by walking every representative."""
-    for j in range(1 << (state.n - 1)):
-        bound = abs(state.sector_diff(j))
-        if bound == 0:
-            continue
-        for i in omega_set(state.n, j):
-            if state.sector_sum(i) < bound:
+    """Single-qubit certificate witness found by walking the single-qubit
+    masks in ``combinations`` order, then every representative at each."""
+    n = state.n
+    for q in range(n):
+        for j in range(1 << (n - 1)):
+            i = canonical_index(j ^ (1 << q), n)
+            if state.sector_sum(i) < abs(state.sector_diff(j)):
                 return j, i
     return None, None
 
