@@ -65,10 +65,10 @@ class _FringeModel:
         # a sparse state holds dicts, so states are compared by identity, not
         # hashed; holding it keeps its id from being reused by another state
         if self._state is not state:
-            support = list(state.support())
-            s = np.array([float(state.sector_sum(i)) for i in support])
-            d = np.array([float(state.sector_diff(i)) for i in support])
-            w, col = np.unique([weight(state.n, i) for i in support],
+            rows = list(state.sectors())
+            s = np.array([float(lp + lm) for _, lp, lm in rows])
+            d = np.array([float(lp - lm) for _, lp, lm in rows])
+            w, col = np.unique([weight(state.n, i) for i, _, _ in rows],
                                return_inverse=True)
             base, coef = self._rows(s, np.eye(len(w))[col] * d[:, None])
             self._state, self._cached = state, (base, coef, w.astype(float))
@@ -137,7 +137,6 @@ def classical_fisher(state: SectorState, theta: float, model) -> float:
 class EstimationRun:
     """Seeded Monte Carlo estimation record with its Cramer-Rao comparison."""
 
-    state_params: dict
     model: str
     theta_true: float
     shots: int
@@ -217,7 +216,6 @@ def run_monte_carlo(
     repetitions: int,
     seed: int,
     bracket_halfwidth: Optional[float] = None,
-    state_params: Optional[dict] = None,
 ) -> EstimationRun:
     """Repeatedly sample ``shots`` outcomes and estimate theta by bracketed MLE.
 
@@ -228,7 +226,8 @@ def run_monte_carlo(
     likelihood develops mirror maxima (reported, never silently resolved).
     A bracket that is empty in floating point (zero or negative width, or
     one too narrow to change theta_true) would return theta_true itself as
-    every estimate, so it is refused.
+    every estimate, so it is refused.  A state whose populated sectors all
+    have weight 0 does not turn under U(theta), so it is refused too.
     """
     if not 100 <= shots <= np.iinfo(np.int64).max:  # the multinomial draws int64
         raise DomainError(f"need 100 <= shots <= 2^63 - 1, got {shots}")
@@ -236,7 +235,10 @@ def run_monte_carlo(
         raise DomainError("need at least one repetition")
     if isinstance(model, str):
         model = get_model(model)
-    w_max = max(abs(weight(state.n, i)) for i in state.support())
+    w_max = max(abs(weight(state.n, rep)) for rep, _, _, _ in state.classes())
+    if w_max == 0:
+        raise DomainError("every populated sector has weight 0, so the state "
+                          "carries no phase information")
     if bracket_halfwidth is None:
         bracket_halfwidth = np.pi / (4.0 * w_max)
     bracket = (theta_true - bracket_halfwidth, theta_true + bracket_halfwidth)
@@ -263,7 +265,6 @@ def run_monte_carlo(
             f"measurement carries no phase information at theta = {theta_true}"
         )
     return EstimationRun(
-        state_params=state_params or {"n": state.n},
         model=model.name,
         theta_true=float(theta_true),
         shots=shots,

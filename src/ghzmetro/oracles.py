@@ -46,9 +46,9 @@ def to_dense(state: SectorState) -> np.ndarray:
     _check_size("dense computation", state.n, DENSE_LIMIT)
     dim = 1 << state.n
     rho = np.zeros((dim, dim))
-    for i in range(1 << (state.n - 1)):
-        s = float(state.sector_sum(i)) / 2.0
-        d = float(state.sector_diff(i)) / 2.0
+    for i, lp, lm in state.sectors():
+        s = float(lp + lm) / 2.0
+        d = float(lp - lm) / 2.0
         j = dim - 1 - i
         rho[i, i] = s
         rho[j, j] = s
@@ -149,11 +149,13 @@ def pt_spectrum(state: SectorState, subset: QubitSubset) -> PtSpectrum:
     if subset.n != state.n:
         raise DomainError("subset size does not match state")
     _check_size("listing the sectors one by one", state.n, SECTOR_LIST_LIMIT)
+    rows = {i: (lp + lm, lp - lm) for i, lp, lm in state.sectors()}
+    empty = (Fraction(0), Fraction(0))
     pairs: Dict[int, Tuple[Fraction, Fraction]] = {}
     for i in range(1 << (state.n - 1)):
         j = canonical_index(i ^ subset.mask, state.n)
-        s = state.sector_sum(i)
-        d = state.sector_diff(j)
+        s = rows.get(i, empty)[0]
+        d = rows.get(j, empty)[1]
         pairs[i] = ((s + d) / 2, (s - d) / 2)
     return PtSpectrum(subset, pairs)
 
@@ -187,7 +189,7 @@ PAULI = {
 def hs_norm_sq_exact(state: SectorState) -> Fraction:
     """Hilbert-Schmidt square by the exact 2^n-mask scan; oracle for ``hs_norm_sq``."""
     _check_size("exact mask scan", state.n, DENSE_LIMIT)
-    support = [(i, c) for i in state.support() if (c := state.sector_diff(i))]
+    support = [(i, c) for i, lp, lm in state.sectors() if (c := lp - lm)]
     total = Fraction(0)
     for y in range(1 << state.n):
         if y.bit_count() & 1:

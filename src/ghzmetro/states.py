@@ -14,12 +14,13 @@ pattern of a representative starts with 0); ``2**n - 1 - i`` labels the
 same two-dimensional sector.  ``GhzDiagonalState`` stores a sparse sector
 table; ``BandState`` stores one weight pair per band, O(n), and holds every
 family member.  Formulas read either through ``classes()``, so they run on
-the band classes at any n.  All eigenvalues are exact rationals, so
+the band classes at any n; ``sectors()`` lists the populated sectors one by
+one.  All eigenvalues are exact rationals, so
 normalization and every closed-form quantity downstream are tolerance-free.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterator, Mapping, Tuple
@@ -73,12 +74,13 @@ def _as_fraction(x) -> Fraction:
 
 
 class SectorState:
-    """Reads shared by both state types, written once over what each supplies:
-    ``lam_plus(i)``/``lam_minus(i)``, the ascending ``support()`` of populated
-    sectors and ``classes()``, rows ``(representative, multiplicity, s, d)``
-    in ascending representative order that cover the support.  The sectors
-    of a row are related by a qubit permutation, share s and d, and the
-    representative is the lowest of them.
+    """Reads shared by both state types, written once over the two that each
+    supplies.  ``sectors()`` yields rows ``(i, lambda_i^+, lambda_i^-)`` of the
+    populated sectors in ascending i.  ``classes()`` yields rows
+    ``(representative, multiplicity, s, d)`` in ascending representative
+    order that cover the same sectors.  The sectors of a class are related by
+    a qubit permutation, share s = lambda^+ + lambda^- and d = lambda^+ -
+    lambda^-, and the representative is the lowest of them.
     """
 
     def __post_init__(self):
@@ -89,20 +91,11 @@ class SectorState:
         if total != 1:
             raise DomainError(f"eigenvalues must sum to 1 exactly, got {total}")
 
-    def sector_sum(self, i: int) -> Fraction:
-        """lambda_i^+ + lambda_i^-: twice the diagonal entry of sector i."""
-        return self.lam_plus(i) + self.lam_minus(i)
-
-    def sector_diff(self, i: int) -> Fraction:
-        """lambda_i^+ - lambda_i^-: twice the antidiagonal entry of sector i."""
-        return self.lam_plus(i) - self.lam_minus(i)
-
     def trace(self) -> Fraction:
         return sum((mult * s for _, mult, s, _ in self.classes()), Fraction(0))
 
     def to_json_dict(self) -> dict:
-        entries = [{"i": i, "lp": str(self.lam_plus(i)), "lm": str(self.lam_minus(i))}
-                   for i in self.support()]
+        entries = [{"i": i, "lp": str(lp), "lm": str(lm)} for i, lp, lm in self.sectors()]
         return {"n": self.n, "entries": entries}
 
 
@@ -117,8 +110,8 @@ class GhzDiagonalState(SectorState):
     """
 
     n: int
-    lambda_plus: Mapping[int, Fraction] = field(default_factory=dict)
-    lambda_minus: Mapping[int, Fraction] = field(default_factory=dict)
+    lambda_plus: Mapping[int, Fraction]
+    lambda_minus: Mapping[int, Fraction]
 
     def _normalize(self) -> None:
         for name in ("lambda_plus", "lambda_minus"):
@@ -130,25 +123,20 @@ class GhzDiagonalState(SectorState):
             # canonical sparse storage: zero entries and missing entries coincide
             object.__setattr__(self, name, {i: v for i, v in table.items() if v})
 
-    def lam_plus(self, i: int) -> Fraction:
-        _check_representative(i, self.n)
-        return self.lambda_plus.get(i, Fraction(0))
+    def sectors(self) -> Iterator[Tuple[int, Fraction, Fraction]]:
+        """Rows ``(i, lambda_i^+, lambda_i^-)`` of the populated sectors, ascending i.
 
-    def lam_minus(self, i: int) -> Fraction:
-        _check_representative(i, self.n)
-        return self.lambda_minus.get(i, Fraction(0))
-
-    def support(self) -> Iterator[int]:
-        """Representatives with nonzero sector weight, ascending.
-
-        Stored entries are nonzero and nonnegative, so these are exactly the
-        keys of the two tables; the walk costs O(support), not O(2^(n-1)).
+        Stored entries are nonzero and nonnegative, so the populated sectors
+        are exactly the keys of the two tables; the walk costs O(support),
+        not O(2^(n-1)).
         """
-        return iter(sorted(self.lambda_plus.keys() | self.lambda_minus.keys()))
+        zero = Fraction(0)
+        for i in sorted(self.lambda_plus.keys() | self.lambda_minus.keys()):
+            yield i, self.lambda_plus.get(i, zero), self.lambda_minus.get(i, zero)
 
     def classes(self) -> Iterator[Tuple[int, int, Fraction, Fraction]]:
-        for i in self.support():
-            yield i, 1, self.sector_sum(i), self.sector_diff(i)
+        for i, lp, lm in self.sectors():
+            yield i, 1, lp + lm, lp - lm
 
 
 SECTOR_LIST_LIMIT = 20  # qubit cap of listing a band state's sectors one by one
@@ -163,7 +151,7 @@ class BandState(SectorState):
     so the state is invariant under all of them.  Its classes are the
     popcounts c < n of the representatives: representative ``(1 << c) - 1``,
     multiplicity C(n-1, c), band min(c, n-c).  Every family member is stored
-    this way, and only ``support()`` lists sectors one by one.
+    this way, and only ``sectors()`` lists sectors one by one.
     """
 
     n: int
@@ -180,19 +168,16 @@ class BandState(SectorState):
                 raise DomainError(f"negative eigenvalue {min(table)} in {name}")
             object.__setattr__(self, name, table)
 
-    def lam_plus(self, i: int) -> Fraction:
-        return self.plus[min_ones(self.n, i)]
-
-    def lam_minus(self, i: int) -> Fraction:
-        return self.minus[min_ones(self.n, i)]
-
-    def support(self) -> Iterator[int]:
-        """Populated representatives, ascending; refused above ``SECTOR_LIST_LIMIT``
-        qubits before anything is listed."""
+    def sectors(self) -> Iterator[Tuple[int, Fraction, Fraction]]:
+        """Rows ``(i, lambda_i^+, lambda_i^-)`` of the populated sectors, ascending
+        i, each looked up by its popcount's class.  Refused above ``SECTOR_LIST_LIMIT``
+        qubits when called, before any row is listed."""
         if self.n > SECTOR_LIST_LIMIT:
             raise SizeLimitError(f"listing the sectors one by one needs "
                                  f"n <= {SECTOR_LIST_LIMIT}, got n = {self.n}")
-        return (i for i in range(1 << (self.n - 1)) if self.sector_sum(i))
+        rows = {rep.bit_count(): ((s + d) / 2, (s - d) / 2) for rep, _, s, d in self.classes()}
+        return ((i, *rows[c]) for i in range(1 << (self.n - 1))
+                if (c := i.bit_count()) in rows)
 
     def classes(self) -> Iterator[Tuple[int, int, Fraction, Fraction]]:
         for c in range(self.n):

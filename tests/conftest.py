@@ -30,9 +30,9 @@ def random_state_strategy(min_n=2, max_n=5):
 
 def as_sparse(state):
     """The same state as a sparse ``GhzDiagonalState``, sector by sector."""
-    support = list(state.support())
-    return GhzDiagonalState(state.n, {i: state.lam_plus(i) for i in support},
-                            {i: state.lam_minus(i) for i in support})
+    rows = list(state.sectors())
+    return GhzDiagonalState(state.n, {i: lp for i, lp, _ in rows},
+                            {i: lm for i, _, lm in rows})
 
 
 def family_members(n_max, n_min=2):

@@ -75,13 +75,14 @@ def test_c1_exact_instance():
     state = build_rho_nk(4, 2)
     lam = Fraction(1, 11)
     # full weight on the even projector for every band < 2 sector
-    assert {i for i in state.support() if state.lam_minus(i) == 0} == {0, 1, 2, 4, 7}
+    rows = {i: (lp, lm) for i, lp, lm in state.sectors()}
+    assert {i for i, (_, lm) in rows.items() if lm == 0} == {0, 1, 2, 4, 7}
     for i in (0, 1, 2, 4, 7):
-        assert state.lam_plus(i) == lam
+        assert rows[i][0] == lam
     # band-2 sectors are balanced; each merges its two member strings'
     # half-weights lam/2 + lam/2, which is what closes the trace at 1
     for i in (3, 5, 6):
-        assert state.lam_plus(i) == state.lam_minus(i) == lam
+        assert rows[i][0] == rows[i][1] == lam
     assert state.trace() == 1
 
     f_closed = qfi_closed_nk(4, 2)

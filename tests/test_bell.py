@@ -37,8 +37,8 @@ def structure_rule(state, axes):
     y = y_mask.bit_count()
     if y & 1:
         return Fraction(0)
-    total = sum((-state.sector_diff(i) if (y_mask & i).bit_count() & 1
-                 else state.sector_diff(i) for i in state.support()), Fraction(0))
+    total = sum((lm - lp if (y_mask & i).bit_count() & 1 else lp - lm
+                 for i, lp, lm in state.sectors()), Fraction(0))
     return -total if (y // 2) & 1 else total
 
 

@@ -232,6 +232,19 @@ def test_bell_row(capsys):
     assert fields[5] == "neither"
 
 
+def test_bell_oracle_deviation_goes_to_stderr(capsys):
+    # n = 8 is checked by the exact mask scan; the CSV body keeps its two rows
+    code, out, err = run(capsys, "bell", "--n", "8", "--k", "2", "--oracle",
+                         "--no-timestamp")
+    assert code == 0
+    _, header, row = out.splitlines()
+    assert header == "n,k,f_q,f_q_over_n,hs_norm_sq,verdict"
+    assert row.startswith("8,2,")
+    label, value = err.strip().split(" = ")
+    assert label == "oracle max deviation"
+    assert float(value) <= 1e-9
+
+
 def test_bell_runs_at_n17(capsys):
     code, out, _ = run(capsys, "bell", "--n", "17", "--k", "2", "--no-timestamp")
     assert code == 0
@@ -273,6 +286,7 @@ def test_estimate_reproducible_bytes(capsys):
     assert out_a == out_b
     payload = json.loads(out_a)
     assert payload["run"]["seed"] == 42
+    assert payload["run"]["state_params"] == {"n": 4, "k": 2, "m": None}
     assert len(payload["run"]["estimates"]) == 4
 
 

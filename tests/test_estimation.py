@@ -1,4 +1,6 @@
 """Phase evolution, measurement models, classical Fisher, Monte Carlo runs."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ghzmetro import (
     DomainError,
     FisherSingularityError,
+    GhzDiagonalState,
     GlobalParity,
     LikelihoodDegeneracyError,
     SectorParity,
@@ -17,6 +20,7 @@ from ghzmetro import (
     run_monte_carlo,
     weight,
 )
+from ghzmetro import estimation
 from ghzmetro.estimation import _mle
 from conftest import evolve_dense, ghz_vector, random_state_strategy
 
@@ -28,9 +32,9 @@ FD_STEP = 1e-5  # central finite-difference step of the Fisher cross-check
 def test_evolve_zero_phase_identity():
     state = build_rho_nk(4, 2)
     rho_t = evolve_dense(state, 0.0)
-    for i in state.support():
-        assert rho_t[i, 15 - i] == pytest.approx(float(state.sector_diff(i)) / 2)
-        assert rho_t[i, i] == pytest.approx(float(state.sector_sum(i)) / 2)
+    for i, lp, lm in state.sectors():
+        assert rho_t[i, 15 - i] == pytest.approx(float(lp - lm) / 2)
+        assert rho_t[i, i] == pytest.approx(float(lp + lm) / 2)
 
 
 def test_evolve_ghz_half_period():
@@ -46,11 +50,11 @@ def test_evolve_matches_dense_conjugation(state, theta):
     # entry of sector i turns at speed w_i
     dim = 1 << state.n
     expected = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim // 2):
+    for i, lp, lm in state.sectors():
         j = dim - 1 - i
-        expected[i, i] = expected[j, j] = float(state.sector_sum(i)) / 2
+        expected[i, i] = expected[j, j] = float(lp + lm) / 2
         phase = np.exp(-1j * theta * weight(state.n, i))
-        coherence = float(state.sector_diff(i)) / 2 * phase
+        coherence = float(lp - lm) / 2 * phase
         expected[i, j], expected[j, i] = coherence, np.conj(coherence)
     got = evolve_dense(state, theta)
     assert np.max(np.abs(expected - got)) < 1e-12
@@ -60,7 +64,7 @@ def test_evolve_matches_dense_conjugation(state, theta):
 
 def sector_outcomes(state):
     """Labels of the sector-parity rows: (i, +1) and (i, -1) per populated sector."""
-    return [(i, s) for i in state.support() for s in (+1, -1)]
+    return [(i, s) for i, _, _ in state.sectors() for s in (+1, -1)]
 
 
 def test_ghz_parity_fringe():
@@ -75,8 +79,9 @@ def test_sector_parity_at_zero_phase():
     state = build_rho_nk(4, 2)
     model = SectorParity()
     p = model.probabilities(state, 0.0)
+    rows = {i: (lp, lm) for i, lp, lm in state.sectors()}
     for (i, sign), prob in zip(sector_outcomes(state), p):
-        expected = state.lam_plus(i) if sign > 0 else state.lam_minus(i)
+        expected = rows[i][0] if sign > 0 else rows[i][1]
         assert prob == pytest.approx(float(expected))
 
 
@@ -171,7 +176,7 @@ def test_sector_parity_saturates_sector_term():
     contrib = sum(
         d * d / v for (o, _), v, d in zip(sector_outcomes(state), p, dp) if o == i0
     )
-    s, d = state.sector_sum(i0), state.sector_diff(i0)
+    s, d = next((lp + lm, lp - lm) for i, lp, lm in state.sectors() if i == i0)
     expected = float(weight(4, i0) ** 2 * d * d / s)
     assert contrib == pytest.approx(expected, abs=1e-12)
 
@@ -216,13 +221,13 @@ def test_run_reproducible():
 def test_run_reads_state_tables_once(monkeypatch, model_name):
     state = build_rho_nk(6, 2)
     calls = []
-    support = type(state).support
+    sectors = type(state).sectors
 
     def counted(self):
         calls.append(1)
-        return support(self)
+        return sectors(self)
 
-    monkeypatch.setattr(type(state), "support", counted)
+    monkeypatch.setattr(type(state), "sectors", counted)
     run_monte_carlo(state, theta_true=0.2, model=model_name, shots=1000,
                     repetitions=3, seed=5)
     assert 1 <= len(calls) <= 5  # not once per likelihood evaluation
@@ -291,13 +296,29 @@ def test_run_validates_inputs():
                             repetitions=2, seed=0, bracket_halfwidth=halfwidth)
 
 
+@pytest.mark.parametrize("state", [
+    GhzDiagonalState(2, {1: 1}, {}),
+    GhzDiagonalState(4, {3: Fraction(1, 2)}, {3: Fraction(1, 2)}),
+], ids=["pure", "balanced"])
+def test_run_refuses_state_without_phase_speed(monkeypatch, state):
+    # every populated sector has weight 0: pi/(4 w_max) has no w_max to divide
+    # by, and with a given bracket the run would sample a flat likelihood
+    def no_sampling(seed, stream):
+        raise AssertionError("sampled a phase-invariant state")
+
+    monkeypatch.setattr(estimation, "_rng", no_sampling)
+    for halfwidth in (None, 0.1):
+        with pytest.raises(DomainError, match="weight 0"):
+            run_monte_carlo(state, 0.3, "global-parity", shots=1000, repetitions=2,
+                            seed=0, bracket_halfwidth=halfwidth)
+
+
 def test_run_json_fields():
     run = run_monte_carlo(
         build_rho_nk(4, 2), theta_true=0.4, model="sector-parity",
-        shots=500, repetitions=3, seed=1, state_params={"n": 4, "k": 2},
+        shots=500, repetitions=3, seed=1,
     )
     blob = run.to_json_dict()
     assert blob["rng_algorithm"] == "philox4x64"
-    assert blob["state_params"] == {"n": 4, "k": 2}
     assert len(blob["estimates"]) == 3
     assert blob["fisher_quantum"] == pytest.approx(32 / 11)

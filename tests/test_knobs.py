@@ -3,7 +3,9 @@
 A new defaulted parameter (an option a caller may leave out) or an
 environment variable read by the package fails this test until it is
 added to ``PINNED`` on purpose.  Likewise a new package export fails until
-it is added to ``EXPORTS``, so a name that only tests call is a visible edit.
+it is added to ``EXPORTS``, so a name that only tests call is a visible edit,
+and a new public method of a state type fails until it is added to
+``STATE_METHODS``.
 """
 import importlib
 import inspect
@@ -20,7 +22,6 @@ LIBRARY_MODULES = ("states", "qfi", "ptranspose", "bell", "oracles", "estimation
 
 PINNED = {
     "estimation.run_monte_carlo(bracket_halfwidth)",
-    "estimation.run_monte_carlo(state_params)",
     "ptranspose.CertificateResult.__init__(witness_i)",
     "ptranspose.CertificateResult.__init__(witness_j)",
     "ptranspose.CutStatus.__init__(witness_mask)",
@@ -33,8 +34,6 @@ PINNED = {
     "qfi.family_report(a)",
     "qfi.family_report(m)",
     "qfi.qfi_closed_nk(m)",
-    "states.GhzDiagonalState.__init__(lambda_minus)",
-    "states.GhzDiagonalState.__init__(lambda_plus)",
     "states._check_family(m)",
 }
 
@@ -62,6 +61,9 @@ EXPORTS = {
     "CrossCheckError", "DomainError", "FisherSingularityError", "GhzmetroError",
     "LikelihoodDegeneracyError", "SizeLimitError",
 }
+
+# both state types are read through classes() and the one sector walk sectors()
+STATE_METHODS = {"classes", "sectors", "to_json_dict", "trace"}
 
 
 def defaulted_parameters(module_name):
@@ -110,6 +112,13 @@ def test_package_exports_are_pinned():
         defined = importlib.import_module(f"ghzmetro.{module}")
         for name in ghzmetro._LAZY[module]:
             assert getattr(ghzmetro, name) is getattr(defined, name), name
+
+
+def test_state_methods_are_pinned():
+    for cls in (ghzmetro.GhzDiagonalState, ghzmetro.BandState):
+        public = {name for name, _ in inspect.getmembers(cls, inspect.isfunction)
+                  if not name.startswith("_")}
+        assert public == STATE_METHODS, cls.__name__
 
 
 def test_star_import_binds_every_export():

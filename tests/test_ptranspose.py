@@ -327,10 +327,11 @@ def range_walk_certificate(state):
     """Single-qubit certificate witness found by walking the single-qubit
     masks in ``combinations`` order, then every representative at each."""
     n = state.n
+    rows = {i: (lp + lm, lp - lm) for i, lp, lm in state.sectors()}
     for q in range(n):
         for j in range(1 << (n - 1)):
             i = canonical_index(j ^ (1 << q), n)
-            if state.sector_sum(i) < abs(state.sector_diff(j)):
+            if rows.get(i, (0, 0))[0] < abs(rows.get(j, (0, 0))[1]):
                 return j, i
     return None, None
 

@@ -115,34 +115,35 @@ def test_binom_normalizer_big_n():
 def test_rho_42_table():
     state = build_rho_nk(4, 2)
     lam = Fraction(1, 11)
+    rows = {i: (lp, lm) for i, lp, lm in state.sectors()}
     # band < 2 sectors carry the full weight on the even projector
     for i in (0, 1, 2, 4, 7):
-        assert state.lam_plus(i) == lam
-        assert state.lam_minus(i) == 0
+        assert rows[i][0] == lam
+        assert rows[i][1] == 0
     # band-2 sectors merge the two member strings' mixed weight (2k == n)
     for i in (3, 5, 6):
-        assert state.lam_plus(i) == lam
-        assert state.lam_minus(i) == lam
+        assert rows[i][0] == lam
+        assert rows[i][1] == lam
     assert state.trace() == 1
 
 
 def test_rho_62_counts():
     state = build_rho_nk(6, 2)
     lam = Fraction(1, 22)
-    pure = [i for i in state.support() if state.lam_minus(i) == 0]
-    mixed = [i for i in state.support() if state.lam_minus(i) == state.lam_plus(i) > 0]
+    pure = [lp for _, lp, lm in state.sectors() if lm == 0]
+    mixed = [lp for _, lp, lm in state.sectors() if lm == lp > 0]
     assert len(pure) == 7  # 1 + 6
     assert len(mixed) == 15  # C(6, 2)
-    assert all(state.lam_plus(i) == lam for i in pure)
-    assert all(state.lam_plus(i) == lam / 2 for i in mixed)
+    assert all(lp == lam for lp in pure)
+    assert all(lp == lam / 2 for lp in mixed)
 
 
 @pytest.mark.parametrize("n,k", list(family_grid(12)))
 def test_family_counts_and_trace(n, k):
     state = build_rho_nk(n, k)
     assert state.trace() == 1
-    pure = sum(1 for i in state.support() if state.lam_minus(i) == 0)
-    mixed = sum(1 for i in state.support() if state.lam_minus(i) > 0)
+    pure = sum(1 for _, _, lm in state.sectors() if lm == 0)
+    mixed = sum(1 for _, _, lm in state.sectors() if lm > 0)
     assert pure == sum(comb(n, j) for j in range(k))
     assert mixed == (comb(n, k) // 2 if 2 * k == n else comb(n, k))
 
@@ -166,13 +167,14 @@ def test_rho_nkm_zero_width_reduces():
 def test_rho_821():
     state = build_rho_nkm(8, 2, 1)
     lam = Fraction(1, 93)  # 1 + 8 + 28 + 56
-    assert state.lam_plus(0) == lam
+    rows = list(state.sectors())
+    assert rows[0][:2] == (0, lam)
     assert state.trace() == 1
     # bands 2 and 3 both mixed at lam/2
-    for i in state.support():
+    for i, lp, lm in rows:
         band = min_ones(8, i)
         if band >= 2:
-            assert state.lam_plus(i) == state.lam_minus(i) == lam / 2
+            assert lp == lm == lam / 2
 
 
 def test_rho_nkm_trace_exact_grid():
@@ -192,25 +194,37 @@ def test_rho_nkm_boundary_band_doubles():
     state = build_rho_nkm(6, 1, 2)
     lam = Fraction(1, 42)
     assert state.trace() == 1
-    top = [i for i in state.support() if min_ones(6, i) == 3]
+    top = [lp for i, lp, _ in state.sectors() if min_ones(6, i) == 3]
     assert len(top) == comb(6, 3) // 2
-    assert all(state.lam_plus(i) == lam for i in top)
+    assert all(lp == lam for lp in top)
+
+
+def band_references():
+    """Every family member with n <= 10, and the GHZ and maximally mixed states."""
+    states = [build_rho_nkm(n, k, m) for n, k, m in family_members(10)]
+    return states + [f(n) for n in range(2, 11) for f in (ghz_state, maximally_mixed_state)]
 
 
 def test_band_symmetric_references():
     # family members and the reference states are band states, and each
     # class row stands for exactly the listed sectors of its popcount
-    states = [build_rho_nkm(n, k, m) for n, k, m in family_members(10)]
-    states += [f(n) for n in range(2, 11) for f in (ghz_state, maximally_mixed_state)]
-    for state in states:
+    for state in band_references():
         assert isinstance(state, BandState)
-        support = list(state.support())
+        support = list(state.sectors())
         rows = list(state.classes())
         assert sum(mult for _, mult, _, _ in rows) == len(support)
         for rep, _, s, d in rows:
-            members = [i for i in support if i.bit_count() == rep.bit_count()]
-            assert members[0] == rep
-            assert {(state.sector_sum(i), state.sector_diff(i)) for i in members} == {(s, d)}
+            members = [row for row in support if row[0].bit_count() == rep.bit_count()]
+            assert members[0][0] == rep
+            assert {(lp + lm, lp - lm) for _, lp, lm in members} == {(s, d)}
+
+
+def test_band_sectors_match_range_scan():
+    # each populated sector's row is the weight pair of its band
+    for state in band_references():
+        scan = [(i, state.plus[min_ones(state.n, i)], state.minus[min_ones(state.n, i)])
+                for i in range(1 << (state.n - 1))]
+        assert list(state.sectors()) == [row for row in scan if row[1] or row[2]]
 
 
 def test_band_symmetry_broken_by_one_sector():
@@ -218,7 +232,7 @@ def test_band_symmetry_broken_by_one_sector():
     # the sparse expansion breaks the symmetry at n = 6; the subset-by-subset
     # scan still reports the first NPPT subset of every cut
     state = as_sparse(build_rho_nk(6, 2))
-    shift = state.lam_plus(0) / 2
+    shift = state.lambda_plus[0] / 2
     for i in range(1, 1 << 5):
         lp = dict(state.lambda_plus)
         lp[0] -= shift
@@ -271,7 +285,9 @@ def table_eigenvalues(state):
     eigenvalues (s +- d)/2 = lambda^+/-.
     """
     reps = range(1 << (state.n - 1))
-    return sorted([state.lam_plus(i) for i in reps] + [state.lam_minus(i) for i in reps])
+    sparse = as_sparse(state)
+    return sorted([sparse.lambda_plus.get(i, 0) for i in reps]
+                  + [sparse.lambda_minus.get(i, 0) for i in reps])
 
 
 def test_dense_rho_42_entries():
@@ -309,7 +325,7 @@ def test_family_sector_listing_size_limit():
     # a member builds at any n; only listing its sectors one by one is capped,
     # and the refusal comes before the first sector is listed
     for state in (build_rho_nk(21, 2), build_rho_nkm(21, 2, 1)):
-        for listing in (state.support, state.to_json_dict):
+        for listing in (state.sectors, state.to_json_dict):
             with pytest.raises(SizeLimitError):
                 listing()
     with pytest.raises(DomainError):  # the domain is still checked on build
@@ -332,10 +348,12 @@ def test_band_state_rejects_bad_tables():
 
 @given(random_state_strategy(max_n=7))
 def test_sparse_iterators_match_range_scan(state):
-    reps = range(1 << (state.n - 1))
-    assert list(state.support()) == [i for i in reps if state.sector_sum(i) != 0]
+    # sectors() is ascending and lists no empty sector
+    table = [(i, state.lambda_plus.get(i, 0), state.lambda_minus.get(i, 0))
+             for i in range(1 << (state.n - 1))]
+    assert list(state.sectors()) == [(i, lp, lm) for i, lp, lm in table if lp + lm != 0]
     assert [j for j, _, _, d in state.classes() if d] == [
-        i for i in reps if state.sector_diff(i) != 0
+        i for i, lp, lm in table if lp - lm != 0
     ]
 
 
