@@ -6,7 +6,8 @@ across arbitrary qubit cuts, the Hilbert-Schmidt bound on multi-setting
 correlation Bell inequalities, and a seeded Monte Carlo phase-estimation
 loop against the Cramer-Rao bound.  The independent oracles that check the
 exact routes live in ``oracles``.  The ``oracles`` and ``estimation`` names
-are imported on first use, since only those two modules need numpy.
+are imported on first use: ``oracles`` needs numpy, and only ``estimate``
+needs ``estimation``.
 """
 
 import importlib
@@ -56,7 +57,8 @@ from .bell import (
     hs_norm_sq,
 )
 
-# Lazy exports (PEP 562): a command that prints exact rationals starts without numpy.
+# Lazy exports (PEP 562): only --oracle loads oracles and numpy, and only estimate
+# loads estimation, so a command that prints exact rationals imports neither.
 _LAZY = {
     "oracles": ("CorrelationTensorSummary", "PhaseGenerator", "PtSpectrum",
                 "brute_force_tensor", "hs_norm_sq_exact", "pt_dense_oracle",

@@ -6,8 +6,8 @@ or the lines of its text or CSV body; ``main`` puts the provenance header
 (tool version, command line, seed, timestamp unless ``--no-timestamp``) on
 it and writes it once, so identical command plus seed gives byte-identical
 output.  ``--oracle`` hands what a command prints to ``oracles.check_*``.
-``oracles`` and ``estimation`` load numpy, so they are imported only by
-``--oracle`` and ``estimate``.
+``oracles`` loads numpy, so it is imported only by ``--oracle``;
+``estimation`` is imported only by ``estimate``.
 Exit codes: 0 success, 2 domain error, 3 size-limit error, 4 internal
 cross-check failure.
 """
@@ -390,7 +390,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=10000)
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    # sorted(estimation.MODELS), spelled out so that parsing needs no numpy
+    # sorted(estimation.MODELS), spelled out so that parsing does not import estimation
     p.add_argument("--model", default="global-parity",
                    choices=["global-parity", "sector-parity"])
     p.add_argument("--bracket", type=float, default=None,

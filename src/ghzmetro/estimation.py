@@ -11,18 +11,26 @@ modeled in closed form:
   measure parity within it:
   P(i, +-) = [(lambda_i^+ + lambda_i^-) +- (lambda_i^+ - lambda_i^-) cos(w_i theta)] / 2.
 
-Both are one fringe formula, written once in ``_FringeModel``.  Classical
-Fisher information uses the analytic derivatives, and a seeded
-counter-based Monte Carlo loop estimates theta by bracketed maximum
-likelihood (a grid, then golden-section search) to compare the empirical
-spread against the Cramer-Rao bound 1/sqrt(shots * F).
+Both are one fringe formula, written once in ``_FringeModel`` over plain
+float tables.  Classical Fisher information uses the analytic derivatives,
+and a seeded counter-based Monte Carlo loop estimates theta by bracketed
+maximum likelihood (a grid, then golden-section search) to compare the
+empirical spread against the Cramer-Rao bound 1/sqrt(shots * F).  Outcome
+rows with the same fringe (the same s, d and w) form one class, so the
+likelihood sums their counts and takes one logarithm per class.
+
+The module needs no numpy.  ``_rng`` is numpy's Philox4x64-10 stream keyed
+through its ``SeedSequence``, and its ``multinomial`` transcribes numpy's
+(inversion when n p <= 30, else BTPE), so each draw equals that of
+``numpy.random.Generator(Philox(SeedSequence(seed, spawn_key=(stream,))))``.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import asdict, dataclass
-from typing import List, Optional, Tuple
-
-import numpy as np
+from operator import itemgetter
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, FisherSingularityError, LikelihoodDegeneracyError
 from .qfi import qfi_ghz_diagonal
@@ -34,44 +42,293 @@ INV_PHI = (5**0.5 - 1) / 2  # golden-section ratio
 GRID_POINTS = 512  # coarse likelihood grid across the bracket
 P_ZERO_TOL = 1e-15  # outcome probabilities at or below this count as zero
 SLOPE_TOL = 1e-12  # a zero-probability outcome steeper than this is singular
+SHOTS_MAX = (1 << 63) - 1  # numpy's multinomial, whose draws are reproduced, counts in int64
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    """Independent reproducible stream: Philox keyed by (seed, stream index)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
-    return np.random.Generator(np.random.Philox(ss))
+# -- counter-based sampling -----------------------------------------------------
+# numpy's SeedSequence, Philox4x64-10 (Salmon et al., SC 2011) and binomial
+# (Kachitvichyanukul & Schmeiser, CACM 31, 216 (1988)), transcribed step by
+# step: same operations in the same order, so the floats round alike.
+
+_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
+
+
+def _words(x: int) -> List[int]:
+    """Little-endian 32-bit words of x >= 0, at least one."""
+    out = [x & _M32]
+    while x > _M32:
+        x >>= 32
+        out.append(x & _M32)
+    return out
+
+
+def _seed_key(seed: int, stream: int) -> Tuple[int, int]:
+    """Philox key of SeedSequence(seed, spawn_key=(stream,)): the entropy
+    words hashed into a 4-word pool, then ``generate_state(2, uint64)``."""
+    run = _words(seed)
+    entropy = run + [0] * (4 - len(run)) + _words(stream)  # padded before a spawn key
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, state = 0x8B51F9DD, []
+    for word in pool:
+        value = word ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * hash_const & _M32
+        state.append(value ^ value >> 16)
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
+
+
+def _philox(counter: int, k0: int, k1: int) -> Tuple[int, int, int, int]:
+    """The 4-word block of a counter below 2^64: ten rounds, key bumped after each."""
+    x0, x1, x2, x3 = counter, 0, 0, 0
+    for _ in range(10):
+        a, b = 0xD2E7470EE14C6C93 * x0, 0xCA5A826395121157 * x2
+        x0, x1, x2, x3 = b >> 64 ^ x1 ^ k0, b & _M64, a >> 64 ^ x3 ^ k1, a & _M64
+        k0, k1 = k0 + 0x9E3779B97F4A7C15 & _M64, k1 + 0xBB67AE8584CAA73B & _M64
+    return x0, x1, x2, x3
+
+
+class _Philox:
+    """Philox4x64-10 stream; the counter is bumped before each 4-word block."""
+
+    def __init__(self, key: Tuple[int, int]):
+        self._key = key
+        self._counter = 0
+        self._block = iter(())
+
+    def next64(self) -> int:
+        word = next(self._block, None)
+        if word is None:
+            self._counter += 1
+            self._block = iter(_philox(self._counter, *self._key))
+            word = next(self._block)
+        return word
+
+    def random(self) -> float:
+        return (self.next64() >> 11) * 2.0**-53
+
+    def multinomial(self, n: int, pvals: Sequence[float]) -> List[int]:
+        """numpy's ``random_multinomial``: one conditional binomial per outcome."""
+        counts = [0] * len(pvals)
+        remaining_p = 1.0
+        for j in range(len(pvals) - 1):
+            counts[j] = self.binomial(n, pvals[j] / remaining_p)
+            n -= counts[j]
+            if n <= 0:
+                break
+            remaining_p -= pvals[j]
+        if n > 0:
+            counts[-1] = n
+        return counts
+
+    def binomial(self, n: int, p: float) -> int:
+        if n == 0 or p == 0.0:
+            return 0
+        if p <= 0.5:
+            return self._inversion(n, p) if p * n <= 30.0 else self._btpe(n, p)
+        q = 1.0 - p
+        return n - (self._inversion(n, q) if q * n <= 30.0 else self._btpe(n, q))
+
+    def _inversion(self, n: int, p: float) -> int:
+        q = 1.0 - p
+        qn = math.exp(n * math.log1p(-p))
+        np_ = n * p
+        # np q + 1 < 0 only for p < 0 (pvals rounded past the remaining mass);
+        # then qn > 1 ends the loop before the bound (NaN in C) is read
+        bound = int(min(n, np_ + 10.0 * math.sqrt(max(np_ * q + 1, 0.0))))
+        x, px, u = 0, qn, self.random()
+        while u > px:
+            x += 1
+            if x > bound:
+                x, px, u = 0, qn, self.random()
+            else:
+                u -= px
+                px = ((n - x + 1) * p * px) / (x * q)
+        return x
+
+    def _btpe(self, n: int, r: float) -> int:
+        """Kachitvichyanukul & Schmeiser's BTPE for r <= 0.5."""
+        q = 1.0 - r
+        fm = n * r + r
+        m = math.floor(fm)
+        p1 = math.floor(2.195 * math.sqrt(n * r * q) - 4.6 * q) + 0.5
+        xm = m + 0.5
+        xl, xr = xm - p1, xm + p1
+        c = 0.134 + 20.5 / (15.3 + m)
+        a = (fm - xl) / (fm - xl * r)
+        laml = a * (1.0 + a / 2.0)
+        a = (xr - fm) / (xr * q)
+        lamr = a * (1.0 + a / 2.0)
+        p2 = p1 * (1.0 + 2.0 * c)
+        p3 = p2 + c / laml
+        p4 = p3 + c / lamr
+        nrq = n * r * q
+        while True:
+            u = self.random() * p4
+            v = self.random()
+            if u <= p1:  # triangular centre: accept
+                y = math.floor(xm - p1 * v + u)
+                break
+            if u <= p2:  # parallelograms
+                x = xl + (u - p1) / c
+                v = v * c + 1.0 - abs(m - x + 0.5) / p1
+                if v > 1.0:
+                    continue
+                y = math.floor(x)
+            elif u <= p3:  # left exponential tail
+                if v == 0.0:
+                    continue
+                y = math.floor(xl + math.log(v) / laml)
+                if y < 0:
+                    continue
+                v = v * (u - p2) * laml
+            else:  # right exponential tail
+                if v == 0.0:
+                    continue
+                y = math.floor(xr - math.log(v) / lamr)
+                if y > n:
+                    continue
+                v = v * (u - p3) * lamr
+            k = abs(y - m)
+            if not (k > 20 and k < nrq / 2.0 - 1):  # explicit recursion for f(y)/f(m)
+                s = r / q
+                a = s * (n + 1)
+                f = 1.0
+                if m < y:
+                    for i in range(m + 1, y + 1):
+                        f *= a / i - s
+                elif m > y:
+                    for i in range(y + 1, m + 1):
+                        f /= a / i - s
+                if v > f:
+                    continue
+                break
+            # squeeze, then Stirling's bound on log f(y)/f(m)
+            rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 0.16666666666666666) / nrq + 0.5)
+            t = -k * k / (2 * nrq)
+            log_v = math.log(v) if v > 0.0 else -math.inf  # C's log(0) is -inf
+            if log_v < t - rho:
+                break
+            if log_v > t + rho:
+                continue
+            x1, f1 = float(y + 1), float(m + 1)
+            z, w = float(n) + 1 - m, float(n) - y + 1  # from float(n): equal above 2^53 too
+            if log_v > (xm * math.log(f1 / x1) + (n - m + 0.5) * math.log(z / w)
+                        + (y - m) * math.log(w * r / (x1 * q))
+                        + _stirling(f1) + _stirling(x1) + _stirling(z) + _stirling(w)):
+                continue
+            break
+        return y
+
+
+def _stirling(x: float) -> float:
+    """BTPE's Stirling-series correction term at x."""
+    x2 = x * x
+    return (13680. - (462. - (132. - (99. - 140. / x2) / x2) / x2) / x2) / x / 166320.
+
+
+def _rng(seed: int, stream: int) -> _Philox:
+    """Independent reproducible stream: Philox keyed by (seed, stream index),
+    as ``numpy.random.Philox(SeedSequence(seed, spawn_key=(stream,)))`` is."""
+    return _Philox(_seed_key(operator.index(seed), stream))
+
+
+def _pairwise_sum(x: Sequence[float]) -> float:
+    """sum(x) in numpy's order: 8 accumulators per block of up to 128, halves above."""
+    n = len(x)
+    if n < 8:
+        total = 0.0
+        for v in x:
+            total += v
+        return total
+    if n <= 128:
+        acc = list(x[:8])
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            for j in range(8):
+                acc[j] += x[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for v in x[tail:]:
+            total += v
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
 
 
 # -- measurement models -------------------------------------------------------
 
 
+class _Tables(NamedTuple):
+    """Plain-float fringe tables of one state under one model."""
+
+    w: List[float]  # the distinct sector weights, ascending
+    base: List[float]  # per outcome class
+    terms: List[Tuple[int, int, float]]  # (class, column of w, coefficient), columns ascending
+    row_class: List[int]  # the class of each outcome row
+    expand: Callable  # lays a value per class out over the outcome rows
+
+
 class _FringeModel:
     """Outcome probabilities P(theta) = (base + coef . cos(w theta)) / 2, one
-    ``coef`` column per distinct sector weight w.  A model only maps the sector
-    sums s and coherences (d_i in the column of w_i) to outcome rows.  The
-    tables of the last state read are kept, so a run reads its state once."""
+    coefficient column per distinct sector weight w, in ascending w.  A model
+    only maps the sector sums s and coherences (d_i in the column of w_i) to
+    outcome rows, each a base and its (column, coefficient) terms.  Rows with
+    equal base and terms have one probability and form one class.  The tables
+    of the last state read are kept, so a run reads its state once."""
 
     _state = None
 
-    def probabilities(self, state: SectorState, theta: float) -> np.ndarray:
-        base, coef, w = self._tables(state)
-        return (base + coef @ np.cos(w * theta)) / 2.0
+    def probabilities(self, state: SectorState, theta: float) -> List[float]:
+        w, base, terms, _, expand = self._tables(state)
+        cos = [math.cos(wj * theta) for wj in w]
+        fringe = [0.0] * len(base)
+        for c, j, a in terms:
+            fringe[c] += a * cos[j]
+        return list(expand([(b + f) / 2.0 for b, f in zip(base, fringe)]))
 
-    def derivatives(self, state: SectorState, theta: float) -> np.ndarray:
-        _, coef, w = self._tables(state)
-        return -(coef @ (w * np.sin(w * theta))) / 2.0
+    def derivatives(self, state: SectorState, theta: float) -> List[float]:
+        w, base, terms, _, expand = self._tables(state)
+        slope = [wj * math.sin(wj * theta) for wj in w]
+        fringe = [0.0] * len(base)
+        for c, j, a in terms:
+            fringe[c] += a * slope[j]
+        return list(expand([-f / 2.0 for f in fringe]))
 
-    def _tables(self, state: SectorState):
+    def _tables(self, state: SectorState) -> _Tables:
         # a sparse state holds dicts, so states are compared by identity, not
         # hashed; holding it keeps its id from being reused by another state
         if self._state is not state:
-            rows = list(state.sectors())
-            s = np.array([float(lp + lm) for _, lp, lm in rows])
-            d = np.array([float(lp - lm) for _, lp, lm in rows])
-            w, col = np.unique([weight(state.n, i) for i, _, _ in rows],
-                               return_inverse=True)
-            base, coef = self._rows(s, np.eye(len(w))[col] * d[:, None])
-            self._state, self._cached = state, (base, coef, w.astype(float))
+            sectors = [(float(lp + lm), float(lp - lm), weight(state.n, i))
+                       for i, lp, lm in state.sectors()]
+            w = sorted({wi for _, _, wi in sectors})
+            col = {wi: j for j, wi in enumerate(w)}
+            rows = self._rows([(s, d, col[wi]) for s, d, wi in sectors], len(w))
+            classes = {}
+            row_class = [classes.setdefault(row, len(classes)) for row in rows]
+            terms = [(c, j, a) for c, (_, row_terms) in enumerate(classes)
+                     for j, a in row_terms]
+            self._state = state
+            self._cached = _Tables([float(wi) for wi in w], [b for b, _ in classes], terms,
+                                   row_class, itemgetter(*row_class))
         return self._cached
 
 
@@ -80,9 +337,11 @@ class GlobalParity(_FringeModel):
 
     name = "global-parity"
 
-    def _rows(self, s: np.ndarray, coh: np.ndarray):
-        c = coh.sum(axis=0)
-        return np.ones(2), np.array([c, -c])
+    def _rows(self, sectors, width: int):
+        c = [0.0] * width
+        for _, d, j in sectors:
+            c[j] += d
+        return [(1.0, tuple(enumerate(c))), (1.0, tuple((j, -cj) for j, cj in enumerate(c)))]
 
 
 class SectorParity(_FringeModel):
@@ -95,8 +354,8 @@ class SectorParity(_FringeModel):
 
     name = "sector-parity"
 
-    def _rows(self, s: np.ndarray, coh: np.ndarray):
-        return np.repeat(s, 2), np.stack([coh, -coh], axis=1).reshape(2 * len(s), -1)
+    def _rows(self, sectors, width: int):
+        return [(s, ((j, coef),)) for s, d, j in sectors for coef in (d, -d)]
 
 
 MODELS = {GlobalParity.name: GlobalParity, SectorParity.name: SectorParity}
@@ -174,26 +433,42 @@ def _golden_section(f, lo: float, hi: float) -> Tuple[float, float]:
 def _mle(
     state: SectorState,
     model,
-    counts: np.ndarray,
+    counts: Sequence[int],
     bracket: Tuple[float, float],
 ) -> float:
-    """Bracketed maximum likelihood: coarse grid, refine, degeneracy check."""
+    """Bracketed maximum likelihood: coarse grid, refine, degeneracy check.
+
+    The rows of one outcome class share a probability, so the negative log
+    likelihood takes one logarithm per class with counts, read at the
+    class's first row.
+    """
+    per_class = {}  # class -> (its first row, the counts of its rows)
+    for row, (cls, n) in enumerate(zip(model._tables(state).row_class, counts)):
+        if n:
+            first, total = per_class.get(cls, (row, 0))
+            per_class[cls] = (first, total + int(n))
+    picks = list(per_class.values())
 
     def nll_at(t: float) -> float:
-        p = np.clip(model.probabilities(state, t), 1e-300, None)
-        return float(-np.sum(counts * np.log(p)))
+        p = model.probabilities(state, t)
+        total = 0.0
+        for row, n in picks:
+            pr = p[row]
+            total -= n * math.log(pr if pr > 1e-300 else 1e-300)
+        return total
 
     lo, hi = bracket
-    grid = np.linspace(lo, hi, GRID_POINTS)
-    nll = np.array([nll_at(t) for t in grid])
-    best = int(np.argmin(nll))
-    interior = (nll[1:-1] <= nll[:-2]) & (nll[1:-1] <= nll[2:])
-    candidates = set(np.where(interior)[0] + 1) | {best}
+    step = (hi - lo) / (GRID_POINTS - 1)
+    grid = [lo + i * step for i in range(GRID_POINTS - 1)] + [hi]  # as numpy's linspace
+    nll = [nll_at(t) for t in grid]
+    best = nll.index(min(nll))
+    candidates = {i for i in range(1, GRID_POINTS - 1)
+                  if nll[i] <= nll[i - 1] and nll[i] <= nll[i + 1]} | {best}
 
     def refine(idx: int) -> Tuple[float, float]:
         left = grid[max(idx - 1, 0)]
         right = grid[min(idx + 1, GRID_POINTS - 1)]
-        return _golden_section(nll_at, float(left), float(right))
+        return _golden_section(nll_at, left, right)
 
     refined = sorted((refine(idx) for idx in candidates), key=lambda p: p[1])
     theta_hat, nll_hat = refined[0]
@@ -227,12 +502,16 @@ def run_monte_carlo(
     A bracket that is empty in floating point (zero or negative width, or
     one too narrow to change theta_true) would return theta_true itself as
     every estimate, so it is refused.  A state whose populated sectors all
-    have weight 0 does not turn under U(theta), so it is refused too.
+    have weight 0 does not turn under U(theta), and a measurement with no
+    classical Fisher information at theta_true has no Cramer-Rao bound, so
+    both are refused before any sampling.
     """
-    if not 100 <= shots <= np.iinfo(np.int64).max:  # the multinomial draws int64
+    if not 100 <= shots <= SHOTS_MAX:
         raise DomainError(f"need 100 <= shots <= 2^63 - 1, got {shots}")
     if repetitions < 1:
         raise DomainError("need at least one repetition")
+    if seed < 0:
+        raise DomainError(f"need a seed >= 0, got {seed}")
     if isinstance(model, str):
         model = get_model(model)
     w_max = max(abs(weight(state.n, rep)) for rep, _, _, _ in state.classes())
@@ -240,30 +519,28 @@ def run_monte_carlo(
         raise DomainError("every populated sector has weight 0, so the state "
                           "carries no phase information")
     if bracket_halfwidth is None:
-        bracket_halfwidth = np.pi / (4.0 * w_max)
+        bracket_halfwidth = math.pi / (4.0 * w_max)
     bracket = (theta_true - bracket_halfwidth, theta_true + bracket_halfwidth)
-    if not -np.inf < bracket[0] < theta_true < bracket[1] < np.inf:
+    if not -math.inf < bracket[0] < theta_true < bracket[1] < math.inf:
         raise DomainError(f"bracket {bracket} around theta = {theta_true} is "
                           "empty or unbounded; need a finite theta and halfwidth > 0")
-
-    probs = model.probabilities(state, theta_true)
-    if probs.min() < -1e-12 or abs(probs.sum() - 1.0) > 1e-9:
-        raise DomainError("model probabilities are not a distribution")
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-
-    estimates: List[float] = []
-    for rep in range(repetitions):
-        counts = _rng(seed, rep).multinomial(shots, probs)
-        estimates.append(_mle(state, model, counts, bracket))
-
-    dev = np.asarray(estimates) - theta_true
-    empirical_std = float(np.sqrt(np.mean(dev**2)))
     fisher = classical_fisher(state, theta_true, model)
     if fisher <= 0.0:
         raise DomainError(
             f"measurement carries no phase information at theta = {theta_true}"
         )
+
+    probs = model.probabilities(state, theta_true)
+    if min(probs) < -1e-12 or abs(_pairwise_sum(probs) - 1.0) > 1e-9:
+        raise DomainError("model probabilities are not a distribution")
+    probs = [max(p, 0.0) for p in probs]
+    total = _pairwise_sum(probs)
+    pvals = [p / total for p in probs]
+
+    estimates = [_mle(state, model, _rng(seed, rep).multinomial(shots, pvals), bracket)
+                 for rep in range(repetitions)]
+    empirical_std = math.sqrt(
+        _pairwise_sum([(e - theta_true) * (e - theta_true) for e in estimates]) / repetitions)
     return EstimationRun(
         model=model.name,
         theta_true=float(theta_true),
@@ -273,8 +550,8 @@ def run_monte_carlo(
         rng_algorithm=RNG_ALGORITHM,
         estimates=estimates,
         empirical_std=empirical_std,
-        empirical_std_err=empirical_std / np.sqrt(2.0 * repetitions),
-        crlb=1.0 / np.sqrt(shots * fisher),
+        empirical_std_err=empirical_std / math.sqrt(2.0 * repetitions),
+        crlb=1.0 / math.sqrt(shots * fisher),
         fisher_classical=fisher,
         fisher_quantum=float(qfi_ghz_diagonal(state)),
         bracket=bracket,

@@ -76,6 +76,8 @@ def test_state_domain_error_exit_code(capsys):
     ("qfi", "--n", "10", "--a", "1/4", "--m", "3"),
     ("estimate", "--n", "4", "--k", "1", "--theta", "0.3", "--reps", "2",
      "--shots", "9223372036854775808"),
+    ("estimate", "--n", "4", "--k", "1", "--theta", "0.3", "--reps", "2",
+     "--seed", "-1"),
     ("figure", "--id", "3", "--n", "10..4"),
     ("figure", "--id", "4", "--k", ","),
     ("figure", "--id", "3", "--a", ","),
@@ -406,6 +408,7 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_exact_commands_start_without_numpy():
+    # estimate samples with its own Philox stream, so it needs no numpy either
     argvs = [
         ["--version"],
         ["qfi", "--n", "7", "--k", "2", "--exact"],
@@ -413,16 +416,26 @@ def test_exact_commands_start_without_numpy():
         ["bell", "--n", "8", "--k", "2", "--components"],
         ["state", "--n", "6", "--k", "2"],
         ["figure", "--id", "4"],
+        ["estimate", "--n", "4", "--k", "1", "--theta", "0.3", "--reps", "2",
+         "--shots", "100"],
+        ["estimate", "--n", "4", "--k", "1", "--theta", "0.3", "--reps", "2",
+         "--shots", "100", "--model", "sector-parity"],
     ]
     assert cli_in_fresh_interpreter(*argvs) == ([0] * len(argvs), [])
+
+
+def test_estimation_import_loads_no_numpy():
+    probe = "import sys, ghzmetro.estimation\nprint('numpy' in sys.modules)"
+    src = str(Path(ghzmetro.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out == "False\n"
 
 
 @pytest.mark.parametrize("argv", [
     ["qfi", "--n", "6", "--k", "2", "--oracle"],
     ["ppt", "--n", "6", "--k", "2", "--oracle"],
     ["bell", "--n", "6", "--k", "2", "--oracle"],
-    ["estimate", "--n", "4", "--k", "1", "--theta", "0.3", "--reps", "2",
-     "--shots", "100"],
 ])
 def test_float_commands_load_numpy(argv):
     assert cli_in_fresh_interpreter(argv) == ([0], ["numpy"])
@@ -446,6 +459,18 @@ def test_qfi_json_payload(capsys):
     payload = json.loads(out)
     assert payload["report"]["f_q"]["exact"] == "352/93"
     assert payload["report"]["mixed_lower_bound"]["exact"] == "16/5"
+
+
+def test_estimate_refuses_before_sampling(capsys, monkeypatch):
+    # sector parity at theta = 0 has F_C = 0: refused before any repetition
+    def no_sampling(seed, stream):
+        raise AssertionError("sampled a request it refuses")
+
+    monkeypatch.setattr(estimation, "_rng", no_sampling)
+    code, out, err = run(capsys, "estimate", "--n", "6", "--k", "2", "--theta", "0",
+                         "--model", "sector-parity")
+    assert (code, out) == (2, "")
+    assert "no phase information" in err
 
 
 def test_estimate_sector_parity_model(capsys):

@@ -1,4 +1,5 @@
 """Phase evolution, measurement models, classical Fisher, Monte Carlo runs."""
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from ghzmetro import (
     LikelihoodDegeneracyError,
     SectorParity,
     build_rho_nk,
+    build_rho_nkm,
     classical_fisher,
     get_model,
     ghz_state,
@@ -22,7 +24,7 @@ from ghzmetro import (
 )
 from ghzmetro import estimation
 from ghzmetro.estimation import _mle
-from conftest import evolve_dense, ghz_vector, random_state_strategy
+from conftest import evolve_dense, family_members, ghz_vector, random_state_strategy
 
 FD_STEP = 1e-5  # central finite-difference step of the Fisher cross-check
 
@@ -90,7 +92,7 @@ def test_distribution_normalization(model_name):
     model = get_model(model_name)
     for state in (ghz_state(3), build_rho_nk(6, 2), build_rho_nk(5, 2)):
         for theta in np.linspace(-2, 2, 17):
-            p = model.probabilities(state, theta)
+            p = np.asarray(model.probabilities(state, theta))
             assert p.min() > -1e-15
             assert abs(p.sum() - 1.0) < 1e-12
 
@@ -121,6 +123,101 @@ def test_sector_parity_matches_born_rule():
             assert prob == pytest.approx(float((v @ rho_t @ v).real), abs=1e-12)
 
 
+# -- parity with the numpy fringe tables -------------------------------------------
+
+def numpy_tables(state, model_name):
+    """The fringe tables as numpy arrays: weights by ``np.unique``, one
+    coefficient column per weight, the rows of global or sector parity."""
+    rows = list(state.sectors())
+    s = np.array([float(lp + lm) for _, lp, lm in rows])
+    d = np.array([float(lp - lm) for _, lp, lm in rows])
+    w, col = np.unique([weight(state.n, i) for i, _, _ in rows], return_inverse=True)
+    coh = np.eye(len(w))[col] * d[:, None]
+    if model_name == "global-parity":
+        c = coh.sum(axis=0)
+        return np.ones(2), np.array([c, -c]), w.astype(float)
+    return np.repeat(s, 2), np.stack([coh, -coh], axis=1).reshape(2 * len(s), -1), w.astype(float)
+
+
+def numpy_probabilities(state, model_name, theta):
+    base, coef, w = numpy_tables(state, model_name)
+    return (base + coef @ np.cos(w * theta)) / 2.0
+
+
+def numpy_derivatives(state, model_name, theta):
+    _, coef, w = numpy_tables(state, model_name)
+    return -(coef @ (w * np.sin(w * theta))) / 2.0
+
+
+def numpy_pvals(state, model_name, theta):
+    probs = np.clip(numpy_probabilities(state, model_name, theta), 0.0, None)
+    return probs / np.sum(probs)
+
+
+class PvalsSeen(Exception):
+    """Raised by a stand-in stream once it has seen the pvals."""
+
+
+def sampled_pvals(state, model_name, theta):
+    """The pvals ``run_monte_carlo`` hands to its multinomial."""
+
+    class Recorder:
+        def multinomial(self, shots, pvals):
+            raise PvalsSeen(list(pvals))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimation, "_rng", lambda seed, stream: Recorder())
+        with pytest.raises(PvalsSeen) as seen:
+            run_monte_carlo(state, theta, model_name, shots=100, repetitions=1, seed=0)
+    return seen.value.args[0]
+
+
+PARITY_STATES = [build_rho_nkm(n, k, m) for n, k, m in family_members(8)] + [
+    ghz_state(3), ghz_state(6)]
+PARITY_THETAS = (0.05, 0.3, 0.77, 1.3)
+
+
+def test_sector_parity_probabilities_match_numpy_bitwise():
+    model = SectorParity()
+    for state in PARITY_STATES:
+        for theta in PARITY_THETAS:
+            assert model.probabilities(state, theta) == list(
+                numpy_probabilities(state, model.name, theta))
+            assert sampled_pvals(state, model.name, theta) == list(
+                numpy_pvals(state, model.name, theta))
+
+
+def test_global_parity_probabilities_within_one_ulp():
+    # the numpy dot product C goes through BLAS, whose last bit depends on the
+    # CPU; one ulp of C <= 1 moves (1 +- C) / 2 by at most ulp(1) / 2
+    model = GlobalParity()
+    for state in PARITY_STATES:
+        for theta in PARITY_THETAS:
+            for got, want in ((model.probabilities(state, theta),
+                               numpy_probabilities(state, model.name, theta)),
+                              (sampled_pvals(state, model.name, theta),
+                               numpy_pvals(state, model.name, theta))):
+                for a, b in zip(got, want, strict=True):
+                    assert abs(a - b) <= math.ulp(1.0) / 2, (state, theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_state_strategy(max_n=5), st.floats(-3.0, 3.0),
+       st.sampled_from(["global-parity", "sector-parity"]))
+def test_derivatives_and_fisher_match_numpy(state, theta, model_name):
+    model = get_model(model_name)
+    assert np.asarray(model.derivatives(state, theta)) == pytest.approx(
+        numpy_derivatives(state, model_name, theta), rel=1e-12, abs=1e-15)
+    p = numpy_probabilities(state, model_name, theta)
+    dp = numpy_derivatives(state, model_name, theta)
+    if np.any((p <= estimation.P_ZERO_TOL) & (np.abs(dp) > estimation.SLOPE_TOL)):
+        return  # singular: checked by test_fisher_singularity_reported
+    keep = p > estimation.P_ZERO_TOL
+    expected = float(np.sum(dp[keep] ** 2 / p[keep]))
+    assert classical_fisher(state, theta, model) == pytest.approx(expected, rel=1e-12,
+                                                                  abs=1e-15)
+
+
 # -- classical Fisher information ---------------------------------------------------
 
 def test_ghz_parity_reaches_quantum_limit():
@@ -138,9 +235,9 @@ def test_fisher_finite_difference_agreement():
     for state in (build_rho_nk(6, 2), build_rho_nk(5, 2)):
         for theta in (0.15, 0.6):
             a = classical_fisher(state, theta, model)
-            p = model.probabilities(state, theta)
-            dp = (model.probabilities(state, theta + FD_STEP)
-                  - model.probabilities(state, theta - FD_STEP)) / (2.0 * FD_STEP)
+            p = np.asarray(model.probabilities(state, theta))
+            dp = (np.asarray(model.probabilities(state, theta + FD_STEP))
+                  - np.asarray(model.probabilities(state, theta - FD_STEP))) / (2.0 * FD_STEP)
             b = float(np.sum(dp[p > 1e-15] ** 2 / p[p > 1e-15]))
             assert a == pytest.approx(b, abs=1e-6)
 
@@ -149,9 +246,9 @@ def test_probability_derivatives_match_finite_differences():
     for model in (GlobalParity(), SectorParity()):
         for state in (build_rho_nk(6, 2), build_rho_nk(4, 2), ghz_state(5)):
             for theta in (0.1, 0.45, 1.2):
-                analytic = model.derivatives(state, theta)
-                fd = (model.probabilities(state, theta + FD_STEP)
-                      - model.probabilities(state, theta - FD_STEP)) / (2 * FD_STEP)
+                analytic = np.asarray(model.derivatives(state, theta))
+                fd = (np.asarray(model.probabilities(state, theta + FD_STEP))
+                      - np.asarray(model.probabilities(state, theta - FD_STEP))) / (2 * FD_STEP)
                 assert np.max(np.abs(analytic - fd)) < 1e-6
 
 
@@ -201,6 +298,66 @@ def test_fisher_singularity_reported():
 
     with pytest.raises(FisherSingularityError):
         classical_fisher(ghz_state(2), 0.1, StuckModel())
+
+
+# -- sampler: numpy's Philox multinomial, reproduced ------------------------------------
+
+def numpy_generator(seed, stream):
+    ss = np.random.SeedSequence(seed, spawn_key=(stream,))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+SEEDS = st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.integers(2**32, 2**130))
+SHOTS = st.one_of(st.just(10**12), st.integers(100, 10**4), st.integers(10**4, 10**8),
+                  st.integers(10**8, 10**12))
+WEIGHTS = st.integers(2, 256).flatmap(  # a drawn length, so long lists come up too
+    lambda d: st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1.0)), min_size=d, max_size=d)
+).filter(lambda ws: sum(ws) > 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.integers(0, 2**40), SHOTS, WEIGHTS)
+def test_multinomial_matches_numpy(seed, stream, shots, weights):
+    pvals = np.array(weights) / np.sum(weights)
+    expected = numpy_generator(seed, stream).multinomial(shots, pvals)
+    assert estimation._rng(seed, stream).multinomial(shots, list(pvals)) == expected.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.integers(0, 2**40))
+def test_raw_stream_matches_numpy(seed, stream):
+    expected = numpy_generator(seed, stream).bit_generator.random_raw(8).tolist()
+    rng = estimation._rng(seed, stream)
+    assert [rng.next64() for _ in range(8)] == expected
+
+
+# Known answers, so that a numpy release with another sampler fails here
+# instead of silently moving the oracle.
+RAW_42_0 = [0x38411D067AF41BA0, 0x74C9187AA4F8949A, 0x2F199840721533F3,
+            0x723AA4E0FA41B5CB, 0x628332B0A6FAD9C2, 0x602033BD4B6E75AC,
+            0x501B1C2F7FBF0CD7, 0x9A85F1360188D199]
+README_COUNTS = {  # estimate --n 4 --k 2 --theta 0.3 --shots 10000 --seed 42, repetitions 0-2
+    "global-parity": [[6681, 3319], [6703, 3297], [6689, 3311]],
+    "sector-parity": [
+        [612, 285, 839, 79, 831, 89, 861, 938, 802, 70, 908, 943, 903, 946, 813, 81],
+        [598, 278, 867, 87, 779, 83, 969, 907, 792, 89, 887, 889, 918, 927, 859, 71],
+        [608, 308, 771, 79, 810, 80, 934, 893, 833, 79, 933, 911, 941, 915, 824, 81],
+    ],
+}
+
+
+def test_raw_stream_known_answer():
+    rng = estimation._rng(42, 0)
+    assert [rng.next64() for _ in range(8)] == RAW_42_0
+    assert numpy_generator(42, 0).bit_generator.random_raw(8).tolist() == RAW_42_0
+
+
+@pytest.mark.parametrize("model_name", sorted(README_COUNTS))
+def test_readme_run_counts_known_answer(model_name):
+    pvals = sampled_pvals(build_rho_nk(4, 2), model_name, 0.3)
+    for rep, expected in enumerate(README_COUNTS[model_name]):
+        assert estimation._rng(42, rep).multinomial(10_000, pvals) == expected
+        assert numpy_generator(42, rep).multinomial(10_000, pvals).tolist() == expected
 
 
 # -- Monte Carlo -----------------------------------------------------------------------
@@ -311,6 +468,28 @@ def test_run_refuses_state_without_phase_speed(monkeypatch, state):
         with pytest.raises(DomainError, match="weight 0"):
             run_monte_carlo(state, 0.3, "global-parity", shots=1000, repetitions=2,
                             seed=0, bracket_halfwidth=halfwidth)
+
+
+@pytest.mark.parametrize("state, theta, model_name, error", [
+    (build_rho_nk(6, 2), 0.0, "sector-parity", DomainError),
+    (build_rho_nk(6, 2), 0.0, "global-parity", DomainError),
+    (ghz_state(4), 1e-8, "global-parity", FisherSingularityError),
+], ids=["sector-parity-at-0", "global-parity-at-0", "singular"])
+def test_run_refuses_measurement_without_information(monkeypatch, state, theta,
+                                                     model_name, error):
+    # F_C at theta_true is checked before the first draw, not after every repetition
+    def no_sampling(seed, stream):
+        raise AssertionError("sampled before checking the Fisher information")
+
+    monkeypatch.setattr(estimation, "_rng", no_sampling)
+    with pytest.raises(error):
+        run_monte_carlo(state, theta, model_name, shots=1000, repetitions=200, seed=0)
+
+
+def test_run_refuses_negative_seed():
+    with pytest.raises(DomainError, match="seed"):
+        run_monte_carlo(ghz_state(2), 0.3, "global-parity", shots=1000,
+                        repetitions=1, seed=-1)
 
 
 def test_run_json_fields():

@@ -95,11 +95,12 @@ def test_options_are_pinned_and_environment_is_not_read():
         assert "environ" not in text and "getenv" not in text, path.name
 
 
-def test_only_oracles_and_estimation_import_numpy():
-    # the exact routes stay in rationals; floats belong to oracles and sampling
+def test_only_oracles_import_numpy():
+    # the exact routes stay in rationals; sampling runs its own Philox stream,
+    # so numpy belongs to the oracles alone
     importers = {path.name for path in Path(ghzmetro.__file__).parent.glob("*.py")
                  if re.search(r"^(import|from) numpy\b", path.read_text(), re.M)}
-    assert importers == {"oracles.py", "estimation.py"}
+    assert importers == {"oracles.py"}
 
 
 def test_package_exports_are_pinned():
