@@ -436,6 +436,7 @@ def test_estimation_import_loads_no_numpy():
     ["qfi", "--n", "6", "--k", "2", "--oracle"],
     ["ppt", "--n", "6", "--k", "2", "--oracle"],
     ["bell", "--n", "6", "--k", "2", "--oracle"],
+    ["qfi", "--n", "8", "--a", "1/4", "--oracle"],
 ])
 def test_float_commands_load_numpy(argv):
     assert cli_in_fresh_interpreter(argv) == ([0], ["numpy"])
