@@ -1,13 +1,14 @@
 """Command-line front end: scans, figure data, certificates, machine output.
 
 Subcommands mirror the library modules (state / qfi / ppt / bell / estimate)
-plus ``figure`` for regenerating the scan CSVs.  Each returns a JSON payload
-or the lines of its text or CSV body; ``main`` puts the provenance header
-(tool version, command line, seed, timestamp unless ``--no-timestamp``) on
-it and writes it once, so identical command plus seed gives byte-identical
-output.  ``--oracle`` hands what a command prints to ``oracles.check_*``.
-``oracles`` loads numpy, so it is imported only by ``--oracle``;
-``estimation`` is imported only by ``estimate``.
+plus ``figure``, which prints the scan CSV of a row of ``FIGURES``.  Each
+returns a JSON payload or the lines of its text or CSV body; ``main`` puts
+the provenance header (tool version, command line, seed, timestamp unless
+``--no-timestamp``) on it and writes it once, so identical command plus seed
+gives byte-identical output.  Numbers and lists in option values are read by
+``parse_number`` and ``parse_list``.  ``--oracle`` hands what a command
+prints to ``oracles.check_*`` through ``oracle_deviation``, which alone imports
+``oracles`` (it loads numpy); ``estimation`` is imported only by ``estimate``.
 Exit codes: 0 success, 2 domain error, 3 size-limit error, 4 internal
 cross-check failure.
 """
@@ -23,59 +24,33 @@ from typing import List, Optional, Sequence
 from . import __version__
 from .errors import CrossCheckError, DomainError, GhzmetroError, SizeLimitError
 from . import bell as bell_mod
-from .ptranspose import (
-    QubitSubset,
-    cut_classification,
-    ppt_single_qubit_certificate,
-)
-from .qfi import (
-    family_report,
-    scaled_k,
-)
-from .states import (
-    BandState,
-    build_rho_nk,
-    build_rho_nkm,
-    min_ones,
-)
+from .ptranspose import QubitSubset, cut_classification, ppt_single_qubit_certificate
+from .qfi import family_report, scaled_k
+from .states import BandState, build_rho_nk, build_rho_nkm, min_ones
 
 
 # -- small parsing / formatting helpers --------------------------------------
 
 
-def parse_fraction(text: str) -> Fraction:
+def parse_number(text: str, kind: type):
+    """``kind(text)`` for ``kind`` int or Fraction, refusing what does not parse."""
     try:
-        return Fraction(text)
+        return kind(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse {text!r} as a rational") from exc
+        noun = "an integer" if kind is int else "a rational"
+        raise DomainError(f"cannot parse {text!r} as {noun}") from exc
 
 
-def parse_fraction_list(text: str) -> List[Fraction]:
-    return [parse_fraction(part) for part in text.split(",") if part]
+def parse_list(text: str, option: str, kind: type) -> list:
+    """A comma list such as "4,6,8", or for ``--n`` alone also a range "8..120".
 
-
-def parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise DomainError(f"cannot parse {text!r} as an integer") from exc
-
-
-def parse_int_list(text: str) -> List[int]:
-    return [parse_int(part) for part in text.split(",") if part]
-
-
-def parse_range(text: str) -> List[int]:
-    """Accept "8..120", a comma list "4,6,8", or a single integer."""
-    if ".." in text:
+    A list that names nothing (it would print an empty table) is refused.
+    """
+    if option == "--n" and ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(parse_int(lo), parse_int(hi) + 1))
-    return parse_int_list(text)
-
-
-def parse_nonempty(parse, text: str, option: str) -> list:
-    """``parse(text)``, refusing a list that names nothing (an empty table)."""
-    values = parse(text)
+        values = list(range(parse_number(lo, int), parse_number(hi, int) + 1))
+    else:
+        values = [parse_number(part, kind) for part in text.split(",") if part]
     if not values:
         raise DomainError(f"{option} {text!r} names nothing")
     return values
@@ -85,6 +60,11 @@ def fmt_number(x, exact: bool) -> str:
     if isinstance(x, Fraction) and exact:
         return str(x)
     return format(float(x), ".17g")
+
+
+def hs_norm_field(state: BandState, row: bell_mod.DetectionRow, exact: bool) -> str:
+    """``hs_norm_sq`` as printed: the rational under ``--exact``, else the row's float."""
+    return fmt_number(bell_mod.hs_norm_sq(state) if exact else row.hs_norm_sq, exact)
 
 
 def provenance(args: argparse.Namespace, argv: Sequence[str]) -> dict:
@@ -123,6 +103,17 @@ def state_label(args: argparse.Namespace) -> str:
     return f"rho_{args.n},{args.k}"
 
 
+def oracle_deviation(args: argparse.Namespace, check: str, *printed) -> Optional[float]:
+    """``oracles.<check>(*printed)`` under ``--oracle``, else None.
+
+    ``oracles`` loads numpy, so only ``--oracle`` imports it.
+    """
+    if not args.oracle:
+        return None
+    from . import oracles
+    return getattr(oracles, check)(*printed)
+
+
 # -- subcommands ---------------------------------------------------------------
 # Each returns (body, deviation): a JSON payload or the body lines, and the
 # oracle deviation when --oracle ran, else None.
@@ -159,17 +150,14 @@ def cmd_qfi(args):
     if args.a is not None:
         if args.k is not None or args.m is not None:
             raise DomainError("--a sets k itself; it takes no --k or --m")
-        a = parse_fraction(args.a)
+        a = parse_number(args.a, Fraction)
         k = scaled_k(a, args.n)
         report = family_report(args.n, k, a=a)
     else:
         if args.k is None:
             raise DomainError("qfi needs --k or --a")
         report = family_report(args.n, args.k, m=args.m)
-    deviation = None
-    if args.oracle:
-        from . import oracles
-        deviation = oracles.check_qfi(report)
+    deviation = oracle_deviation(args, "check_qfi", report)
     if args.format == "json":
         return {"report": report.to_json_dict()}, deviation
     lines = [fmt_number(report.f_q, args.exact)]
@@ -194,12 +182,9 @@ def cmd_qfi(args):
 def cmd_ppt(args):
     state = build_state(args)
     cert = ppt_single_qubit_certificate(state)
-    sizes = None if args.cuts == "all" else parse_nonempty(parse_int_list, args.cuts, "--cuts")
+    sizes = None if args.cuts == "all" else parse_list(args.cuts, "--cuts", int)
     table = cut_classification(state, cut_sizes=sizes)
-    deviation = None
-    if args.oracle:
-        from . import oracles
-        deviation = oracles.check_ppt(state, cert, table)
+    deviation = oracle_deviation(args, "check_ppt", state, cert, table)
     if args.format == "json":
         return {
             "single_qubit_certificate": {
@@ -228,24 +213,21 @@ def cmd_ppt(args):
 def cmd_bell(args):
     state = build_state(args)
     row = bell_mod.detection_comparison(state)
-    deviation = None
-    if args.oracle:
-        from . import oracles
-        deviation = oracles.check_bell(state, row)
+    deviation = oracle_deviation(args, "check_bell", state, row)
     header = ["n", "k", "f_q", "f_q_over_n", "hs_norm_sq", "verdict"]
     values = [
         str(args.n),
         str(args.k),
         fmt_number(row.f_q, args.exact),
         fmt_number(row.f_q_over_n, args.exact),
-        format(row.hs_norm_sq, ".17g"),
+        hs_norm_field(state, row, args.exact),
         row.verdict,
     ]
     if args.components:
         planar = bell_mod.planar_square_sum(state)
         axial = bell_mod.axial_expectation(state)
         header += ["planar_sq", "axial_sq"]
-        values += [format(float(planar), ".17g"), format(float(axial * axial), ".17g")]
+        values += [fmt_number(planar, args.exact), fmt_number(axial * axial, args.exact)]
     if args.format == "json":
         return {"row": dict(zip(header, values))}, deviation
     return [",".join(header), ",".join(values)], deviation
@@ -268,65 +250,59 @@ def cmd_estimate(args):
                     "state_params": {"n": args.n, "k": args.k, "m": args.m}}}, None
 
 
-FIGURE_OPTIONS = {2: ("k", "n_max"), 3: ("a", "n"), 4: ("k", "n")}  # what each figure reads
+def figure2_row(n: int, k: int, exact: bool) -> Optional[List[str]]:
+    if n <= 2 * k:  # figure 2 starts each k at n = 2k + 1
+        return None
+    rep = family_report(n, k)
+    return [str(n), str(k), fmt_number(rep.f_q, exact), str(n * k),
+            fmt_number(rep.f_q / (n * k), exact)]
+
+
+def figure3_row(n: int, a: Fraction, exact: bool) -> Optional[List[str]]:
+    if n < 3:  # no k in [1, ceil(n/2) - 1]; scaled_k would refuse
+        return None
+    rep = family_report(n, scaled_k(a, n), a=a)
+    return [str(n), str(a), str(rep.k)] + [
+        fmt_number(x, exact) for x in
+        (rep.f_q, rep.lower_bound, rep.ratio_limit_form, rep.ratio_bound_form)]
+
+
+def figure4_row(n: int, k: int, exact: bool) -> Optional[List[str]]:
+    if 2 * k > n:
+        return None
+    state = build_rho_nk(n, k)
+    row = bell_mod.detection_comparison(state)
+    return [str(n), str(k), fmt_number(row.f_q_over_n, exact),
+            hs_norm_field(state, row, exact), row.verdict]
+
+
+# Per figure: its parameter list option (k or a), parsed as int or Fraction,
+# and its n grid option (n_max, the scan 1..n_max, or n), each followed by
+# its default written as an option value; then its CSV header, and the
+# function giving the fields of grid point (n, parameter) or None off the plot.
+FIGURES = {
+    2: ("k", int, "2,3", "n_max", 200, "n,k,f_q,n_times_k,ratio", figure2_row),
+    3: ("a", Fraction, "1/8,1/4,3/8", "n", "8..120",
+        "n,a,k,f_q,lower_bound,ratio_limit_form,ratio_bound_form", figure3_row),
+    4: ("k", int, "2,3", "n", "4..10", "n,k,f_q_over_n,hs_norm_sq,verdict", figure4_row),
+}
 
 
 def cmd_figure(args):
+    param, kind, param_default, grid, grid_default, header, row_of = FIGURES[args.id]
     for option in ("n_max", "k", "a", "n"):
-        if getattr(args, option) is not None and option not in FIGURE_OPTIONS[args.id]:
+        if getattr(args, option) is not None and option not in (param, grid):
             raise DomainError(f"figure {args.id} does not read --{option.replace('_', '-')}")
-    exact = args.exact
-    if args.id == 2:
-        ks = [2, 3] if args.k is None else parse_nonempty(parse_int_list, args.k, "--k")
-        n_max = 200 if args.n_max is None else args.n_max
-        header = ["n", "k", "f_q", "n_times_k", "ratio"]
-        rows = []
-        for k in sorted(ks):
-            for n in range(2 * k + 1, n_max + 1):
-                rep = family_report(n, k)
-                rows.append([
-                    str(n), str(k),
-                    fmt_number(rep.f_q, exact),
-                    str(n * k),
-                    fmt_number(rep.f_q / (n * k), exact),
-                ])
-    elif args.id == 3:
-        alphas = [Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)] if args.a is None else (
-            parse_nonempty(parse_fraction_list, args.a, "--a")
-        )
-        ns = list(range(8, 121)) if args.n is None else parse_nonempty(parse_range, args.n, "--n")
-        header = ["n", "a", "k", "f_q", "lower_bound",
-                  "ratio_limit_form", "ratio_bound_form"]
-        rows = []
-        for a in sorted(alphas):
-            for n in sorted(ns):
-                rep = family_report(n, scaled_k(a, n), a=a)
-                rows.append([
-                    str(n), str(a), str(rep.k),
-                    fmt_number(rep.f_q, exact),
-                    fmt_number(rep.lower_bound, exact),
-                    fmt_number(rep.ratio_limit_form, exact),
-                    fmt_number(rep.ratio_bound_form, exact),
-                ])
-    else:  # argparse admits only ids 2, 3 and 4
-        ks = [2, 3] if args.k is None else parse_nonempty(parse_int_list, args.k, "--k")
-        ns = list(range(4, 11)) if args.n is None else parse_nonempty(parse_range, args.n, "--n")
-        header = ["n", "k", "f_q_over_n", "hs_norm_sq", "verdict"]
-        rows = []
-        for k in sorted(ks):
-            for n in sorted(ns):
-                if 2 * k > n:
-                    continue
-                row = bell_mod.detection_comparison(build_rho_nk(n, k))
-                rows.append([
-                    str(n), str(k),
-                    fmt_number(row.f_q_over_n, exact),
-                    format(row.hs_norm_sq, ".17g"),
-                    row.verdict,
-                ])
+    params = getattr(args, param)
+    params = parse_list(param_default if params is None else params, f"--{param}", kind)
+    ns = getattr(args, grid)
+    ns = grid_default if ns is None else ns
+    ns = range(1, ns + 1) if grid == "n_max" else parse_list(ns, "--n", int)
+    rows = [row for p in sorted(params) for n in sorted(ns)
+            if (row := row_of(n, p, args.exact)) is not None]
     if not rows:
         raise DomainError(f"figure {args.id}: no family member in the requested grid")
-    return [",".join(header)] + [",".join(row) for row in rows], None
+    return [header] + [",".join(row) for row in rows], None
 
 
 # -- parser --------------------------------------------------------------------
@@ -341,7 +317,7 @@ def make_parser() -> argparse.ArgumentParser:
                         version=f"ghzmetro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_family=True):
+    def common(p, with_family=True, exact=False):
         if with_family:
             p.add_argument("--n", type=int, required=True, help="qubit count")
             p.add_argument("--k", type=int, help="ones threshold")
@@ -349,6 +325,9 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="write here instead of stdout")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp from the provenance header")
+        if exact:  # on the commands that print rationals
+            p.add_argument("--exact", action="store_true",
+                           help="print rationals as p/q instead of decimals")
 
     p = sub.add_parser("state", help="eigenvalue table of a family state")
     common(p)
@@ -356,9 +335,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_state)
 
     p = sub.add_parser("qfi", help="quantum Fisher information and bounds")
-    common(p)
-    p.add_argument("--exact", action="store_true",
-                   help="print rationals as p/q instead of decimals")
+    common(p, exact=True)
     p.add_argument("--a", default=None, help="rational scan ratio, e.g. 1/4")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the dense spectral formula")
@@ -374,9 +351,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ppt)
 
     p = sub.add_parser("bell", help="correlation tensor norm and detection row")
-    common(p)
-    p.add_argument("--exact", action="store_true",
-                   help="print rationals as p/q instead of decimals")
+    common(p, exact=True)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against brute-force / exact tensor")
     p.add_argument("--components", action="store_true",
@@ -398,15 +373,13 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("figure", help="regenerate scan CSVs")
-    p.add_argument("--id", type=int, required=True, choices=[2, 3, 4])
+    p.add_argument("--id", type=int, required=True, choices=sorted(FIGURES))
     p.add_argument("--n-max", type=int, default=None,
                    help="figure 2 scan end (default 200)")
     p.add_argument("--k", default=None, help='comma list, e.g. "2,3"')
     p.add_argument("--a", default=None, help='comma list, e.g. "1/8,1/4"')
     p.add_argument("--n", default=None, help='range like "8..120"')
-    common(p, with_family=False)
-    p.add_argument("--exact", action="store_true",
-                   help="print rationals as p/q instead of decimals")
+    common(p, with_family=False, exact=True)
     p.set_defaults(func=cmd_figure)
 
     return parser
@@ -438,7 +411,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, GhzmetroError) as exc:
+    except GhzmetroError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

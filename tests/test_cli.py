@@ -1,5 +1,6 @@
 """CLI contracts: output formats, determinism, exit codes, imports."""
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -11,8 +12,9 @@ import pytest
 
 import ghzmetro
 from ghzmetro import estimation
-from ghzmetro.cli import main, make_parser, parse_fraction, parse_range
-from ghzmetro.states import GhzDiagonalState, build_rho_nkm
+from ghzmetro.bell import hs_norm_sq
+from ghzmetro.cli import main, make_parser, parse_list, parse_number
+from ghzmetro.states import GhzDiagonalState, build_rho_nk, build_rho_nkm
 from conftest import as_sparse
 
 
@@ -23,10 +25,10 @@ def run(capsys, *argv):
 
 
 def test_parse_helpers():
-    assert parse_range("8..12") == [8, 9, 10, 11, 12]
-    assert parse_range("4,6,8") == [4, 6, 8]
-    assert parse_range("7") == [7]
-    assert str(parse_fraction("1/4")) == "1/4"
+    assert parse_list("8..12", "--n", int) == [8, 9, 10, 11, 12]
+    assert parse_list("4,6,8", "--n", int) == [4, 6, 8]
+    assert parse_list("7", "--n", int) == [7]
+    assert str(parse_number("1/4", Fraction)) == "1/4"
 
 
 def test_state_table(capsys):
@@ -247,6 +249,27 @@ def test_bell_oracle_deviation_goes_to_stderr(capsys):
     assert float(value) <= 1e-9
 
 
+def test_exact_prints_bell_norms_as_rationals(capsys):
+    code, out, _ = run(capsys, "bell", "--n", "8", "--k", "2", "--exact", "--components",
+                       "--no-timestamp")
+    assert code == 0
+    assert out.splitlines()[2] == "8,2,352/37,44/37,1593/1369,both,1152/1369,441/1369"
+    # without --exact the same columns stay 17-digit decimals
+    code, out, _ = run(capsys, "bell", "--n", "8", "--k", "2", "--components",
+                       "--no-timestamp")
+    assert out.splitlines()[2] == ("8,2,9.513513513513514,1.1891891891891893,"
+                                   "1.1636230825420015,both,0.84149013878743606,"
+                                   "0.32213294375456536")
+    for exact in (True, False):
+        code, out, _ = run(capsys, "figure", "--id", "4", "--k", "3", "--n", "10,6,8",
+                           *(("--exact",) if exact else ()), "--no-timestamp")
+        assert code == 0
+        for line in out.splitlines()[2:]:
+            n, k, _, hs, _ = line.split(",")
+            expected = hs_norm_sq(build_rho_nk(int(n), int(k)))
+            assert hs == (str(expected) if exact else format(float(expected), ".17g"))
+
+
 def test_bell_runs_at_n17(capsys):
     code, out, _ = run(capsys, "bell", "--n", "17", "--k", "2", "--no-timestamp")
     assert code == 0
@@ -260,8 +283,10 @@ def test_bell_and_ppt_beyond_twenty_qubits(capsys):
     assert code == 0
     f_q = "272324527646980096/713250450657109"
     assert Fraction(f_q) == ghzmetro.qfi_closed_nk(64, 16)
+    hs = "2072842816599377469676793651417657/508726205362569080329892237881"
+    assert format(float(Fraction(hs)), ".17g") == "4074.5744857433929"
     assert out.splitlines()[2] == (f"64,16,{f_q},4255070744484064/713250450657109,"
-                                   "4074.5744857433929,both")
+                                   f"{hs},both")
     code, out, _ = run(capsys, "ppt", "--n", "64", "--k", "16", "--no-timestamp")
     assert code == 0
     lines = out.splitlines()
@@ -319,6 +344,22 @@ def test_figure3_bound_below_value(capsys):
         assert float(fields[4]) <= float(fields[3])
 
 
+def test_figure3_skips_points_without_a_valid_k(capsys):
+    # k = round(a n) must lie in [1, ceil(n/2) - 1], which no n < 3 allows
+    code, out, _ = run(capsys, "figure", "--id", "3", "--n", "2..6", "--no-timestamp")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert [(row[0], row[1]) for row in rows] == [
+        (str(n), a) for a in ("1/8", "1/4", "3/8") for n in range(3, 7)]
+    code, out, err = run(capsys, "figure", "--id", "3", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: figure 3: no family member in the requested grid\n"
+    for grid in ((), ("--n", "2..6")):
+        code, out, err = run(capsys, "figure", "--id", "3", "--a", "1/2", *grid)
+        assert (code, out) == (2, "")
+        assert err == "error: need 0 < a < 1/2, got a = 1/2\n"
+
+
 def test_figure4_detection(capsys):
     code, out, _ = run(capsys, "figure", "--id", "4", "--k", "2", "--n", "4..8",
                        "--no-timestamp")
@@ -361,6 +402,42 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "--output" in err
     assert not target.parent.exists()
+
+
+# sha256 of stdout, recorded before the figure table and the list parser
+# replaced per-figure branches and per-kind parsers.  `estimate` is left out:
+# its estimates go through libm (test_readme_run_counts_known_answer pins its
+# draws); `--help` too, as argparse wraps it by terminal width.
+GOLDEN_STDOUT = {
+    "state --n 4 --k 2":
+        "9c7fcafa3f002ce85d33ab0234c86ac35dfdc131c298bb70dce42fc8941e567c",
+    "state --n 8 --k 2 --m 1 --format json":
+        "cd985b665b5389f923af3dd409d3f16e5ea61fc101009404b103024de94adecf",
+    "qfi --n 7 --k 2 --exact":
+        "458c3676d6c3557d5a0faf9eecf60d594889aaa8fca007bab6ae41db9d6f9a47",
+    "qfi --n 100 --a 1/4 --exact":
+        "8078e4fb6ebdbca30927486cf689fe7337e15c3a2d077bb9071badfae98e495a",
+    "ppt --n 6 --k 2 --cuts all":
+        "00301b61c50bebd53c60b8a2006c2d46dc6ddcd7dcfd1be70d60fecb8434d02a",
+    "bell --n 8 --k 2 --components":
+        "8e5caff2e007d83f13c5fbcf7254740e98734f592c4940eadbcc0528e9210636",
+    "figure --id 2 --n-max 200":
+        "10c10f10d4b1ad78f6fc81dbad6f1cace6d0bf290e1f6e2ad6addbb68f34c90f",
+    "figure --id 3 --a 1/8,1/4,3/8 --n 8..120":
+        "dcad6d5f70897e6ed7a2061e59048da1c3cc89b70d8a80338818f07260f921f7",
+    "figure --id 4 --k 2,3 --n 4..10":
+        "699f28c2dba687a15f51063fc0e3cc3d87bfbf20dbfb2114a2d82204b4cfa8a7",
+    "figure --id 2": "fb6b10ea117616f4e03a9168f1b57e266f6a6c6dc0b5a208f913c802ed628f2d",
+    "figure --id 3": "93500ba1051810de151af73923812db6ec0e400086e397e59ead7c3541e9beaf",
+    "figure --id 4": "3cbb8edb435d6829ad002095860b444ff17cec6fb700844603a5c5ce7563523d",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_golden_stdout_digests(capsys, command):
+    code, out, err = run(capsys, *command.split(), "--no-timestamp")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 
 
 def test_byte_identical_without_timestamp(capsys):

@@ -5,8 +5,10 @@ environment variable read by the package fails this test until it is
 added to ``PINNED`` on purpose.  Likewise a new package export fails until
 it is added to ``EXPORTS``, so a name that only tests call is a visible edit,
 and a new public method of a state type fails until it is added to
-``STATE_METHODS``.
+``STATE_METHODS``.  The command line is pinned the same way: a new flag
+fails until it is added to ``CLI_OPTIONS``.
 """
+import argparse
 import importlib
 import inspect
 import json
@@ -17,6 +19,7 @@ import sys
 from pathlib import Path
 
 import ghzmetro
+from ghzmetro.cli import make_parser
 
 LIBRARY_MODULES = ("states", "qfi", "ptranspose", "bell", "oracles", "estimation")
 
@@ -65,6 +68,20 @@ EXPORTS = {
 # both state types are read through classes() and the one sector walk sectors()
 STATE_METHODS = {"classes", "sectors", "to_json_dict", "trace"}
 
+# option strings of the program and of each subcommand
+FAMILY = {"--n", "--k", "--m"}
+COMMON = {"-h", "--help", "--output", "--no-timestamp"}
+CLI_OPTIONS = {
+    "ghzmetro": {"-h", "--help", "--version"},
+    "state": COMMON | FAMILY | {"--format"},
+    "qfi": COMMON | FAMILY | {"--exact", "--a", "--oracle", "--format"},
+    "ppt": COMMON | FAMILY | {"--cuts", "--oracle", "--format"},
+    "bell": COMMON | FAMILY | {"--exact", "--oracle", "--components", "--format"},
+    "estimate": COMMON | FAMILY | {"--theta", "--shots", "--reps", "--seed", "--model",
+                                   "--bracket"},
+    "figure": COMMON | {"--id", "--n-max", "--k", "--a", "--n", "--exact"},
+}
+
 
 def defaulted_parameters(module_name):
     """``module.function(param)`` for each defaulted parameter of the functions
@@ -101,6 +118,15 @@ def test_only_oracles_import_numpy():
     importers = {path.name for path in Path(ghzmetro.__file__).parent.glob("*.py")
                  if re.search(r"^(import|from) numpy\b", path.read_text(), re.M)}
     assert importers == {"oracles.py"}
+
+
+def test_cli_options_are_pinned():
+    parser = make_parser()
+    found = {"ghzmetro": {s for a in parser._actions for s in a.option_strings}}
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in commands.choices.items():
+        found[name] = {s for a in sub._actions for s in a.option_strings}
+    assert found == CLI_OPTIONS
 
 
 def test_package_exports_are_pinned():
