@@ -295,6 +295,8 @@ def cmd_figure(args):
             raise DomainError(f"figure {args.id} does not read --{option.replace('_', '-')}")
     params = getattr(args, param)
     params = parse_list(param_default if params is None else params, f"--{param}", kind)
+    if param == "k" and min(params) < 1:
+        raise DomainError(f"need k >= 1, got k = {min(params)}")
     ns = getattr(args, grid)
     ns = grid_default if ns is None else ns
     ns = range(1, ns + 1) if grid == "n_max" else parse_list(ns, "--n", int)

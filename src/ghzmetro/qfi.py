@@ -104,11 +104,11 @@ class QfiReport:
     snl_ratio: Fraction
     lower_bound: Fraction
     s_nk: Fraction
-    m: Optional[int] = None
-    a: Optional[Fraction] = None
-    mixed_lower_bound: Optional[Fraction] = None
-    ratio_limit_form: Optional[Fraction] = None
-    ratio_bound_form: Optional[Fraction] = None
+    m: Optional[int]
+    a: Optional[Fraction]
+    mixed_lower_bound: Optional[Fraction]
+    ratio_limit_form: Optional[Fraction]
+    ratio_bound_form: Optional[Fraction]
 
     def to_json_dict(self) -> dict:
         """Every rational becomes {"exact", "float"}, except the input ratio a."""

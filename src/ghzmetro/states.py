@@ -13,10 +13,11 @@ Sectors are keyed on representative indices ``i < 2**(n-1)`` (the n-bit
 pattern of a representative starts with 0); ``2**n - 1 - i`` labels the
 same two-dimensional sector.  ``GhzDiagonalState`` stores a sparse sector
 table; ``BandState`` stores one weight pair per band, O(n), and holds every
-family member.  Formulas read either through ``classes()``, so they run on
-the band classes at any n; ``sectors()`` lists the populated sectors one by
-one.  All eigenvalues are exact rationals, so
-normalization and every closed-form quantity downstream are tolerance-free.
+family member.  Each state builds and checks its class table once, at
+construction; formulas read it through ``classes()``, so they run on the
+band classes at any n.  ``sectors()`` lists the populated sectors one by
+one.  All eigenvalues are exact rationals, so normalization and every
+closed-form quantity downstream are tolerance-free.
 """
 from __future__ import annotations
 
@@ -74,25 +75,29 @@ def _as_fraction(x) -> Fraction:
 
 
 class SectorState:
-    """Reads shared by both state types, written once over the two that each
-    supplies.  ``sectors()`` yields rows ``(i, lambda_i^+, lambda_i^-)`` of the
-    populated sectors in ascending i.  ``classes()`` yields rows
-    ``(representative, multiplicity, s, d)`` in ascending representative
-    order that cover the same sectors.  The sectors of a class are related by
-    a qubit permutation, share s = lambda^+ + lambda^- and d = lambda^+ -
-    lambda^-, and the representative is the lowest of them.
+    """Reads shared by both state types.  Each type's ``_normalize()`` checks
+    its fields and returns its class rows ``(representative, multiplicity, s,
+    d)`` in ascending representative order; they are stored, and their trace
+    checked, once at construction.  ``classes()`` yields the stored rows.
+    The sectors of a class are related by a qubit permutation, share s =
+    lambda^+ + lambda^- and d = lambda^+ - lambda^-, and the representative is
+    the lowest of them.  ``sectors()`` yields rows ``(i, lambda_i^+,
+    lambda_i^-)`` of the same populated sectors in ascending i.
     """
 
     def __post_init__(self):
         if self.n < 2:
             raise DomainError(f"need at least 2 qubits, got n = {self.n}")
-        self._normalize()
+        object.__setattr__(self, "_classes", tuple(self._normalize()))
         total = self.trace()
         if total != 1:
             raise DomainError(f"eigenvalues must sum to 1 exactly, got {total}")
 
+    def classes(self) -> Iterator[Tuple[int, int, Fraction, Fraction]]:
+        return iter(self._classes)
+
     def trace(self) -> Fraction:
-        return sum((mult * s for _, mult, s, _ in self.classes()), Fraction(0))
+        return sum((mult * s for _, mult, s, _ in self._classes), Fraction(0))
 
     def to_json_dict(self) -> dict:
         entries = [{"i": i, "lp": str(lp), "lm": str(lm)} for i, lp, lm in self.sectors()]
@@ -113,7 +118,7 @@ class GhzDiagonalState(SectorState):
     lambda_plus: Mapping[int, Fraction]
     lambda_minus: Mapping[int, Fraction]
 
-    def _normalize(self) -> None:
+    def _normalize(self) -> Iterator[Tuple[int, int, Fraction, Fraction]]:
         for name in ("lambda_plus", "lambda_minus"):
             table = {i: _as_fraction(v) for i, v in getattr(self, name).items()}
             for i, v in table.items():
@@ -122,6 +127,7 @@ class GhzDiagonalState(SectorState):
                     raise DomainError(f"negative eigenvalue {v} at sector {i}")
             # canonical sparse storage: zero entries and missing entries coincide
             object.__setattr__(self, name, {i: v for i, v in table.items() if v})
+        return ((i, 1, lp + lm, lp - lm) for i, lp, lm in self.sectors())
 
     def sectors(self) -> Iterator[Tuple[int, Fraction, Fraction]]:
         """Rows ``(i, lambda_i^+, lambda_i^-)`` of the populated sectors, ascending i.
@@ -133,10 +139,6 @@ class GhzDiagonalState(SectorState):
         zero = Fraction(0)
         for i in sorted(self.lambda_plus.keys() | self.lambda_minus.keys()):
             yield i, self.lambda_plus.get(i, zero), self.lambda_minus.get(i, zero)
-
-    def classes(self) -> Iterator[Tuple[int, int, Fraction, Fraction]]:
-        for i, lp, lm in self.sectors():
-            yield i, 1, lp + lm, lp - lm
 
 
 SECTOR_LIST_LIMIT = 20  # qubit cap of listing a band state's sectors one by one
@@ -158,7 +160,7 @@ class BandState(SectorState):
     plus: Tuple[Fraction, ...]
     minus: Tuple[Fraction, ...]
 
-    def _normalize(self) -> None:
+    def _normalize(self) -> Iterator[Tuple[int, int, Fraction, Fraction]]:
         for name in ("plus", "minus"):
             table = tuple(_as_fraction(v) for v in getattr(self, name))
             if len(table) != self.n // 2 + 1:
@@ -167,6 +169,9 @@ class BandState(SectorState):
             if min(table) < 0:
                 raise DomainError(f"negative eigenvalue {min(table)} in {name}")
             object.__setattr__(self, name, table)
+        n = self.n
+        rows = ((c, self.plus[min(c, n - c)], self.minus[min(c, n - c)]) for c in range(n))
+        return (((1 << c) - 1, comb(n - 1, c), p + q, p - q) for c, p, q in rows if p or q)
 
     def sectors(self) -> Iterator[Tuple[int, Fraction, Fraction]]:
         """Rows ``(i, lambda_i^+, lambda_i^-)`` of the populated sectors, ascending
@@ -178,14 +183,6 @@ class BandState(SectorState):
         rows = {rep.bit_count(): ((s + d) / 2, (s - d) / 2) for rep, _, s, d in self.classes()}
         return ((i, *rows[c]) for i in range(1 << (self.n - 1))
                 if (c := i.bit_count()) in rows)
-
-    def classes(self) -> Iterator[Tuple[int, int, Fraction, Fraction]]:
-        for c in range(self.n):
-            band = min(c, self.n - c)
-            s = self.plus[band] + self.minus[band]
-            if s:
-                d = self.plus[band] - self.minus[band]
-                yield (1 << c) - 1, comb(self.n - 1, c), s, d
 
 
 # -- reference states -------------------------------------------------------

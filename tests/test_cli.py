@@ -96,12 +96,18 @@ def test_state_domain_error_exit_code(capsys):
     # grids that hold no family member
     ("figure", "--id", "4", "--n", "4..5", "--k", "3"),
     ("figure", "--id", "2", "--k", "5", "--n-max", "10"),
+    # k below 1, refused before the scan reaches any n
+    ("figure", "--id", "2", "--k", "2,0", "--n-max", "8"),
+    ("figure", "--id", "4", "--k", "0"),
+    ("figure", "--id", "2", "--k=-1"),
 ])
 def test_malformed_option_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
+    if argv[0] == "figure":  # no figure error names an n the user did not pick
+        assert "n =" not in err
 
 
 @pytest.mark.parametrize("command", [

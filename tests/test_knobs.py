@@ -29,11 +29,6 @@ PINNED = {
     "ptranspose.CertificateResult.__init__(witness_j)",
     "ptranspose.CutStatus.__init__(witness_mask)",
     "ptranspose.cut_classification(cut_sizes)",
-    "qfi.QfiReport.__init__(a)",
-    "qfi.QfiReport.__init__(m)",
-    "qfi.QfiReport.__init__(mixed_lower_bound)",
-    "qfi.QfiReport.__init__(ratio_bound_form)",
-    "qfi.QfiReport.__init__(ratio_limit_form)",
     "qfi.family_report(a)",
     "qfi.family_report(m)",
     "qfi.qfi_closed_nk(m)",

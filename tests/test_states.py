@@ -263,6 +263,23 @@ def test_band_classes_match_sparse_expansion(n):
             row for row in table if row.cut_size in sizes], (n, k, m)
 
 
+def test_classes_are_read_without_arithmetic(monkeypatch):
+    # each state builds its class table once, at construction; reading a row
+    # afterwards adds, subtracts, multiplies and divides nothing
+    states = [build_rho_nkm(10, 3, 1),
+              GhzDiagonalState(3, {0: Fraction(1, 2), 3: Fraction(1, 6)},
+                               {1: Fraction(1, 3)})]
+    rows = [list(state.classes()) for state in states]
+
+    def refuse(*_):
+        raise AssertionError("Fraction arithmetic while reading classes()")
+
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__"):
+        monkeypatch.setattr(Fraction, op, refuse)
+    assert [list(state.classes()) for state in states] == rows
+
+
 # -- state invariants ---------------------------------------------------------
 
 def test_state_rejects_bad_tables():
