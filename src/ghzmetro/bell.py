@@ -24,11 +24,10 @@ over the state's sector classes, the O(n) band classes of a ``BandState``
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .qfi import qfi_ghz_diagonal
-from .states import SectorState
+from .states import SectorState, _Record
 
 
 def axial_expectation(state: SectorState) -> Fraction:
@@ -54,8 +53,7 @@ def hs_norm_sq(state: SectorState) -> Fraction:
     return planar_square_sum(state) + axial_expectation(state) ** 2
 
 
-@dataclass(frozen=True)
-class DetectionRow:
+class DetectionRow(_Record):
     """QFI-witness vs correlation-Bell-condition comparison for one state."""
 
     n: int

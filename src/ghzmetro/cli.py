@@ -8,16 +8,15 @@ the provenance header (tool version, command line, seed, timestamp unless
 gives byte-identical output.  Numbers and lists in option values are read by
 ``parse_number`` and ``parse_list``.  ``--oracle`` hands what a command
 prints to ``oracles.check_*`` through ``oracle_deviation``, which alone imports
-``oracles`` (it loads numpy); ``estimation`` is imported only by ``estimate``.
-Exit codes: 0 success, 2 domain error, 3 size-limit error, 4 internal
-cross-check failure.
+``oracles`` (it loads numpy, the ``oracle`` extra; without it ``--oracle`` exits
+2); ``estimation`` is imported only by ``estimate``, ``json`` only to write
+JSON and ``datetime`` only to print a timestamp.  Exit codes: 0 success, 2
+domain error, 3 size-limit error, 4 internal cross-check failure.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from datetime import datetime, timezone
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -75,6 +74,7 @@ def provenance(args: argparse.Namespace, argv: Sequence[str]) -> dict:
     if getattr(args, "seed", None) is not None:
         meta["seed"] = args.seed
     if not args.no_timestamp:
+        from datetime import datetime, timezone
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
     return meta
 
@@ -110,7 +110,10 @@ def oracle_deviation(args: argparse.Namespace, check: str, *printed) -> Optional
     """
     if not args.oracle:
         return None
-    from . import oracles
+    try:
+        from . import oracles
+    except ModuleNotFoundError as exc:
+        raise GhzmetroError(f"--oracle needs {exc.name}: install ghzmetro[oracle]") from exc
     return getattr(oracles, check)(*printed)
 
 
@@ -395,6 +398,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         meta = provenance(args, argv)
         body, deviation = args.func(args)
         if isinstance(body, dict):
+            import json
             if deviation is not None:
                 body["oracle_max_deviation"] = deviation
             text = json.dumps({"meta": meta, **body}, indent=2, sort_keys=True)

@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass
 from operator import itemgetter
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, FisherSingularityError, LikelihoodDegeneracyError
 from .qfi import qfi_ghz_diagonal
-from .states import SectorState, weight
+from .states import SectorState, _Record, weight
 
 RNG_ALGORITHM = "philox4x64"  # counter-based; pinned for bit-reproducibility
 MLE_TOL = 1e-8  # the refined bracket is narrower than this
@@ -392,8 +391,7 @@ def classical_fisher(state: SectorState, theta: float, model) -> float:
 # -- Monte Carlo estimation ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EstimationRun:
+class EstimationRun(_Record):
     """Seeded Monte Carlo estimation record with its Cramer-Rao comparison."""
 
     model: str
@@ -411,7 +409,7 @@ class EstimationRun:
     bracket: Tuple[float, float]
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _golden_section(f, lo: float, hi: float) -> Tuple[float, float]:

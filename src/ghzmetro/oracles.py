@@ -11,7 +11,6 @@ scans, ``SECTOR_LIST_LIMIT`` = 20 for listing sectors.  ``check_qfi``,
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Sequence, Tuple
@@ -22,7 +21,7 @@ from .bell import DetectionRow, axial_expectation
 from .errors import CrossCheckError, DomainError, SizeLimitError
 from .ptranspose import CertificateResult, CutStatus, QubitSubset
 from .qfi import QfiReport
-from .states import SECTOR_LIST_LIMIT, SectorState, build_rho_nkm, canonical_index
+from .states import SECTOR_LIST_LIMIT, SectorState, _Record, build_rho_nkm, canonical_index
 
 BRUTE_CAP = 6  # qubit cap of the 3^n dense-trace enumeration
 DENSE_LIMIT = 12  # qubit cap of every dense matrix and of the 2^n-mask scan
@@ -60,8 +59,7 @@ def to_dense(state: SectorState) -> np.ndarray:
 # -- quantum Fisher information ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhaseGenerator:
+class PhaseGenerator(_Record):
     """Diagonal generator (sigma_z^(1) + ... + sigma_z^(n)) / 2.
 
     Entry r of the diagonal is (zeros(r) - ones(r)) / 2, so the matrix
@@ -123,8 +121,7 @@ def qfi_from_dense(rho: np.ndarray, generator: PhaseGenerator) -> float:
 # -- partial transposition -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PtSpectrum:
+class PtSpectrum(_Record):
     """Exact eigenvalue pairs of a partially transposed GHZ-diagonal state."""
 
     subset: QubitSubset
@@ -201,8 +198,7 @@ def hs_norm_sq_exact(state: SectorState) -> Fraction:
     return total + axial_expectation(state) ** 2
 
 
-@dataclass(frozen=True)
-class CorrelationTensorSummary:
+class CorrelationTensorSummary(_Record):
     """Nonzero full-correlation elements and their squared Hilbert-Schmidt norm."""
 
     n: int

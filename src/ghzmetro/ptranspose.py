@@ -20,7 +20,6 @@ inspected.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Iterable, List, Optional, Tuple
 
@@ -28,12 +27,12 @@ from .errors import DomainError
 from .states import (
     BandState,
     SectorState,
+    _Record,
     canonical_index,
 )
 
 
-@dataclass(frozen=True)
-class QubitSubset:
+class QubitSubset(_Record):
     """Nonempty proper subset of the n qubits, stored as an n-bit mask.
 
     Qubit 1 is the most significant bit of the index convention, so qubit q
@@ -64,8 +63,7 @@ class QubitSubset:
         return tuple(q for q in range(1, self.n + 1) if self.mask >> (self.n - q) & 1)
 
 
-@dataclass(frozen=True)
-class CertificateResult:
+class CertificateResult(_Record):
     """Outcome of the single-qubit PPT certificate with failure witness."""
 
     holds: bool
@@ -88,8 +86,7 @@ def ppt_single_qubit_certificate(state: SectorState) -> CertificateResult:
     return CertificateResult(False, j, canonical_index(j ^ mask, state.n))
 
 
-@dataclass(frozen=True)
-class CutStatus:
+class CutStatus(_Record):
     """PPT/NPPT verdict for one cut size, with an NPPT witness subset if any."""
 
     cut_size: int
@@ -97,7 +94,7 @@ class CutStatus:
     witness_mask: Optional[int] = None
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def cut_classification(

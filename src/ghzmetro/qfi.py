@@ -14,7 +14,6 @@ the CLI prints for one family member.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import comb
 from typing import Optional
@@ -22,6 +21,7 @@ from typing import Optional
 from .errors import DomainError
 from .states import (
     SectorState,
+    _Record,
     _check_family,
     binom_normalizer,
     weight,
@@ -86,8 +86,7 @@ def scaled_k(a: Fraction, n: int) -> int:
     return min(max(k, 1), hi)
 
 
-@dataclass(frozen=True)
-class QfiReport:
+class QfiReport(_Record):
     """QFI of one family member together with its bounds and scalings.
 
     ``ratio_limit_form`` divides by a(1-2a)n^2 and ``ratio_bound_form`` by
@@ -112,12 +111,10 @@ class QfiReport:
 
     def to_json_dict(self) -> dict:
         """Every rational becomes {"exact", "float"}, except the input ratio a."""
-        out = {}
-        for f in fields(self):
-            x = getattr(self, f.name)
+        out = self._asdict()
+        for name, x in out.items():
             if isinstance(x, Fraction):
-                x = str(x) if f.name == "a" else {"exact": str(x), "float": float(x)}
-            out[f.name] = x
+                out[name] = str(x) if name == "a" else {"exact": str(x), "float": float(x)}
         return out
 
 

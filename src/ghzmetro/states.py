@@ -21,7 +21,6 @@ closed-form quantity downstream are tolerance-free.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterator, Mapping, Tuple
@@ -74,7 +73,64 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-class SectorState:
+_MISSING = object()
+
+
+class _Record:
+    """Frozen record, as a frozen dataclass behaves but cheaper to import.
+
+    The fields are the annotations of the class and its bases in MRO order,
+    and a class attribute named after a field is its default.  ``__init__``
+    takes the fields by position or keyword and calls ``__post_init__``;
+    afterwards nothing can be assigned or deleted.  Equality (between records
+    of one class) and hash are those of the field values.
+    """
+
+    _fields = ()  # set on each subclass
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(dict.fromkeys(name for klass in reversed(cls.__mro__)
+                                          for name in vars(klass).get("__annotations__", {})))
+
+    def __init__(self, *args, **kwargs):
+        cls, given = type(self), dict(zip(self._fields, args))
+        if len(args) > len(given) or given.keys() & kwargs or kwargs.keys() - set(self._fields):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(self._fields)}")
+        given.update(kwargs)
+        for name in self._fields:
+            value = given[name] if name in given else getattr(cls, name, _MISSING)
+            if value is _MISSING:
+                raise TypeError(f"{cls.__name__}() missing field {name!r}")
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __hash__(self):
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class SectorState(_Record):
     """Reads shared by both state types.  Each type's ``_normalize()`` checks
     its fields and returns its class rows ``(representative, multiplicity, s,
     d)`` in ascending representative order; they are stored, and their trace
@@ -104,7 +160,6 @@ class SectorState:
         return {"n": self.n, "entries": entries}
 
 
-@dataclass(frozen=True)
 class GhzDiagonalState(SectorState):
     """Exact eigenvalue table of an n-qubit GHZ-diagonal state, sector by sector.
 
@@ -144,7 +199,6 @@ class GhzDiagonalState(SectorState):
 SECTOR_LIST_LIMIT = 20  # qubit cap of listing a band state's sectors one by one
 
 
-@dataclass(frozen=True)
 class BandState(SectorState):
     """GHZ-diagonal state that depends on a sector only through its band.
 

@@ -490,21 +490,24 @@ def test_cli_import_loads_no_scipy():
     assert cli_in_fresh_interpreter() == ([], [])
 
 
+# every command but --oracle; estimate samples with its own Philox stream,
+# so it needs no numpy either
+NUMPY_FREE = [
+    ["--version"],
+    ["qfi", "--n", "7", "--k", "2", "--exact"],
+    ["ppt", "--n", "8", "--k", "2", "--cuts", "all", "--format", "json"],
+    ["bell", "--n", "8", "--k", "2", "--components"],
+    ["state", "--n", "6", "--k", "2"],
+    ["figure", "--id", "4"],
+    ["estimate", "--n", "4", "--k", "1", "--theta", "0.3", "--reps", "2",
+     "--shots", "100"],
+    ["estimate", "--n", "4", "--k", "1", "--theta", "0.3", "--reps", "2",
+     "--shots", "100", "--model", "sector-parity"],
+]
+
+
 def test_exact_commands_start_without_numpy():
-    # estimate samples with its own Philox stream, so it needs no numpy either
-    argvs = [
-        ["--version"],
-        ["qfi", "--n", "7", "--k", "2", "--exact"],
-        ["ppt", "--n", "8", "--k", "2", "--cuts", "all", "--format", "json"],
-        ["bell", "--n", "8", "--k", "2", "--components"],
-        ["state", "--n", "6", "--k", "2"],
-        ["figure", "--id", "4"],
-        ["estimate", "--n", "4", "--k", "1", "--theta", "0.3", "--reps", "2",
-         "--shots", "100"],
-        ["estimate", "--n", "4", "--k", "1", "--theta", "0.3", "--reps", "2",
-         "--shots", "100", "--model", "sector-parity"],
-    ]
-    assert cli_in_fresh_interpreter(*argvs) == ([0] * len(argvs), [])
+    assert cli_in_fresh_interpreter(*NUMPY_FREE) == ([0] * len(NUMPY_FREE), [])
 
 
 def test_estimation_import_loads_no_numpy():
@@ -523,6 +526,75 @@ def test_estimation_import_loads_no_numpy():
 ])
 def test_float_commands_load_numpy(argv):
     assert cli_in_fresh_interpreter(argv) == ([0], ["numpy"])
+
+
+def cli_process(argv, refuse_numpy=False):
+    """Exit code, stdout and stderr of one ``ghzmetro.cli`` run in a new
+    interpreter, and the set of modules that importing ``ghzmetro.cli`` and
+    the run added to its ``sys.modules``.  With ``refuse_numpy`` an import
+    hook makes numpy unimportable, as in an install without the extra."""
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "class RefuseNumpy:\n"
+             "    def find_spec(self, name, path=None, target=None):\n"
+             "        if name.partition('.')[0] == 'numpy':\n"
+             "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+             "if sys.argv.pop(1) == 'refuse':\n"
+             "    sys.meta_path.insert(0, RefuseNumpy())\n"
+             "try:\n"
+             "    import ghzmetro.cli\n"
+             "    code = ghzmetro.cli.main(sys.argv[1:])\n"
+             "except SystemExit as exc:\n"
+             "    code = exc.code\n"
+             "sys.stdout.flush()\n"
+             "print('LOADED', *sorted(set(sys.modules) - before), file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    src = str(Path(ghzmetro.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", probe, "refuse" if refuse_numpy else "-",
+                           *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    err, _, loaded = proc.stderr.rpartition("LOADED")
+    return proc.returncode, proc.stdout, err, set(loaded.split())
+
+
+START_UP = {"dataclasses", "inspect", "json", "datetime"}
+
+
+@pytest.mark.parametrize("argv, allowed", [
+    (["qfi", "--n", "7", "--k", "2", "--no-timestamp"], set()),
+    (["qfi", "--n", "7", "--k", "2", "--format", "json", "--no-timestamp"], {"json"}),
+    (["qfi", "--n", "7", "--k", "2"], {"datetime"}),
+])
+def test_cli_start_up_imports(argv, allowed):
+    # json is loaded only to write JSON, datetime only to print a timestamp
+    code, out, err, loaded = cli_process(argv)
+    assert (code, err) == (0, "")
+    assert "ghzmetro.states" in loaded and out
+    assert loaded & START_UP <= allowed
+
+
+@pytest.mark.parametrize("command", ["qfi", "ppt", "bell"])
+def test_oracle_without_numpy_exits_2_naming_the_extra(command):
+    code, out, err, loaded = cli_process([command, "--n", "6", "--k", "2", "--oracle"],
+                                         refuse_numpy=True)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: --oracle needs numpy: install ghzmetro[oracle]"]
+    assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE + [
+    ["qfi", "--n", "8", "--a", "1/4", "--format", "json"],
+    ["ppt", "--n", "8", "--k", "5"],  # a refusal, exit 2
+])
+def test_commands_without_numpy_run_unchanged(capsys, argv):
+    argv = [*argv, "--no-timestamp"] if argv != ["--version"] else argv
+    try:
+        expected = run(capsys, *argv)
+    except SystemExit as exc:
+        expected = (exc.code, *capsys.readouterr())
+    code, out, err, loaded = cli_process(argv, refuse_numpy=True)
+    assert (code, out, err) == expected
+    assert "numpy" not in loaded
 
 
 def test_estimate_models_are_the_parser_choices(capsys):

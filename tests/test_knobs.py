@@ -20,6 +20,7 @@ from pathlib import Path
 
 import ghzmetro
 from ghzmetro.cli import make_parser
+from ghzmetro.states import _Record
 
 LIBRARY_MODULES = ("states", "qfi", "ptranspose", "bell", "oracles", "estimation")
 
@@ -80,9 +81,10 @@ CLI_OPTIONS = {
 
 def defaulted_parameters(module_name):
     """``module.function(param)`` for each defaulted parameter of the functions
-    and methods defined in ``ghzmetro.<module_name>``."""
+    and methods defined in ``ghzmetro.<module_name>``.  A record's defaulted
+    field is a parameter of its ``__init__``, which the record base supplies."""
     module = importlib.import_module(f"ghzmetro.{module_name}")
-    functions = []
+    functions, found = [], set()
     for name, obj in vars(module).items():
         if getattr(obj, "__module__", None) != module.__name__:
             continue
@@ -91,7 +93,10 @@ def defaulted_parameters(module_name):
         elif inspect.isclass(obj):
             functions += [(f"{name}.{attr}", f) for attr, f in vars(obj).items()
                           if inspect.isfunction(f)]
-    return {
+            if issubclass(obj, _Record):  # a class attribute named after a field
+                found |= {f"{module_name}.{name}.__init__({field})"
+                          for field in obj._fields if hasattr(obj, field)}
+    return found | {
         f"{module_name}.{name}({p.name})"
         for name, fn in functions
         for p in inspect.signature(fn).parameters.values()
