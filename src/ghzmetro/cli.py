@@ -5,8 +5,16 @@ plus ``figure``, which prints the scan CSV of a row of ``FIGURES``.  Each
 returns a JSON payload or the lines of its text or CSV body; ``main`` puts
 the provenance header (tool version, command line, seed, timestamp unless
 ``--no-timestamp``) on it and writes it once, so identical command plus seed
-gives byte-identical output.  Numbers and lists in option values are read by
-``parse_number`` and ``parse_list``.  ``--oracle`` hands what a command
+gives byte-identical output.  The command line is read from one option
+table, ``COMMANDS``: each command's handler, help line and options, each
+option with its name, kind, default, whether it is required and its help.
+``parse_args`` reads it as argparse read the same options (unique prefixes,
+``--opt=value``, negative numbers as values, the last of a repeated option)
+and exits 2 on a usage error, with argparse's messages.  ``usage`` formats
+help and usage text from the table at a fixed 80 columns; only help and
+usage errors import it.  No argparse, so no gettext or locale, is imported.
+Numbers and lists in option values are read by ``parse_number`` and
+``parse_list``.  ``--oracle`` hands what a command
 prints to ``oracles.check_*`` through ``oracle_deviation``, which alone imports
 ``oracles`` (it loads numpy, the ``oracle`` extra; without it ``--oracle`` exits
 2); ``estimation`` is imported only by ``estimate``, ``json`` only to write
@@ -15,9 +23,10 @@ domain error, 3 size-limit error, 4 internal cross-check failure.
 """
 from __future__ import annotations
 
-import argparse
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import List, Optional, Sequence
 
 from . import __version__
@@ -43,13 +52,16 @@ def parse_number(text: str, kind: type):
 def parse_list(text: str, option: str, kind: type) -> list:
     """A comma list such as "4,6,8", or for ``--n`` alone also a range "8..120".
 
-    A list that names nothing (it would print an empty table) is refused.
+    A value named twice is kept once, where it first appears, so no row is
+    printed twice.  A list that names nothing (it would print an empty table)
+    is refused.
     """
     if option == "--n" and ".." in text:
         lo, hi = text.split("..", 1)
         values = list(range(parse_number(lo, int), parse_number(hi, int) + 1))
     else:
-        values = [parse_number(part, kind) for part in text.split(",") if part]
+        values = list(dict.fromkeys(parse_number(part, kind) for part in text.split(",")
+                                    if part))
     if not values:
         raise DomainError(f"{option} {text!r} names nothing")
     return values
@@ -66,7 +78,7 @@ def hs_norm_field(state: BandState, row: bell_mod.DetectionRow, exact: bool) -> 
     return fmt_number(bell_mod.hs_norm_sq(state) if exact else row.hs_norm_sq, exact)
 
 
-def provenance(args: argparse.Namespace, argv: Sequence[str]) -> dict:
+def provenance(args: SimpleNamespace, argv: Sequence[str]) -> dict:
     meta = {
         "tool": f"ghzmetro {__version__}",
         "command": "ghzmetro " + " ".join(argv),
@@ -80,7 +92,7 @@ def provenance(args: argparse.Namespace, argv: Sequence[str]) -> dict:
 
 
 def emit(text: str, output: Optional[str]) -> None:
-    if output:
+    if output is not None:  # an empty path is refused by open, as "No such file"
         try:
             with open(output, "w") as fh:
                 fh.write(text)
@@ -90,20 +102,20 @@ def emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def build_state(args: argparse.Namespace) -> BandState:
+def build_state(args: SimpleNamespace) -> BandState:
     if args.k is None:
         raise DomainError("a family member needs --k")
     return build_rho_nkm(args.n, args.k, args.m or 0)
 
 
-def state_label(args: argparse.Namespace) -> str:
+def state_label(args: SimpleNamespace) -> str:
     m = getattr(args, "m", None)
     if m:
         return f"rho_{args.n},{args.k},{m}"
     return f"rho_{args.n},{args.k}"
 
 
-def oracle_deviation(args: argparse.Namespace, check: str, *printed) -> Optional[float]:
+def oracle_deviation(args: SimpleNamespace, check: str, *printed) -> Optional[float]:
     """``oracles.<check>(*printed)`` under ``--oracle``, else None.
 
     ``oracles`` loads numpy, so only ``--oracle`` imports it.
@@ -310,90 +322,213 @@ def cmd_figure(args):
     return [header] + [",".join(row) for row in rows], None
 
 
+# -- option table --------------------------------------------------------------
+# An option is (name, kind, default, required, help).  Kind int, float or str
+# converts the option's value; bool makes it a flag, True when given; a tuple
+# lists its choices, and their type converts the value.
+
+HELP = ("--help", bool, False, False, "show this help message and exit")  # and -h
+PROGRAM_OPTIONS = (
+    ("--version", bool, False, False, "show program's version number and exit"),
+)
+FAMILY_OPTIONS = (
+    ("--n", int, None, True, "qubit count"),
+    ("--k", int, None, False, "ones threshold"),
+    ("--m", int, None, False, "mixing width"),
+)
+COMMON_OPTIONS = (
+    ("--output", str, None, False, "write here instead of stdout"),
+    ("--no-timestamp", bool, False, False,
+     "omit the timestamp from the provenance header"),
+)
+EXACT_OPTIONS = (  # on the commands that print rationals
+    ("--exact", bool, False, False, "print rationals as p/q instead of decimals"),
+)
+TEXT_OR_JSON = ("--format", ("text", "json"), "text", False, None)
+
+# Per command: its handler, its help line and its options, in help order.
+COMMANDS = {
+    "state": (cmd_state, "eigenvalue table of a family state",
+              FAMILY_OPTIONS + COMMON_OPTIONS + (TEXT_OR_JSON,)),
+    "qfi": (cmd_qfi, "quantum Fisher information and bounds",
+            FAMILY_OPTIONS + COMMON_OPTIONS + EXACT_OPTIONS + (
+                ("--a", str, None, False, "rational scan ratio, e.g. 1/4"),
+                ("--oracle", bool, False, False,
+                 "cross-check against the dense spectral formula"),
+                TEXT_OR_JSON)),
+    "ppt": (cmd_ppt, "partial-transpose certificates and cuts",
+            FAMILY_OPTIONS + COMMON_OPTIONS + (
+                ("--cuts", str, "all", False, '"all" or sizes like "1,2"'),
+                ("--oracle", bool, False, False,
+                 "cross-check spectra against dense transposition"),
+                TEXT_OR_JSON)),
+    "bell": (cmd_bell, "correlation tensor norm and detection row",
+             FAMILY_OPTIONS + COMMON_OPTIONS + EXACT_OPTIONS + (
+                 ("--oracle", bool, False, False,
+                  "cross-check against brute-force / exact tensor"),
+                 ("--components", bool, False, False, "append planar/axial split columns"),
+                 ("--format", ("csv", "json"), "csv", False, None))),
+    "estimate": (cmd_estimate, "seeded Monte Carlo phase estimation",
+                 FAMILY_OPTIONS + COMMON_OPTIONS + (
+                     ("--theta", float, None, True, None),
+                     ("--shots", int, 10000, False, None),
+                     ("--reps", int, 200, False, None),
+                     ("--seed", int, 0, False, None),
+                     # sorted(estimation.MODELS), spelled out so that parsing
+                     # does not import estimation
+                     ("--model", ("global-parity", "sector-parity"), "global-parity",
+                      False, None),
+                     ("--bracket", float, None, False,
+                      "maximum-likelihood bracket halfwidth (radians)"))),
+    "figure": (cmd_figure, "regenerate scan CSVs", (
+        ("--id", tuple(sorted(FIGURES)), None, True, None),
+        ("--n-max", int, None, False, "figure 2 scan end (default 200)"),
+        ("--k", str, None, False, 'comma list, e.g. "2,3"'),
+        ("--a", str, None, False, 'comma list, e.g. "1/8,1/4"'),
+        ("--n", str, None, False, 'range like "8..120"'),
+    ) + COMMON_OPTIONS + EXACT_OPTIONS),
+}
+
+
+def options_of(command: Optional[str]) -> tuple:
+    """The options of the program (command None) or of a command, help first."""
+    return (HELP,) + (PROGRAM_OPTIONS if command is None else COMMANDS[command][2])
+
+
+def option_table(command: Optional[str]) -> dict:
+    """Each option string of the program or a command, to its option, in the
+    order an ambiguous prefix lists them."""
+    return {"-h": HELP, **{option[0]: option for option in options_of(command)}}
+
+
 # -- parser --------------------------------------------------------------------
+# Reads the command line as argparse read these options, with its messages.
+
+# read as a value, not as an option; compiled on first use, by a one-dash argument
+NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ghzmetro",
-        description="Exact metrology of GHZ-diagonal bound-entangled states",
-    )
-    parser.add_argument("--version", action="version",
-                        version=f"ghzmetro {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def prog(command: Optional[str]) -> str:
+    return "ghzmetro" + (f" {command}" if command else "")
 
-    def common(p, with_family=True, exact=False):
-        if with_family:
-            p.add_argument("--n", type=int, required=True, help="qubit count")
-            p.add_argument("--k", type=int, help="ones threshold")
-            p.add_argument("--m", type=int, default=None, help="mixing width")
-        p.add_argument("--output", default=None, help="write here instead of stdout")
-        p.add_argument("--no-timestamp", action="store_true",
-                       help="omit the timestamp from the provenance header")
-        if exact:  # on the commands that print rationals
-            p.add_argument("--exact", action="store_true",
-                           help="print rationals as p/q instead of decimals")
 
-    p = sub.add_parser("state", help="eigenvalue table of a family state")
-    common(p)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_state)
+def usage_error(command: Optional[str], message: str):
+    """Print the usage and ``message`` to stderr and exit 2."""
+    from .usage import usage_text
 
-    p = sub.add_parser("qfi", help="quantum Fisher information and bounds")
-    common(p, exact=True)
-    p.add_argument("--a", default=None, help="rational scan ratio, e.g. 1/4")
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check against the dense spectral formula")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_qfi)
+    text = usage_text(prog(command), options_of(command), {} if command else COMMANDS)
+    sys.stderr.write(f"{text}{prog(command)}: error: {message}\n")
+    raise SystemExit(2)
 
-    p = sub.add_parser("ppt", help="partial-transpose certificates and cuts")
-    common(p)
-    p.add_argument("--cuts", default="all", help='"all" or sizes like "1,2"')
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check spectra against dense transposition")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_ppt)
 
-    p = sub.add_parser("bell", help="correlation tensor norm and detection row")
-    common(p, exact=True)
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check against brute-force / exact tensor")
-    p.add_argument("--components", action="store_true",
-                   help="append planar/axial split columns")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_bell)
+def read_option(arg: str, table: dict, command: Optional[str]):
+    """How argparse reads ``arg``: None for a value, else (option, the value
+    written after ``=`` or attached to ``-h``, or None).  An option may be
+    written as any unique prefix; an ambiguous one is refused.  An argument
+    that looks like an option but names none reads as (None, None)."""
+    if arg[:1] != "-":
+        return None
+    if arg in table:
+        return table[arg], None
+    if len(arg) == 1:
+        return None
+    head, eq, value = arg.partition("=")
+    if eq and head in table:
+        return table[head], value
+    if arg[1] == "-":
+        matches = [(name, value if eq else None) for name in table if name.startswith(head)]
+    else:  # -h, the one short option, with anything after it attached
+        matches = [(name, arg[2:]) for name in table if name == arg[:2]]
+    if len(matches) > 1:
+        usage_error(command, f"ambiguous option: {arg} could match "
+                             + ", ".join(name for name, _ in matches))
+    if matches:
+        name, value = matches[0]
+        return table[name], value
+    if arg[1] != "-" and re.match(NEGATIVE_NUMBER, arg) or " " in arg:
+        return None
+    return None, None
 
-    p = sub.add_parser("estimate", help="seeded Monte Carlo phase estimation")
-    common(p)
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--shots", type=int, default=10000)
-    p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    # sorted(estimation.MODELS), spelled out so that parsing does not import estimation
-    p.add_argument("--model", default="global-parity",
-                   choices=["global-parity", "sector-parity"])
-    p.add_argument("--bracket", type=float, default=None,
-                   help="maximum-likelihood bracket halfwidth (radians)")
-    p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("figure", help="regenerate scan CSVs")
-    p.add_argument("--id", type=int, required=True, choices=sorted(FIGURES))
-    p.add_argument("--n-max", type=int, default=None,
-                   help="figure 2 scan end (default 200)")
-    p.add_argument("--k", default=None, help='comma list, e.g. "2,3"')
-    p.add_argument("--a", default=None, help='comma list, e.g. "1/8,1/4"')
-    p.add_argument("--n", default=None, help='range like "8..120"')
-    common(p, with_family=False, exact=True)
-    p.set_defaults(func=cmd_figure)
+def read_options(args: List[str], command: Optional[str]):
+    """The options given in ``args`` by name, the arguments that no option
+    reads, and, for the program (command None), the first value, which names
+    the command, with every argument after it."""
+    table = option_table(command)
+    end = args.index("--") if "--" in args else len(args)
+    reads = [read_option(arg, table, command) for arg in args[:end]]
+    reads += [None] * (len(args) - end)  # "--" and what follows are values
+    values, unread, i = {}, [], 0
+    while i < len(args):
+        arg, read = args[i], reads[i]
+        i += 1
+        # the program's first value is the command; a "--" that ends the line is not
+        if command is None and read is None and args[i - 1:] != ["--"]:
+            return values, unread, args[i - 1:]
+        if read is None or read[0] is None:
+            unread.append(arg)
+            continue
+        (name, kind, *_), given = read
+        label = "-h/--help" if name == "--help" else name
+        if kind is bool:
+            rest = given.lstrip("h") if given and arg[1] != "-" else given  # -hh is -h
+            if given == "" or rest:
+                usage_error(command, f"argument {label}: ignored explicit argument "
+                                     f"{rest!r}")
+            if name == "--help":
+                from .usage import help_text
 
-    return parser
+                sys.stdout.write(help_text(prog(command), options_of(command),
+                                           {} if command else COMMANDS))
+                raise SystemExit(0)
+            if name == "--version":
+                sys.stdout.write(f"ghzmetro {__version__}\n")
+                raise SystemExit(0)
+            values[name] = True
+            continue
+        if given is None and i < end and reads[i] is None:
+            given, i = args[i], i + 1
+        if given is None or given == "--":  # argparse bound --opt=-- to an empty list
+            usage_error(command, f"argument {label}: expected one argument")
+        convert = type(kind[0]) if isinstance(kind, tuple) else kind
+        try:
+            value = convert(given)
+        except ValueError:
+            usage_error(command, f"argument {label}: invalid {convert.__name__} value: "
+                                 f"{given!r}")
+        if isinstance(kind, tuple) and value not in kind:
+            usage_error(command, f"argument {label}: invalid choice: {value!r} "
+                                 f"(choose from {', '.join(map(repr, kind))})")
+        values[name] = value  # a repeated option keeps its last value
+    if command is None:
+        usage_error(None, "the following arguments are required: command")
+    missing = [option[0] for option in options_of(command)
+               if option[3] and option[0] not in values]
+    if missing:
+        usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    return values, unread, []
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The command, its handler ``func`` and the value of each of its options,
+    named as the option without its dashes, ``-`` read as ``_``.  A usage
+    error exits 2; help and the version exit 0."""
+    _, unread, (command, *rest) = read_options(list(argv), None)
+    if command not in COMMANDS:
+        usage_error(None, f"argument command: invalid choice: {command!r} "
+                          f"(choose from {', '.join(map(repr, COMMANDS))})")
+    values, more, _ = read_options(rest, command)
+    if unread + more:
+        usage_error(None, "unrecognized arguments: " + " ".join(unread + more))
+    func, _, options = COMMANDS[command]
+    return SimpleNamespace(command=command, func=func, **{
+        option[0][2:].replace("-", "_"): values.get(option[0], option[2])
+        for option in options})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         meta = provenance(args, argv)
         body, deviation = args.func(args)

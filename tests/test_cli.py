@@ -1,8 +1,8 @@
 """CLI contracts: output formats, determinism, exit codes, imports."""
-import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,9 +13,10 @@ import pytest
 import ghzmetro
 from ghzmetro import estimation
 from ghzmetro.bell import hs_norm_sq
-from ghzmetro.cli import main, make_parser, parse_list, parse_number
+from ghzmetro.cli import COMMANDS, main, parse_list, parse_number
 from ghzmetro.states import GhzDiagonalState, build_rho_nk, build_rho_nkm
 from conftest import as_sparse
+from test_knobs import CLI_OPTIONS
 
 
 def run(capsys, *argv):
@@ -28,6 +29,8 @@ def test_parse_helpers():
     assert parse_list("8..12", "--n", int) == [8, 9, 10, 11, 12]
     assert parse_list("4,6,8", "--n", int) == [4, 6, 8]
     assert parse_list("7", "--n", int) == [7]
+    assert parse_list("3,2,3,2", "--k", int) == [3, 2]  # the first of each, in order
+    assert parse_list("1/4,2/8,1/8", "--a", Fraction) == [Fraction(1, 4), Fraction(1, 8)]
     assert str(parse_number("1/4", Fraction)) == "1/4"
 
 
@@ -120,6 +123,121 @@ def test_exact_only_on_commands_that_print_rationals(capsys, command):
         main([*command, "--exact"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def refused_while_parsing(capsys, *argv):
+    """Exit code, stdout and stderr lines of a request the parser refuses."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err.splitlines()
+
+
+# each usage error with the last stderr line argparse printed for it
+USAGE_ERRORS = [
+    (("qfi", "--n", "7", "--k", "2", "--o", "x"),
+     "ghzmetro qfi: error: ambiguous option: --o could match --output, --oracle"),
+    (("qfi", "--n", "7", "--k", "2", "--output", "--exact"),
+     "ghzmetro qfi: error: argument --output: expected one argument"),
+    (("qfi", "--n", "x", "--k", "2"),
+     "ghzmetro qfi: error: argument --n: invalid int value: 'x'"),
+    (("qfi", "--n", "7", "--k", "2", "--format", "xml"),
+     "ghzmetro qfi: error: argument --format: invalid choice: 'xml' "
+     "(choose from 'text', 'json')"),
+    (("qfi", "--n", "7", "--k", "2", "--bogus"),
+     "ghzmetro: error: unrecognized arguments: --bogus"),
+    (("qfi", "--n", "7", "--k", "2", "stray"),
+     "ghzmetro: error: unrecognized arguments: stray"),
+    ((), "ghzmetro: error: the following arguments are required: command"),
+    (("bogus",), "ghzmetro: error: argument command: invalid choice: 'bogus' "
+                 "(choose from 'state', 'qfi', 'ppt', 'bell', 'estimate', 'figure')"),
+    (("estimate", "--format", "json"),
+     "ghzmetro estimate: error: the following arguments are required: --n, --theta"),
+    # only -5, -0.3 and -.3 read as numbers; -1e5 reads as an option
+    (("estimate", "--n", "4", "--k", "1", "--theta", "-1e5"),
+     "ghzmetro estimate: error: argument --theta: expected one argument"),
+    (("figure", "--id", "5"),
+     "ghzmetro figure: error: argument --id: invalid choice: 5 (choose from 2, 3, 4)"),
+    (("qfi", "--n", "7", "--k", "2", "--exact=1"),
+     "ghzmetro qfi: error: argument --exact: ignored explicit argument '1'"),
+    (("qfi", "--n", "7", "--k", "2", "-hx"),
+     "ghzmetro qfi: error: argument -h/--help: ignored explicit argument 'x'"),
+    (("qfi", "--n", "7", "--k", "2", "--nx", "5"),
+     "ghzmetro: error: unrecognized arguments: --nx 5"),
+    (("qfi", "--n", "7", "--k", "2", "--", "x"),
+     "ghzmetro: error: unrecognized arguments: -- x"),
+]
+
+
+@pytest.mark.parametrize("argv, last_line", USAGE_ERRORS)
+def test_usage_errors_keep_their_wording(capsys, argv, last_line):
+    code, out, err = refused_while_parsing(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err[-1] == last_line
+    assert err[0].startswith("usage: ghzmetro")
+
+
+def test_usage_error_prints_the_command_usage_first(capsys):
+    _, _, err = refused_while_parsing(capsys, "qfi", "--n", "x")
+    assert err == [
+        "usage: ghzmetro qfi [-h] --n N [--k K] [--m M] [--output OUTPUT]",
+        "                    [--no-timestamp] [--exact] [--a A] [--oracle]",
+        "                    [--format {text,json}]",
+        "ghzmetro qfi: error: argument --n: invalid int value: 'x'"]
+
+
+def test_option_given_as_equals_dashes_is_refused(capsys):
+    # argparse bound --output=-- to an empty list, which then meant stdout
+    code, out, err = refused_while_parsing(capsys, "qfi", "--n", "7", "--k", "2",
+                                           "--output=--")
+    assert (code, out) == (2, "")
+    assert err[-1] == "ghzmetro qfi: error: argument --output: expected one argument"
+
+
+@pytest.mark.parametrize("argv, same_as", [
+    (("qfi", "--n=7", "--k=2", "--no-timestamp"),
+     ("qfi", "--n", "7", "--k", "2", "--no-timestamp")),
+    (("qfi", "--n", "7", "--k", "2", "--ex", "--no-time"),
+     ("qfi", "--n", "7", "--k", "2", "--exact", "--no-timestamp")),
+    (("qfi", "--n", "8", "--k", "3", "--k", "2", "--n", "7", "--no-timestamp"),
+     ("qfi", "--n", "7", "--k", "2", "--no-timestamp")),
+    (("figure", "--i=4", "--k", "3", "--n", "6", "--no-t"),
+     ("figure", "--id", "4", "--k", "3", "--n", "6", "--no-timestamp")),
+    (("bell", "--n", "8", "--k=2", "--comp", "--f", "csv", "--no-timestamp"),
+     ("bell", "--n", "8", "--k", "2", "--components", "--no-timestamp")),
+])
+def test_option_syntax_is_read_as_the_full_form(capsys, argv, same_as):
+    # --opt=value, unique prefixes and the last of a repeated option
+    code, out, err = run(capsys, *argv)
+    expected = run(capsys, *same_as)
+    assert (code, err) == (0, "") == expected[::2]
+    assert out.splitlines()[1:] == expected[1].splitlines()[1:]  # below the command line
+
+
+@pytest.mark.parametrize("theta", ["-0.3", "-.3"])
+def test_negative_number_is_a_value(capsys, theta):
+    for argv in (("--theta", theta), (f"--theta={theta}",)):
+        code, out, _ = run(capsys, "estimate", "--n", "4", "--k", "1", *argv, "--reps", "2",
+                           "--shots", "100", "--no-timestamp")
+        assert code == 0
+        assert json.loads(out)["run"]["theta_true"] == -0.3
+
+
+@pytest.mark.parametrize("program", sorted(CLI_OPTIONS))
+def test_help_names_every_option(capsys, program):
+    command = [] if program == "ghzmetro" else [program]
+    for flag in ("-h", "--help", "--he"):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, "--bogus"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, err) == (0, "")
+        assert out.startswith(f"usage: {' '.join(['ghzmetro', *command])} [-h]")
+        for option in CLI_OPTIONS[program]:
+            assert re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", out), option
+    with pytest.raises(SystemExit) as exc:
+        main(["--version", *command])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"ghzmetro {ghzmetro.__version__}\n"
 
 
 def test_qfi_exact_output(capsys):
@@ -408,12 +526,32 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "--output" in err
     assert not target.parent.exists()
+    # an empty path names no file; it does not mean stdout
+    for output in (["--output", ""], ["--output="]):
+        code, out, err = run(capsys, "bell", "--n", "8", "--k", "2", *output)
+        assert (code, out) == (2, "")
+        assert err == "error: cannot write --output '': No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (("ppt", "--n", "8", "--k", "2", "--cuts", "2,2"), ["cut 2: NPPT"]),
+    (("figure", "--id", "4", "--k", "2,2", "--n", "4..5"), ["4,2,", "5,2,"]),
+    (("figure", "--id", "3", "--a", "1/4,1/4", "--n", "8,8"), ["8,1/4,2,"]),
+    (("figure", "--id", "3", "--a", "1/4,2/8", "--n", "8"), ["8,1/4,2,"]),
+])
+def test_repeated_list_values_print_one_row(capsys, argv, rows):
+    code, out, _ = run(capsys, *argv, "--no-timestamp")
+    assert code == 0
+    body = out.splitlines()[2:]  # below the certificate line or the CSV header
+    assert len(body) == len(rows)
+    assert all(line.startswith(row) for line, row in zip(body, rows))
 
 
 # sha256 of stdout, recorded before the figure table and the list parser
 # replaced per-figure branches and per-kind parsers.  `estimate` is left out:
 # its estimates go through libm (test_readme_run_counts_known_answer pins its
-# draws); `--help` too, as argparse wraps it by terminal width.
+# draws).  Help is printed at a fixed 80 columns; its digests are those of
+# argparse's help at 80 columns, recorded before the option table replaced it.
 GOLDEN_STDOUT = {
     "state --n 4 --k 2":
         "9c7fcafa3f002ce85d33ab0234c86ac35dfdc131c298bb70dce42fc8941e567c",
@@ -436,12 +574,23 @@ GOLDEN_STDOUT = {
     "figure --id 2": "fb6b10ea117616f4e03a9168f1b57e266f6a6c6dc0b5a208f913c802ed628f2d",
     "figure --id 3": "93500ba1051810de151af73923812db6ec0e400086e397e59ead7c3541e9beaf",
     "figure --id 4": "3cbb8edb435d6829ad002095860b444ff17cec6fb700844603a5c5ce7563523d",
+    "--help": "5a84d57246d981f1438b8a5f531a81a9b4da2b83061387aee74b89ea2a8685ab",
+    "state --help": "7960f9237d10a26c5490577d8e61c8ce1d8820ed0babf849cd1577a431f5211e",
+    "qfi --help": "dc633754a94bb021dc4bd812b5186da4e2f3b302232e44a1e8c0d05686f22967",
+    "ppt --help": "effb1a5bec49dd0594dbd74bc61a1c0c5c33800f87f47157f940727c2f3ece8a",
+    "bell --help": "1154a4d3326675ae419e2f58c47bb465026ce17a54c2589c536cd4be88b5319a",
+    "estimate --help": "08fb990b6e6c83070162c1721eb7d0b7e154174f9adb5a32d3e326e6c464a43b",
+    "figure --help": "1c15569bbf551a8feb82a3430f9041dd2ee1bc71e1aad36fce0bbab2bd4703f9",
 }
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
 def test_golden_stdout_digests(capsys, command):
-    code, out, err = run(capsys, *command.split(), "--no-timestamp")
+    try:
+        code = main([*command.split(), "--no-timestamp"])
+    except SystemExit as exc:  # --help
+        code = exc.code
+    out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 
@@ -557,7 +706,7 @@ def cli_process(argv, refuse_numpy=False):
     return proc.returncode, proc.stdout, err, set(loaded.split())
 
 
-START_UP = {"dataclasses", "inspect", "json", "datetime"}
+START_UP = {"dataclasses", "inspect", "json", "datetime", "argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize("argv, allowed", [
@@ -566,7 +715,8 @@ START_UP = {"dataclasses", "inspect", "json", "datetime"}
     (["qfi", "--n", "7", "--k", "2"], {"datetime"}),
 ])
 def test_cli_start_up_imports(argv, allowed):
-    # json is loaded only to write JSON, datetime only to print a timestamp
+    # json is loaded only to write JSON, datetime only to print a timestamp;
+    # the command line is read without argparse, so without gettext or locale
     code, out, err, loaded = cli_process(argv)
     assert (code, err) == (0, "")
     assert "ghzmetro.states" in loaded and out
@@ -598,10 +748,10 @@ def test_commands_without_numpy_run_unchanged(capsys, argv):
 
 
 def test_estimate_models_are_the_parser_choices(capsys):
-    sub = next(a for a in make_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    model = next(a for a in sub.choices["estimate"]._actions if a.dest == "model")
-    assert model.choices == sorted(estimation.MODELS)
+    _, kind, default, _, _ = next(option for option in COMMANDS["estimate"][2]
+                                  if option[0] == "--model")
+    assert list(kind) == sorted(estimation.MODELS)
+    assert default in kind
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--n", "4", "--k", "1", "--theta", "0.3", "--model", "bogus"])
     assert exc.value.code == 2
