@@ -24,6 +24,7 @@ over the state's sector classes, the O(n) band classes of a ``BandState``
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .qfi import qfi_ghz_diagonal
@@ -59,7 +60,7 @@ class DetectionRow(_Record):
     n: int
     f_q: Fraction
     f_q_over_n: Fraction
-    hs_norm_sq: float  # float of the exact norm; the verdict uses the rational
+    hs_norm_sq: float  # float of the exact norm (inf past 2^1024); verdicts use the rational
     verdict: str
 
 
@@ -73,6 +74,10 @@ def detection_comparison(state: SectorState) -> DetectionRow:
     """
     f_q = qfi_ghz_diagonal(state)
     hs = hs_norm_sq(state)
+    try:
+        hs_float = float(hs)
+    except OverflowError:  # 2^(n-1) sum d^2 passes 2^1024 from about n = 1046 on
+        hs_float = math.inf
     qfi_detects = f_q > state.n
     bell_side = hs >= 1
     if qfi_detects and not bell_side:
@@ -87,6 +92,6 @@ def detection_comparison(state: SectorState) -> DetectionRow:
         n=state.n,
         f_q=f_q,
         f_q_over_n=f_q / state.n,
-        hs_norm_sq=float(hs),
+        hs_norm_sq=hs_float,
         verdict=verdict,
     )

@@ -10,16 +10,18 @@ table, ``COMMANDS``: each command's handler, help line and options, each
 option with its name, kind, default, whether it is required and its help.
 ``parse_args`` reads it as argparse read the same options (unique prefixes,
 ``--opt=value``, negative numbers as values, the last of a repeated option)
-and exits 2 on a usage error, with argparse's messages.  ``usage`` formats
-help and usage text from the table at a fixed 80 columns; only help and
-usage errors import it.  No argparse, so no gettext or locale, is imported.
-Numbers and lists in option values are read by ``parse_number`` and
-``parse_list``.  ``--oracle`` hands what a command
-prints to ``oracles.check_*`` through ``oracle_deviation``, which alone imports
-``oracles`` (it loads numpy, the ``oracle`` extra; without it ``--oracle`` exits
-2); ``estimation`` is imported only by ``estimate``, ``json`` only to write
-JSON and ``datetime`` only to print a timestamp.  Exit codes: 0 success, 2
-domain error, 3 size-limit error, 4 internal cross-check failure.
+and exits 2 on a usage error, with argparse's messages; only an integer is
+read more strictly, from ASCII digits with an optional sign (``read_int``).
+``usage`` formats help and usage text from the table at a fixed 80 columns;
+only help and usage errors import it.  No argparse, so no gettext or locale,
+is imported.  Numbers and lists in option values are read by
+``parse_number`` and ``parse_list``, integers among them by ``read_int``.
+``--oracle`` hands what a command prints to ``oracles.check_*`` through
+``oracle_deviation``, which alone imports ``oracles`` (it loads numpy, the
+``oracle`` extra; without it ``--oracle`` exits 2); ``estimation`` is
+imported only by ``estimate``, ``json`` only to write JSON and ``datetime``
+only to print a timestamp.  Exit codes: 0 success, 2 domain error, 3
+size-limit error, 4 internal cross-check failure.
 """
 from __future__ import annotations
 
@@ -40,10 +42,19 @@ from .states import BandState, build_rho_nk, build_rho_nkm, min_ones
 # -- small parsing / formatting helpers --------------------------------------
 
 
+def read_int(text: str) -> int:
+    """An integer written in ASCII digits with an optional sign.  ``int`` alone
+    would also read "7_0" as 70 and " 7" or a non-ASCII digit such as "٧" as 7."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):  # no regex to compile per process
+        raise ValueError(f"invalid literal for an integer: {text!r}")
+    return int(text)
+
+
 def parse_number(text: str, kind: type):
     """``kind(text)`` for ``kind`` int or Fraction, refusing what does not parse."""
     try:
-        return kind(text)
+        return read_int(text) if kind is int else kind(text)
     except (ValueError, ZeroDivisionError) as exc:
         noun = "an integer" if kind is int else "a rational"
         raise DomainError(f"cannot parse {text!r} as {noun}") from exc
@@ -70,7 +81,10 @@ def parse_list(text: str, option: str, kind: type) -> list:
 def fmt_number(x, exact: bool) -> str:
     if isinstance(x, Fraction) and exact:
         return str(x)
-    return format(float(x), ".17g")
+    try:
+        return format(float(x), ".17g")
+    except OverflowError:  # a rational past 2^1024, as the Bell norms from n = 1046 on
+        return "inf" if x > 0 else "-inf"
 
 
 def hs_norm_field(state: BandState, row: bell_mod.DetectionRow, exact: bool) -> str:
@@ -492,7 +506,7 @@ def read_options(args: List[str], command: Optional[str]):
             usage_error(command, f"argument {label}: expected one argument")
         convert = type(kind[0]) if isinstance(kind, tuple) else kind
         try:
-            value = convert(given)
+            value = read_int(given) if convert is int else convert(given)
         except ValueError:
             usage_error(command, f"argument {label}: invalid {convert.__name__} value: "
                                  f"{given!r}")

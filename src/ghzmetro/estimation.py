@@ -11,13 +11,16 @@ modeled in closed form:
   measure parity within it:
   P(i, +-) = [(lambda_i^+ + lambda_i^-) +- (lambda_i^+ - lambda_i^-) cos(w_i theta)] / 2.
 
-Both are one fringe formula, written once in ``_FringeModel`` over plain
-float tables.  Classical Fisher information uses the analytic derivatives,
-and a seeded counter-based Monte Carlo loop estimates theta by bracketed
-maximum likelihood (a grid, then golden-section search) to compare the
-empirical spread against the Cramer-Rao bound 1/sqrt(shots * F).  Outcome
-rows with the same fringe (the same s, d and w) form one class, so the
-likelihood sums their counts and takes one logarithm per class.
+Both are one fringe formula, evaluated in ``_FringeModel`` over float tables
+built once from exact rationals: global parity sums mult * d over the classes
+of each weight w, so it has no size limit; sector parity lists ``sectors()``
+(n <= 20 for a band state), as its counts are drawn per sector.  Classical
+Fisher information uses the analytic derivatives, and a seeded counter-based
+Monte Carlo loop estimates theta by bracketed maximum likelihood (a grid,
+then golden-section search) to compare the empirical spread against the
+Cramer-Rao bound 1/sqrt(shots * F).  Outcome rows with the same fringe (the
+same s, d and w) form one class, so the likelihood sums their counts and
+takes one logarithm per class.
 
 The module needs no numpy.  ``_rng`` is numpy's Philox4x64-10 stream keyed
 through its ``SeedSequence``, and its ``multinomial`` transcribes numpy's
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 import operator
 from operator import itemgetter
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError, FisherSingularityError, LikelihoodDegeneracyError
 from .qfi import qfi_ghz_diagonal
@@ -276,58 +279,47 @@ def _pairwise_sum(x: Sequence[float]) -> float:
 # -- measurement models -------------------------------------------------------
 
 
-class _Tables(NamedTuple):
-    """Plain-float fringe tables of one state under one model."""
-
-    w: List[float]  # the distinct sector weights, ascending
-    base: List[float]  # per outcome class
-    terms: List[Tuple[int, int, float]]  # (class, column of w, coefficient), columns ascending
-    row_class: List[int]  # the class of each outcome row
-    expand: Callable  # lays a value per class out over the outcome rows
-
-
 class _FringeModel:
-    """Outcome probabilities P(theta) = (base + coef . cos(w theta)) / 2, one
-    coefficient column per distinct sector weight w, in ascending w.  A model
-    only maps the sector sums s and coherences (d_i in the column of w_i) to
-    outcome rows, each a base and its (column, coefficient) terms.  Rows with
-    equal base and terms have one probability and form one class.  The tables
-    of the last state read are kept, so a run reads its state once."""
+    """P(theta) = (base + coef . cos(w theta)) / 2, one coefficient column per
+    weight w, ascending.  A model lists its distinct outcome rows (base, [(w,
+    coefficient)]) in exact rationals and each outcome's row; outcomes whose
+    rows are equal in floats form one class.  The last state's tables are kept."""
 
     _state = None
 
     def probabilities(self, state: SectorState, theta: float) -> List[float]:
-        w, base, terms, _, expand = self._tables(state)
-        cos = [math.cos(wj * theta) for wj in w]
-        fringe = [0.0] * len(base)
-        for c, j, a in terms:
-            fringe[c] += a * cos[j]
-        return list(expand([(b + f) / 2.0 for b, f in zip(base, fringe)]))
+        return self._fringe(state, theta, derivative=False)
 
     def derivatives(self, state: SectorState, theta: float) -> List[float]:
+        return self._fringe(state, theta, derivative=True)
+
+    def _fringe(self, state: SectorState, theta: float, derivative: bool) -> List[float]:
         w, base, terms, _, expand = self._tables(state)
-        slope = [wj * math.sin(wj * theta) for wj in w]
+        wave = [wj * math.sin(wj * theta) if derivative else math.cos(wj * theta) for wj in w]
         fringe = [0.0] * len(base)
         for c, j, a in terms:
-            fringe[c] += a * slope[j]
-        return list(expand([-f / 2.0 for f in fringe]))
+            fringe[c] += a * wave[j]
+        if derivative:
+            return list(expand([-f / 2.0 for f in fringe]))
+        return list(expand([(b + f) / 2.0 for b, f in zip(base, fringe)]))
 
-    def _tables(self, state: SectorState) -> _Tables:
+    def _tables(self, state: SectorState) -> tuple:
+        """(w, base per class, (class, column, coef) terms, row classes, expander)."""
         # a sparse state holds dicts, so states are compared by identity, not
         # hashed; holding it keeps its id from being reused by another state
         if self._state is not state:
-            sectors = [(float(lp + lm), float(lp - lm), weight(state.n, i))
-                       for i, lp, lm in state.sectors()]
-            w = sorted({wi for _, _, wi in sectors})
+            exact, order = self._rows(state)
+            rows = [(float(b), tuple((wi, float(a)) for wi, a in row_terms))
+                    for b, row_terms in exact]
+            w = sorted({wi for _, row_terms in rows for wi, _ in row_terms})
             col = {wi: j for j, wi in enumerate(w)}
-            rows = self._rows([(s, d, col[wi]) for s, d, wi in sectors], len(w))
             classes = {}
-            row_class = [classes.setdefault(row, len(classes)) for row in rows]
-            terms = [(c, j, a) for c, (_, row_terms) in enumerate(classes)
-                     for j, a in row_terms]
+            row_class = [classes.setdefault(rows[r], len(classes)) for r in order]
+            terms = [(c, col[wi], a) for c, (_, row_terms) in enumerate(classes)
+                     for wi, a in row_terms]
             self._state = state
-            self._cached = _Tables([float(wi) for wi in w], [b for b, _ in classes], terms,
-                                   row_class, itemgetter(*row_class))
+            self._cached = ([float(wi) for wi in w], [b for b, _ in classes], terms,
+                            row_class, itemgetter(*row_class))
         return self._cached
 
 
@@ -336,11 +328,13 @@ class GlobalParity(_FringeModel):
 
     name = "global-parity"
 
-    def _rows(self, sectors, width: int):
-        c = [0.0] * width
-        for _, d, j in sectors:
-            c[j] += d
-        return [(1.0, tuple(enumerate(c))), (1.0, tuple((j, -cj) for j, cj in enumerate(c)))]
+    def _rows(self, state: SectorState) -> list:
+        coef = {}  # weight -> the exact sum of mult * d over its classes
+        for rep, mult, _, d in state.classes():
+            wi = weight(state.n, rep)
+            coef[wi] = coef.get(wi, 0) + mult * d
+        terms = sorted(coef.items())
+        return [(1, terms), (1, [(wi, -a) for wi, a in terms])], [0, 1]
 
 
 class SectorParity(_FringeModel):
@@ -353,8 +347,13 @@ class SectorParity(_FringeModel):
 
     name = "sector-parity"
 
-    def _rows(self, sectors, width: int):
-        return [(s, ((j, coef),)) for s, d, j in sectors for coef in (d, -d)]
+    def _rows(self, state: SectorState) -> tuple:
+        first, order = {}, []  # (w, lp, lm) -> the index of its + row
+        for i, lp, lm in state.sectors():  # a band state repeats its classes' pairs
+            r = first.setdefault((weight(state.n, i), lp, lm), 2 * len(first))
+            order += (r, r + 1)
+        return [(lp + lm, ((wi, sign * (lp - lm)),))
+                for wi, lp, lm in first for sign in (1, -1)], order
 
 
 MODELS = {GlobalParity.name: GlobalParity, SectorParity.name: SectorParity}
@@ -441,7 +440,7 @@ def _mle(
     class's first row.
     """
     per_class = {}  # class -> (its first row, the counts of its rows)
-    for row, (cls, n) in enumerate(zip(model._tables(state).row_class, counts)):
+    for row, (cls, n) in enumerate(zip(model._tables(state)[3], counts)):  # row classes
         if n:
             first, total = per_class.get(cls, (row, 0))
             per_class[cls] = (first, total + int(n))

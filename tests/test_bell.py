@@ -184,3 +184,15 @@ def test_detection_row_fields():
     assert row.f_q == qfi_closed_nk(8, 2)
     assert row.f_q_over_n == Fraction(352, 37 * 8)
     assert row.hs_norm_sq == float(hs_norm_sq_exact(build_rho_nk(8, 2)))
+
+
+@pytest.mark.parametrize("n, k, overflows", [
+    (1045, 1, False), (1046, 1, True), (1053, 2, False), (1054, 2, True)])
+def test_detection_row_norm_past_the_float_range_is_inf(n, k, overflows):
+    # 2^(n-1) sum d^2 passes 2^1024 first at n = 1046 for k = 1 and 1054 for k = 2
+    state = build_rho_nk(n, k)
+    hs = hs_norm_sq(state)
+    row = detection_comparison(state)
+    assert (hs >= 2**1024) == overflows
+    assert row.hs_norm_sq == (float("inf") if overflows else float(hs))
+    assert row.verdict == ("both" if row.f_q > n else "Bell-only")  # hs >= 1, exactly

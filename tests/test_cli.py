@@ -103,6 +103,10 @@ def test_state_domain_error_exit_code(capsys):
     ("figure", "--id", "2", "--k", "2,0", "--n-max", "8"),
     ("figure", "--id", "4", "--k", "0"),
     ("figure", "--id", "2", "--k=-1"),
+    # list items int() alone would read: an underscore, a space, a non-ASCII digit
+    ("ppt", "--n", "6", "--k", "2", "--cuts", "1,2_0"),
+    ("figure", "--id", "4", "--k", "2, 3"),
+    ("figure", "--id", "4", "--n", "4..\u0668"),
 ])
 def test_malformed_option_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -166,6 +170,15 @@ USAGE_ERRORS = [
      "ghzmetro: error: unrecognized arguments: --nx 5"),
     (("qfi", "--n", "7", "--k", "2", "--", "x"),
      "ghzmetro: error: unrecognized arguments: -- x"),
+    # int() alone would read these as 70, 7, 7 and 4; only ASCII digits are read
+    (("qfi", "--n", "7_0", "--k", "2"),
+     "ghzmetro qfi: error: argument --n: invalid int value: '7_0'"),
+    (("qfi", "--n", "\u0667", "--k", "2"),
+     "ghzmetro qfi: error: argument --n: invalid int value: '\u0667'"),
+    (("qfi", "--n= 7", "--k", "2"),
+     "ghzmetro qfi: error: argument --n: invalid int value: ' 7'"),
+    (("figure", "--id", "\u0664"),
+     "ghzmetro figure: error: argument --id: invalid int value: '\u0664'"),
 ]
 
 
@@ -422,10 +435,40 @@ def test_bell_and_ppt_beyond_twenty_qubits(capsys):
 
 def test_sector_listing_commands_keep_size_cap(capsys):
     for argv in (("state", "--n", "21", "--k", "2"),
-                 ("estimate", "--n", "21", "--k", "2", "--theta", "0.05")):
+                 ("estimate", "--n", "21", "--k", "2", "--theta", "0.05",
+                  "--model", "sector-parity")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert "size limit" in err
+
+
+def test_global_parity_estimate_has_no_size_cap(capsys):
+    # global parity reads the O(n) band classes, not the 2^(n-1) sectors
+    code, out, err = run(capsys, "estimate", "--n", "64", "--k", "16", "--theta", "0.02",
+                         "--reps", "3", "--no-timestamp")
+    assert (code, err) == (0, "")
+    run_ = json.loads(out)["run"]
+    assert run_["model"] == "global-parity" and len(run_["estimates"]) == 3
+    assert 0 < run_["fisher_classical"] <= run_["fisher_quantum"]
+
+
+@pytest.mark.parametrize("n", [1045, 1046])
+def test_bell_norm_past_the_float_range_prints_inf(capsys, n):
+    # 2^(n-1) sum d^2 passes 2^1024 at n = 1046 for k = 1; the verdict is exact
+    hs = hs_norm_sq(build_rho_nk(n, 1))
+    decimal = "inf" if n == 1046 else format(float(hs), ".17g")
+    code, out, _ = run(capsys, "bell", "--n", str(n), "--k", "1", "--no-timestamp")
+    assert code == 0
+    assert out.splitlines()[2].split(",")[4:] == [decimal, "Bell-only"]
+    code, out, _ = run(capsys, "bell", "--n", str(n), "--k", "1", "--exact",
+                       "--no-timestamp")
+    assert code == 0 and out.splitlines()[2].split(",")[4] == str(hs)
+    code, out, _ = run(capsys, "bell", "--n", str(n), "--k", "1", "--format", "json",
+                       "--components", "--no-timestamp")
+    assert code == 0 and json.loads(out)["row"]["hs_norm_sq"] == decimal
+    code, out, _ = run(capsys, "figure", "--id", "4", "--n", str(n), "--k", "1",
+                       "--no-timestamp")
+    assert code == 0 and out.splitlines()[2].split(",")[3:] == [decimal, "Bell-only"]
 
 
 def test_estimate_reproducible_bytes(capsys):

@@ -218,6 +218,64 @@ def test_derivatives_and_fisher_match_numpy(state, theta, model_name):
                                                                   abs=1e-15)
 
 
+# -- global parity from the classes ---------------------------------------------------
+
+def sector_coefficients(state):
+    """Exact global-parity coefficient of each weight w: the sum of d_i over
+    the sectors of weight w, listed one by one."""
+    coef = {}
+    for i, lp, lm in state.sectors():
+        coef[weight(state.n, i)] = coef.get(weight(state.n, i), 0) + lp - lm
+    return coef
+
+
+def class_coefficients(state):
+    """Exact global-parity coefficient of each weight w: the sum of mult * d
+    over the classes of weight w."""
+    coef = {}
+    for rep, mult, _, d in state.classes():
+        coef[weight(state.n, rep)] = coef.get(weight(state.n, rep), 0) + mult * d
+    return coef
+
+
+def assert_parity_coefficients_are_class_sums(state):
+    exact = class_coefficients(state)
+    assert exact == sector_coefficients(state)
+    w, base, terms, row_class, _ = GlobalParity()._tables(state)
+    assert w == sorted(float(wi) for wi in exact)
+    for row, sign in zip(row_class, (1, -1)):  # the + and - outcome rows
+        assert base[row] == 1.0
+        got = {w[j]: a for c, j, a in terms if c == row}
+        assert got == {float(wi): sign * float(a) for wi, a in exact.items()}
+
+
+def test_global_parity_coefficients_are_class_sums_on_family():
+    for n, k, m in family_members(12):
+        assert_parity_coefficients_are_class_sums(build_rho_nkm(n, k, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_state_strategy(max_n=5))
+def test_global_parity_coefficients_are_class_sums_on_random_states(state):
+    assert_parity_coefficients_are_class_sums(state)
+
+
+@pytest.mark.parametrize("n", [64, 128, 200])
+def test_global_parity_fisher_matches_closed_form_beyond_sector_cap(monkeypatch, n):
+    # F_C = C'^2 / (1 - C^2) with C(theta) = sum_w c_w cos(w theta), c_w the
+    # exact class sums; these states have 2^(n-1) sectors, none of them listed
+    state = build_rho_nk(n, n // 4)
+    monkeypatch.setattr(type(state), "sectors", None)
+    coef = class_coefficients(state)
+    f_q = float(qfi_ghz_diagonal(state))
+    for theta in (1 / n, 2 / n):
+        c = math.fsum(float(a) * math.cos(w * theta) for w, a in coef.items())
+        dc = -math.fsum(float(a) * w * math.sin(w * theta) for w, a in coef.items())
+        f_c = classical_fisher(state, theta, GlobalParity())
+        assert f_c == pytest.approx(dc * dc / (1 - c * c), rel=1e-12)
+        assert f_c <= f_q
+
+
 # -- classical Fisher information ---------------------------------------------------
 
 def test_ghz_parity_reaches_quantum_limit():
@@ -377,17 +435,20 @@ def test_run_reproducible():
 @pytest.mark.parametrize("model_name", ["global-parity", "sector-parity"])
 def test_run_reads_state_tables_once(monkeypatch, model_name):
     state = build_rho_nk(6, 2)
-    calls = []
-    sectors = type(state).sectors
+    calls = {"sectors": 0, "classes": 0}
+    for method in calls:
+        def counted(self, method=method, read=getattr(type(state), method)):
+            calls[method] += 1
+            return read(self)
 
-    def counted(self):
-        calls.append(1)
-        return sectors(self)
-
-    monkeypatch.setattr(type(state), "sectors", counted)
+        monkeypatch.setattr(type(state), method, counted)
     run_monte_carlo(state, theta_true=0.2, model=model_name, shots=1000,
                     repetitions=3, seed=5)
-    assert 1 <= len(calls) <= 5  # not once per likelihood evaluation
+    if model_name == "global-parity":  # reads the classes, never a sector
+        assert calls["sectors"] == 0
+        assert 1 <= calls["classes"] <= 5  # not once per likelihood evaluation
+    else:
+        assert 1 <= calls["sectors"] <= 5  # not once per likelihood evaluation
 
 
 def test_run_tracks_cramer_rao():
