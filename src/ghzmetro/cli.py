@@ -10,12 +10,13 @@ table, ``COMMANDS``: each command's handler, help line and options, each
 option with its name, kind, default, whether it is required and its help.
 ``parse_args`` reads it as argparse read the same options (unique prefixes,
 ``--opt=value``, negative numbers as values, the last of a repeated option)
-and exits 2 on a usage error, with argparse's messages; only an integer is
-read more strictly, from ASCII digits with an optional sign (``read_int``).
-``usage`` formats help and usage text from the table at a fixed 80 columns;
-only help and usage errors import it.  No argparse, so no gettext or locale,
-is imported.  Numbers and lists in option values are read by
-``parse_number`` and ``parse_list``, integers among them by ``read_int``.
+and exits 2 on a usage error, with argparse's messages.  Every number the
+command line takes, an option value or an item of a list option
+(``parse_list``), is read by ``read_number``: ASCII only, with no underscore
+or whitespace.  ``usage`` formats help and usage text from the table at a
+fixed 80 columns; only help and usage errors import it.  No argparse, so no
+gettext or locale, is imported.  Each handler builds its JSON payload from
+the fields of the records it prints.
 ``--oracle`` hands what a command prints to ``oracles.check_*`` through
 ``oracle_deviation``, which alone imports ``oracles`` (it loads numpy, the
 ``oracle`` extra; without it ``--oracle`` exits 2); ``estimation`` is
@@ -42,37 +43,35 @@ from .states import BandState, build_rho_nk, build_rho_nkm, min_ones
 # -- small parsing / formatting helpers --------------------------------------
 
 
-def read_int(text: str) -> int:
-    """An integer written in ASCII digits with an optional sign.  ``int`` alone
-    would also read "7_0" as 70 and " 7" or a non-ASCII digit such as "٧" as 7."""
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    if not (digits.isascii() and digits.isdigit()):  # no regex to compile per process
-        raise ValueError(f"invalid literal for an integer: {text!r}")
-    return int(text)
-
-
-def parse_number(text: str, kind: type):
-    """``kind(text)`` for ``kind`` int or Fraction, refusing what does not parse."""
-    try:
-        return read_int(text) if kind is int else kind(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        noun = "an integer" if kind is int else "a rational"
-        raise DomainError(f"cannot parse {text!r} as {noun}") from exc
+def read_number(text: str, kind: type):
+    """``kind(text)`` for ``kind`` int, float or Fraction, where ``text`` is
+    ASCII with no underscore or whitespace.  Python alone would also read
+    "7_0" as 70, " 7" or a non-ASCII digit such as "٧" as 7, and "١/٤" as 1/4.
+    Raises ValueError, or ZeroDivisionError for a rational over 0."""
+    if not text.isascii() or "_" in text or text.split() != [text]:
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return kind(text)
 
 
 def parse_list(text: str, option: str, kind: type) -> list:
     """A comma list such as "4,6,8", or for ``--n`` alone also a range "8..120".
 
-    A value named twice is kept once, where it first appears, so no row is
-    printed twice.  A list that names nothing (it would print an empty table)
-    is refused.
+    Each item is read by ``read_number``.  A value named twice is kept once,
+    where it first appears, so no row is printed twice.  A list that names
+    nothing (it would print an empty table) is refused.
     """
+    def item(part: str, kind: type):
+        try:
+            return read_number(part, kind)
+        except (ValueError, ZeroDivisionError) as exc:
+            noun = "an integer" if kind is int else "a rational"
+            raise DomainError(f"cannot parse {part!r} as {noun}") from exc
+
     if option == "--n" and ".." in text:
         lo, hi = text.split("..", 1)
-        values = list(range(parse_number(lo, int), parse_number(hi, int) + 1))
+        values = list(range(item(lo, int), item(hi, int) + 1))
     else:
-        values = list(dict.fromkeys(parse_number(part, kind) for part in text.split(",")
-                                    if part))
+        values = list(dict.fromkeys(item(part, kind) for part in text.split(",") if part))
     if not values:
         raise DomainError(f"{option} {text!r} names nothing")
     return values
@@ -159,7 +158,8 @@ def cmd_state(args):
         "sectors_balanced": sum(mult for _, mult, _, d in classes if d == 0),
     }
     if args.format == "json":
-        return {"state": state.to_json_dict(), "summary": summary}, None
+        entries = [{"i": i, "lp": str(lp), "lm": str(lm)} for i, lp, lm in state.sectors()]
+        return {"state": {"n": state.n, "entries": entries}, "summary": summary}, None
     lines = [f"{state_label(args)} on {state.n} qubits"]
     lines.append(f"normalization: {state.trace()} (exact)")
     lines.append(
@@ -179,16 +179,18 @@ def cmd_qfi(args):
     if args.a is not None:
         if args.k is not None or args.m is not None:
             raise DomainError("--a sets k itself; it takes no --k or --m")
-        a = parse_number(args.a, Fraction)
-        k = scaled_k(a, args.n)
-        report = family_report(args.n, k, a=a)
+        report = family_report(args.n, scaled_k(args.a, args.n), a=args.a)
     else:
         if args.k is None:
             raise DomainError("qfi needs --k or --a")
         report = family_report(args.n, args.k, m=args.m)
     deviation = oracle_deviation(args, "check_qfi", report)
     if args.format == "json":
-        return {"report": report.to_json_dict()}, deviation
+        # every rational as {"exact", "float"}, except the input ratio a
+        fields = {name: {"exact": str(x), "float": float(x)} if isinstance(x, Fraction)
+                  else x for name, x in report._asdict().items()}
+        fields["a"] = None if report.a is None else str(report.a)
+        return {"report": fields}, deviation
     lines = [fmt_number(report.f_q, args.exact)]
     lines.append(f"f_q/n = {fmt_number(report.snl_ratio, args.exact)}")
     lines.append(f"lower_bound = {fmt_number(report.lower_bound, args.exact)}")
@@ -221,7 +223,7 @@ def cmd_ppt(args):
                 "witness_j": cert.witness_j,
                 "witness_i": cert.witness_i,
             },
-            "cuts": [row.to_json_dict() for row in table],
+            "cuts": [row._asdict() for row in table],
         }, deviation
     lines = [f"{state_label(args)}: single-qubit PPT certificate: "
              f"{'holds' if cert.holds else 'fails'}"]
@@ -275,7 +277,7 @@ def cmd_estimate(args):
         seed=args.seed,
         bracket_halfwidth=args.bracket,
     )
-    return {"run": {**run.to_json_dict(),
+    return {"run": {**run._asdict(),
                     "state_params": {"n": args.n, "k": args.k, "m": args.m}}}, None
 
 
@@ -337,9 +339,10 @@ def cmd_figure(args):
 
 
 # -- option table --------------------------------------------------------------
-# An option is (name, kind, default, required, help).  Kind int, float or str
-# converts the option's value; bool makes it a flag, True when given; a tuple
-# lists its choices, and their type converts the value.
+# An option is (name, kind, default, required, help).  Kind int, float or
+# Fraction reads the option's value with read_number, and str keeps it as
+# given; bool makes it a flag, True when given; a tuple lists its choices, and
+# their type reads the value.
 
 HELP = ("--help", bool, False, False, "show this help message and exit")  # and -h
 PROGRAM_OPTIONS = (
@@ -366,7 +369,7 @@ COMMANDS = {
               FAMILY_OPTIONS + COMMON_OPTIONS + (TEXT_OR_JSON,)),
     "qfi": (cmd_qfi, "quantum Fisher information and bounds",
             FAMILY_OPTIONS + COMMON_OPTIONS + EXACT_OPTIONS + (
-                ("--a", str, None, False, "rational scan ratio, e.g. 1/4"),
+                ("--a", Fraction, None, False, "rational scan ratio, e.g. 1/4"),
                 ("--oracle", bool, False, False,
                  "cross-check against the dense spectral formula"),
                 TEXT_OR_JSON)),
@@ -506,8 +509,8 @@ def read_options(args: List[str], command: Optional[str]):
             usage_error(command, f"argument {label}: expected one argument")
         convert = type(kind[0]) if isinstance(kind, tuple) else kind
         try:
-            value = read_int(given) if convert is int else convert(given)
-        except ValueError:
+            value = given if convert is str else read_number(given, convert)
+        except (ValueError, ZeroDivisionError):
             usage_error(command, f"argument {label}: invalid {convert.__name__} value: "
                                  f"{given!r}")
         if isinstance(kind, tuple) and value not in kind:

@@ -407,15 +407,16 @@ class EstimationRun(_Record):
     fisher_quantum: float
     bracket: Tuple[float, float]
 
-    def to_json_dict(self) -> dict:
-        return self._asdict()
-
 
 def _golden_section(f, lo: float, hi: float) -> Tuple[float, float]:
-    """Minimize a unimodal f on [lo, hi] until the bracket is below ``MLE_TOL``."""
+    """Minimize a unimodal f on [lo, hi] until the bracket is below ``MLE_TOL``,
+    or until a step no longer narrows it: at |theta| >= 2^26 adjacent floats
+    lie more than ``MLE_TOL`` apart."""
     c, d = hi - INV_PHI * (hi - lo), lo + INV_PHI * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo >= MLE_TOL:
+    width = math.inf
+    while MLE_TOL <= hi - lo < width:
+        width = hi - lo
         if fc <= fd:
             hi, d, fd = d, c, fc
             c = hi - INV_PHI * (hi - lo)
@@ -498,10 +499,11 @@ def run_monte_carlo(
     likelihood develops mirror maxima (reported, never silently resolved).
     A bracket that is empty in floating point (zero or negative width, or
     one too narrow to change theta_true) would return theta_true itself as
-    every estimate, so it is refused.  A state whose populated sectors all
-    have weight 0 does not turn under U(theta), and a measurement with no
-    classical Fisher information at theta_true has no Cramer-Rao bound, so
-    both are refused before any sampling.
+    every estimate, so it is refused; so is one so wide that w_max * (|lo| +
+    |hi|) overflows, as its width or a fringe phase w * theta would.  A state
+    whose populated sectors all have weight 0 does not turn under U(theta),
+    and a measurement with no classical Fisher information at theta_true has
+    no Cramer-Rao bound, so both are refused before any sampling.
     """
     if not 100 <= shots <= SHOTS_MAX:
         raise DomainError(f"need 100 <= shots <= 2^63 - 1, got {shots}")
@@ -521,6 +523,9 @@ def run_monte_carlo(
     if not -math.inf < bracket[0] < theta_true < bracket[1] < math.inf:
         raise DomainError(f"bracket {bracket} around theta = {theta_true} is "
                           "empty or unbounded; need a finite theta and halfwidth > 0")
+    if w_max * (abs(bracket[0]) + abs(bracket[1])) == math.inf:
+        raise DomainError(f"bracket {bracket} is too wide: its width or a fringe phase "
+                          f"w * theta (w up to {w_max}) overflows a float")
     fisher = classical_fisher(state, theta_true, model)
     if fisher <= 0.0:
         raise DomainError(

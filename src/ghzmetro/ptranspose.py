@@ -93,9 +93,6 @@ class CutStatus(_Record):
     status: str  # "PPT" | "NPPT"
     witness_mask: Optional[int] = None
 
-    def to_json_dict(self) -> dict:
-        return self._asdict()
-
 
 def cut_classification(
     state: SectorState, cut_sizes: Optional[Iterable[int]] = None

@@ -109,14 +109,6 @@ class QfiReport(_Record):
     ratio_limit_form: Optional[Fraction]
     ratio_bound_form: Optional[Fraction]
 
-    def to_json_dict(self) -> dict:
-        """Every rational becomes {"exact", "float"}, except the input ratio a."""
-        out = self._asdict()
-        for name, x in out.items():
-            if isinstance(x, Fraction):
-                out[name] = str(x) if name == "a" else {"exact": str(x), "float": float(x)}
-        return out
-
 
 def family_report(
     n: int, k: int, m: Optional[int] = None, a: Optional[Fraction] = None

@@ -155,10 +155,6 @@ class SectorState(_Record):
     def trace(self) -> Fraction:
         return sum((mult * s for _, mult, s, _ in self._classes), Fraction(0))
 
-    def to_json_dict(self) -> dict:
-        entries = [{"i": i, "lp": str(lp), "lm": str(lm)} for i, lp, lm in self.sectors()]
-        return {"n": self.n, "entries": entries}
-
 
 class GhzDiagonalState(SectorState):
     """Exact eigenvalue table of an n-qubit GHZ-diagonal state, sector by sector.

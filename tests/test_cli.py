@@ -13,7 +13,7 @@ import pytest
 import ghzmetro
 from ghzmetro import estimation
 from ghzmetro.bell import hs_norm_sq
-from ghzmetro.cli import COMMANDS, main, parse_list, parse_number
+from ghzmetro.cli import COMMANDS, main, parse_list, read_number
 from ghzmetro.states import GhzDiagonalState, build_rho_nk, build_rho_nkm
 from conftest import as_sparse
 from test_knobs import CLI_OPTIONS
@@ -31,7 +31,15 @@ def test_parse_helpers():
     assert parse_list("7", "--n", int) == [7]
     assert parse_list("3,2,3,2", "--k", int) == [3, 2]  # the first of each, in order
     assert parse_list("1/4,2/8,1/8", "--a", Fraction) == [Fraction(1, 4), Fraction(1, 8)]
-    assert str(parse_number("1/4", Fraction)) == "1/4"
+    assert str(read_number("1/4", Fraction)) == "1/4"
+    assert read_number("-7", int) == -7 and read_number("+7", int) == 7
+    assert read_number("-.3", float) == -0.3 and read_number("1e-2", float) == 0.01
+    # Python alone reads each of these; the command line reads none
+    for text, kind in [("7_0", int), (" 7", int), ("\u0667", int), ("7\n", int),
+                       ("1_0/4", Fraction), (" 1/4", Fraction), ("\u0661/\u0664", Fraction),
+                       ("0.3 ", float), ("\u0660.\u0663", float), ("1_0e-2", float)]:
+        with pytest.raises(ValueError):
+            read_number(text, kind)
 
 
 def test_state_table(capsys):
@@ -107,6 +115,19 @@ def test_state_domain_error_exit_code(capsys):
     ("ppt", "--n", "6", "--k", "2", "--cuts", "1,2_0"),
     ("figure", "--id", "4", "--k", "2, 3"),
     ("figure", "--id", "4", "--n", "4..\u0668"),
+    ("figure", "--id", "3", "--a", "\u0661/\u0668", "--n", "8"),
+    ("figure", "--id", "3", "--a", "1/4,1_0/8", "--n", "8"),
+    # a bracket so wide that its width or a fringe phase w * theta overflows
+    ("estimate", "--n", "4", "--k", "2", "--theta", "0.3", "--reps", "1",
+     "--bracket", "8e307"),
+    ("estimate", "--n", "4", "--k", "2", "--theta", "0.3", "--reps", "1",
+     "--bracket", "1e308"),
+    # refusals of the handlers and of the library
+    ("ppt", "--n", "8", "--k", "2", "--cuts", "0"),
+    ("ppt", "--n", "8", "--k", "2", "--cuts", "8"),
+    ("qfi", "--n", "8"),
+    ("qfi", "--n", "2", "--a", "1/4"),
+    ("estimate", "--n", "4", "--k", "1", "--theta", "0.3", "--reps", "0"),
 ])
 def test_malformed_option_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -179,6 +200,22 @@ USAGE_ERRORS = [
      "ghzmetro qfi: error: argument --n: invalid int value: ' 7'"),
     (("figure", "--id", "\u0664"),
      "ghzmetro figure: error: argument --id: invalid int value: '\u0664'"),
+    (("qfi", "--n", "8", "--k", "2", "-"), "ghzmetro: error: unrecognized arguments: -"),
+    # floats and rationals follow the same rule: ASCII, no underscore, no whitespace
+    (("qfi", "--n", "8", "--a", "\u0661/\u0664"),
+     "ghzmetro qfi: error: argument --a: invalid Fraction value: '\u0661/\u0664'"),
+    (("qfi", "--n", "8", "--a", "1_0/4"),
+     "ghzmetro qfi: error: argument --a: invalid Fraction value: '1_0/4'"),
+    (("qfi", "--n", "8", "--a", " 1/4"),
+     "ghzmetro qfi: error: argument --a: invalid Fraction value: ' 1/4'"),
+    (("qfi", "--n", "8", "--a", "x"),
+     "ghzmetro qfi: error: argument --a: invalid Fraction value: 'x'"),
+    (("qfi", "--n", "8", "--a", "1/0"),
+     "ghzmetro qfi: error: argument --a: invalid Fraction value: '1/0'"),
+    (("estimate", "--n", "4", "--k", "1", "--theta", "\u0660.\u0663"),
+     "ghzmetro estimate: error: argument --theta: invalid float value: '\u0660.\u0663'"),
+    (("estimate", "--n", "4", "--k", "1", "--theta", "0.3", "--bracket", "1_0e-2"),
+     "ghzmetro estimate: error: argument --bracket: invalid float value: '1_0e-2'"),
 ]
 
 
@@ -282,6 +319,10 @@ def test_ppt_cut_table(capsys):
     assert "cut 1: PPT" in out
     assert "cut 2: NPPT" in out
     assert "cut 3: NPPT" in out
+    # a mixed member is labelled with its m
+    code, out, _ = run(capsys, "ppt", "--n", "8", "--k", "2", "--m", "1", "--no-timestamp")
+    assert code == 0
+    assert out.splitlines()[1] == "rho_8,2,1: single-qubit PPT certificate: holds"
 
 
 def test_ppt_json_rows(capsys):
@@ -808,6 +849,82 @@ def test_qfi_json_payload(capsys):
     payload = json.loads(out)
     assert payload["report"]["f_q"]["exact"] == "352/93"
     assert payload["report"]["mixed_lower_bound"]["exact"] == "16/5"
+
+
+# the JSON each command builds from the fields of its records
+JSON_PAYLOADS = [
+    (("state", "--n", "4", "--k", "1", "--m", "1"), "state",
+     {"n": 4, "entries": [{"i": 0, "lp": "1/11", "lm": "0"},
+                          {"i": 1, "lp": "1/22", "lm": "1/22"},
+                          {"i": 2, "lp": "1/22", "lm": "1/22"},
+                          {"i": 3, "lp": "1/11", "lm": "1/11"},
+                          {"i": 4, "lp": "1/22", "lm": "1/22"},
+                          {"i": 5, "lp": "1/11", "lm": "1/11"},
+                          {"i": 6, "lp": "1/11", "lm": "1/11"},
+                          {"i": 7, "lp": "1/22", "lm": "1/22"}]}),
+    (("ppt", "--n", "6", "--k", "2", "--cuts", "1,2"), "cuts",
+     [{"cut_size": 1, "status": "PPT", "witness_mask": None},
+      {"cut_size": 2, "status": "NPPT", "witness_mask": 3}]),
+    (("qfi", "--n", "12", "--k", "3", "--m", "1"), "report",
+     {"n": 12, "k": 3,
+      "f_q": {"exact": "2784/397", "float": 7.012594458438287},
+      "snl_ratio": {"exact": "232/397", "float": 0.5843828715365239},
+      "lower_bound": {"exact": "108/13", "float": 8.307692307692308},
+      "s_nk": {"exact": "79/299", "float": 0.26421404682274247},
+      "m": 1, "a": None, "mixed_lower_bound": {"exact": "6", "float": 6.0},
+      "ratio_limit_form": None, "ratio_bound_form": None}),
+    (("qfi", "--n", "16", "--a", "1/4"), "report",
+     {"n": 16, "k": 4,
+      "f_q": {"exact": "76672/2517", "float": 30.4616607071911},
+      "snl_ratio": {"exact": "4792/2517", "float": 1.9038537941994438},
+      "lower_bound": {"exact": "256/17", "float": 15.058823529411764},
+      "s_nk": {"exact": "697/2517", "float": 0.27691696464044496},
+      "m": None, "a": "1/4", "mixed_lower_bound": None,
+      "ratio_limit_form": {"exact": "2396/2517", "float": 0.9519268970997219},
+      "ratio_bound_form": {"exact": "4792/2517", "float": 1.9038537941994438}}),
+]
+
+
+@pytest.mark.parametrize("argv, key, payload", JSON_PAYLOADS)
+def test_json_payload_of_each_record(capsys, argv, key, payload):
+    code, out, _ = run(capsys, *argv, "--format", "json", "--no-timestamp")
+    assert code == 0
+    assert json.loads(out)[key] == payload
+
+
+def test_estimate_json_holds_every_run_field(capsys):
+    argv = ("--n", "4", "--k", "2", "--theta", "0.3", "--shots", "100", "--reps", "2",
+            "--seed", "1", "--model", "sector-parity")
+    code, out, _ = run(capsys, "estimate", *argv, "--no-timestamp")
+    assert code == 0
+    record = estimation.run_monte_carlo(build_rho_nk(4, 2), 0.3, "sector-parity",
+                                        shots=100, repetitions=2, seed=1)
+    assert json.loads(out)["run"] == {
+        "model": "sector-parity", "theta_true": 0.3, "shots": 100, "repetitions": 2,
+        "seed": 1, "rng_algorithm": "philox4x64", "estimates": record.estimates,
+        "empirical_std": record.empirical_std, "empirical_std_err": record.empirical_std_err,
+        "crlb": record.crlb, "fisher_classical": record.fisher_classical,
+        "fisher_quantum": record.fisher_quantum, "bracket": list(record.bracket),
+        "state_params": {"n": 4, "k": 2, "m": None}}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--theta", "7e7"), ("--theta", "1e8"), ("--theta", "1e12"),
+    ("--theta", "1e17", "--bracket", "1e3"), ("--theta", "0.3", "--bracket", "1e300"),
+])
+def test_estimate_ends_at_large_theta(argv):
+    # from |theta| = 2^26 on, adjacent floats lie more than MLE_TOL apart, so
+    # the golden-section bracket stops narrowing; the search then stops too.
+    # A new process with a timeout makes a search that never ends fail here.
+    src = str(Path(ghzmetro.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "ghzmetro.cli", "estimate", "--n", "4",
+                           "--k", "2", *argv, "--reps", "1", "--no-timestamp"],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    run_ = json.loads(proc.stdout)["run"]
+    if "--bracket" not in argv:  # the default bracket holds one fringe branch
+        assert abs(run_["estimates"][0] - run_["theta_true"]) <= 3 * run_["crlb"]
 
 
 def test_estimate_refuses_before_sampling(capsys, monkeypatch):

@@ -427,7 +427,7 @@ def test_run_reproducible():
     a = run_monte_carlo(state, **kwargs)
     b = run_monte_carlo(state, **kwargs)
     assert a.estimates == b.estimates
-    assert a.to_json_dict() == b.to_json_dict()
+    assert a == b
     c = run_monte_carlo(state, **{**kwargs, "seed": 8})
     assert c.estimates != a.estimates
 
@@ -558,7 +558,6 @@ def test_run_json_fields():
         build_rho_nk(4, 2), theta_true=0.4, model="sector-parity",
         shots=500, repetitions=3, seed=1,
     )
-    blob = run.to_json_dict()
-    assert blob["rng_algorithm"] == "philox4x64"
-    assert len(blob["estimates"]) == 3
-    assert blob["fisher_quantum"] == pytest.approx(32 / 11)
+    assert run.rng_algorithm == "philox4x64"
+    assert len(run.estimates) == 3
+    assert run.fisher_quantum == pytest.approx(32 / 11)

@@ -61,7 +61,7 @@ EXPORTS = {
 }
 
 # both state types are read through classes() and the one sector walk sectors()
-STATE_METHODS = {"classes", "sectors", "to_json_dict", "trace"}
+STATE_METHODS = {"classes", "sectors", "trace"}
 
 # option strings of the program and of each subcommand
 FAMILY = {"--n", "--k", "--m"}
