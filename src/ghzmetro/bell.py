@@ -19,8 +19,8 @@ correlation Bell condition is satisfied (a local hidden-variable model
 exists for those measurements).
 
 ``hs_norm_sq`` evaluates that closed form in exact rationals as one sum
-over the state's sector classes, the O(n) band classes of a ``BandState``
-(every family member), so it has no size limit.
+over the state's sector classes, at most 2t + 1 of them for a ``BandState``
+with top band t (every family member), so it lists no sector.
 """
 from __future__ import annotations
 

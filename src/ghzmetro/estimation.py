@@ -500,7 +500,9 @@ def run_monte_carlo(
     A bracket that is empty in floating point (zero or negative width, or
     one too narrow to change theta_true) would return theta_true itself as
     every estimate, so it is refused; so is one so wide that w_max * (|lo| +
-    |hi|) overflows, as its width or a fringe phase w * theta would.  A state
+    |hi|) overflows, as its width or a fringe phase w * theta would, and one
+    whose ``GRID_POINTS``-point grid steps more than a quarter period
+    pi/(2 w_max) of the fastest fringe, which the grid cannot resolve.  A state
     whose populated sectors all have weight 0 does not turn under U(theta),
     and a measurement with no classical Fisher information at theta_true has
     no Cramer-Rao bound, so both are refused before any sampling.
@@ -526,6 +528,11 @@ def run_monte_carlo(
     if w_max * (abs(bracket[0]) + abs(bracket[1])) == math.inf:
         raise DomainError(f"bracket {bracket} is too wide: its width or a fringe phase "
                           f"w * theta (w up to {w_max}) overflows a float")
+    step = (bracket[1] - bracket[0]) / (GRID_POINTS - 1)
+    if w_max * step > math.pi / 2:
+        raise DomainError(f"bracket {bracket} is too wide: its {GRID_POINTS}-point grid "
+                          f"steps {step:.6g}, more than a quarter period pi/(2 w) of the "
+                          f"fastest fringe (w = {w_max})")
     fisher = classical_fisher(state, theta_true, model)
     if fisher <= 0.0:
         raise DomainError(

@@ -118,8 +118,10 @@ def cut_classification(
 
 
 def _class_table(state: SectorState) -> dict:
-    """{representative: (s, |d|)} over ``classes()``, ascending, read once per call."""
-    return {j: (s, abs(d)) for j, _, s, d in state.classes()}
+    """{representative: (s, |d|)} over ``classes()``, read once per call; a
+    ``BandState``'s rows are keyed by the popcount of the representative."""
+    band = isinstance(state, BandState)
+    return {j.bit_count() if band else j: (s, abs(d)) for j, _, s, d in state.classes()}
 
 
 def _first_violation(state: SectorState, m: int, table: dict) -> Optional[Tuple[int, int]]:
@@ -131,16 +133,16 @@ def _first_violation(state: SectorState, m: int, table: dict) -> Optional[Tuple[
     NPPT exactly when such a j exists.  A sparse state has every size-m mask
     inspected.  A ``BandState`` shares one verdict over all of them, so the
     first, ``(1 << m) - 1``, is the witness.  A sector with r ones outside
-    that mask and b inside sits in class r + b and moves to popcount
-    r + m - b, whose band decides it; walking (r, b) in ascending order meets
-    the lowest violating sector, ``(1 << b) - 1 | ((1 << r) - 1) << m``, first.
+    that mask and b inside sits in class r + b and moves to popcount r + m - b,
+    whose row decides it; walking (r, b) in ascending order meets the lowest
+    violating sector, ``(1 << b) - 1 | ((1 << r) - 1) << m``, first.
     """
     n, empty = state.n, (0, 0)
     if isinstance(state, BandState):
         for r in range(n - m):  # a representative keeps bit n-1 clear
             for b in range(m + 1):
-                bound = table.get((1 << (r + b)) - 1, empty)[1]
-                if bound and table.get((1 << (r + m - b)) - 1, empty)[0] < bound:
+                bound = table.get(r + b, empty)[1]
+                if bound and table.get(r + m - b, empty)[0] < bound:
                     return (1 << m) - 1, (1 << b) - 1 | ((1 << r) - 1) << m
         return None
     coherent = [(j, bound) for j, (_, bound) in table.items() if bound]

@@ -15,15 +15,14 @@ the CLI prints for one family member.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Optional
 
 from .errors import DomainError
 from .states import (
     SectorState,
     _Record,
+    _binomial_row,
     _check_family,
-    binom_normalizer,
     weight,
 )
 
@@ -41,8 +40,8 @@ def qfi_closed_nk(n: int, k: int, m: int = 0) -> Fraction:
     contribute, each with w^2 * lam per sector and C(n, j) sectors.
     """
     _check_family(n, k, m)
-    lam = binom_normalizer(n, k + m)
-    return lam * sum((n - 2 * j) ** 2 * comb(n, j) for j in range(k))
+    row = _binomial_row(n, k + m)
+    return Fraction(sum((n - 2 * j) ** 2 * c for j, c in enumerate(row[:k])), sum(row))
 
 
 def qfi_lower_bound_nk(n: int, k: int) -> Fraction:
@@ -54,8 +53,8 @@ def qfi_lower_bound_nk(n: int, k: int) -> Fraction:
 def s_factor(n: int, k: int) -> Fraction:
     """Binomial-ratio factor sum_{j<k} C(n,j) / sum_{j<=k} C(n,j); >= k/(n+1)."""
     _check_family(n, k)
-    head = sum(comb(n, j) for j in range(k))
-    return Fraction(head, head + comb(n, k))
+    row = _binomial_row(n, k)
+    return Fraction(sum(row[:k]), sum(row))
 
 
 def qfi_lower_bound_nkm(n: int, k: int, m: int) -> Fraction:

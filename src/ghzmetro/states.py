@@ -12,8 +12,8 @@ with
 Sectors are keyed on representative indices ``i < 2**(n-1)`` (the n-bit
 pattern of a representative starts with 0); ``2**n - 1 - i`` labels the
 same two-dimensional sector.  ``GhzDiagonalState`` stores a sparse sector
-table; ``BandState`` stores one weight pair per band, O(n), and holds every
-family member.  Each state builds and checks its class table once, at
+table; ``BandState`` stores one weight pair per populated band, 0..k+m for
+a family member.  Each state builds and checks its class table once, at
 construction; formulas read it through ``classes()``, so they run on the
 band classes at any n.  ``sectors()`` lists the populated sectors one by
 one.  All eigenvalues are exact rationals, so normalization and every
@@ -22,7 +22,7 @@ closed-form quantity downstream are tolerance-free.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import accumulate, chain
 from typing import Iterator, Mapping, Tuple
 
 from .errors import DomainError, SizeLimitError
@@ -60,11 +60,16 @@ def min_ones(n: int, i: int) -> int:
     return min(ones, n - ones)
 
 
+def _binomial_row(n: int, top: int) -> list:
+    """[C(n, 0), ..., C(n, top)] by C(n, j+1) = C(n, j) (n - j) / (j + 1), exactly."""
+    return list(accumulate(range(top), lambda c, j: c * (n - j) // (j + 1), initial=1))
+
+
 def binom_normalizer(n: int, k: int) -> Fraction:
     """Exact 1 / sum_{j=0}^{k} C(n, j); big-integer arithmetic, no overflow."""
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n, got k = {k}, n = {n}")
-    return Fraction(1, sum(comb(n, j) for j in range(k + 1)))
+    return Fraction(1, sum(_binomial_row(n, k)))
 
 
 def _as_fraction(x) -> Fraction:
@@ -199,11 +204,12 @@ class BandState(SectorState):
     """GHZ-diagonal state that depends on a sector only through its band.
 
     ``plus[b]`` / ``minus[b]`` are the even and odd weights of every sector
-    on band b = 0..n//2 (``min_ones``).  No qubit permutation changes a band,
-    so the state is invariant under all of them.  Its classes are the
-    popcounts c < n of the representatives: representative ``(1 << c) - 1``,
-    multiplicity C(n-1, c), band min(c, n-c).  Every family member is stored
-    this way, and only ``sectors()`` lists sectors one by one.
+    on band b = 0..t (``min_ones``); construction drops trailing bands whose
+    two weights are zero, and the bands above t are empty.  No qubit
+    permutation changes a band, so the state is invariant under all of them.
+    Its classes are the popcounts c <= t and n - t <= c < n: representative
+    ``(1 << c) - 1``, multiplicity C(n-1, c), band min(c, n-c).  Every family
+    member is stored this way, and only ``sectors()`` lists sectors one by one.
     """
 
     n: int
@@ -211,17 +217,18 @@ class BandState(SectorState):
     minus: Tuple[Fraction, ...]
 
     def _normalize(self) -> Iterator[Tuple[int, int, Fraction, Fraction]]:
-        for name in ("plus", "minus"):
-            table = tuple(_as_fraction(v) for v in getattr(self, name))
-            if len(table) != self.n // 2 + 1:
-                raise DomainError(f"need {self.n // 2 + 1} band weights for "
-                                  f"n = {self.n}, got {len(table)}")
-            if min(table) < 0:
-                raise DomainError(f"negative eigenvalue {min(table)} in {name}")
-            object.__setattr__(self, name, table)
         n = self.n
-        rows = ((c, self.plus[min(c, n - c)], self.minus[min(c, n - c)]) for c in range(n))
-        return (((1 << c) - 1, comb(n - 1, c), p + q, p - q) for c, p, q in rows if p or q)
+        plus, minus = (tuple(map(_as_fraction, table)) for table in (self.plus, self.minus))
+        if not 1 <= len(plus) == len(minus) <= n // 2 + 1 or min(plus + minus) < 0:
+            raise DomainError(f"need 1..{n // 2 + 1} pairs of nonnegative band weights, n = {n}")
+        t = max((b for b in range(len(plus)) if plus[b] or minus[b]), default=0)
+        object.__setattr__(self, "plus", plus[:t + 1])
+        object.__setattr__(self, "minus", minus[:t + 1])
+        mult = _binomial_row(n - 1, t)  # C(n-1, c) = C(n-1, n-1-c)
+        rows = ((c, plus[min(c, n - c)], minus[min(c, n - c)])
+                for c in chain(range(t + 1), range(max(t + 1, n - t), n)))
+        return (((1 << c) - 1, mult[min(c, n - 1 - c)], p + q, p - q)
+                for c, p, q in rows if p or q)
 
     def sectors(self) -> Iterator[Tuple[int, Fraction, Fraction]]:
         """Rows ``(i, lambda_i^+, lambda_i^-)`` of the populated sectors, ascending
@@ -240,8 +247,7 @@ class BandState(SectorState):
 
 def ghz_state(n: int) -> BandState:
     """Pure n-qubit GHZ state: all weight on the even projector of sector 0."""
-    zeros = (0,) * (n // 2)
-    return BandState(n, (1,) + zeros, (0,) + zeros)
+    return BandState(n, (1,), (0,))
 
 
 def maximally_mixed_state(n: int) -> BandState:
@@ -252,18 +258,26 @@ def maximally_mixed_state(n: int) -> BandState:
 # -- the binomial families ---------------------------------------------------
 
 
+FAMILY_BIT_LIMIT = 1 << 27  # bits of (k + m + 1) binomial or class rows of n bits each
+
+
 def _check_family(n: int, k: int, m: int = 0) -> None:
     """Parameters with k+m > n/2 would make the table sum to less than 1 (the
-    required bands do not exist) and are rejected rather than renormalized."""
+    required bands do not exist) and are rejected rather than renormalized.
+    A member whose rows would pass ``FAMILY_BIT_LIMIT`` is refused before
+    any row is built."""
     if m < 0:
         raise DomainError(f"mixing width must be >= 0, got m = {m}")
     if k < 1 or 2 * k > n:
         raise DomainError(f"need 1 <= k <= n/2, got k = {k} for n = {n}")
     if 2 * (k + m) > n:
         raise DomainError(
-            f"mixing range {list(mixing_bands(k, m))} is not normalizable for "
+            f"mixing range {list(range(k, k + m + 1))} is not normalizable for "
             f"n = {n}: need k + m <= n/2"
         )
+    if (k + m + 1) * n > FAMILY_BIT_LIMIT:
+        raise SizeLimitError(f"rho_{n},{k},{m} needs (k + m + 1) * n = {(k + m + 1) * n} "
+                             f"bits of rows, more than {FAMILY_BIT_LIMIT} (2^27)")
 
 
 def build_rho_nk(n: int, k: int) -> BandState:
@@ -279,11 +293,6 @@ def build_rho_nk(n: int, k: int) -> BandState:
     return build_rho_nkm(n, k, 0)
 
 
-def mixing_bands(k: int, m: int) -> range:
-    """Bands carrying mixed even/odd weight in the width-m family: k..k+m."""
-    return range(k, k + m + 1)
-
-
 def build_rho_nkm(n: int, k: int, m: int) -> BandState:
     """Wider-mixing family: bands k..k+m mixed, bands below k pure-even.
 
@@ -291,7 +300,5 @@ def build_rho_nkm(n: int, k: int, m: int) -> BandState:
     """
     _check_family(n, k, m)
     lam = binom_normalizer(n, k + m)
-    mixed = {b: lam if 2 * b == n else lam / 2 for b in mixing_bands(k, m)}
-    bands = range(n // 2 + 1)
-    return BandState(n, tuple(lam if b < k else mixed.get(b, 0) for b in bands),
-                     tuple(mixed.get(b, 0) for b in bands))
+    mixed = tuple(lam if 2 * b == n else lam / 2 for b in range(k, k + m + 1))
+    return BandState(n, (lam,) * k + mixed, (0,) * k + mixed)

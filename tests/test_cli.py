@@ -483,6 +483,19 @@ def test_sector_listing_commands_keep_size_cap(capsys):
         assert "size limit" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bell", "--n", "10000000000", "--k", "1"),
+    ("ppt", "--n", "67108865", "--k", "1"),
+    ("qfi", "--n", "40000", "--k", "5000"),
+    ("estimate", "--n", "10000000000", "--k", "1", "--theta", "0.3"),
+])
+def test_family_past_the_row_budget_exits_3(capsys, argv):
+    # (k + m + 1) n bits of rows past 2^27 is refused before any row is built
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("size limit:")
+
+
 def test_global_parity_estimate_has_no_size_cap(capsys):
     # global parity reads the O(n) band classes, not the 2^(n-1) sectors
     code, out, err = run(capsys, "estimate", "--n", "64", "--k", "16", "--theta", "0.02",
@@ -921,9 +934,12 @@ def test_estimate_ends_at_large_theta(argv):
                            "--k", "2", *argv, "--reps", "1", "--no-timestamp"],
                           capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=src))
-    assert (proc.returncode, proc.stderr) == (0, "")
-    run_ = json.loads(proc.stdout)["run"]
-    if "--bracket" not in argv:  # the default bracket holds one fringe branch
+    if "--bracket" in argv:  # one grid step spans more than a quarter fringe period
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "too wide" in proc.stderr
+    else:  # the default bracket holds one fringe branch
+        assert (proc.returncode, proc.stderr) == (0, "")
+        run_ = json.loads(proc.stdout)["run"]
         assert abs(run_["estimates"][0] - run_["theta_true"]) <= 3 * run_["crlb"]
 
 

@@ -514,6 +514,21 @@ def test_run_validates_inputs():
                             repetitions=2, seed=0, bracket_halfwidth=halfwidth)
 
 
+def test_run_refuses_a_bracket_its_grid_cannot_resolve(monkeypatch):
+    # the 512-point grid resolves the fastest fringe (w = 4 for n = 4) while a
+    # step is at most a quarter period pi/8: up to halfwidth 511 pi/16 ~ 100.3
+    def sampled(seed, stream):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(estimation, "_rng", sampled)
+    with pytest.raises(DomainError, match="too wide"):
+        run_monte_carlo(ghz_state(4), 0.3, "global-parity", shots=1000, repetitions=1,
+                        seed=0, bracket_halfwidth=100.5)
+    with pytest.raises(AssertionError, match="sampled"):
+        run_monte_carlo(ghz_state(4), 0.3, "global-parity", shots=1000, repetitions=1,
+                        seed=0, bracket_halfwidth=100.3)
+
+
 @pytest.mark.parametrize("state", [
     GhzDiagonalState(2, {1: 1}, {}),
     GhzDiagonalState(4, {3: Fraction(1, 2)}, {3: Fraction(1, 2)}),

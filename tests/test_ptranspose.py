@@ -312,6 +312,13 @@ def test_band_cut_verdicts_match_spectra_beyond_twelve_qubits(n, k, m):
         assert row.status == ("NPPT" if lowest < 0 else "PPT"), row
 
 
+def test_band_cut_walk_at_a_hundred_thousand_qubits():
+    # only class 0 of rho_{n,1} is coherent, and for cut m its partner lies on
+    # band m: band 1 holds weight, band 2 is empty
+    assert cut_classification(build_rho_nk(100000, 1), [1, 2]) == [
+        CutStatus(1, "PPT"), CutStatus(2, "NPPT", 0b11)]
+
+
 def test_asymmetric_state_is_scanned_past_the_first_subset():
     # coherence on sector 0 only: a pair cut is NPPT exactly when the
     # sector of the transposed pair is empty; 0b0011 is filled, 0b0101 is not

@@ -132,6 +132,12 @@ def test_closed_nk_values():
         assert qfi_closed_nk(n, 1) == Fraction(n**2, n + 1)
 
 
+@pytest.mark.parametrize("m", [0, 2])
+def test_closed_nk_matches_class_sum_at_large_n(m):
+    # both routes read one binomial row; the class sum runs over 2k + 2m + 1 classes
+    assert qfi_closed_nk(4000, 1000, m) == qfi_ghz_diagonal(build_rho_nkm(4000, 1000, m))
+
+
 @pytest.mark.parametrize("n,k", list(family_grid(12)))
 def test_triple_route_exact_agreement(n, k):
     closed = qfi_closed_nk(n, k)

@@ -26,6 +26,7 @@ from ghzmetro import (
     to_dense,
     weight,
 )
+from ghzmetro import states
 from ghzmetro.bell import axial_expectation, planar_square_sum
 from conftest import (
     as_sparse,
@@ -102,6 +103,13 @@ def test_binom_normalizer():
     assert binom_normalizer(7, 2) == Fraction(1, 29)  # 1 + 7 + 21
     for n in (2, 5, 9):
         assert binom_normalizer(n, 0) == 1
+
+
+def test_binomial_row_matches_comb():
+    for n in range(65):
+        row = states._binomial_row(n, n)
+        assert row == [comb(n, j) for j in range(n + 1)]
+        assert all(states._binomial_row(n, top) == row[:top + 1] for top in range(n + 1))
 
 
 def test_binom_normalizer_big_n():
@@ -220,10 +228,12 @@ def test_band_symmetric_references():
 
 
 def test_band_sectors_match_range_scan():
-    # each populated sector's row is the weight pair of its band
+    # each populated sector's row is the weight pair of its band; a band
+    # above the stored ones is empty
     for state in band_references():
-        scan = [(i, state.plus[min_ones(state.n, i)], state.minus[min_ones(state.n, i)])
-                for i in range(1 << (state.n - 1))]
+        pairs = list(zip(state.plus, state.minus))
+        pairs += [(0, 0)] * (state.n // 2 + 1 - len(pairs))
+        scan = [(i, *pairs[min_ones(state.n, i)]) for i in range(1 << (state.n - 1))]
         assert list(state.sectors()) == [row for row in scan if row[1] or row[2]]
 
 
@@ -360,6 +370,43 @@ def test_band_state_rejects_bad_tables():
         BandState(4, (half, 0, 0), (0, 0, 0))  # trace 1/2
     with pytest.raises(DomainError):
         BandState(1, (1,), (0,))
+
+
+def test_band_state_stores_its_populated_bands():
+    # trailing empty bands are dropped, so padded and trimmed tables build
+    # one state, with one hash and one repr
+    lam = Fraction(1, 10)
+    padded = BandState(9, (lam, lam / 2, 0, 0, 0), (0, lam / 2, 0, 0, 0))
+    trimmed = BandState(9, (lam, lam / 2), (0, lam / 2))
+    assert padded == trimmed == build_rho_nk(9, 1)
+    assert (hash(padded), repr(padded)) == (hash(trimmed), repr(trimmed))
+    assert (padded.plus, padded.minus) == ((lam, lam / 2), (0, lam / 2))
+    assert BandState(6, (1, 0, 0, 0), (0, 0, 0, 0)) == ghz_state(6)
+    assert len(ghz_state(6).plus) == 1
+    assert [len(build_rho_nkm(n, k, m).plus) for n, k, m in ((100, 3, 2), (8, 4, 0))] == [6, 5]
+
+
+def test_band_state_refuses_bad_lengths():
+    # 1..n//2 + 1 pairs, as many even weights as odd ones
+    for plus, minus in (((), ()), ((1,), ()), ((1, 0), (0,)), ((1, 0, 0, 0), (0, 0, 0, 0))):
+        with pytest.raises(DomainError, match="pairs"):
+            BandState(5, plus, minus)
+
+
+def test_family_size_guard(monkeypatch):
+    # (k + m + 1) n bits of rows past FAMILY_BIT_LIMIT is refused before any
+    # row is built; the largest admitted members still build
+    limit = states.FAMILY_BIT_LIMIT
+    assert build_rho_nk(limit // 2, 1).n == limit // 2
+    assert build_rho_nkm(limit // 4, 2, 1).n == limit // 4
+
+    def no_rows(n, top):
+        raise AssertionError("built a row of a refused member")
+
+    monkeypatch.setattr(states, "_binomial_row", no_rows)
+    for n, k, m in ((limit // 2 + 1, 1, 0), (limit // 4 + 1, 2, 1), (10**10, 1, 0)):
+        with pytest.raises(SizeLimitError):
+            build_rho_nkm(n, k, m)
 
 
 @given(random_state_strategy(max_n=7))
