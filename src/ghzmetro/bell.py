@@ -18,8 +18,8 @@ with their complements, so by Parseval that planar sum is exactly
 correlation Bell condition is satisfied (a local hidden-variable model
 exists for those measurements).
 
-``hs_norm_sq`` evaluates that closed form in exact rationals as one sum
-over the state's sector classes, at most 2t + 1 of them for a ``BandState``
+``hs_norm_sq`` evaluates that closed form exactly, each part one integer sum
+over the state's integer class rows, at most 2t + 1 of them for a ``BandState``
 with top band t (every family member), so it lists no sector.
 """
 from __future__ import annotations
@@ -35,14 +35,14 @@ def axial_expectation(state: SectorState) -> Fraction:
     """All-z full correlation: signed sum of sector weights, 0 for odd n."""
     if state.n % 2:
         return Fraction(0)
-    return sum(((-mult if j.bit_count() & 1 else mult) * s
-                for j, mult, s, _ in state.classes()), Fraction(0))
+    return Fraction(sum((-mult if j.bit_count() & 1 else mult) * s
+                        for j, mult, s, _ in state.classes()), state.den)
 
 
 def planar_square_sum(state: SectorState) -> Fraction:
     """Sum of squared x/y-only correlations: 2^(n-1) * sum_i d_i^2 (Parseval)."""
-    total = sum((mult * d * d for _, mult, _, d in state.classes()), Fraction(0))
-    return total * (1 << (state.n - 1))
+    total = sum(mult * d * d for _, mult, _, d in state.classes())
+    return Fraction(total << (state.n - 1), state.den * state.den)
 
 
 def hs_norm_sq(state: SectorState) -> Fraction:

@@ -546,6 +546,7 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = parse_args(argv)
+    getattr(sys, "set_int_max_str_digits", lambda _: None)(0)  # print rationals of any length
     try:
         meta = provenance(args, argv)
         body, deviation = args.func(args)

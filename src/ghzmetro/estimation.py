@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
@@ -329,11 +330,11 @@ class GlobalParity(_FringeModel):
     name = "global-parity"
 
     def _rows(self, state: SectorState) -> list:
-        coef = {}  # weight -> the exact sum of mult * d over its classes
+        coef = {}  # weight -> the exact sum of mult * d over its classes, times den
         for rep, mult, _, d in state.classes():
             wi = weight(state.n, rep)
             coef[wi] = coef.get(wi, 0) + mult * d
-        terms = sorted(coef.items())
+        terms = sorted((wi, Fraction(a, state.den)) for wi, a in coef.items())
         return [(1, terms), (1, [(wi, -a) for wi, a in terms])], [0, 1]
 
 

@@ -11,6 +11,7 @@ scans, ``SECTOR_LIST_LIMIT`` = 20 for listing sectors.  ``check_qfi``,
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Sequence, Tuple
@@ -146,14 +147,15 @@ def pt_spectrum(state: SectorState, subset: QubitSubset) -> PtSpectrum:
     if subset.n != state.n:
         raise DomainError("subset size does not match state")
     _check_size("listing the sectors one by one", state.n, SECTOR_LIST_LIMIT)
-    rows = {i: (lp + lm, lp - lm) for i, lp, lm in state.sectors()}
-    empty = (Fraction(0), Fraction(0))
+    sectors = list(state.sectors())  # s and d as integers over their own denominator
+    den = math.lcm(*(x.denominator for _, lp, lm in sectors for x in (lp, lm)))
+    rows = {i: (int((lp + lm) * den), int((lp - lm) * den)) for i, lp, lm in sectors}
     pairs: Dict[int, Tuple[Fraction, Fraction]] = {}
     for i in range(1 << (state.n - 1)):
         j = canonical_index(i ^ subset.mask, state.n)
-        s = rows.get(i, empty)[0]
-        d = rows.get(j, empty)[1]
-        pairs[i] = ((s + d) / 2, (s - d) / 2)
+        s = rows.get(i, (0, 0))[0]
+        d = rows.get(j, (0, 0))[1]
+        pairs[i] = (Fraction(s + d, 2 * den), Fraction(s - d, 2 * den))
     return PtSpectrum(subset, pairs)
 
 

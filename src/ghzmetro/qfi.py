@@ -4,7 +4,7 @@ Two exact routes to the same number, each the other's check:
 
 * ``qfi_ghz_diagonal`` — the GHZ-diagonal closed form
   sum_i w_i^2 (lambda_i^+ - lambda_i^-)^2 / (lambda_i^+ + lambda_i^-),
-  summed over the state's sector classes;
+  one integer sum over the state's class rows, reduced once at the end;
 * ``qfi_closed_nk`` — the binomial-family closed form
   lam * sum_{j<k} (n-2j)^2 C(n,j) with lam = 1 / sum_{j<=k+m} C(n,j).
 
@@ -14,6 +14,7 @@ the CLI prints for one family member.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -28,9 +29,10 @@ from .states import (
 
 
 def qfi_ghz_diagonal(state: SectorState) -> Fraction:
-    """Exact QFI of a GHZ-diagonal state, summed over its sector classes."""
-    return sum((mult * weight(state.n, j) ** 2 * d * d / s
-                for j, mult, s, d in state.classes()), Fraction(0))
+    """Exact QFI of a GHZ-diagonal state: one integer sum over its coherent classes."""
+    lcm = math.lcm(*(s for _, _, s, d in state.classes() if d))
+    return Fraction(sum(mult * weight(state.n, j) ** 2 * d * d * (lcm // s)
+                        for j, mult, s, d in state.classes() if d), lcm * state.den)
 
 
 def qfi_closed_nk(n: int, k: int, m: int = 0) -> Fraction:

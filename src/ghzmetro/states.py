@@ -16,11 +16,12 @@ table; ``BandState`` stores one weight pair per populated band, 0..k+m for
 a family member.  Each state builds and checks its class table once, at
 construction; formulas read it through ``classes()``, so they run on the
 band classes at any n.  ``sectors()`` lists the populated sectors one by
-one.  All eigenvalues are exact rationals, so normalization and every
-closed-form quantity downstream are tolerance-free.
+one.  All eigenvalues are exact rationals, held as integers over one
+denominator per state, so every closed-form quantity is tolerance-free.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Iterator, Mapping, Tuple
@@ -137,28 +138,34 @@ class _Record:
 
 class SectorState(_Record):
     """Reads shared by both state types.  Each type's ``_normalize()`` checks
-    its fields and returns its class rows ``(representative, multiplicity, s,
-    d)`` in ascending representative order; they are stored, and their trace
-    checked, once at construction.  ``classes()`` yields the stored rows.
-    The sectors of a class are related by a qubit permutation, share s =
-    lambda^+ + lambda^- and d = lambda^+ - lambda^-, and the representative is
-    the lowest of them.  ``sectors()`` yields rows ``(i, lambda_i^+,
-    lambda_i^-)`` of the same populated sectors in ascending i.
+    its fields and returns its classes ``(representative, multiplicity,
+    lambda^+, lambda^-)``, ascending.  Construction stores each as the integer
+    row ``(representative, multiplicity, s, d)`` over ``den``, the least
+    common denominator of the weights, with s / den = lambda^+ + lambda^- and
+    d / den = lambda^+ - lambda^-, and checks the trace.  ``classes()`` yields
+    the stored rows.  A class's sectors are related by a qubit permutation
+    and share s and d; the lowest is the representative.  ``sectors()`` yields
+    ``(i, lambda_i^+, lambda_i^-)`` of the same populated sectors, ascending i.
     """
 
     def __post_init__(self):
         if self.n < 2:
             raise DomainError(f"need at least 2 qubits, got n = {self.n}")
-        object.__setattr__(self, "_classes", tuple(self._normalize()))
+        rows = tuple(self._normalize())
+        den = math.lcm(*(x.denominator for row in rows for x in row[2:]))
+        ints = ([x.numerator * (den // x.denominator) for x in row[2:]] for row in rows)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_classes", tuple((rep, mult, p + q, p - q) for
+                                                   (rep, mult, _, _), (p, q) in zip(rows, ints)))
         total = self.trace()
         if total != 1:
             raise DomainError(f"eigenvalues must sum to 1 exactly, got {total}")
 
-    def classes(self) -> Iterator[Tuple[int, int, Fraction, Fraction]]:
+    def classes(self) -> Iterator[Tuple[int, int, int, int]]:
         return iter(self._classes)
 
     def trace(self) -> Fraction:
-        return sum((mult * s for _, mult, s, _ in self._classes), Fraction(0))
+        return Fraction(sum(mult * s for _, mult, s, _ in self._classes), self.den)
 
 
 class GhzDiagonalState(SectorState):
@@ -183,7 +190,7 @@ class GhzDiagonalState(SectorState):
                     raise DomainError(f"negative eigenvalue {v} at sector {i}")
             # canonical sparse storage: zero entries and missing entries coincide
             object.__setattr__(self, name, {i: v for i, v in table.items() if v})
-        return ((i, 1, lp + lm, lp - lm) for i, lp, lm in self.sectors())
+        return ((i, 1, lp, lm) for i, lp, lm in self.sectors())
 
     def sectors(self) -> Iterator[Tuple[int, Fraction, Fraction]]:
         """Rows ``(i, lambda_i^+, lambda_i^-)`` of the populated sectors, ascending i.
@@ -227,7 +234,7 @@ class BandState(SectorState):
         mult = _binomial_row(n - 1, t)  # C(n-1, c) = C(n-1, n-1-c)
         rows = ((c, plus[min(c, n - c)], minus[min(c, n - c)])
                 for c in chain(range(t + 1), range(max(t + 1, n - t), n)))
-        return (((1 << c) - 1, mult[min(c, n - 1 - c)], p + q, p - q)
+        return (((1 << c) - 1, mult[min(c, n - 1 - c)], p, q)
                 for c, p, q in rows if p or q)
 
     def sectors(self) -> Iterator[Tuple[int, Fraction, Fraction]]:
@@ -237,7 +244,8 @@ class BandState(SectorState):
         if self.n > SECTOR_LIST_LIMIT:
             raise SizeLimitError(f"listing the sectors one by one needs "
                                  f"n <= {SECTOR_LIST_LIMIT}, got n = {self.n}")
-        rows = {rep.bit_count(): ((s + d) / 2, (s - d) / 2) for rep, _, s, d in self.classes()}
+        rows = {rep.bit_count(): tuple(Fraction(x, 2 * self.den) for x in (s + d, s - d))
+                for rep, _, s, d in self.classes()}
         return ((i, *rows[c]) for i in range(1 << (self.n - 1))
                 if (c := i.bit_count()) in rows)
 

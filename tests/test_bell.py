@@ -1,6 +1,7 @@
 """Correlation tensor: structure rules, closed form vs oracles, detection verdicts."""
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -157,6 +158,16 @@ def test_hs_closed_form_equals_scan_random(state):
     if state.n <= 5:
         brute = brute_force_tensor(state)
         assert abs(float(hs_norm_sq(state)) - brute.hs_norm_sq) < 1e-12
+
+
+def test_hs_norm_at_four_thousand_qubits_and_the_widest_k():
+    # n odd: the axial term is 0, each of the C(n, j) sectors of a band j < k
+    # has d = lam and band k has d = 0, so the norm is 2^(n-1) sum_{j<k} C(n, j)
+    # lam^2; with k = (n-1)/2 the bands j <= k hold half of the binomial row,
+    # so 1/lam = 2^(n-1) and sum_{j<k} C(n, j) = 2^(n-1) - C(n, k)
+    n, k = 4095, 2047
+    half = 1 << (n - 1)
+    assert hs_norm_sq(build_rho_nk(n, k)) == Fraction(half * (half - comb(n, k)), half ** 2)
 
 
 def test_hs_swap_invariance():

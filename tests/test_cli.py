@@ -14,6 +14,7 @@ import ghzmetro
 from ghzmetro import estimation
 from ghzmetro.bell import hs_norm_sq
 from ghzmetro.cli import COMMANDS, main, parse_list, read_number
+from ghzmetro.qfi import qfi_closed_nk
 from ghzmetro.states import GhzDiagonalState, build_rho_nk, build_rho_nkm
 from conftest import as_sparse
 from test_knobs import CLI_OPTIONS
@@ -295,6 +296,14 @@ def test_qfi_exact_output(capsys):
                        "--no-timestamp")
     assert code == 0
     assert "224/29" in out
+
+
+def test_exact_output_past_python_digit_cap(capsys):
+    # the numerator has more than the 4,300 digits str(int) allows by default
+    code, out, _ = run(capsys, "qfi", "--n", "20000", "--k", "5000", "--exact",
+                       "--no-timestamp")
+    assert code == 0
+    assert str(qfi_closed_nk(20000, 5000)) in out
 
 
 def test_qfi_oracle_crosscheck(capsys):

@@ -231,11 +231,11 @@ def sector_coefficients(state):
 
 def class_coefficients(state):
     """Exact global-parity coefficient of each weight w: the sum of mult * d
-    over the classes of weight w."""
+    over the classes of weight w, divided by the state's denominator."""
     coef = {}
     for rep, mult, _, d in state.classes():
         coef[weight(state.n, rep)] = coef.get(weight(state.n, rep), 0) + mult * d
-    return coef
+    return {w: Fraction(a, state.den) for w, a in coef.items()}
 
 
 def assert_parity_coefficients_are_class_sums(state):

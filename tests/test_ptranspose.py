@@ -319,6 +319,14 @@ def test_band_cut_walk_at_a_hundred_thousand_qubits():
         CutStatus(1, "PPT"), CutStatus(2, "NPPT", 0b11)]
 
 
+def test_band_cut_walk_at_eight_hundred_qubits():
+    # mixing width 2 protects the cuts of size <= 3; every larger cut is NPPT
+    # at its first mask
+    assert cut_classification(build_rho_nkm(801, 200, 2)) == (
+        [CutStatus(m, "PPT") for m in (1, 2, 3)]
+        + [CutStatus(m, "NPPT", (1 << m) - 1) for m in range(4, 401)])
+
+
 def test_asymmetric_state_is_scanned_past_the_first_subset():
     # coherence on sector 0 only: a pair cut is NPPT exactly when the
     # sector of the transposed pair is empty; 0b0011 is filled, 0b0101 is not

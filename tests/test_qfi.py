@@ -138,6 +138,11 @@ def test_closed_nk_matches_class_sum_at_large_n(m):
     assert qfi_closed_nk(4000, 1000, m) == qfi_ghz_diagonal(build_rho_nkm(4000, 1000, m))
 
 
+def test_class_sum_at_four_thousand_qubits_and_the_widest_k():
+    # 2k + 1 classes of 4096-bit rows, summed as one integer sum
+    assert qfi_ghz_diagonal(build_rho_nk(4096, 2047)) == qfi_closed_nk(4096, 2047)
+
+
 @pytest.mark.parametrize("n,k", list(family_grid(12)))
 def test_triple_route_exact_agreement(n, k):
     closed = qfi_closed_nk(n, k)

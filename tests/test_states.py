@@ -1,6 +1,6 @@
 """State construction: index conventions, families, dense realization."""
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 import pytest
@@ -224,7 +224,8 @@ def test_band_symmetric_references():
         for rep, _, s, d in rows:
             members = [row for row in support if row[0].bit_count() == rep.bit_count()]
             assert members[0][0] == rep
-            assert {(lp + lm, lp - lm) for _, lp, lm in members} == {(s, d)}
+            assert {(lp + lm, lp - lm) for _, lp, lm in members} == {
+                (Fraction(s, state.den), Fraction(d, state.den))}
 
 
 def test_band_sectors_match_range_scan():
@@ -253,6 +254,21 @@ def test_band_symmetry_broken_by_one_sector():
             assert row.witness_mask == first_nppt_mask(tilted, row.cut_size), (i, row)
 
 
+def assert_rows_over_one_denominator(state):
+    """``den`` is the least common denominator of the weights, and every class
+    row holds integers (s, d) with (s / den, d / den) = (lambda^+ + lambda^-,
+    lambda^+ - lambda^-) of each of its sectors."""
+    support = list(state.sectors())
+    assert state.den == lcm(*(x.denominator for _, lp, lm in support for x in (lp, lm)))
+    band = isinstance(state, BandState)
+    rows = {rep.bit_count() if band else rep: row for rep, *row in state.classes()}
+    assert all(type(x) is int for row in rows.values() for x in row)
+    assert sum(mult for mult, _, _ in rows.values()) == len(support)
+    for i, lp, lm in support:
+        _, s, d = rows[i.bit_count() if band else i]
+        assert (Fraction(s, state.den), Fraction(d, state.den)) == (lp + lm, lp - lm)
+
+
 CLASS_SUMS = (qfi_ghz_diagonal, planar_square_sum, axial_expectation, hs_norm_sq,
               ppt_single_qubit_certificate)
 
@@ -265,6 +281,9 @@ def test_band_classes_match_sparse_expansion(n):
     for _, k, m in family_members(n, n_min=n):
         state = build_rho_nkm(n, k, m)
         sparse = as_sparse(state)
+        if n <= 12:
+            assert_rows_over_one_denominator(state)
+            assert_rows_over_one_denominator(sparse)
         for f in CLASS_SUMS:
             assert f(state) == f(sparse), (n, k, m, f)
         table = cut_classification(state, cut_sizes=range(1, n))
@@ -275,7 +294,8 @@ def test_band_classes_match_sparse_expansion(n):
 
 def test_classes_are_read_without_arithmetic(monkeypatch):
     # each state builds its class table once, at construction; reading a row
-    # afterwards adds, subtracts, multiplies and divides nothing
+    # afterwards adds, subtracts, multiplies and divides nothing, and returns
+    # the stored row objects themselves
     states = [build_rho_nkm(10, 3, 1),
               GhzDiagonalState(3, {0: Fraction(1, 2), 3: Fraction(1, 6)},
                                {1: Fraction(1, 3)})]
@@ -287,7 +307,9 @@ def test_classes_are_read_without_arithmetic(monkeypatch):
     for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                "__truediv__"):
         monkeypatch.setattr(Fraction, op, refuse)
-    assert [list(state.classes()) for state in states] == rows
+    again = [list(state.classes()) for state in states]
+    assert again == rows
+    assert all(a is b for got, old in zip(again, rows) for a, b in zip(got, old))
 
 
 # -- state invariants ---------------------------------------------------------
@@ -418,6 +440,7 @@ def test_sparse_iterators_match_range_scan(state):
     assert [j for j, _, _, d in state.classes() if d] == [
         i for i, lp, lm in table if lp - lm != 0
     ]
+    assert_rows_over_one_denominator(state)
 
 
 @given(random_state_strategy(max_n=5))
