@@ -12,11 +12,19 @@ exact spectrum
 without building a matrix.  A cut m:(n-m) is PPT when every size-m subset
 has a nonnegative transposed spectrum.  One exact search, ``_first_violation``,
 decides every verdict: each cut size of ``cut_classification`` and the
-single-qubit certificate, which is cut size 1.  It takes its route from the
-state's type: a ``BandState`` (every family member) is invariant under qubit
-permutations, so all size-m subsets share one spectrum and a walk over the
-band classes decides the cut; a sparse ``GhzDiagonalState`` has every subset
-inspected.
+single-qubit certificate, which is cut size 1.  A sparse ``GhzDiagonalState``
+has every subset inspected.  A ``BandState`` (every family member) is
+invariant under qubit permutations, so its first subset, ``(1 << m) - 1``,
+decides the cut.  A sector of popcount a with b ones inside it moves to
+t = a + m - 2b, so class a meets the partner range |a - m|, |a - m| + 2, ...,
+n - 1 - |a + m - (n - 1)|, and the cut is NPPT iff some s_t < |d_a| there.
+
+Hence the cut law of rho_{n,k,w} at cut sizes c <= n//2.  Its coherent classes,
+a < k and a > n - k, have |d_a| = s_a = lam, the other populated ones s >= lam,
+and the empty popcounts k + w < t < n - k - w exist iff 2(k + w) < n - 1; if
+none does, every cut is PPT.  Else a cut c <= w + 1 keeps each range inside
+0..k+w or n-k-w..n-1 (PPT), a cut c > k + w sends class 0 to t = c (NPPT), and
+in between class k - 1 (c - w even) or k - 2 (odd) reaches t = k + w + 1 (NPPT).
 """
 from __future__ import annotations
 
@@ -117,34 +125,41 @@ def cut_classification(
     return out
 
 
-def _class_table(state: SectorState) -> dict:
-    """{representative: (s, |d|)} over ``classes()``, read once per call; a
-    ``BandState``'s rows are keyed by the popcount of the representative."""
+def _class_table(state: SectorState):
+    """``_first_violation``'s input.  Sparse: {representative: (s, |d|)}.  Band:
+    ``(a, run_end)`` per coherent popcount a; ``run_end``, one per distinct |d|,
+    maps each popcount with s >= |d_a| to the last of its step-2 run of such."""
     band = isinstance(state, BandState)
-    return {j.bit_count() if band else j: (s, abs(d)) for j, _, s, d in state.classes()}
+    rows = {j.bit_count() if band else j: (s, abs(d)) for j, _, s, d in state.classes()}
+    if not band:
+        return rows
+    runs = {bound: {} for _, bound in rows.values() if bound}
+    for bound, run_end in runs.items():
+        for t in sorted(rows, reverse=True):
+            if rows[t][0] >= bound:
+                run_end[t] = run_end.get(t + 2, t)
+    return [(a, runs[bound]) for a, (_, bound) in rows.items() if bound]
 
 
-def _first_violation(state: SectorState, m: int, table: dict) -> Optional[Tuple[int, int]]:
+def _first_violation(state: SectorState, m: int, table) -> Optional[Tuple[int, int]]:
     """``(mask, j)``: the first NPPT size-m mask in ``combinations`` order and
     the lowest sector j there with s_{canon(j XOR mask)} < |d_j|; None if the
-    cut is PPT.
-
-    No spectrum is built: as i -> canon(i XOR mask) is a bijection, a mask is
-    NPPT exactly when such a j exists.  A sparse state has every size-m mask
-    inspected.  A ``BandState`` shares one verdict over all of them, so the
-    first, ``(1 << m) - 1``, is the witness.  A sector with r ones outside
-    that mask and b inside sits in class r + b and moves to popcount r + m - b,
-    whose row decides it; walking (r, b) in ascending order meets the lowest
-    violating sector, ``(1 << b) - 1 | ((1 << r) - 1) << m``, first.
+    cut is PPT.  As i -> canon(i XOR mask) is a bijection, a mask is NPPT
+    exactly when such a j exists; a sparse state has every mask inspected.  A
+    ``BandState``'s class a first fails at the t past the ``table`` run that
+    starts its partner range, if t is in range: at r = (a - m + t)/2 ones
+    outside the mask and b = (a + m - t)/2 inside.  The least (r, b) over
+    classes is the lowest violating sector, ``(1 << b) - 1 | ((1 << r) - 1) << m``.
     """
     n, empty = state.n, (0, 0)
     if isinstance(state, BandState):
-        for r in range(n - m):  # a representative keeps bit n-1 clear
-            for b in range(m + 1):
-                bound = table.get(r + b, empty)[1]
-                if bound and table.get(r + m - b, empty)[0] < bound:
-                    return (1 << m) - 1, (1 << b) - 1 | ((1 << r) - 1) << m
-        return None
+        hits = [((a - m + t) // 2, (a + m - t) // 2) for a, run_end in table
+                if (t := run_end.get(abs(a - m), abs(a - m) - 2) + 2)
+                <= n - 1 - abs(a + m - n + 1)]
+        if not hits:
+            return None
+        r, b = min(hits)
+        return (1 << m) - 1, (1 << b) - 1 | ((1 << r) - 1) << m
     coherent = [(j, bound) for j, (_, bound) in table.items() if bound]
     for pos in combinations(range(n), m):
         mask = sum(1 << p for p in pos)

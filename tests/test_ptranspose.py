@@ -270,12 +270,13 @@ def test_cut_classification_matches_exhaustive_random(state):
 
 
 @st.composite
-def band_symmetric_states(draw, max_n=7):
-    """Random band states: one drawn weight pair per band."""
+def band_symmetric_states(draw, max_n=7, weight=st.integers(0, 9)):
+    """Random band states: one drawn weight pair per band, each weight drawn
+    from ``weight``."""
     n = draw(st.integers(2, max_n))
     bands = n // 2 + 1
     weights = draw(
-        st.lists(st.integers(0, 9), min_size=2 * bands, max_size=2 * bands)
+        st.lists(weight, min_size=2 * bands, max_size=2 * bands)
         .filter(lambda ws: sum(ws) > 0)
     )
     sectors = [0] * bands  # sectors per band
@@ -290,13 +291,81 @@ def band_symmetric_states(draw, max_n=7):
 @given(band_symmetric_states())
 def test_band_symmetric_route_matches_exhaustive(state):
     assert_matches_exhaustive(state, sizes=range(1, state.n))
-    # the (r, b) walk meets the lowest violating sector that the scan of the
-    # same state, listed sector by sector, finds at the same mask
+    # the partner-range rule meets the lowest violating sector that the scan
+    # of the same state, listed sector by sector, finds at the same mask
     sparse = as_sparse(state)
     for m in range(1, state.n):
         assert (_first_violation(state, m, _class_table(state))
                 == _first_violation(sparse, m, _class_table(sparse))), m
     assert ppt_single_qubit_certificate(state) == ppt_single_qubit_certificate(sparse)
+
+
+def band_cut_walk(state, m):
+    """Reference for the band branch of ``_first_violation``: walk every
+    sector of the first size-m mask, r ones outside it and b inside, in
+    ascending (r, b), and return the first whose partner popcount r + m - b
+    has s below its class's |d|."""
+    n, empty = state.n, (0, 0)
+    table = {j.bit_count(): (s, abs(d)) for j, _, s, d in state.classes()}
+    for r in range(n - m):  # a representative keeps bit n-1 clear
+        for b in range(m + 1):
+            bound = table.get(r + b, empty)[1]
+            if bound and table.get(r + m - b, empty)[0] < bound:
+                return (1 << m) - 1, (1 << b) - 1 | ((1 << r) - 1) << m
+    return None
+
+
+def assert_partner_range_matches_walk(state):
+    table = _class_table(state)
+    for m in range(1, state.n):
+        assert _first_violation(state, m, table) == band_cut_walk(state, m), (state, m)
+
+
+def test_partner_range_rule_matches_walk_on_references():
+    # every member with mixing width <= 3, and the GHZ and maximally mixed
+    # states, at every cut 1..n-1
+    for n in range(2, 41):
+        assert_partner_range_matches_walk(ghz_state(n))
+        assert_partner_range_matches_walk(maximally_mixed_state(n))
+        for _, k, m in family_members(n, n_min=n):
+            if m <= 3:
+                assert_partner_range_matches_walk(build_rho_nkm(n, k, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(band_symmetric_states(max_n=24, weight=st.just(0) | st.integers(0, 9)))
+def test_partner_range_rule_matches_walk_with_empty_bands(state):
+    assert_partner_range_matches_walk(state)
+
+
+def cut_law(n, k, m, cut_sizes):
+    """The cut law of rho_{n,k,m}: with 2(k + m) < n - 1, cuts 1..m+1 are PPT
+    and every larger cut up to n//2 is NPPT at its first mask; otherwise
+    every cut is PPT."""
+    return [CutStatus(c, "NPPT", (1 << c) - 1) if m + 1 < c and 2 * (k + m) < n - 1
+            else CutStatus(c, "PPT") for c in cut_sizes]
+
+
+def test_cut_law_on_every_member_to_sixty_qubits():
+    for n, k, m in family_members(60):
+        if m <= 3:
+            assert cut_classification(build_rho_nkm(n, k, m)) == cut_law(
+                n, k, m, range(1, n // 2 + 1)), (n, k, m)
+
+
+@st.composite
+def family_parameters(draw, max_n):
+    n = draw(st.integers(2, max_n))
+    k = draw(st.integers(1, n // 2))
+    return n, k, draw(st.integers(0, n // 2 - k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_parameters(max_n=2000))
+def test_cut_law_on_drawn_members_to_two_thousand_qubits(params):
+    n, k, m = params
+    sizes = sorted({c for c in (m + 1, m + 2, n // 2) if 1 <= c <= n // 2})
+    assert cut_classification(build_rho_nkm(n, k, m), sizes) == cut_law(n, k, m, sizes)
 
 
 @pytest.mark.parametrize("n,k,m", [(13, 6, 0), (14, 3, 1), (15, 2, 2), (16, 4, 0)])
@@ -325,6 +394,18 @@ def test_band_cut_walk_at_eight_hundred_qubits():
     assert cut_classification(build_rho_nkm(801, 200, 2)) == (
         [CutStatus(m, "PPT") for m in (1, 2, 3)]
         + [CutStatus(m, "NPPT", (1 << m) - 1) for m in range(4, 401)])
+
+
+def test_every_cut_ppt_at_two_thousand_and_one_qubits():
+    # 2k = n - 1: every popcount is populated, so no partner range meets an
+    # empty class
+    assert cut_classification(build_rho_nk(2001, 1000)) == [
+        CutStatus(m, "PPT") for m in range(1, 1001)]
+
+
+def test_cut_verdicts_at_sixteen_hundred_qubits():
+    assert cut_classification(build_rho_nk(1600, 400)) == (
+        [CutStatus(1, "PPT")] + [CutStatus(m, "NPPT", (1 << m) - 1) for m in range(2, 801)])
 
 
 def test_asymmetric_state_is_scanned_past_the_first_subset():
