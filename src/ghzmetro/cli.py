@@ -8,15 +8,15 @@ the provenance header (tool version, command line, seed, timestamp unless
 gives byte-identical output.  The command line is read from one option
 table, ``COMMANDS``: each command's handler, help line and options, each
 option with its name, kind, default, whether it is required and its help.
-``parse_args`` reads it as argparse read the same options (unique prefixes,
-``--opt=value``, negative numbers as values, the last of a repeated option)
-and exits 2 on a usage error, with argparse's messages.  Every number the
-command line takes, an option value or an item of a list option
-(``parse_list``), is read by ``read_number``: ASCII only, with no underscore
-or whitespace.  ``usage`` formats help and usage text from the table at a
-fixed 80 columns; only help and usage errors import it.  No argparse, so no
-gettext or locale, is imported.  Each handler builds its JSON payload from
-the fields of the records it prints.
+``parse_args`` reads it without argparse, as argparse read the same options
+(unique prefixes, ``--opt=value``, negative numbers as values, the last of a
+repeated option), and exits 2 on a usage error, with argparse's messages.
+Every number the command line takes, an option value or an item of a list
+option (``parse_list``), is read by ``read_number``: ASCII only, with no
+underscore or whitespace.  Help and usage errors alone import ``usage``,
+which has argparse format them from the same table at a fixed 80 columns; a
+command line that parses loads no argparse, gettext or locale.  Each handler
+builds its JSON payload from the fields of the records it prints.
 ``--oracle`` hands what a command prints to ``oracles.check_*`` through
 ``oracle_deviation``, which alone imports ``oracles`` (it loads numpy, the
 ``oracle`` extra; without it ``--oracle`` exits 2); ``estimation`` is
@@ -42,6 +42,9 @@ from .states import BandState, build_rho_nk, build_rho_nkm, min_ones
 
 # -- small parsing / formatting helpers --------------------------------------
 
+GRID_POINT_LIMIT = 1 << 16  # points of a figure grid; the defaults have at most 400
+LISTING_BYTE_LIMIT = 1 << 26  # bytes of a ppt cut listing (64 MiB)
+
 
 def read_number(text: str, kind: type):
     """``kind(text)`` for ``kind`` int, float or Fraction, where ``text`` is
@@ -58,7 +61,8 @@ def parse_list(text: str, option: str, kind: type) -> list:
 
     Each item is read by ``read_number``.  A value named twice is kept once,
     where it first appears, so no row is printed twice.  A list that names
-    nothing (it would print an empty table) is refused.
+    nothing (it would print an empty table) is refused, and so is a range of
+    more than ``GRID_POINT_LIMIT`` values, before it is built.
     """
     def item(part: str, kind: type):
         try:
@@ -68,8 +72,11 @@ def parse_list(text: str, option: str, kind: type) -> list:
             raise DomainError(f"cannot parse {part!r} as {noun}") from exc
 
     if option == "--n" and ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(item(lo, int), item(hi, int) + 1))
+        lo, hi = (item(part, int) for part in text.split("..", 1))
+        if hi - lo >= GRID_POINT_LIMIT:  # a range is a figure grid
+            raise SizeLimitError(f"--n {text!r} names {hi - lo + 1} values, "
+                                 f"more than {GRID_POINT_LIMIT}")
+        values = list(range(lo, hi + 1))
     else:
         values = list(dict.fromkeys(item(part, kind) for part in text.split(",") if part))
     if not values:
@@ -212,8 +219,18 @@ def cmd_qfi(args):
 
 def cmd_ppt(args):
     state = build_state(args)
-    cert = ppt_single_qubit_certificate(state)
     sizes = None if args.cuts == "all" else parse_list(args.cuts, "--cuts", int)
+    # the row of cut m lists the witness mask (1 << m) - 1 and m qubits of at
+    # most d digits, in at most 100 + m (d + 3) bytes of text and fewer of JSON;
+    # a size past n, which cut_classification refuses, is counted as n
+    n, half = state.n, state.n // 2
+    rows, total = ((half, half * (half + 1) // 2) if sizes is None
+                   else (len(sizes), sum(min(m, n) for m in sizes)))
+    listing = 100 * rows + (len(str(n)) + 3) * total
+    if listing > LISTING_BYTE_LIMIT:
+        raise SizeLimitError(f"ppt would list up to {listing} bytes of cuts, "
+                             f"more than {LISTING_BYTE_LIMIT} (2^26)")
+    cert = ppt_single_qubit_certificate(state)
     table = cut_classification(state, cut_sizes=sizes)
     deviation = oracle_deviation(args, "check_ppt", state, cert, table)
     if args.format == "json":
@@ -331,6 +348,11 @@ def cmd_figure(args):
     ns = getattr(args, grid)
     ns = grid_default if ns is None else ns
     ns = range(1, ns + 1) if grid == "n_max" else parse_list(ns, "--n", int)
+    # counted without len(), which overflows past 2^63 values
+    points = len(params) * (max(ns.stop - 1, 0) if grid == "n_max" else len(ns))
+    if points > GRID_POINT_LIMIT:
+        raise SizeLimitError(f"figure {args.id}: a grid of {points} points, "
+                             f"more than {GRID_POINT_LIMIT}")
     rows = [row for p in sorted(params) for n in sorted(ns)
             if (row := row_of(n, p, args.exact)) is not None]
     if not rows:
@@ -425,17 +447,11 @@ def option_table(command: Optional[str]) -> dict:
 NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
 
-def prog(command: Optional[str]) -> str:
-    return "ghzmetro" + (f" {command}" if command else "")
-
-
 def usage_error(command: Optional[str], message: str):
-    """Print the usage and ``message`` to stderr and exit 2."""
-    from .usage import usage_text
+    """Print the usage and ``message`` to stderr and exit 2, through argparse."""
+    from .usage import parser
 
-    text = usage_text(prog(command), options_of(command), {} if command else COMMANDS)
-    sys.stderr.write(f"{text}{prog(command)}: error: {message}\n")
-    raise SystemExit(2)
+    parser(command, options_of(command), COMMANDS).error(message)
 
 
 def read_option(arg: str, table: dict, command: Optional[str]):
@@ -493,10 +509,9 @@ def read_options(args: List[str], command: Optional[str]):
                 usage_error(command, f"argument {label}: ignored explicit argument "
                                      f"{rest!r}")
             if name == "--help":
-                from .usage import help_text
+                from .usage import parser
 
-                sys.stdout.write(help_text(prog(command), options_of(command),
-                                           {} if command else COMMANDS))
+                parser(command, options_of(command), COMMANDS).print_help()
                 raise SystemExit(0)
             if name == "--version":
                 sys.stdout.write(f"ghzmetro {__version__}\n")

@@ -13,6 +13,7 @@ import pytest
 import ghzmetro
 from ghzmetro import estimation
 from ghzmetro.bell import hs_norm_sq
+from ghzmetro.errors import SizeLimitError
 from ghzmetro.cli import COMMANDS, main, parse_list, read_number
 from ghzmetro.qfi import qfi_closed_nk
 from ghzmetro.states import GhzDiagonalState, build_rho_nk, build_rho_nkm
@@ -505,6 +506,68 @@ def test_family_past_the_row_budget_exits_3(capsys, argv):
     assert err.startswith("size limit:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("ppt", "--n", "100000", "--k", "1"),  # about 11 GB of witness masks and qubits
+    ("ppt", "--n", "20000", "--k", "1", "--cuts", ",".join(map(str, range(5000, 10001)))),
+    ("figure", "--id", "2", "--n-max", "1000000000000"),
+    ("figure", "--id", "2", "--n-max", "1" + "0" * 30),  # past what len() of a range takes
+    ("figure", "--id", "2", "--k", "2,3", "--n-max", "40000"),
+    ("figure", "--id", "4", "--n", "4..1000000000000"),
+    ("figure", "--id", "3", "--a", "1/8,1/4", "--n", ",".join(map(str, range(8, 40008)))),
+])
+def test_listing_past_its_budget_exits_3(capsys, argv):
+    # refused from the counts alone, before any cut is classified or grid built
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("size limit:")
+
+
+@pytest.mark.parametrize("argv, last_cut", [
+    (("ppt", "--n", "4000", "--k", "1000"), 2000),  # 14 MB of cuts
+    (("ppt", "--n", "2001", "--k", "1000"), 1000),
+    (("ppt", "--n", "1600", "--k", "400"), 800),
+    (("ppt", "--n", "100000", "--k", "1", "--cuts", "1"), 1),
+])
+def test_largest_ppt_listings_run(capsys, argv, last_cut):
+    code, out, err = run(capsys, *argv, "--no-timestamp")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith(f"cut {last_cut}: ")
+
+
+def test_grid_of_the_point_limit_runs(capsys, monkeypatch):
+    import ghzmetro.cli as cli_mod
+
+    limit = cli_mod.GRID_POINT_LIMIT
+    assert parse_list(f"1..{limit}", "--n", int)[-1] == limit
+    with pytest.raises(SizeLimitError):
+        parse_list(f"0..{limit}", "--n", int)
+    # figure 4's default grid is k = 2, 3 by n = 4..10, 14 points
+    monkeypatch.setattr(cli_mod, "GRID_POINT_LIMIT", 14)
+    for argv, code in [(("figure", "--id", "4"), 0),
+                       (("figure", "--id", "4", "--n", "4..11"), 3),
+                       (("figure", "--id", "2", "--k", "2", "--n-max", "14"), 0),
+                       (("figure", "--id", "2", "--k", "2", "--n-max", "15"), 3)]:
+        assert run(capsys, *argv)[0] == code
+
+
+@pytest.mark.parametrize("n, k", [(9, 2), (64, 16), (101, 25), (1000, 1)])
+def test_cut_rows_fit_the_listing_bound(capsys, n, k):
+    # the ppt guard counts at most 100 + m (d + 3) bytes for the row of cut m,
+    # d the digits of n, in text and in JSON
+    cuts = ",".join(map(str, range(1, n)))
+    bound = {m: 100 + m * (len(str(n)) + 3) for m in range(1, n)}
+    _, out, _ = run(capsys, "ppt", "--n", str(n), "--k", str(k), "--cuts", cuts)
+    rows = [line for line in out.splitlines() if line.startswith("cut ")]
+    assert len(rows) == n - 1
+    for m, line in enumerate(rows, 1):
+        assert len(line) + 1 <= bound[m]
+    _, out, _ = run(capsys, "ppt", "--n", str(n), "--k", str(k), "--cuts", cuts,
+                    "--format", "json")
+    for row in json.loads(out)["cuts"]:
+        text = json.dumps([row], indent=2)  # as indented one level deeper in the payload
+        assert len(text) + 2 * text.count("\n") <= bound[row["cut_size"]]
+
+
 def test_global_parity_estimate_has_no_size_cap(capsys):
     # global parity reads the O(n) band classes, not the 2^(n-1) sectors
     code, out, err = run(capsys, "estimate", "--n", "64", "--k", "16", "--theta", "0.02",
@@ -701,6 +764,20 @@ def test_golden_stdout_digests(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 
 
+@pytest.mark.parametrize("environ", [{"COLUMNS": "40", "LANGUAGE": "de"}, {"COLUMNS": "200"}])
+def test_help_and_usage_errors_ignore_the_terminal(capsys, monkeypatch, environ):
+    # argparse would read the width from COLUMNS and the language from LANGUAGE
+    for name, value in environ.items():
+        monkeypatch.setenv(name, value)
+    for command in ("--help", "figure --help"):
+        with pytest.raises(SystemExit) as exc:
+            main(command.split())
+        out, err = capsys.readouterr()
+        assert (exc.value.code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+    test_usage_error_prints_the_command_usage_first(capsys)
+
+
 def test_byte_identical_without_timestamp(capsys):
     args = ("figure", "--id", "2", "--n-max", "12", "--exact", "--no-timestamp")
     _, a, _ = run(capsys, *args)
@@ -819,6 +896,7 @@ START_UP = {"dataclasses", "inspect", "json", "datetime", "argparse", "gettext",
     (["qfi", "--n", "7", "--k", "2", "--no-timestamp"], set()),
     (["qfi", "--n", "7", "--k", "2", "--format", "json", "--no-timestamp"], {"json"}),
     (["qfi", "--n", "7", "--k", "2"], {"datetime"}),
+    (["--version"], set()),  # the request the benchmark's setup time measures
 ])
 def test_cli_start_up_imports(argv, allowed):
     # json is loaded only to write JSON, datetime only to print a timestamp;
