@@ -164,8 +164,12 @@ def cmd_state(args):
         "sectors_pure_even": sum(mult for _, mult, s, d in classes if d == s),
         "sectors_balanced": sum(mult for _, mult, _, d in classes if d == 0),
     }
+    # lambda^+- = (s +- d) / (2 den), printed once per distinct class row
+    lam = {(s, d): (str(Fraction(s + d, 2 * state.den)), str(Fraction(s - d, 2 * state.den)))
+           for _, _, s, d in classes}
     if args.format == "json":
-        entries = [{"i": i, "lp": str(lp), "lm": str(lm)} for i, lp, lm in state.sectors()]
+        entries = [{"i": i, "lp": lp, "lm": lm}
+                   for i, s, d in state.sectors() for lp, lm in [lam[s, d]]]
         return {"state": {"n": state.n, "entries": entries}, "summary": summary}, None
     lines = [f"{state_label(args)} on {state.n} qubits"]
     lines.append(f"normalization: {state.trace()} (exact)")
@@ -174,11 +178,9 @@ def cmd_state(args):
         "{sectors_pure_even} pure-even, {sectors_balanced} balanced".format(**summary)
     )
     lines.append(f"{'i':>6}  {'bits':>{state.n}}  band  lambda+    lambda-")
-    for i, lp, lm in state.sectors():
-        lines.append(
-            f"{i:>6}  {i:0{state.n}b}  {min_ones(state.n, i):>4}  "
-            f"{str(lp):<9}  {str(lm):<9}"
-        )
+    for i, s, d in state.sectors():
+        lp, lm = lam[s, d]
+        lines.append(f"{i:>6}  {i:0{state.n}b}  {min_ones(state.n, i):>4}  {lp:<9}  {lm:<9}")
     return lines, None
 
 

@@ -12,7 +12,8 @@ modeled in closed form:
   P(i, +-) = [(lambda_i^+ + lambda_i^-) +- (lambda_i^+ - lambda_i^-) cos(w_i theta)] / 2.
 
 Both are one fringe formula, evaluated in ``_FringeModel`` over float tables
-built once from exact rationals: global parity sums mult * d over the classes
+built once from the state's integer rows (s, d) over ``state.den``, with one
+division by ``den`` per entry: global parity sums mult * d over the classes
 of each weight w, so it has no size limit; sector parity lists ``sectors()``
 (n <= 20 for a band state), as its counts are drawn per sector.  Classical
 Fisher information uses the analytic derivatives, and a seeded counter-based
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
@@ -283,8 +283,9 @@ def _pairwise_sum(x: Sequence[float]) -> float:
 class _FringeModel:
     """P(theta) = (base + coef . cos(w theta)) / 2, one coefficient column per
     weight w, ascending.  A model lists its distinct outcome rows (base, [(w,
-    coefficient)]) in exact rationals and each outcome's row; outcomes whose
-    rows are equal in floats form one class.  The last state's tables are kept."""
+    coefficient)]) in integers over ``state.den`` and each outcome's row;
+    outcomes whose rows are equal in floats form one class.  The last
+    state's tables are kept."""
 
     _state = None
 
@@ -309,9 +310,10 @@ class _FringeModel:
         # a sparse state holds dicts, so states are compared by identity, not
         # hashed; holding it keeps its id from being reused by another state
         if self._state is not state:
-            exact, order = self._rows(state)
-            rows = [(float(b), tuple((wi, float(a)) for wi, a in row_terms))
-                    for b, row_terms in exact]
+            ints, order = self._rows(state)
+            den = state.den
+            rows = [(b / den, tuple((wi, a / den) for wi, a in row_terms))
+                    for b, row_terms in ints]
             w = sorted({wi for _, row_terms in rows for wi, _ in row_terms})
             col = {wi: j for j, wi in enumerate(w)}
             classes = {}
@@ -334,8 +336,8 @@ class GlobalParity(_FringeModel):
         for rep, mult, _, d in state.classes():
             wi = weight(state.n, rep)
             coef[wi] = coef.get(wi, 0) + mult * d
-        terms = sorted((wi, Fraction(a, state.den)) for wi, a in coef.items())
-        return [(1, terms), (1, [(wi, -a) for wi, a in terms])], [0, 1]
+        terms = sorted(coef.items())
+        return [(state.den, terms), (state.den, [(wi, -a) for wi, a in terms])], [0, 1]
 
 
 class SectorParity(_FringeModel):
@@ -349,12 +351,11 @@ class SectorParity(_FringeModel):
     name = "sector-parity"
 
     def _rows(self, state: SectorState) -> tuple:
-        first, order = {}, []  # (w, lp, lm) -> the index of its + row
-        for i, lp, lm in state.sectors():  # a band state repeats its classes' pairs
-            r = first.setdefault((weight(state.n, i), lp, lm), 2 * len(first))
+        first, order = {}, []  # (w, s, d) -> the index of its + row
+        for i, s, d in state.sectors():  # a band state repeats its classes' rows
+            r = first.setdefault((weight(state.n, i), s, d), 2 * len(first))
             order += (r, r + 1)
-        return [(lp + lm, ((wi, sign * (lp - lm)),))
-                for wi, lp, lm in first for sign in (1, -1)], order
+        return [(s, ((wi, sign * d),)) for wi, s, d in first for sign in (1, -1)], order
 
 
 MODELS = {GlobalParity.name: GlobalParity, SectorParity.name: SectorParity}

@@ -2,16 +2,17 @@
 
 Each quantity the library computes in closed form is re-derived here another
 way: on the dense matrix ``to_dense`` (spectral QFI, reshape transposition,
-3^n Pauli traces) or sector by sector in exact rationals (``pt_spectrum``,
-the 2^n-mask scan ``hs_norm_sq_exact``).  Each oracle refuses a state above
-the cap of its cost class before it allocates anything: ``BRUTE_CAP`` = 6
-qubits for 3^n traces, ``DENSE_LIMIT`` = 12 for dense matrices and mask
-scans, ``SECTOR_LIST_LIMIT`` = 20 for listing sectors.  ``check_qfi``,
-``check_ppt`` and ``check_bell`` re-derive what a CLI command printed.
+3^n Pauli traces) or sector by sector in integers over ``state.den``
+(``pt_spectrum``, the 2^n-mask scan ``hs_norm_sq_exact``), each reading
+the rows ``(i, s, d)`` of ``sectors()`` as they are.  Each oracle refuses
+a state above the cap of its cost class before it allocates anything:
+``BRUTE_CAP`` = 6 qubits for 3^n traces, ``DENSE_LIMIT`` = 12 for dense
+matrices and mask scans, ``SECTOR_LIST_LIMIT`` = 20 for listing sectors.
+``check_qfi``, ``check_ppt`` and ``check_bell`` re-derive what a CLI
+command printed.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Sequence, Tuple
@@ -46,14 +47,11 @@ def to_dense(state: SectorState) -> np.ndarray:
     _check_size("dense computation", state.n, DENSE_LIMIT)
     dim = 1 << state.n
     rho = np.zeros((dim, dim))
-    for i, lp, lm in state.sectors():
-        s = float(lp + lm) / 2.0
-        d = float(lp - lm) / 2.0
+    half = 2 * state.den
+    for i, s, d in state.sectors():
         j = dim - 1 - i
-        rho[i, i] = s
-        rho[j, j] = s
-        rho[i, j] = d
-        rho[j, i] = d
+        rho[i, i] = rho[j, j] = s / half
+        rho[i, j] = rho[j, i] = d / half
     return rho
 
 
@@ -147,15 +145,14 @@ def pt_spectrum(state: SectorState, subset: QubitSubset) -> PtSpectrum:
     if subset.n != state.n:
         raise DomainError("subset size does not match state")
     _check_size("listing the sectors one by one", state.n, SECTOR_LIST_LIMIT)
-    sectors = list(state.sectors())  # s and d as integers over their own denominator
-    den = math.lcm(*(x.denominator for _, lp, lm in sectors for x in (lp, lm)))
-    rows = {i: (int((lp + lm) * den), int((lp - lm) * den)) for i, lp, lm in sectors}
+    rows = {i: (s, d) for i, s, d in state.sectors()}
+    half = 2 * state.den
     pairs: Dict[int, Tuple[Fraction, Fraction]] = {}
     for i in range(1 << (state.n - 1)):
         j = canonical_index(i ^ subset.mask, state.n)
         s = rows.get(i, (0, 0))[0]
         d = rows.get(j, (0, 0))[1]
-        pairs[i] = (Fraction(s + d, 2 * den), Fraction(s - d, 2 * den))
+        pairs[i] = (Fraction(s + d, half), Fraction(s - d, half))
     return PtSpectrum(subset, pairs)
 
 
@@ -188,16 +185,14 @@ PAULI = {
 def hs_norm_sq_exact(state: SectorState) -> Fraction:
     """Hilbert-Schmidt square by the exact 2^n-mask scan; oracle for ``hs_norm_sq``."""
     _check_size("exact mask scan", state.n, DENSE_LIMIT)
-    support = [(i, c) for i, lp, lm in state.sectors() if (c := lp - lm)]
-    total = Fraction(0)
+    support = [(i, d) for i, _, d in state.sectors() if d]
+    total = 0
     for y in range(1 << state.n):
         if y.bit_count() & 1:
             continue
-        t = Fraction(0)
-        for i, c in support:
-            t += -c if (y & i).bit_count() & 1 else c
+        t = sum(-d if (y & i).bit_count() & 1 else d for i, d in support)
         total += t * t
-    return total + axial_expectation(state) ** 2
+    return Fraction(total, state.den ** 2) + axial_expectation(state) ** 2
 
 
 class CorrelationTensorSummary(_Record):

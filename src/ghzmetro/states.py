@@ -16,8 +16,9 @@ table; ``BandState`` stores one weight pair per populated band, 0..k+m for
 a family member.  Each state builds and checks its class table once, at
 construction; formulas read it through ``classes()``, so they run on the
 band classes at any n.  ``sectors()`` lists the populated sectors one by
-one.  All eigenvalues are exact rationals, held as integers over one
-denominator per state, so every closed-form quantity is tolerance-free.
+one.  All eigenvalues are exact rationals, held as integer rows (s, d) over
+one denominator per state, and both readers yield those rows, so every
+closed-form quantity is tolerance-free.
 """
 from __future__ import annotations
 
@@ -145,7 +146,8 @@ class SectorState(_Record):
     d / den = lambda^+ - lambda^-, and checks the trace.  ``classes()`` yields
     the stored rows.  A class's sectors are related by a qubit permutation
     and share s and d; the lowest is the representative.  ``sectors()`` yields
-    ``(i, lambda_i^+, lambda_i^-)`` of the same populated sectors, ascending i.
+    the rows ``(i, s_i, d_i)`` over the same ``den`` of the populated sectors,
+    ascending i.
     """
 
     def __post_init__(self):
@@ -190,18 +192,17 @@ class GhzDiagonalState(SectorState):
                     raise DomainError(f"negative eigenvalue {v} at sector {i}")
             # canonical sparse storage: zero entries and missing entries coincide
             object.__setattr__(self, name, {i: v for i, v in table.items() if v})
-        return ((i, 1, lp, lm) for i, lp, lm in self.sectors())
+        lp, lm = self.lambda_plus, self.lambda_minus
+        return ((i, 1, lp.get(i, 0), lm.get(i, 0)) for i in sorted(lp.keys() | lm.keys()))
 
-    def sectors(self) -> Iterator[Tuple[int, Fraction, Fraction]]:
-        """Rows ``(i, lambda_i^+, lambda_i^-)`` of the populated sectors, ascending i.
+    def sectors(self) -> Iterator[Tuple[int, int, int]]:
+        """Rows ``(i, s_i, d_i)`` over ``den`` of the populated sectors, ascending i.
 
         Stored entries are nonzero and nonnegative, so the populated sectors
-        are exactly the keys of the two tables; the walk costs O(support),
-        not O(2^(n-1)).
+        are exactly the keys of the two tables, each its own class; the walk
+        costs O(support), not O(2^(n-1)).
         """
-        zero = Fraction(0)
-        for i in sorted(self.lambda_plus.keys() | self.lambda_minus.keys()):
-            yield i, self.lambda_plus.get(i, zero), self.lambda_minus.get(i, zero)
+        return ((i, s, d) for i, _, s, d in self.classes())
 
 
 SECTOR_LIST_LIMIT = 20  # qubit cap of listing a band state's sectors one by one
@@ -237,15 +238,14 @@ class BandState(SectorState):
         return (((1 << c) - 1, mult[min(c, n - 1 - c)], p, q)
                 for c, p, q in rows if p or q)
 
-    def sectors(self) -> Iterator[Tuple[int, Fraction, Fraction]]:
-        """Rows ``(i, lambda_i^+, lambda_i^-)`` of the populated sectors, ascending
+    def sectors(self) -> Iterator[Tuple[int, int, int]]:
+        """Rows ``(i, s_i, d_i)`` over ``den`` of the populated sectors, ascending
         i, each looked up by its popcount's class.  Refused above ``SECTOR_LIST_LIMIT``
         qubits when called, before any row is listed."""
         if self.n > SECTOR_LIST_LIMIT:
             raise SizeLimitError(f"listing the sectors one by one needs "
                                  f"n <= {SECTOR_LIST_LIMIT}, got n = {self.n}")
-        rows = {rep.bit_count(): tuple(Fraction(x, 2 * self.den) for x in (s + d, s - d))
-                for rep, _, s, d in self.classes()}
+        rows = {rep.bit_count(): (s, d) for rep, _, s, d in self.classes()}
         return ((i, *rows[c]) for i in range(1 << (self.n - 1))
                 if (c := i.bit_count()) in rows)
 

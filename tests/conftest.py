@@ -28,9 +28,16 @@ def random_state_strategy(min_n=2, max_n=5):
     return build()
 
 
+def lambda_rows(state):
+    """Rows ``(i, lambda_i^+, lambda_i^-)`` of the populated sectors, from the
+    integer rows ``(i, s, d)`` of ``sectors()``: lambda^+- = (s +- d) / (2 den)."""
+    half = 2 * state.den
+    return [(i, Fraction(s + d, half), Fraction(s - d, half)) for i, s, d in state.sectors()]
+
+
 def as_sparse(state):
     """The same state as a sparse ``GhzDiagonalState``, sector by sector."""
-    rows = list(state.sectors())
+    rows = lambda_rows(state)
     return GhzDiagonalState(state.n, {i: lp for i, lp, _ in rows},
                             {i: lm for i, _, lm in rows})
 

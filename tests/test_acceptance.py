@@ -74,15 +74,18 @@ def test_c1_exact_instance():
     start = time.monotonic()
     state = build_rho_nk(4, 2)
     lam = Fraction(1, 11)
-    # full weight on the even projector for every band < 2 sector
-    rows = {i: (lp, lm) for i, lp, lm in state.sectors()}
-    assert {i for i, (_, lm) in rows.items() if lm == 0} == {0, 1, 2, 4, 7}
+    # full weight on the even projector for every band < 2 sector:
+    # lambda^- = (s - d) / (2 den) is 0 exactly where s = d
+    rows = {i: (s, d) for i, s, d in state.sectors()}
+    assert {i for i, (s, d) in rows.items() if s == d} == {0, 1, 2, 4, 7}
     for i in (0, 1, 2, 4, 7):
-        assert rows[i][0] == lam
-    # band-2 sectors are balanced; each merges its two member strings'
-    # half-weights lam/2 + lam/2, which is what closes the trace at 1
+        assert Fraction(sum(rows[i]), 2 * state.den) == lam
+    # band-2 sectors are balanced (lambda^+ = lambda^- exactly where d = 0);
+    # each merges its two member strings' half-weights lam/2 + lam/2, which
+    # is what closes the trace at 1
     for i in (3, 5, 6):
-        assert rows[i][0] == rows[i][1] == lam
+        s, d = rows[i]
+        assert d == 0 and Fraction(s, 2 * state.den) == lam
     assert state.trace() == 1
 
     f_closed = qfi_closed_nk(4, 2)

@@ -13,6 +13,7 @@ from ghzmetro import (
     GhzDiagonalState,
     brute_force_tensor,
     build_rho_nk,
+    build_rho_nkm,
     detection_comparison,
     ghz_state,
     hs_norm_sq,
@@ -21,7 +22,7 @@ from ghzmetro import (
     qfi_closed_nk,
     to_dense,
 )
-from conftest import family_grid, random_state_strategy
+from conftest import family_grid, family_members, random_state_strategy
 
 X, Y, Z = oracles.AXIS_X, oracles.AXIS_Y, oracles.AXIS_Z
 
@@ -38,8 +39,8 @@ def structure_rule(state, axes):
     y = y_mask.bit_count()
     if y & 1:
         return Fraction(0)
-    total = sum((lm - lp if (y_mask & i).bit_count() & 1 else lp - lm
-                 for i, lp, lm in state.sectors()), Fraction(0))
+    total = Fraction(sum(-d if (y_mask & i).bit_count() & 1 else d
+                         for i, _, d in state.sectors()), state.den)
     return -total if (y // 2) & 1 else total
 
 
@@ -145,9 +146,10 @@ def test_hs_exact_family_values():
 
 
 def test_hs_float_vs_exact():
-    # both routes are rational, so they must agree exactly
-    for n, k in family_grid(9):
-        state = build_rho_nk(n, k)
+    # both routes are rational, so they must agree exactly, on every member
+    # up to the mask scan's cap
+    for n, k, m in family_members(12):
+        state = build_rho_nkm(n, k, m)
         assert hs_norm_sq(state) == hs_norm_sq_exact(state)
 
 

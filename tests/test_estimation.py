@@ -34,9 +34,9 @@ FD_STEP = 1e-5  # central finite-difference step of the Fisher cross-check
 def test_evolve_zero_phase_identity():
     state = build_rho_nk(4, 2)
     rho_t = evolve_dense(state, 0.0)
-    for i, lp, lm in state.sectors():
-        assert rho_t[i, 15 - i] == pytest.approx(float(lp - lm) / 2)
-        assert rho_t[i, i] == pytest.approx(float(lp + lm) / 2)
+    for i, s, d in state.sectors():
+        assert rho_t[i, 15 - i] == pytest.approx(d / (2 * state.den))
+        assert rho_t[i, i] == pytest.approx(s / (2 * state.den))
 
 
 def test_evolve_ghz_half_period():
@@ -52,11 +52,11 @@ def test_evolve_matches_dense_conjugation(state, theta):
     # entry of sector i turns at speed w_i
     dim = 1 << state.n
     expected = np.zeros((dim, dim), dtype=complex)
-    for i, lp, lm in state.sectors():
+    for i, s, d in state.sectors():
         j = dim - 1 - i
-        expected[i, i] = expected[j, j] = float(lp + lm) / 2
+        expected[i, i] = expected[j, j] = s / (2 * state.den)
         phase = np.exp(-1j * theta * weight(state.n, i))
-        coherence = float(lp - lm) / 2 * phase
+        coherence = d / (2 * state.den) * phase
         expected[i, j], expected[j, i] = coherence, np.conj(coherence)
     got = evolve_dense(state, theta)
     assert np.max(np.abs(expected - got)) < 1e-12
@@ -81,9 +81,10 @@ def test_sector_parity_at_zero_phase():
     state = build_rho_nk(4, 2)
     model = SectorParity()
     p = model.probabilities(state, 0.0)
-    rows = {i: (lp, lm) for i, lp, lm in state.sectors()}
+    rows = {i: (s, d) for i, s, d in state.sectors()}
     for (i, sign), prob in zip(sector_outcomes(state), p):
-        expected = rows[i][0] if sign > 0 else rows[i][1]
+        s, d = rows[i]
+        expected = Fraction(s + sign * d, 2 * state.den)  # lambda^+ or lambda^-
         assert prob == pytest.approx(float(expected))
 
 
@@ -129,8 +130,8 @@ def numpy_tables(state, model_name):
     """The fringe tables as numpy arrays: weights by ``np.unique``, one
     coefficient column per weight, the rows of global or sector parity."""
     rows = list(state.sectors())
-    s = np.array([float(lp + lm) for _, lp, lm in rows])
-    d = np.array([float(lp - lm) for _, lp, lm in rows])
+    s = np.array([s / state.den for _, s, _ in rows])
+    d = np.array([d / state.den for _, _, d in rows])
     w, col = np.unique([weight(state.n, i) for i, _, _ in rows], return_inverse=True)
     coh = np.eye(len(w))[col] * d[:, None]
     if model_name == "global-parity":
@@ -224,9 +225,9 @@ def sector_coefficients(state):
     """Exact global-parity coefficient of each weight w: the sum of d_i over
     the sectors of weight w, listed one by one."""
     coef = {}
-    for i, lp, lm in state.sectors():
-        coef[weight(state.n, i)] = coef.get(weight(state.n, i), 0) + lp - lm
-    return coef
+    for i, _, d in state.sectors():
+        coef[weight(state.n, i)] = coef.get(weight(state.n, i), 0) + d
+    return {w: Fraction(a, state.den) for w, a in coef.items()}
 
 
 def class_coefficients(state):
@@ -331,8 +332,8 @@ def test_sector_parity_saturates_sector_term():
     contrib = sum(
         d * d / v for (o, _), v, d in zip(sector_outcomes(state), p, dp) if o == i0
     )
-    s, d = next((lp + lm, lp - lm) for i, lp, lm in state.sectors() if i == i0)
-    expected = float(weight(4, i0) ** 2 * d * d / s)
+    s, d = next((s, d) for i, s, d in state.sectors() if i == i0)
+    expected = float(Fraction(weight(4, i0) ** 2 * d * d, s * state.den))
     assert contrib == pytest.approx(expected, abs=1e-12)
 
 

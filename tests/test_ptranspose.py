@@ -423,7 +423,7 @@ def range_walk_certificate(state):
     """Single-qubit certificate witness found by walking the single-qubit
     masks in ``combinations`` order, then every representative at each."""
     n = state.n
-    rows = {i: (lp + lm, lp - lm) for i, lp, lm in state.sectors()}
+    rows = {i: (s, d) for i, s, d in state.sectors()}
     for q in range(n):
         for j in range(1 << (n - 1)):
             i = canonical_index(j ^ (1 << q), n)

@@ -34,6 +34,7 @@ from conftest import (
     family_members,
     first_nppt_mask,
     ghz_vector,
+    lambda_rows,
     random_state_strategy,
 )
 
@@ -123,7 +124,7 @@ def test_binom_normalizer_big_n():
 def test_rho_42_table():
     state = build_rho_nk(4, 2)
     lam = Fraction(1, 11)
-    rows = {i: (lp, lm) for i, lp, lm in state.sectors()}
+    rows = {i: (lp, lm) for i, lp, lm in lambda_rows(state)}
     # band < 2 sectors carry the full weight on the even projector
     for i in (0, 1, 2, 4, 7):
         assert rows[i][0] == lam
@@ -138,8 +139,8 @@ def test_rho_42_table():
 def test_rho_62_counts():
     state = build_rho_nk(6, 2)
     lam = Fraction(1, 22)
-    pure = [lp for _, lp, lm in state.sectors() if lm == 0]
-    mixed = [lp for _, lp, lm in state.sectors() if lm == lp > 0]
+    pure = [lp for _, lp, lm in lambda_rows(state) if lm == 0]
+    mixed = [lp for _, lp, lm in lambda_rows(state) if lm == lp > 0]
     assert len(pure) == 7  # 1 + 6
     assert len(mixed) == 15  # C(6, 2)
     assert all(lp == lam for lp in pure)
@@ -150,8 +151,9 @@ def test_rho_62_counts():
 def test_family_counts_and_trace(n, k):
     state = build_rho_nk(n, k)
     assert state.trace() == 1
-    pure = sum(1 for _, _, lm in state.sectors() if lm == 0)
-    mixed = sum(1 for _, _, lm in state.sectors() if lm > 0)
+    # lambda^- = (s - d) / (2 den) is 0 where s = d and positive where s > d
+    pure = sum(1 for _, s, d in state.sectors() if s == d)
+    mixed = sum(1 for _, s, d in state.sectors() if s > d)
     assert pure == sum(comb(n, j) for j in range(k))
     assert mixed == (comb(n, k) // 2 if 2 * k == n else comb(n, k))
 
@@ -175,7 +177,7 @@ def test_rho_nkm_zero_width_reduces():
 def test_rho_821():
     state = build_rho_nkm(8, 2, 1)
     lam = Fraction(1, 93)  # 1 + 8 + 28 + 56
-    rows = list(state.sectors())
+    rows = lambda_rows(state)
     assert rows[0][:2] == (0, lam)
     assert state.trace() == 1
     # bands 2 and 3 both mixed at lam/2
@@ -202,7 +204,7 @@ def test_rho_nkm_boundary_band_doubles():
     state = build_rho_nkm(6, 1, 2)
     lam = Fraction(1, 42)
     assert state.trace() == 1
-    top = [lp for i, lp, _ in state.sectors() if min_ones(6, i) == 3]
+    top = [lp for i, lp, _ in lambda_rows(state) if min_ones(6, i) == 3]
     assert len(top) == comb(6, 3) // 2
     assert all(lp == lam for lp in top)
 
@@ -224,8 +226,7 @@ def test_band_symmetric_references():
         for rep, _, s, d in rows:
             members = [row for row in support if row[0].bit_count() == rep.bit_count()]
             assert members[0][0] == rep
-            assert {(lp + lm, lp - lm) for _, lp, lm in members} == {
-                (Fraction(s, state.den), Fraction(d, state.den))}
+            assert {row[1:] for row in members} == {(s, d)}
 
 
 def test_band_sectors_match_range_scan():
@@ -235,7 +236,7 @@ def test_band_sectors_match_range_scan():
         pairs = list(zip(state.plus, state.minus))
         pairs += [(0, 0)] * (state.n // 2 + 1 - len(pairs))
         scan = [(i, *pairs[min_ones(state.n, i)]) for i in range(1 << (state.n - 1))]
-        assert list(state.sectors()) == [row for row in scan if row[1] or row[2]]
+        assert lambda_rows(state) == [row for row in scan if row[1] or row[2]]
 
 
 def test_band_symmetry_broken_by_one_sector():
@@ -257,16 +258,17 @@ def test_band_symmetry_broken_by_one_sector():
 def assert_rows_over_one_denominator(state):
     """``den`` is the least common denominator of the weights, and every class
     row holds integers (s, d) with (s / den, d / den) = (lambda^+ + lambda^-,
-    lambda^+ - lambda^-) of each of its sectors."""
+    lambda^+ - lambda^-), which each of its sectors lists as its own row."""
     support = list(state.sectors())
-    assert state.den == lcm(*(x.denominator for _, lp, lm in support for x in (lp, lm)))
+    assert state.den == lcm(*(x.denominator for _, lp, lm in lambda_rows(state)
+                              for x in (lp, lm)))
     band = isinstance(state, BandState)
     rows = {rep.bit_count() if band else rep: row for rep, *row in state.classes()}
     assert all(type(x) is int for row in rows.values() for x in row)
+    assert all(type(x) is int for row in support for x in row)
     assert sum(mult for mult, _, _ in rows.values()) == len(support)
-    for i, lp, lm in support:
-        _, s, d = rows[i.bit_count() if band else i]
-        assert (Fraction(s, state.den), Fraction(d, state.den)) == (lp + lm, lp - lm)
+    for i, s, d in support:
+        assert rows[i.bit_count() if band else i][1:] == [s, d]
 
 
 CLASS_SUMS = (qfi_ghz_diagonal, planar_square_sum, axial_expectation, hs_norm_sq,
@@ -436,7 +438,7 @@ def test_sparse_iterators_match_range_scan(state):
     # sectors() is ascending and lists no empty sector
     table = [(i, state.lambda_plus.get(i, 0), state.lambda_minus.get(i, 0))
              for i in range(1 << (state.n - 1))]
-    assert list(state.sectors()) == [(i, lp, lm) for i, lp, lm in table if lp + lm != 0]
+    assert lambda_rows(state) == [(i, lp, lm) for i, lp, lm in table if lp + lm != 0]
     assert [j for j, _, _, d in state.classes() if d] == [
         i for i, lp, lm in table if lp - lm != 0
     ]
