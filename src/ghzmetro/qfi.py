@@ -5,8 +5,11 @@ Two exact routes to the same number, each the other's check:
 * ``qfi_ghz_diagonal`` — the GHZ-diagonal closed form
   sum_i w_i^2 (lambda_i^+ - lambda_i^-)^2 / (lambda_i^+ + lambda_i^-),
   one integer sum over the state's class rows, reduced once at the end;
-* ``qfi_closed_nk`` — the binomial-family closed form
-  lam * sum_{j<k} (n-2j)^2 C(n,j) with lam = 1 / sum_{j<=k+m} C(n,j).
+* ``qfi_closed_nk`` — the binomial-family closed form.  With S(n, t) =
+  sum_{j<=t} C(n, j), F_Q = sum_{j<k} (n-2j)^2 C(n,j) / S(n,k+m)
+  = [n S(n,k-1) + k(n-2k+1) C(n,k)] / S(n,k+m), and s_nk = S(n,k-1) / S(n,k),
+  both read from one row C(n, 0..k+m).  Proof: g(j) = j(n-2j+1) C(n,j) has g(0) = 0
+  and, by (j+1) C(n,j+1) = (n-j) C(n,j), g(j+1) - g(j) = [(n-2j)^2 - n] C(n,j).
 
 The generic spectral formula on a dense eigendecomposition is their oracle
 in ``oracles``.  Alongside live the family lower bounds and the report that
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
 from .errors import DomainError
 from .states import (
@@ -35,15 +38,19 @@ def qfi_ghz_diagonal(state: SectorState) -> Fraction:
                         for j, mult, s, d in state.classes() if d), lcm * state.den)
 
 
-def qfi_closed_nk(n: int, k: int, m: int = 0) -> Fraction:
-    """Exact QFI of the (n, k, m) family without building the state.
-
-    The mixed bands k..k+m carry no coherence, so only the pure bands j < k
-    contribute, each with w^2 * lam per sector and C(n, j) sectors.
-    """
+def _family_forms(n: int, k: int, m: int) -> Tuple[Fraction, Fraction]:
+    """(F_Q, s_nk) of the (n, k, m) member from its one row C(n, 0..k+m)."""
     _check_family(n, k, m)
     row = _binomial_row(n, k + m)
-    return Fraction(sum((n - 2 * j) ** 2 * c for j, c in enumerate(row[:k])), sum(row))
+    below = sum(row[:k])  # S(n, k-1)
+    return (Fraction(n * below + k * (n - 2 * k + 1) * row[k], below + sum(row[k:])),
+            Fraction(below, below + row[k]))
+
+
+def qfi_closed_nk(n: int, k: int, m: int = 0) -> Fraction:
+    """Exact QFI of the (n, k, m) family without building the state: the mixed
+    bands k..k+m carry no coherence, so only the pure bands j < k contribute."""
+    return _family_forms(n, k, m)[0]
 
 
 def qfi_lower_bound_nk(n: int, k: int) -> Fraction:
@@ -54,26 +61,17 @@ def qfi_lower_bound_nk(n: int, k: int) -> Fraction:
 
 def s_factor(n: int, k: int) -> Fraction:
     """Binomial-ratio factor sum_{j<k} C(n,j) / sum_{j<=k} C(n,j); >= k/(n+1)."""
-    _check_family(n, k)
-    row = _binomial_row(n, k)
-    return Fraction(sum(row[:k]), sum(row))
+    return _family_forms(n, k, 0)[1]
 
 
 def qfi_lower_bound_nkm(n: int, k: int, m: int) -> Fraction:
     """Lower bound on the wider-mixing family QFI, taken literally:
-
-    (n-2k)^2 * k(k+1)...(k+m) / [ m * (n-k)(n-k-1)...(n-k-m) ].
-    """
+    (n-2k)^2 * k(k+1)...(k+m) / [ m * (n-k)(n-k-1)...(n-k-m) ]."""
     if m < 1:
         raise DomainError(f"mixing width must be >= 1 for this bound, got m = {m}")
     _check_family(n, k, m)
-    num = (n - 2 * k) ** 2
-    for t in range(k, k + m + 1):
-        num *= t
-    den = m
-    for t in range(n - k - m, n - k + 1):
-        den *= t
-    return Fraction(num, den)
+    return Fraction((n - 2 * k) ** 2 * math.prod(range(k, k + m + 1)),
+                    m * math.prod(range(n - k - m, n - k + 1)))
 
 
 def scaled_k(a: Fraction, n: int) -> int:
@@ -115,7 +113,7 @@ def family_report(
     n: int, k: int, m: Optional[int] = None, a: Optional[Fraction] = None
 ) -> QfiReport:
     """Assemble the full report for one (n, k[, m]) family member."""
-    f_q = qfi_closed_nk(n, k, m or 0)
+    f_q, s_nk = _family_forms(n, k, m or 0)
     mixed_bound = qfi_lower_bound_nkm(n, k, m) if m else None
     ratio_limit = ratio_bound = None
     if a is not None:
@@ -131,7 +129,7 @@ def family_report(
         f_q=f_q,
         snl_ratio=f_q / n,
         lower_bound=qfi_lower_bound_nk(n, k),
-        s_nk=s_factor(n, k),
+        s_nk=s_nk,
         mixed_lower_bound=mixed_bound,
         ratio_limit_form=ratio_limit,
         ratio_bound_form=ratio_bound,

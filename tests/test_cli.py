@@ -743,6 +743,12 @@ GOLDEN_STDOUT = {
     "figure --id 2": "fb6b10ea117616f4e03a9168f1b57e266f6a6c6dc0b5a208f913c802ed628f2d",
     "figure --id 3": "93500ba1051810de151af73923812db6ec0e400086e397e59ead7c3541e9beaf",
     "figure --id 4": "3cbb8edb435d6829ad002095860b444ff17cec6fb700844603a5c5ce7563523d",
+    "figure --id 2 --exact":
+        "39d95f3a6dbf72067d66fe2992829caa2063544107773d05c70fd090eb94ee94",
+    "figure --id 3 --exact":
+        "87fe2eec751766536bb1064d3b226e90fc1f46dc29e02e157ea420bd8998ba38",
+    "qfi --n 12 --k 3 --m 2 --exact":
+        "d5df1c0b45434f2e9fac117f695b22459cc41bd762702c1f04cb3a40cd6af8c7",
     "--help": "5a84d57246d981f1438b8a5f531a81a9b4da2b83061387aee74b89ea2a8685ab",
     "state --help": "7960f9237d10a26c5490577d8e61c8ce1d8820ed0babf849cd1577a431f5211e",
     "qfi --help": "dc633754a94bb021dc4bd812b5186da4e2f3b302232e44a1e8c0d05686f22967",

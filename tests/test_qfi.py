@@ -1,4 +1,5 @@
 """QFI: triple-route agreement, family closed forms, bounds, scan reports."""
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -17,6 +18,7 @@ from ghzmetro import (
     ghz_state,
     maximally_mixed_state,
     oracles,
+    qfi,
     qfi_closed_nk,
     qfi_from_dense,
     qfi_ghz_diagonal,
@@ -159,6 +161,64 @@ def test_closed_vs_spectral(n, k):
 def test_closed_nk_domain():
     with pytest.raises(DomainError):
         qfi_closed_nk(4, 3)
+
+
+def per_j_sums(n):
+    """Oracle rows by math.comb: W[k] = sum_{j<k} (n-2j)^2 C(n,j), S[t] = sum_{j<=t} C(n,j)."""
+    weighted, partial, w, s = [0], [], 0, 0
+    for j in range(n // 2 + 1):
+        c = math.comb(n, j)
+        w += (n - 2 * j) ** 2 * c
+        s += c
+        weighted.append(w)
+        partial.append(s)
+    return weighted, partial
+
+
+def test_closed_forms_match_per_j_sums():
+    # every member (n, k, m) with n <= 120: the partial-sum identity against
+    # the per-j weighted sum, and s_nk against its per-j ratio
+    members = 0
+    for n in range(2, 121):
+        weighted, partial = per_j_sums(n)
+        for k in range(1, n // 2 + 1):
+            assert s_factor(n, k) == Fraction(partial[k - 1], partial[k]), (n, k)
+            for m in range(n // 2 - k + 1):
+                assert qfi_closed_nk(n, k, m) == Fraction(weighted[k], partial[k + m]), (n, k, m)
+                members += 1
+    assert members == 73810
+
+
+def test_partial_sum_identity_telescopes():
+    # g(j) = j(n-2j+1) C(n,j) steps by [(n-2j)^2 - n] C(n,j)
+    def g(n, j):
+        return j * (n - 2 * j + 1) * math.comb(n, j)
+
+    for n in range(1, 201):
+        for j in range(n):
+            assert g(n, j + 1) - g(n, j) == ((n - 2 * j) ** 2 - n) * math.comb(n, j), (n, j)
+
+
+def test_family_closed_forms_build_one_row(monkeypatch):
+    rows, build_row = [], qfi._binomial_row
+
+    def counting_row(n, top):
+        rows.append((n, top))
+        return build_row(n, top)
+
+    monkeypatch.setattr(qfi, "_binomial_row", counting_row)
+    calls = [
+        (lambda: family_report(12, 3, m=2), (12, 5)),
+        (lambda: family_report(100, 25, a=Fraction(1, 4)), (100, 25)),
+        (lambda: qfi_closed_nk(12, 3, 2), (12, 5)),
+        (lambda: qfi_closed_nk(100, 25), (100, 25)),
+        (lambda: s_factor(12, 3), (12, 3)),
+        (lambda: s_factor(100, 25), (100, 25)),
+    ]
+    for call, row in calls:
+        rows.clear()
+        call()
+        assert rows == [row]
 
 
 # -- bounds ----------------------------------------------------------------------------
