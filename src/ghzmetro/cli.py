@@ -16,13 +16,16 @@ option (``parse_list``), is read by ``read_number``: ASCII only, with no
 underscore or whitespace.  Help and usage errors alone import ``usage``,
 which has argparse format them from the same table at a fixed 80 columns; a
 command line that parses loads no argparse, gettext or locale.  Each handler
-builds its JSON payload from the fields of the records it prints.
+builds its JSON payload from the fields of the records it prints.  This
+module imports only ``__version__``, ``errors`` and the standard library;
+each handler imports the library names it runs, once per command (a figure
+once for all its rows), so ``--version``, help and usage errors load no
+library module, and a command only the modules it runs.
 ``--oracle`` hands what a command prints to ``oracles.check_*`` through
 ``oracle_deviation``, which alone imports ``oracles`` (it loads numpy, the
-``oracle`` extra; without it ``--oracle`` exits 2); ``estimation`` is
-imported only by ``estimate``, ``json`` only to write JSON and ``datetime``
-only to print a timestamp.  Exit codes: 0 success, 2 domain error, 3
-size-limit error, 4 internal cross-check failure.
+``oracle`` extra; without it ``--oracle`` exits 2); ``json`` is imported
+only to write JSON and ``datetime`` only to print a timestamp.  Exit codes:
+0 success, 2 domain error, 3 size-limit error, 4 internal cross-check failure.
 """
 from __future__ import annotations
 
@@ -30,14 +33,10 @@ import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from . import __version__
 from .errors import CrossCheckError, DomainError, GhzmetroError, SizeLimitError
-from . import bell as bell_mod
-from .ptranspose import QubitSubset, cut_classification, ppt_single_qubit_certificate
-from .qfi import family_report, scaled_k
-from .states import BandState, build_rho_nk, build_rho_nkm, min_ones
 
 
 # -- small parsing / formatting helpers --------------------------------------
@@ -93,11 +92,6 @@ def fmt_number(x, exact: bool) -> str:
         return "inf" if x > 0 else "-inf"
 
 
-def hs_norm_field(state: BandState, row: bell_mod.DetectionRow, exact: bool) -> str:
-    """``hs_norm_sq`` as printed: the rational under ``--exact``, else the row's float."""
-    return fmt_number(bell_mod.hs_norm_sq(state) if exact else row.hs_norm_sq, exact)
-
-
 def provenance(args: SimpleNamespace, argv: Sequence[str]) -> dict:
     meta = {
         "tool": f"ghzmetro {__version__}",
@@ -122,7 +116,9 @@ def emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def build_state(args: SimpleNamespace) -> BandState:
+def build_state(args: SimpleNamespace):
+    from .states import build_rho_nkm
+
     if args.k is None:
         raise DomainError("a family member needs --k")
     return build_rho_nkm(args.n, args.k, args.m or 0)
@@ -155,6 +151,8 @@ def oracle_deviation(args: SimpleNamespace, check: str, *printed) -> Optional[fl
 
 
 def cmd_state(args):
+    from .states import min_ones
+
     state = build_state(args)
     classes = list(state.classes())
     summary = {
@@ -185,6 +183,8 @@ def cmd_state(args):
 
 
 def cmd_qfi(args):
+    from .qfi import family_report, scaled_k
+
     if args.a is not None:
         if args.k is not None or args.m is not None:
             raise DomainError("--a sets k itself; it takes no --k or --m")
@@ -220,6 +220,8 @@ def cmd_qfi(args):
 
 
 def cmd_ppt(args):
+    from .ptranspose import QubitSubset, cut_classification, ppt_single_qubit_certificate
+
     state = build_state(args)
     sizes = None if args.cuts == "all" else parse_list(args.cuts, "--cuts", int)
     # the row of cut m lists the witness mask (1 << m) - 1 and m qubits of at
@@ -261,8 +263,10 @@ def cmd_ppt(args):
 
 
 def cmd_bell(args):
+    from . import bell
+
     state = build_state(args)
-    row = bell_mod.detection_comparison(state)
+    row = bell.detection_comparison(state)
     deviation = oracle_deviation(args, "check_bell", state, row)
     header = ["n", "k", "f_q", "f_q_over_n", "hs_norm_sq", "verdict"]
     values = [
@@ -270,12 +274,12 @@ def cmd_bell(args):
         str(args.k),
         fmt_number(row.f_q, args.exact),
         fmt_number(row.f_q_over_n, args.exact),
-        hs_norm_field(state, row, args.exact),
+        fmt_number(bell.hs_norm_sq(state) if args.exact else row.hs_norm_sq, args.exact),
         row.verdict,
     ]
     if args.components:
-        planar = bell_mod.planar_square_sum(state)
-        axial = bell_mod.axial_expectation(state)
+        planar = bell.planar_square_sum(state)
+        axial = bell.axial_expectation(state)
         header += ["planar_sq", "axial_sq"]
         values += [fmt_number(planar, args.exact), fmt_number(axial * axial, args.exact)]
     if args.format == "json":
@@ -300,46 +304,57 @@ def cmd_estimate(args):
                     "state_params": {"n": args.n, "k": args.k, "m": args.m}}}, None
 
 
-def figure2_row(n: int, k: int, exact: bool) -> Optional[List[str]]:
-    if n <= 2 * k:  # figure 2 starts each k at n = 2k + 1
-        return None
-    rep = family_report(n, k)
-    return [str(n), str(k), fmt_number(rep.f_q, exact), str(n * k),
-            fmt_number(rep.f_q / (n * k), exact)]
+# Each figure's rows: the fields of each grid point (parameter, n) on its plot,
+# in the order of ``points``.  The library is imported once per figure.
 
 
-def figure3_row(n: int, a: Fraction, exact: bool) -> Optional[List[str]]:
-    if n < 3:  # no k in [1, ceil(n/2) - 1]; scaled_k would refuse
-        return None
-    rep = family_report(n, scaled_k(a, n), a=a)
-    return [str(n), str(a), str(rep.k)] + [
-        fmt_number(x, exact) for x in
-        (rep.f_q, rep.lower_bound, rep.ratio_limit_form, rep.ratio_bound_form)]
+def figure2_rows(points, exact: bool) -> Iterator[List[str]]:
+    from .qfi import family_report
+
+    for k, n in points:
+        if n > 2 * k:  # figure 2 starts each k at n = 2k + 1
+            rep = family_report(n, k)
+            yield [str(n), str(k), fmt_number(rep.f_q, exact), str(n * k),
+                   fmt_number(rep.f_q / (n * k), exact)]
 
 
-def figure4_row(n: int, k: int, exact: bool) -> Optional[List[str]]:
-    if 2 * k > n:
-        return None
-    state = build_rho_nk(n, k)
-    row = bell_mod.detection_comparison(state)
-    return [str(n), str(k), fmt_number(row.f_q_over_n, exact),
-            hs_norm_field(state, row, exact), row.verdict]
+def figure3_rows(points, exact: bool) -> Iterator[List[str]]:
+    from .qfi import family_report, scaled_k
+
+    for a, n in points:
+        if n >= 3:  # else no k in [1, ceil(n/2) - 1]; scaled_k would refuse
+            rep = family_report(n, scaled_k(a, n), a=a)
+            yield [str(n), str(a), str(rep.k)] + [
+                fmt_number(x, exact) for x in
+                (rep.f_q, rep.lower_bound, rep.ratio_limit_form, rep.ratio_bound_form)]
+
+
+def figure4_rows(points, exact: bool) -> Iterator[List[str]]:
+    from .bell import detection_comparison, hs_norm_sq
+    from .states import build_rho_nk
+
+    for k, n in points:
+        if 2 * k <= n:
+            state = build_rho_nk(n, k)
+            row = detection_comparison(state)
+            yield [str(n), str(k), fmt_number(row.f_q_over_n, exact),
+                   fmt_number(hs_norm_sq(state) if exact else row.hs_norm_sq, exact),
+                   row.verdict]
 
 
 # Per figure: its parameter list option (k or a), parsed as int or Fraction,
 # and its n grid option (n_max, the scan 1..n_max, or n), each followed by
-# its default written as an option value; then its CSV header, and the
-# function giving the fields of grid point (n, parameter) or None off the plot.
+# its default written as an option value; then its CSV header and its rows.
 FIGURES = {
-    2: ("k", int, "2,3", "n_max", 200, "n,k,f_q,n_times_k,ratio", figure2_row),
+    2: ("k", int, "2,3", "n_max", 200, "n,k,f_q,n_times_k,ratio", figure2_rows),
     3: ("a", Fraction, "1/8,1/4,3/8", "n", "8..120",
-        "n,a,k,f_q,lower_bound,ratio_limit_form,ratio_bound_form", figure3_row),
-    4: ("k", int, "2,3", "n", "4..10", "n,k,f_q_over_n,hs_norm_sq,verdict", figure4_row),
+        "n,a,k,f_q,lower_bound,ratio_limit_form,ratio_bound_form", figure3_rows),
+    4: ("k", int, "2,3", "n", "4..10", "n,k,f_q_over_n,hs_norm_sq,verdict", figure4_rows),
 }
 
 
 def cmd_figure(args):
-    param, kind, param_default, grid, grid_default, header, row_of = FIGURES[args.id]
+    param, kind, param_default, grid, grid_default, header, rows_of = FIGURES[args.id]
     for option in ("n_max", "k", "a", "n"):
         if getattr(args, option) is not None and option not in (param, grid):
             raise DomainError(f"figure {args.id} does not read --{option.replace('_', '-')}")
@@ -355,11 +370,11 @@ def cmd_figure(args):
     if points > GRID_POINT_LIMIT:
         raise SizeLimitError(f"figure {args.id}: a grid of {points} points, "
                              f"more than {GRID_POINT_LIMIT}")
-    rows = [row for p in sorted(params) for n in sorted(ns)
-            if (row := row_of(n, p, args.exact)) is not None]
+    grid_points = ((p, n) for p in sorted(params) for n in sorted(ns))
+    rows = [",".join(row) for row in rows_of(grid_points, args.exact)]
     if not rows:
         raise DomainError(f"figure {args.id}: no family member in the requested grid")
-    return [header] + [",".join(row) for row in rows], None
+    return [header] + rows, None
 
 
 # -- option table --------------------------------------------------------------

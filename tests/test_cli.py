@@ -365,10 +365,11 @@ def test_ppt_oracle_above_dense_cap_exits_3(capsys):
 
 
 def test_ppt_oracle_certificate_mismatch_exits_4(capsys, monkeypatch):
-    import ghzmetro.cli as cli_mod
+    # cmd_ppt imports the certificate from ptranspose as it runs
+    import ghzmetro.ptranspose as ptranspose
     from ghzmetro.ptranspose import CertificateResult
 
-    monkeypatch.setattr(cli_mod, "ppt_single_qubit_certificate",
+    monkeypatch.setattr(ptranspose, "ppt_single_qubit_certificate",
                         lambda state: CertificateResult(False, 0, 1))
     code, out, err = run(capsys, "ppt", "--n", "6", "--k", "2", "--oracle",
                          "--no-timestamp")
@@ -381,14 +382,14 @@ def test_ppt_oracle_certificate_mismatch_exits_4(capsys, monkeypatch):
 def test_ppt_oracle_catches_a_wrong_verdict(capsys, monkeypatch, k, status):
     # rho_{6,2} is NPPT at cuts 2 and 3 and rho_{6,3} is PPT at every cut;
     # reporting the opposite verdict must fail the oracle, not print a table
-    import ghzmetro.cli as cli_mod
+    import ghzmetro.ptranspose as ptranspose
     from ghzmetro.ptranspose import CutStatus
 
     def flipped(state, cut_sizes):
         return [CutStatus(m, status, None if status == "PPT" else (1 << m) - 1)
                 for m in range(1, state.n // 2 + 1)]
 
-    monkeypatch.setattr(cli_mod, "cut_classification", flipped)
+    monkeypatch.setattr(ptranspose, "cut_classification", flipped)
     code, out, err = run(capsys, "ppt", "--n", "6", "--k", str(k), "--oracle",
                          "--no-timestamp")
     assert (code, out) == (4, "")
@@ -896,21 +897,40 @@ def cli_process(argv, refuse_numpy=False):
 
 
 START_UP = {"dataclasses", "inspect", "json", "datetime", "argparse", "gettext", "locale"}
+USAGE = {"argparse", "gettext", "locale", "ghzmetro.usage"}  # help and usage errors
+QFI = {"ghzmetro.states", "ghzmetro.qfi"}
+FAMILY_ARGS = ["--n", "8", "--k", "2", "--no-timestamp"]
 
 
+# each request with the START_UP modules it may load and the library modules it loads
 @pytest.mark.parametrize("argv, allowed", [
-    (["qfi", "--n", "7", "--k", "2", "--no-timestamp"], set()),
-    (["qfi", "--n", "7", "--k", "2", "--format", "json", "--no-timestamp"], {"json"}),
-    (["qfi", "--n", "7", "--k", "2"], {"datetime"}),
+    (["qfi", "--n", "7", "--k", "2", "--no-timestamp"], QFI),
+    (["qfi", "--n", "7", "--k", "2", "--format", "json", "--no-timestamp"], QFI | {"json"}),
+    (["qfi", "--n", "7", "--k", "2"], QFI | {"datetime"}),
     (["--version"], set()),  # the request the benchmark's setup time measures
+    (["--help"], USAGE),
+    (["qfi", "--n", "x"], USAGE),  # a usage error
+    (["state", *FAMILY_ARGS], {"ghzmetro.states"}),
+    (["ppt", *FAMILY_ARGS], {"ghzmetro.states", "ghzmetro.ptranspose"}),
+    (["bell", *FAMILY_ARGS], QFI | {"ghzmetro.bell"}),
+    (["figure", "--id", "2", "--n-max", "9", "--no-timestamp"], QFI),
+    (["figure", "--id", "3", "--no-timestamp"], QFI),
+    (["figure", "--id", "4", "--no-timestamp"], QFI | {"ghzmetro.bell"}),
+    (["estimate", *FAMILY_ARGS, "--theta", "0.3", "--reps", "2", "--shots", "100"],
+     QFI | {"json", "ghzmetro.estimation"}),
 ])
 def test_cli_start_up_imports(argv, allowed):
     # json is loaded only to write JSON, datetime only to print a timestamp;
-    # the command line is read without argparse, so without gettext or locale
+    # a command line that parses is read without argparse, gettext or locale.
+    # Importing the CLI loads ghzmetro.errors alone, and each request exactly
+    # the library modules it runs.
     code, out, err, loaded = cli_process(argv)
-    assert (code, err) == (0, "")
-    assert "ghzmetro.states" in loaded and out
+    # a usage error exits 2 with stderr alone, any other request 0 with stdout alone
+    assert (code, bool(out), bool(err)) in ((0, True, False), (2, False, True))
     assert loaded & START_UP <= allowed
+    assert {name for name in loaded if name.partition(".")[0] == "ghzmetro"} == {
+        "ghzmetro", "ghzmetro.cli", "ghzmetro.errors",
+        *(name for name in allowed if name.startswith("ghzmetro."))}
 
 
 @pytest.mark.parametrize("command", ["qfi", "ppt", "bell"])

@@ -127,14 +127,14 @@ def test_cli_options_are_pinned():
 
 
 def test_package_exports_are_pinned():
-    # dir(), not vars(): the oracles and estimation names are lazy exports
+    # dir(), not vars(): every export is imported on first use
     exported = {name for name in dir(ghzmetro)
                 if not name.startswith("_") and not inspect.ismodule(getattr(ghzmetro, name))}
     assert exported == EXPORTS
     assert set(ghzmetro.__all__) == EXPORTS
-    for module in ("oracles", "estimation"):
+    for module, names in ghzmetro._EXPORTS.items():
         defined = importlib.import_module(f"ghzmetro.{module}")
-        for name in ghzmetro._LAZY[module]:
+        for name in names:
             assert getattr(ghzmetro, name) is getattr(defined, name), name
 
 
@@ -145,11 +145,21 @@ def test_state_methods_are_pinned():
         assert public == STATE_METHODS, cls.__name__
 
 
-def test_star_import_binds_every_export():
-    # a new interpreter, where no lazy module is loaded yet
-    probe = "import json\nfrom ghzmetro import *\nprint(json.dumps(dir()))"
+def fresh_interpreter(probe):
+    """What ``probe`` prints in a new interpreter, where no ghzmetro module is loaded yet."""
     src = str(Path(ghzmetro.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-c", probe],
-                         capture_output=True, text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    return subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src)).stdout
+
+
+def test_star_import_binds_every_export():
+    out = fresh_interpreter("import json\nfrom ghzmetro import *\nprint(json.dumps(dir()))")
     assert EXPORTS <= set(json.loads(out))
+
+
+def test_package_import_loads_no_submodule():
+    # each export loads its module on first use, so the CLI's --version loads none
+    out = fresh_interpreter("import json, sys, ghzmetro\n"
+                            "print(json.dumps(sorted(sys.modules)))")
+    assert [name for name in json.loads(out) if name.startswith("ghzmetro.")] == []
