@@ -8,14 +8,13 @@ the provenance header (tool version, command line, seed, timestamp unless
 gives byte-identical output.  The command line is read from one option
 table, ``COMMANDS``: each command's handler, help line and options, each
 option with its name, kind, default, whether it is required and its help.
-``parse_args`` reads it without argparse, as argparse read the same options
-(unique prefixes, ``--opt=value``, negative numbers as values, the last of a
-repeated option), and exits 2 on a usage error, with argparse's messages.
+``read_plain`` reads a plain line (whole option names, each value its own
+argument) as argparse would, and loads no argparse, gettext or locale; every
+other line, help and usage errors included, goes to the argparse parser that
+``usage`` builds from the same table, so argparse defines what a line means.
 Every number the command line takes, an option value or an item of a list
 option (``parse_list``), is read by ``read_number``: ASCII only, with no
-underscore or whitespace.  Help and usage errors alone import ``usage``,
-which has argparse format them from the same table at a fixed 80 columns; a
-command line that parses loads no argparse, gettext or locale.  Each handler
+underscore or whitespace.  Each handler
 builds its JSON payload from the fields of the records it prints.  This
 module imports only ``__version__``, ``errors`` and the standard library;
 each handler imports the library names it runs, once per command (a figure
@@ -29,7 +28,6 @@ only to write JSON and ``datetime`` only to print a timestamp.  Exit codes:
 """
 from __future__ import annotations
 
-import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -49,10 +47,13 @@ def read_number(text: str, kind: type):
     """``kind(text)`` for ``kind`` int, float or Fraction, where ``text`` is
     ASCII with no underscore or whitespace.  Python alone would also read
     "7_0" as 70, " 7" or a non-ASCII digit such as "٧" as 7, and "١/٤" as 1/4.
-    Raises ValueError, or ZeroDivisionError for a rational over 0."""
+    Raises ValueError, for a rational over 0 too."""
     if not text.isascii() or "_" in text or text.split() != [text]:
         raise ValueError(f"not a plain ASCII number: {text!r}")
-    return kind(text)
+    try:
+        return kind(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"a rational over 0: {text!r}") from exc
 
 
 def parse_list(text: str, option: str, kind: type) -> list:
@@ -66,7 +67,7 @@ def parse_list(text: str, option: str, kind: type) -> list:
     def item(part: str, kind: type):
         try:
             return read_number(part, kind)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             noun = "an integer" if kind is int else "a rational"
             raise DomainError(f"cannot parse {part!r} as {noun}") from exc
 
@@ -383,10 +384,6 @@ def cmd_figure(args):
 # given; bool makes it a flag, True when given; a tuple lists its choices, and
 # their type reads the value.
 
-HELP = ("--help", bool, False, False, "show this help message and exit")  # and -h
-PROGRAM_OPTIONS = (
-    ("--version", bool, False, False, "show program's version number and exit"),
-)
 FAMILY_OPTIONS = (
     ("--n", int, None, True, "qubit count"),
     ("--k", int, None, False, "ones threshold"),
@@ -446,138 +443,56 @@ COMMANDS = {
 }
 
 
-def options_of(command: Optional[str]) -> tuple:
-    """The options of the program (command None) or of a command, help first."""
-    return (HELP,) + (PROGRAM_OPTIONS if command is None else COMMANDS[command][2])
-
-
-def option_table(command: Optional[str]) -> dict:
-    """Each option string of the program or a command, to its option, in the
-    order an ambiguous prefix lists them."""
-    return {"-h": HELP, **{option[0]: option for option in options_of(command)}}
-
-
 # -- parser --------------------------------------------------------------------
-# Reads the command line as argparse read these options, with its messages.
-
-# read as a value, not as an option; compiled on first use, by a one-dash argument
-NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
+# argparse, built from the same table by ``usage``, reads every line but these.
 
 
-def usage_error(command: Optional[str], message: str):
-    """Print the usage and ``message`` to stderr and exit 2, through argparse."""
-    from .usage import parser
-
-    parser(command, options_of(command), COMMANDS).error(message)
-
-
-def read_option(arg: str, table: dict, command: Optional[str]):
-    """How argparse reads ``arg``: None for a value, else (option, the value
-    written after ``=`` or attached to ``-h``, or None).  An option may be
-    written as any unique prefix; an ambiguous one is refused.  An argument
-    that looks like an option but names none reads as (None, None)."""
-    if arg[:1] != "-":
+def read_plain(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The command, its handler ``func`` and the value of each of its options,
+    named as the option without its dashes, ``-`` read as ``_``; None unless
+    the line is plain.  A plain line is a command, then options of that
+    command by their whole names, each value its own argument that does not
+    start with ``-``, read by ``read_number`` and in the option's choices, and
+    every required option given.  argparse reads such a line the same way:
+    the last of a repeated option counts, and one left out takes its default.
+    """
+    if not argv or argv[0] not in COMMANDS:
         return None
-    if arg in table:
-        return table[arg], None
-    if len(arg) == 1:
-        return None
-    head, eq, value = arg.partition("=")
-    if eq and head in table:
-        return table[head], value
-    if arg[1] == "-":
-        matches = [(name, value if eq else None) for name in table if name.startswith(head)]
-    else:  # -h, the one short option, with anything after it attached
-        matches = [(name, arg[2:]) for name in table if name == arg[:2]]
-    if len(matches) > 1:
-        usage_error(command, f"ambiguous option: {arg} could match "
-                             + ", ".join(name for name, _ in matches))
-    if matches:
-        name, value = matches[0]
-        return table[name], value
-    if arg[1] != "-" and re.match(NEGATIVE_NUMBER, arg) or " " in arg:
-        return None
-    return None, None
-
-
-def read_options(args: List[str], command: Optional[str]):
-    """The options given in ``args`` by name, the arguments that no option
-    reads, and, for the program (command None), the first value, which names
-    the command, with every argument after it."""
-    table = option_table(command)
-    end = args.index("--") if "--" in args else len(args)
-    reads = [read_option(arg, table, command) for arg in args[:end]]
-    reads += [None] * (len(args) - end)  # "--" and what follows are values
-    values, unread, i = {}, [], 0
-    while i < len(args):
-        arg, read = args[i], reads[i]
-        i += 1
-        # the program's first value is the command; a "--" that ends the line is not
-        if command is None and read is None and args[i - 1:] != ["--"]:
-            return values, unread, args[i - 1:]
-        if read is None or read[0] is None:
-            unread.append(arg)
-            continue
-        (name, kind, *_), given = read
-        label = "-h/--help" if name == "--help" else name
+    func, _, options = COMMANDS[argv[0]]
+    table = {option[0]: option for option in options}
+    values, rest = {}, iter(argv[1:])
+    for arg in rest:
+        if arg not in table:
+            return None
+        name, kind = table[arg][:2]
         if kind is bool:
-            rest = given.lstrip("h") if given and arg[1] != "-" else given  # -hh is -h
-            if given == "" or rest:
-                usage_error(command, f"argument {label}: ignored explicit argument "
-                                     f"{rest!r}")
-            if name == "--help":
-                from .usage import parser
-
-                parser(command, options_of(command), COMMANDS).print_help()
-                raise SystemExit(0)
-            if name == "--version":
-                sys.stdout.write(f"ghzmetro {__version__}\n")
-                raise SystemExit(0)
             values[name] = True
             continue
-        if given is None and i < end and reads[i] is None:
-            given, i = args[i], i + 1
-        if given is None or given == "--":  # argparse bound --opt=-- to an empty list
-            usage_error(command, f"argument {label}: expected one argument")
+        given = next(rest, "-")  # a missing value declines the line too
         convert = type(kind[0]) if isinstance(kind, tuple) else kind
         try:
-            value = given if convert is str else read_number(given, convert)
-        except (ValueError, ZeroDivisionError):
-            usage_error(command, f"argument {label}: invalid {convert.__name__} value: "
-                                 f"{given!r}")
-        if isinstance(kind, tuple) and value not in kind:
-            usage_error(command, f"argument {label}: invalid choice: {value!r} "
-                                 f"(choose from {', '.join(map(repr, kind))})")
-        values[name] = value  # a repeated option keeps its last value
-    if command is None:
-        usage_error(None, "the following arguments are required: command")
-    missing = [option[0] for option in options_of(command)
-               if option[3] and option[0] not in values]
-    if missing:
-        usage_error(command, f"the following arguments are required: {', '.join(missing)}")
-    return values, unread, []
-
-
-def parse_args(argv: Sequence[str]) -> SimpleNamespace:
-    """The command, its handler ``func`` and the value of each of its options,
-    named as the option without its dashes, ``-`` read as ``_``.  A usage
-    error exits 2; help and the version exit 0."""
-    _, unread, (command, *rest) = read_options(list(argv), None)
-    if command not in COMMANDS:
-        usage_error(None, f"argument command: invalid choice: {command!r} "
-                          f"(choose from {', '.join(map(repr, COMMANDS))})")
-    values, more, _ = read_options(rest, command)
-    if unread + more:
-        usage_error(None, "unrecognized arguments: " + " ".join(unread + more))
-    func, _, options = COMMANDS[command]
-    return SimpleNamespace(command=command, func=func, **{
+            values[name] = given if convert is str else read_number(given, convert)
+        except ValueError:
+            return None
+        if given[:1] == "-" or isinstance(kind, tuple) and values[name] not in kind:
+            return None
+    if any(option[3] and option[0] not in values for option in options):
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **{
         option[0][2:].replace("-", "_"): values.get(option[0], option[2])
         for option in options})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = parse_args(argv)
+    if argv == ["--version"]:  # the request the benchmark's setup time measures
+        sys.stdout.write(f"ghzmetro {__version__}\n")
+        raise SystemExit(0)
+    args = read_plain(argv)
+    if args is None:  # argparse exits 0 on help and 2 on a usage error
+        from .usage import parser
+
+        args = parser(COMMANDS, read_number).parse_args(argv)
     getattr(sys, "set_int_max_str_digits", lambda _: None)(0)  # print rationals of any length
     try:
         meta = provenance(args, argv)

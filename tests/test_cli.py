@@ -9,14 +9,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ghzmetro
 from ghzmetro import estimation
 from ghzmetro.bell import hs_norm_sq
 from ghzmetro.errors import SizeLimitError
-from ghzmetro.cli import COMMANDS, main, parse_list, read_number
+from ghzmetro.cli import COMMANDS, main, parse_list, read_number, read_plain
 from ghzmetro.qfi import qfi_closed_nk
 from ghzmetro.states import GhzDiagonalState, build_rho_nk, build_rho_nkm
+from ghzmetro.usage import parser
 from conftest import as_sparse
 from test_knobs import CLI_OPTIONS
 
@@ -218,6 +220,11 @@ USAGE_ERRORS = [
      "ghzmetro estimate: error: argument --theta: invalid float value: '\u0660.\u0663'"),
     (("estimate", "--n", "4", "--k", "1", "--theta", "0.3", "--bracket", "1_0e-2"),
      "ghzmetro estimate: error: argument --bracket: invalid float value: '1_0e-2'"),
+    # argparse 3.11 alone binds --opt=-- to an empty list, for any valued option
+    (("qfi", "--n=--", "--k", "2"),
+     "ghzmetro qfi: error: argument --n: expected one argument"),
+    (("estimate", "--n", "4", "--k", "1", "--theta=--"),
+     "ghzmetro estimate: error: argument --theta: expected one argument"),
 ]
 
 
@@ -783,6 +790,72 @@ def test_help_and_usage_errors_ignore_the_terminal(capsys, monkeypatch, environ)
         assert (exc.value.code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
     test_usage_error_prints_the_command_usage_first(capsys)
+
+
+def same_attributes(plain, argv):
+    """Assert that argparse reads ``argv`` to the namespace ``plain``; by repr,
+    so that a nan value equals itself."""
+    def attributes(namespace):
+        return repr(sorted(vars(namespace).items()))
+
+    assert attributes(plain) == attributes(parser(COMMANDS, read_number).parse_args(argv))
+
+
+# the GOLDEN_STDOUT commands but help, and the request shapes of the benchmark
+PLAIN_LINES = [[*command.split(), "--no-timestamp"] for command in GOLDEN_STDOUT
+               if not command.endswith("--help")] + [line.split() for line in (
+    "qfi --n 7 --k 2 --no-timestamp",
+    "qfi --n 17 --k 5 --exact --no-timestamp",
+    "qfi --n 12 --k 6 --format json --no-timestamp",
+    "qfi --n 9 --k 2 --m 2 --exact --no-timestamp",
+    "ppt --n 9 --k 3 --cuts 1,2 --no-timestamp",
+    "ppt --n 10 --k 4 --cuts all --format json --no-timestamp",
+    "ppt --n 13 --k 3 --no-timestamp",
+    "bell --n 14 --k 2 --format json --no-timestamp",
+    "estimate --n 7 --k 2 --m 1 --theta 0.232071 --shots 10000 --reps 1 --seed 1816285009 "
+    "--model sector-parity --no-timestamp",
+)]
+
+
+@pytest.mark.parametrize("argv", PLAIN_LINES, ids=" ".join)
+def test_plain_lines_are_read_as_argparse_reads_them(argv):
+    plain = read_plain(argv)
+    assert plain is not None
+    same_attributes(plain, argv)
+
+
+# an option value of each shape: valid for some kind, malformed or negative
+VALUES = ["7", "2", "0", "12", "+3", "0.3", "1e-2", "inf", "nan", "1/4", "3/8", "1/0",
+          "-3", "-0.3", "-.3", "-1e5", "x", "7_0", "\u0667", " 7", "", "all", "1,2",
+          "8..12", "-", "--", "--n", "text", "json", "csv", "xml", "sector-parity"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command with some of its options, repeats included, shuffled, where
+    a required one is now and then left out; each valued option with a value
+    from VALUES or its choices, or with none."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    options = COMMANDS[command][2]
+    chosen = [option for option in options if option[3] and draw(st.integers(0, 7)) < 7]
+    chosen += draw(st.lists(st.sampled_from(options), max_size=8))
+    argv = [command]
+    for name, kind, *_ in draw(st.permutations(chosen)):
+        argv.append(name)
+        if kind is not bool:
+            choices = [str(choice) for choice in kind] if isinstance(kind, tuple) else []
+            value = draw(st.sampled_from(choices + VALUES + [None]))
+            argv += [] if value is None else [value]
+    return argv
+
+
+@given(command_lines())
+@settings(max_examples=400, deadline=None)
+def test_plain_reader_reads_as_argparse(argv):
+    # argparse is the oracle: a line the plain reader takes means the same there
+    plain = read_plain(argv)
+    if plain is not None:
+        same_attributes(plain, argv)
 
 
 def test_byte_identical_without_timestamp(capsys):

@@ -18,8 +18,9 @@ import sys
 from pathlib import Path
 
 import ghzmetro
-from ghzmetro.cli import COMMANDS, option_table
+from ghzmetro.cli import COMMANDS, read_number
 from ghzmetro.states import _Record
+from ghzmetro.usage import parser
 
 LIBRARY_MODULES = ("states", "qfi", "ptranspose", "bell", "oracles", "estimation")
 
@@ -120,9 +121,15 @@ def test_only_oracles_import_numpy():
 
 
 def test_cli_options_are_pinned():
-    # the option strings the parser reads, from its one option table
-    found = {"ghzmetro": set(option_table(None))}
-    found.update((command, set(option_table(command))) for command in COMMANDS)
+    # the option strings of the program's parser and of each command's
+    # subparser, which argparse builds from the one option table
+    def option_strings(built):
+        return {option for action in built._actions for option in action.option_strings}
+
+    program = parser(COMMANDS, read_number)
+    listing, = (action for action in program._actions if action.dest == "command")
+    found = {"ghzmetro": option_strings(program)}
+    found.update((command, option_strings(sub)) for command, sub in listing.choices.items())
     assert found == CLI_OPTIONS
 
 
