@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 
 # Each module, to the names the package exports from it.
 _EXPORTS = {
-    "errors": ("CrossCheckError", "DomainError", "FisherSingularityError", "GhzmetroError",
-               "LikelihoodDegeneracyError", "SizeLimitError"),
+    "errors": ("CrossCheckError", "DomainError", "GhzmetroError", "LikelihoodDegeneracyError",
+               "SizeLimitError"),
     "states": ("BandState", "GhzDiagonalState", "binom_normalizer", "build_rho_nk",
                "build_rho_nkm", "canonical_index", "ghz_state", "maximally_mixed_state",
                "min_ones", "weight"),

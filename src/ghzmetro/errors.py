@@ -19,7 +19,3 @@ class CrossCheckError(GhzmetroError, RuntimeError):
 
 class LikelihoodDegeneracyError(GhzmetroError, RuntimeError):
     """The likelihood has multiple maxima inside the estimation bracket."""
-
-
-class FisherSingularityError(GhzmetroError, RuntimeError):
-    """An outcome probability vanishes while its derivative does not."""

@@ -16,12 +16,14 @@ built once from the state's integer rows (s, d) over ``state.den``, with one
 division by ``den`` per entry: global parity sums mult * d over the classes
 of each weight w, so it has no size limit; sector parity lists ``sectors()``
 (n <= 20 for a band state), as its counts are drawn per sector.  Classical
-Fisher information uses the analytic derivatives, and a seeded counter-based
-Monte Carlo loop estimates theta by bracketed maximum likelihood (a grid,
-then golden-section search) to compare the empirical spread against the
-Cramer-Rao bound 1/sqrt(shots * F).  Outcome rows with the same fringe (the
-same s, d and w) form one class, so the likelihood sums their counts and
-takes one logarithm per class.
+Fisher information uses the analytic derivatives and, to keep its printed
+digits, the P sampling reads, except where a fringe cancelled past 10 bits:
+there it reads the nonnegative floor form (``classical_fisher``).  A seeded
+counter-based Monte Carlo loop estimates theta by bracketed maximum
+likelihood (a grid, then golden-section search) to compare the empirical
+spread with the Cramer-Rao bound 1/sqrt(shots * F).  Outcomes with the same
+integer row (the same s, d and w) form one class, so the likelihood sums
+their counts and takes one logarithm per class.
 
 The module needs no numpy.  ``_rng`` is numpy's Philox4x64-10 stream keyed
 through its ``SeedSequence``, and its ``multinomial`` transcribes numpy's
@@ -35,7 +37,7 @@ import operator
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import DomainError, FisherSingularityError, LikelihoodDegeneracyError
+from .errors import DomainError, LikelihoodDegeneracyError
 from .qfi import qfi_ghz_diagonal
 from .states import SectorState, _Record, weight
 
@@ -43,8 +45,6 @@ RNG_ALGORITHM = "philox4x64"  # counter-based; pinned for bit-reproducibility
 MLE_TOL = 1e-8  # the refined bracket is narrower than this
 INV_PHI = (5**0.5 - 1) / 2  # golden-section ratio
 GRID_POINTS = 512  # coarse likelihood grid across the bracket
-P_ZERO_TOL = 1e-15  # outcome probabilities at or below this count as zero
-SLOPE_TOL = 1e-12  # a zero-probability outcome steeper than this is singular
 SHOTS_MAX = (1 << 63) - 1  # numpy's multinomial, whose draws are reproduced, counts in int64
 
 
@@ -282,10 +282,9 @@ def _pairwise_sum(x: Sequence[float]) -> float:
 
 class _FringeModel:
     """P(theta) = (base + coef . cos(w theta)) / 2, one coefficient column per
-    weight w, ascending.  A model lists its distinct outcome rows (base, [(w,
-    coefficient)]) in integers over ``state.den`` and each outcome's row;
-    outcomes whose rows are equal in floats form one class.  The last
-    state's tables are kept."""
+    weight w, ascending.  A model lists its outcome rows (base, ((w, coef),
+    ...)) in integers over ``state.den`` and each outcome's row; equal rows
+    form one class.  The last state's tables are kept."""
 
     _state = None
 
@@ -296,7 +295,7 @@ class _FringeModel:
         return self._fringe(state, theta, derivative=True)
 
     def _fringe(self, state: SectorState, theta: float, derivative: bool) -> List[float]:
-        w, base, terms, _, expand = self._tables(state)
+        w, base, terms, _, expand, _ = self._tables(state)
         wave = [wj * math.sin(wj * theta) if derivative else math.cos(wj * theta) for wj in w]
         fringe = [0.0] * len(base)
         for c, j, a in terms:
@@ -306,23 +305,23 @@ class _FringeModel:
         return list(expand([(b + f) / 2.0 for b, f in zip(base, fringe)]))
 
     def _tables(self, state: SectorState) -> tuple:
-        """(w, base per class, (class, column, coef) terms, row classes, expander)."""
+        """(w, class bases, (class, column, coef) terms, row classes, expander, class floors)."""
         # a sparse state holds dicts, so states are compared by identity, not
         # hashed; holding it keeps its id from being reused by another state
         if self._state is not state:
-            ints, order = self._rows(state)
-            den = state.den
-            rows = [(b / den, tuple((wi, a / den) for wi, a in row_terms))
-                    for b, row_terms in ints]
-            w = sorted({wi for _, row_terms in rows for wi, _ in row_terms})
-            col = {wi: j for j, wi in enumerate(w)}
+            rows, order = self._rows(state)
             classes = {}
             row_class = [classes.setdefault(rows[r], len(classes)) for r in order]
-            terms = [(c, col[wi], a) for c, (_, row_terms) in enumerate(classes)
+            den = state.den
+            w = sorted({wi for _, row_terms in classes for wi, _ in row_terms})
+            col = {wi: j for j, wi in enumerate(w)}
+            terms = [(c, col[wi], a / den) for c, (_, row_terms) in enumerate(classes)
                      for wi, a in row_terms]
             self._state = state
-            self._cached = ([float(wi) for wi in w], [b for b, _ in classes], terms,
-                            row_class, itemgetter(*row_class))
+            self._cached = ([float(wi) for wi in w], [b / den for b, _ in classes], terms,
+                            row_class, itemgetter(*row_class),
+                            [(b - sum(abs(a) for _, a in row_terms)) / den  # >= 0: |d| <= s
+                             for b, row_terms in classes])
         return self._cached
 
 
@@ -331,13 +330,13 @@ class GlobalParity(_FringeModel):
 
     name = "global-parity"
 
-    def _rows(self, state: SectorState) -> list:
+    def _rows(self, state: SectorState) -> tuple:
         coef = {}  # weight -> the exact sum of mult * d over its classes, times den
         for rep, mult, _, d in state.classes():
             wi = weight(state.n, rep)
             coef[wi] = coef.get(wi, 0) + mult * d
-        terms = sorted(coef.items())
-        return [(state.den, terms), (state.den, [(wi, -a) for wi, a in terms])], [0, 1]
+        terms = tuple(sorted(coef.items()))
+        return [(state.den, terms), (state.den, tuple((wi, -a) for wi, a in terms))], [0, 1]
 
 
 class SectorParity(_FringeModel):
@@ -370,22 +369,25 @@ def get_model(name: str):
 
 
 def classical_fisher(state: SectorState, theta: float, model) -> float:
-    """sum_mu (dP/dtheta)^2 / P over outcomes with P > 0 (analytic derivatives).
+    """sum_mu (dP/dtheta)^2 / P over the outcomes (analytic derivatives).
 
-    Outcomes with vanishing probability and vanishing derivative contribute
-    0; a vanishing probability with nonvanishing derivative is a genuine
-    singular point and raises ``FisherSingularityError``.
-    """
+    P = (base + sum_w a cos(w theta))/2 cancels near a zero of its fringe; its
+    floor form (base - sum|a|)/2 + sum_{a>0} a cos^2(w theta/2) + sum_{a<0} |a|
+    sin^2(w theta/2) sums nonnegative terms.  Where the fringe lost over 10 bits
+    (P < 2^-10 base) F_C reads the floor form, else the P sampling reads, as
+    the floor form would move the last printed digits of F_C there."""
     p = model.probabilities(state, theta)
     dp = model.derivatives(state, theta)
+    w, base, terms, row_class, _, floor = model._tables(state)
+    floor_p = [f / 2.0 for f in floor]
+    for c, j, a in terms:  # half of fl(w theta), the phase dP/dtheta reads
+        edge = (math.cos if a > 0.0 else math.sin)(w[j] * theta / 2.0)
+        floor_p[c] += abs(a) * edge * edge
     total = 0.0
-    for k, (pk, dk) in enumerate(zip(p, dp)):
-        if pk > P_ZERO_TOL:
+    for pk, dk, c in zip(p, dp, row_class):
+        pk = pk if pk >= base[c] * 2.0**-10 else floor_p[c]
+        if pk > 0.0:  # P = 0 adds 0
             total += dk * dk / pk
-        elif abs(dk) > SLOPE_TOL:
-            raise FisherSingularityError(
-                f"outcome {k} has P = {pk} but dP/dtheta = {dk} at theta = {theta}"
-            )
     return total
 
 
@@ -504,10 +506,10 @@ def run_monte_carlo(
     every estimate, so it is refused; so is one so wide that w_max * (|lo| +
     |hi|) overflows, as its width or a fringe phase w * theta would, and one
     whose ``GRID_POINTS``-point grid steps more than a quarter period
-    pi/(2 w_max) of the fastest fringe, which the grid cannot resolve.  A state
-    whose populated sectors all have weight 0 does not turn under U(theta),
-    and a measurement with no classical Fisher information at theta_true has
-    no Cramer-Rao bound, so both are refused before any sampling.
+    pi/(2 w_max) of the fastest fringe, which the grid cannot resolve.  Also
+    refused before any sampling: theta_true = 0, where the likelihood is
+    mirror-symmetric; a state whose sectors all have weight 0, which U(theta)
+    does not turn; and one with no Fisher information at theta_true.
     """
     if not 100 <= shots <= SHOTS_MAX:
         raise DomainError(f"need 100 <= shots <= 2^63 - 1, got {shots}")
@@ -515,6 +517,8 @@ def run_monte_carlo(
         raise DomainError("need at least one repetition")
     if seed < 0:
         raise DomainError(f"need a seed >= 0, got {seed}")
+    if theta_true == 0:
+        raise DomainError("at theta = 0 the likelihood is mirror-symmetric (theta <-> -theta)")
     if isinstance(model, str):
         model = get_model(model)
     w_max = max(abs(weight(state.n, rep)) for rep, _, _, _ in state.classes())

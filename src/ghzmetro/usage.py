@@ -14,11 +14,11 @@ from . import __version__
 
 
 class StoreOne(argparse.Action):
-    """Store the one value of an option.  Argparse 3.11 binds ``--opt=--`` to
-    an empty list, which this refuses as a missing value."""
+    """Store the one value of an option.  Argparse binds ``--opt=--`` to an
+    empty list (3.11) or to ``--`` (3.13), which this refuses as a missing value."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        if isinstance(values, list):
+        if isinstance(values, list) or values == "--":
             raise argparse.ArgumentError(self, "expected one argument")
         setattr(namespace, self.dest, values)
 

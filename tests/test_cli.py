@@ -1,4 +1,5 @@
 """CLI contracts: output formats, determinism, exit codes, imports."""
+import argparse
 import hashlib
 import json
 import os
@@ -18,7 +19,7 @@ from ghzmetro.errors import SizeLimitError
 from ghzmetro.cli import COMMANDS, main, parse_list, read_number, read_plain
 from ghzmetro.qfi import qfi_closed_nk
 from ghzmetro.states import GhzDiagonalState, build_rho_nk, build_rho_nkm
-from ghzmetro.usage import parser
+from ghzmetro.usage import StoreOne, parser
 from conftest import as_sparse
 from test_knobs import CLI_OPTIONS
 
@@ -251,6 +252,16 @@ def test_option_given_as_equals_dashes_is_refused(capsys):
                                            "--output=--")
     assert (code, out) == (2, "")
     assert err[-1] == "ghzmetro qfi: error: argument --output: expected one argument"
+
+
+@pytest.mark.parametrize("values", [[], "--"], ids=["empty-list", "double-dash"])
+def test_store_one_refuses_a_missing_value(values):
+    # argparse binds --opt=-- to [] (3.11) or to "--" (3.13): no value either way
+    action = StoreOne(["--output"], "output")
+    namespace = argparse.Namespace()
+    with pytest.raises(argparse.ArgumentError, match="expected one argument"):
+        action(None, namespace, values, "--output")
+    assert not hasattr(namespace, "output")
 
 
 @pytest.mark.parametrize("argv, same_as", [
@@ -1130,7 +1141,8 @@ def test_estimate_ends_at_large_theta(argv):
 
 
 def test_estimate_refuses_before_sampling(capsys, monkeypatch):
-    # sector parity at theta = 0 has F_C = 0: refused before any repetition
+    # at theta = 0 the likelihood cannot tell theta from -theta: refused before
+    # any repetition
     def no_sampling(seed, stream):
         raise AssertionError("sampled a request it refuses")
 
@@ -1138,7 +1150,7 @@ def test_estimate_refuses_before_sampling(capsys, monkeypatch):
     code, out, err = run(capsys, "estimate", "--n", "6", "--k", "2", "--theta", "0",
                          "--model", "sector-parity")
     assert (code, out) == (2, "")
-    assert "no phase information" in err
+    assert "mirror-symmetric" in err
 
 
 def test_estimate_sector_parity_model(capsys):

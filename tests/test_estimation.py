@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from ghzmetro import (
     DomainError,
-    FisherSingularityError,
     GhzDiagonalState,
     GlobalParity,
     LikelihoodDegeneracyError,
@@ -18,6 +17,7 @@ from ghzmetro import (
     classical_fisher,
     get_model,
     ghz_state,
+    maximally_mixed_state,
     qfi_ghz_diagonal,
     run_monte_carlo,
     weight,
@@ -27,6 +27,16 @@ from ghzmetro.estimation import _mle
 from conftest import evolve_dense, family_members, ghz_vector, random_state_strategy
 
 FD_STEP = 1e-5  # central finite-difference step of the Fisher cross-check
+
+# ordinary phases, phases near 0 and phases near a fringe zero pi/w: an
+# outcome's P = (base + a cos(w theta)) / 2 cancels at the last two.  Below
+# |theta| ~ 1e-154 the squares P ~ theta^2 and P'^2 underflow a float.
+THETAS = st.one_of(
+    st.floats(-3.0, 3.0).filter(lambda theta: theta == 0 or abs(theta) > 1e-100),
+    st.integers(1, 15).map(lambda j: 10.0**-j),
+    st.builds(lambda w, sign, j: math.pi / w + sign * 10.0**-j,
+              st.integers(1, 8), st.sampled_from((-1, 1)), st.integers(1, 15)),
+)
 
 
 # -- evolution -----------------------------------------------------------------
@@ -202,21 +212,54 @@ def test_global_parity_probabilities_within_one_ulp():
                     assert abs(a - b) <= math.ulp(1.0) / 2, (state, theta)
 
 
+def chebyshev(w, t):
+    """(T_w(t), U_{w-1}(t)) for w >= 0: cos(w theta) = T_w(cos theta) and
+    sin(w theta) = sin(theta) U_{w-1}(cos theta), with U_{-1} = 0."""
+    if w == 0:
+        return 1, 0
+    t_prev, t_cur, u_prev, u_cur = 1, t, 0, 1
+    for _ in range(w - 1):
+        t_prev, t_cur = t_cur, 2 * t * t_cur - t_prev
+        u_prev, u_cur = u_cur, 2 * t * u_cur - u_prev
+    return t_cur, u_cur
+
+
+def exact_fisher(state, model_name, t):
+    """F_C in exact rationals at cos(theta) = t, from the sectors one by one.
+    With cos(w theta) = T_|w|(t) and w sin(w theta) = |w| sin(theta)
+    U_|w|-1(t), an outcome P = (base +- sum_i c_i cos(w_i theta)) / 2 has
+    P' = -+ sin(theta) slope / 2, slope = sum_i c_i |w_i| U_|w_i|-1(t), so
+    with sin^2 = 1 - t^2 each P'^2 / P is rational.  An outcome with P = 0 has
+    P' = 0 and adds 0."""
+    rows = [(Fraction(s, state.den), Fraction(d, state.den), weight(state.n, i))
+            for i, s, d in state.sectors()]
+    cheb = {abs(w): chebyshev(abs(w), t) for _, _, w in rows}
+    if model_name == "global-parity":
+        c = sum(d * cheb[abs(w)][0] for _, d, w in rows)
+        slope = sum(d * abs(w) * cheb[abs(w)][1] for _, d, w in rows)
+        outcomes = [(1 + c, slope), (1 - c, slope)]
+    else:
+        outcomes = [(s + sign * d * cheb[abs(w)][0], d * abs(w) * cheb[abs(w)][1])
+                    for s, d, w in rows for sign in (1, -1)]
+    # P = twice_p / 2 and P'^2 = (1 - t^2) slope^2 / 4, so P'^2 / P = (1 - t^2) slope^2 / (2 twice_p)
+    return sum((1 - t * t) * slope * slope / (2 * twice_p)
+               for twice_p, slope in outcomes if twice_p)
+
+
 @settings(max_examples=60, deadline=None)
-@given(random_state_strategy(max_n=5), st.floats(-3.0, 3.0),
-       st.sampled_from(["global-parity", "sector-parity"]))
+@given(random_state_strategy(max_n=8), THETAS, st.sampled_from(["global-parity", "sector-parity"]))
 def test_derivatives_and_fisher_match_numpy(state, theta, model_name):
+    # derivatives against the numpy tables; F_C against exact rationals at
+    # theta = 2 atan(u) for the float u = tan(theta / 2), whose cosine
+    # (1 - u^2) / (1 + u^2) is rational, while the float 2 atan(u) lies within
+    # an ulp or two of it
     model = get_model(model_name)
     assert np.asarray(model.derivatives(state, theta)) == pytest.approx(
         numpy_derivatives(state, model_name, theta), rel=1e-12, abs=1e-15)
-    p = numpy_probabilities(state, model_name, theta)
-    dp = numpy_derivatives(state, model_name, theta)
-    if np.any((p <= estimation.P_ZERO_TOL) & (np.abs(dp) > estimation.SLOPE_TOL)):
-        return  # singular: checked by test_fisher_singularity_reported
-    keep = p > estimation.P_ZERO_TOL
-    expected = float(np.sum(dp[keep] ** 2 / p[keep]))
-    assert classical_fisher(state, theta, model) == pytest.approx(expected, rel=1e-12,
-                                                                  abs=1e-15)
+    u = Fraction(math.tan(theta / 2))
+    t = (1 - u * u) / (1 + u * u)
+    got = classical_fisher(state, 2 * math.atan(float(u)), model)
+    assert got == pytest.approx(float(exact_fisher(state, model_name, t)), rel=1e-12, abs=1e-15)
 
 
 # -- global parity from the classes ---------------------------------------------------
@@ -242,7 +285,7 @@ def class_coefficients(state):
 def assert_parity_coefficients_are_class_sums(state):
     exact = class_coefficients(state)
     assert exact == sector_coefficients(state)
-    w, base, terms, row_class, _ = GlobalParity()._tables(state)
+    w, base, terms, row_class, *_ = GlobalParity()._tables(state)
     assert w == sorted(float(wi) for wi in exact)
     for row, sign in zip(row_class, (1, -1)):  # the + and - outcome rows
         assert base[row] == 1.0
@@ -311,6 +354,32 @@ def test_probability_derivatives_match_finite_differences():
                 assert np.max(np.abs(analytic - fd)) < 1e-6
 
 
+@settings(max_examples=100, deadline=None)
+@given(random_state_strategy(max_n=8), THETAS, st.sampled_from(["global-parity", "sector-parity"]))
+def test_fisher_never_exceeds_qfi_near_fringe_zeros(state, theta, model_name):
+    # Braunstein-Caves: F_C <= F_Q at every phase, and no phase is refused
+    f_q = float(qfi_ghz_diagonal(state))
+    assert classical_fisher(state, theta, get_model(model_name)) <= f_q * (1 + 1e-12)
+
+
+def test_sector_parity_attains_qfi_on_family_near_fringe_zeros():
+    # every class of a family member is pure (d = s) or has d = 0, so sector
+    # parity reaches F_Q at every phase; near theta = 0 and pi/n the P of
+    # the w = +-n class cancels
+    for n, k, m in family_members(12):
+        state = build_rho_nkm(n, k, m)
+        f_q = float(qfi_ghz_diagonal(state))
+        for theta in (1e-3, 1e-7, 1e-12, math.pi / n - 1e-9, math.pi / n + 1e-9):
+            f_c = classical_fisher(state, theta, SectorParity())
+            assert f_c == pytest.approx(f_q, rel=1e-12), (n, k, m, theta)
+
+
+def test_ghz_global_parity_reaches_n_squared_near_zero():
+    # at theta = 1e-8, P(-) = (1 - cos 4 theta) / 2 cancels to 3.89e-16 in
+    # floats, where it is sin^2(2 theta) = 4.00e-16; F_C = n^2 = 16
+    assert classical_fisher(ghz_state(4), 1e-8, GlobalParity()) == pytest.approx(16, rel=1e-12)
+
+
 def test_fisher_never_exceeds_qfi():
     states = [build_rho_nk(n, k) for n in range(4, 9) for k in range(1, n // 2 + 1)]
     states += [ghz_state(4), build_rho_nk(5, 2)]
@@ -343,20 +412,6 @@ def test_sector_parity_saturates_family_qfi_everywhere():
     fq = float(qfi_ghz_diagonal(state))
     for theta in (0.19, 0.52, 0.91):
         assert classical_fisher(state, theta, SectorParity()) == pytest.approx(fq, abs=1e-9)
-
-
-def test_fisher_singularity_reported():
-    class StuckModel:
-        name = "stuck"
-
-        def probabilities(self, state, theta):
-            return np.array([1.0, 0.0])
-
-        def derivatives(self, state, theta):
-            return np.array([-1.0, 1.0])
-
-    with pytest.raises(FisherSingularityError):
-        classical_fisher(ghz_state(2), 0.1, StuckModel())
 
 
 # -- sampler: numpy's Philox multinomial, reproduced ------------------------------------
@@ -547,19 +602,19 @@ def test_run_refuses_state_without_phase_speed(monkeypatch, state):
                             seed=0, bracket_halfwidth=halfwidth)
 
 
-@pytest.mark.parametrize("state, theta, model_name, error", [
-    (build_rho_nk(6, 2), 0.0, "sector-parity", DomainError),
-    (build_rho_nk(6, 2), 0.0, "global-parity", DomainError),
-    (ghz_state(4), 1e-8, "global-parity", FisherSingularityError),
-], ids=["sector-parity-at-0", "global-parity-at-0", "singular"])
+@pytest.mark.parametrize("state, theta, model_name, reason", [
+    (build_rho_nk(6, 2), 0.0, "sector-parity", "mirror-symmetric"),
+    (build_rho_nk(6, 2), 0.0, "global-parity", "mirror-symmetric"),
+    (maximally_mixed_state(4), 0.3, "global-parity", "no phase information"),
+], ids=["sector-parity-at-0", "global-parity-at-0", "no-coherence"])
 def test_run_refuses_measurement_without_information(monkeypatch, state, theta,
-                                                     model_name, error):
-    # F_C at theta_true is checked before the first draw, not after every repetition
+                                                     model_name, reason):
+    # refused before the first draw, not after every repetition
     def no_sampling(seed, stream):
-        raise AssertionError("sampled before checking the Fisher information")
+        raise AssertionError("sampled a request it refuses")
 
     monkeypatch.setattr(estimation, "_rng", no_sampling)
-    with pytest.raises(error):
+    with pytest.raises(DomainError, match=reason):
         run_monte_carlo(state, theta, model_name, shots=1000, repetitions=200, seed=0)
 
 

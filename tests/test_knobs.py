@@ -57,8 +57,8 @@ EXPORTS = {
     "RNG_ALGORITHM", "EstimationRun", "GlobalParity", "SectorParity",
     "classical_fisher", "get_model", "run_monte_carlo",
     # errors
-    "CrossCheckError", "DomainError", "FisherSingularityError", "GhzmetroError",
-    "LikelihoodDegeneracyError", "SizeLimitError",
+    "CrossCheckError", "DomainError", "GhzmetroError", "LikelihoodDegeneracyError",
+    "SizeLimitError",
 }
 
 # both state types are read through classes() and the one sector walk sectors()
