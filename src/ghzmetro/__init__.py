@@ -27,9 +27,9 @@ _EXPORTS = {
     "qfi": ("QfiReport", "family_report", "qfi_closed_nk", "qfi_ghz_diagonal",
             "qfi_lower_bound_nk", "qfi_lower_bound_nkm", "s_factor", "scaled_k"),
     "bell": ("DetectionRow", "detection_comparison", "hs_norm_sq"),
-    "oracles": ("CorrelationTensorSummary", "PhaseGenerator", "PtSpectrum",
-                "brute_force_tensor", "hs_norm_sq_exact", "pt_dense_oracle",
-                "pt_spectrum", "qfi_from_dense", "qfi_spectral", "to_dense"),
+    "oracles": ("CorrelationTensorSummary", "PhaseGenerator", "brute_force_tensor",
+                "hs_norm_sq_exact", "pt_dense_oracle", "pt_spectrum", "qfi_from_dense",
+                "qfi_spectral", "to_dense"),
     "estimation": ("RNG_ALGORITHM", "EstimationRun", "GlobalParity", "SectorParity",
                    "classical_fisher", "get_model", "run_monte_carlo"),
 }

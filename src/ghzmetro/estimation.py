@@ -507,9 +507,10 @@ def run_monte_carlo(
     |hi|) overflows, as its width or a fringe phase w * theta would, and one
     whose ``GRID_POINTS``-point grid steps more than a quarter period
     pi/(2 w_max) of the fastest fringe, which the grid cannot resolve.  Also
-    refused before any sampling: theta_true = 0, where the likelihood is
-    mirror-symmetric; a state whose sectors all have weight 0, which U(theta)
-    does not turn; and one with no Fisher information at theta_true.
+    refused before any sampling: a bracket with 0 strictly inside, where the
+    likelihood cannot tell theta' from its mirror -theta'; a state whose
+    sectors all have weight 0, which U(theta) does not turn; and one with no
+    Fisher information at theta_true.
     """
     if not 100 <= shots <= SHOTS_MAX:
         raise DomainError(f"need 100 <= shots <= 2^63 - 1, got {shots}")
@@ -517,8 +518,6 @@ def run_monte_carlo(
         raise DomainError("need at least one repetition")
     if seed < 0:
         raise DomainError(f"need a seed >= 0, got {seed}")
-    if theta_true == 0:
-        raise DomainError("at theta = 0 the likelihood is mirror-symmetric (theta <-> -theta)")
     if isinstance(model, str):
         model = get_model(model)
     w_max = max(abs(weight(state.n, rep)) for rep, _, _, _ in state.classes())
@@ -539,6 +538,9 @@ def run_monte_carlo(
         raise DomainError(f"bracket {bracket} is too wide: its {GRID_POINTS}-point grid "
                           f"steps {step:.6g}, more than a quarter period pi/(2 w) of the "
                           f"fastest fringe (w = {w_max})")
+    if bracket[0] < 0 < bracket[1]:
+        raise DomainError(f"bracket {bracket} straddles 0: the likelihood is mirror-"
+                          "symmetric, so theta' and its mirror -theta' fit every count alike")
     fisher = classical_fisher(state, theta_true, model)
     if fisher <= 0.0:
         raise DomainError(

@@ -2,9 +2,10 @@
 
 Each quantity the library computes in closed form is re-derived here another
 way: on the dense matrix ``to_dense`` (spectral QFI, reshape transposition,
-3^n Pauli traces) or sector by sector in integers over ``state.den``
-(``pt_spectrum``, the 2^n-mask scan ``hs_norm_sq_exact``), each reading
-the rows ``(i, s, d)`` of ``sectors()`` as they are.  Each oracle refuses
+3^n Pauli traces) or sector by sector in integers (``pt_spectrum``, a list
+of integers over ``2 * state.den``, and the 2^n-mask scan
+``hs_norm_sq_exact``), each reading the rows ``(i, s, d)`` of ``sectors()``
+as they are and calling none of the routes it checks.  Each oracle refuses
 a state above the cap of its cost class before it allocates anything:
 ``BRUTE_CAP`` = 6 qubits for 3^n traces, ``DENSE_LIMIT`` = 12 for dense
 matrices and mask scans, ``SECTOR_LIST_LIMIT`` = 20 for listing sectors.
@@ -15,15 +16,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .bell import DetectionRow, axial_expectation
 from .errors import CrossCheckError, DomainError, SizeLimitError
 from .ptranspose import CertificateResult, CutStatus, QubitSubset
 from .qfi import QfiReport
 from .states import SECTOR_LIST_LIMIT, SectorState, _Record, build_rho_nkm, canonical_index
+
+if TYPE_CHECKING:
+    from .bell import DetectionRow
 
 BRUTE_CAP = 6  # qubit cap of the 3^n dense-trace enumeration
 DENSE_LIMIT = 12  # qubit cap of every dense matrix and of the 2^n-mask scan
@@ -120,40 +123,21 @@ def qfi_from_dense(rho: np.ndarray, generator: PhaseGenerator) -> float:
 # -- partial transposition -----------------------------------------------------
 
 
-class PtSpectrum(_Record):
-    """Exact eigenvalue pairs of a partially transposed GHZ-diagonal state."""
-
-    subset: QubitSubset
-    pairs: Dict[int, Tuple[Fraction, Fraction]]
-
-    def eigenvalues(self) -> List[Fraction]:
-        out: List[Fraction] = []
-        for plus, minus in self.pairs.values():
-            out.append(plus)
-            out.append(minus)
-        return sorted(out)
-
-    def min_eigenvalue(self) -> Fraction:
-        return min(min(p) for p in self.pairs.values())
-
-    def is_nonnegative(self) -> bool:
-        return self.min_eigenvalue() >= 0
-
-
-def pt_spectrum(state: SectorState, subset: QubitSubset) -> PtSpectrum:
-    """Spectrum of the state transposed over ``subset``; no dense matrix built."""
+def pt_spectrum(state: SectorState, subset: QubitSubset) -> List[int]:
+    """Spectrum of the state transposed over ``subset`` in integers over
+    ``2 * state.den``, no dense matrix built: entries 2i and 2i + 1 are
+    s_i + d_j and s_i - d_j, with j the partner of sector i under ``subset``."""
     if subset.n != state.n:
         raise DomainError("subset size does not match state")
     _check_size("listing the sectors one by one", state.n, SECTOR_LIST_LIMIT)
-    rows = {i: (s, d) for i, s, d in state.sectors()}
-    half = 2 * state.den
-    pairs: Dict[int, Tuple[Fraction, Fraction]] = {}
-    for i in range(1 << (state.n - 1)):
-        j = canonical_index(i ^ subset.mask, state.n)
-        s = rows.get(i, (0, 0))[0]
-        d = rows.get(j, (0, 0))[1]
-        pairs[i] = (Fraction(s + d, half), Fraction(s - d, half))
-    return PtSpectrum(subset, pairs)
+    rows = [(0, 0)] * (1 << (state.n - 1))
+    for i, s, d in state.sectors():
+        rows[i] = (s, d)
+    spectrum: List[int] = []
+    for i, (s, _) in enumerate(rows):
+        d = rows[canonical_index(i ^ subset.mask, state.n)][1]
+        spectrum += (s + d, s - d)
+    return spectrum
 
 
 def pt_dense_oracle(state: SectorState, subset: QubitSubset) -> np.ndarray:
@@ -183,16 +167,21 @@ PAULI = {
 
 
 def hs_norm_sq_exact(state: SectorState) -> Fraction:
-    """Hilbert-Schmidt square by the exact 2^n-mask scan; oracle for ``hs_norm_sq``."""
+    """Hilbert-Schmidt square by the exact 2^n-mask scan; oracle for ``hs_norm_sq``.
+    The axial term Tr[Z^(x n) rho] sums s_i/(2 den) at |i> and at |i_bar>."""
     _check_size("exact mask scan", state.n, DENSE_LIMIT)
-    support = [(i, d) for i, _, d in state.sectors() if d]
+    support, axial = [], 0
+    for i, s, d in state.sectors():
+        axial += s * ((-1) ** i.bit_count() + (-1) ** (state.n - i.bit_count()))
+        if d:
+            support.append((i, d))
     total = 0
     for y in range(1 << state.n):
         if y.bit_count() & 1:
             continue
         t = sum(-d if (y & i).bit_count() & 1 else d for i, d in support)
         total += t * t
-    return Fraction(total, state.den ** 2) + axial_expectation(state) ** 2
+    return Fraction(total, state.den ** 2) + Fraction(axial, 2 * state.den) ** 2
 
 
 class CorrelationTensorSummary(_Record):
@@ -253,23 +242,22 @@ def check_ppt(
     The dense cap is checked first, so nothing is listed above it.
     """
     _check_size("dense computation", state.n, DENSE_LIMIT)
+    half = 2 * state.den
     deviation = 0.0
     for row in table:
         mask = (1 << row.cut_size) - 1 if row.witness_mask is None else row.witness_mask
         subset = QubitSubset(state.n, mask)
         spectrum = pt_spectrum(state, subset)
-        if spectrum.is_nonnegative() != (row.status == "PPT"):
+        if (min(spectrum) >= 0) != (row.status == "PPT"):
             raise CrossCheckError(f"cut {row.cut_size} is reported {row.status}, but "
                                   f"the spectrum at mask {mask:#b} has minimum "
-                                  f"{spectrum.min_eigenvalue()}")
+                                  f"{Fraction(min(spectrum), half)}")
         dense = sorted(np.linalg.eigvalsh(pt_dense_oracle(state, subset)))
-        exact = [float(v) for v in spectrum.eigenvalues()]
+        exact = [v / half for v in sorted(spectrum)]
         deviation = max(deviation, max(abs(a - b) for a, b in zip(exact, dense)))
     _within_tolerance(deviation, "dense transposition oracle")
-    spectra_ok = all(
-        pt_spectrum(state, QubitSubset.from_qubits(state.n, [q])).is_nonnegative()
-        for q in range(1, state.n + 1)
-    )
+    spectra_ok = all(min(pt_spectrum(state, QubitSubset.from_qubits(state.n, [q]))) >= 0
+                     for q in range(1, state.n + 1))
     if spectra_ok != cert.holds:
         raise CrossCheckError(f"certificate says {cert.holds} but "
                               f"single-qubit spectra say {spectra_ok}")

@@ -24,8 +24,12 @@ class StoreOne(argparse.Action):
 
 
 def number(kind: type, read_number: Callable) -> Callable:
-    """``read_number`` for ``kind``, named ``kind`` in argparse's messages."""
-    read = lambda text: read_number(text, kind)
+    """``read_number`` for ``kind``, named ``kind`` in argparse's messages; the
+    ``--`` that argparse 3.13 converts for ``--opt=--`` is a missing value."""
+    def read(text: str):
+        if text == "--":
+            raise argparse.ArgumentTypeError("expected one argument")
+        return read_number(text, kind)
     read.__name__ = kind.__name__  # "invalid int value: 'x'"
     return read
 

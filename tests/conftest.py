@@ -54,7 +54,7 @@ def first_nppt_mask(state, m):
     """Exhaustive oracle: first violating size-m mask in ``combinations`` order."""
     for pos in combinations(range(state.n), m):
         mask = sum(1 << p for p in pos)
-        if pt_spectrum(state, QubitSubset(state.n, mask)).min_eigenvalue() < 0:
+        if min(pt_spectrum(state, QubitSubset(state.n, mask))) < 0:
             return mask
     return None
 

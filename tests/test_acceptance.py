@@ -144,14 +144,14 @@ def test_c4_certificate_and_oracle():
         cert = ppt_single_qubit_certificate(state)
         assert cert.holds, (n, k)
         for q in range(1, n + 1):
-            assert pt_spectrum(state, QubitSubset.from_qubits(n, [q])).min_eigenvalue() >= 0
+            assert min(pt_spectrum(state, QubitSubset.from_qubits(n, [q]))) >= 0
     # dense-oracle agreement over every subset up to 8 qubits
     for n, k in family_grid(8):
         state = build_rho_nk(n, k)
         for m in range(1, n):
             for pos in combinations(range(1, n + 1), m):
                 subset = QubitSubset.from_qubits(n, pos)
-                exact = [float(v) for v in pt_spectrum(state, subset).eigenvalues()]
+                exact = [v / (2 * state.den) for v in sorted(pt_spectrum(state, subset))]
                 dense = sorted(np.linalg.eigvalsh(pt_dense_oracle(state, subset)))
                 assert max(abs(a - b) for a, b in zip(exact, dense)) <= SPECTRAL_TOL
     elapsed = time.monotonic() - start
@@ -185,7 +185,7 @@ def test_c4_two_qubit_cuts_go_nppt_below_the_boundary():
     for n, k in ((6, 2), (7, 2), (8, 2), (8, 3), (9, 3)):
         state = build_rho_nk(n, k)
         mins = [
-            pt_spectrum(state, QubitSubset.from_qubits(n, pos)).min_eigenvalue()
+            min(pt_spectrum(state, QubitSubset.from_qubits(n, pos)))
             for pos in combinations(range(1, n + 1), 2)
         ]
         assert min(mins) < 0, (n, k)
@@ -202,7 +202,7 @@ def test_c4_two_qubit_cuts_go_nppt_below_the_boundary():
 def test_c4_rho42_two_cut_negativity_claim():
     state = build_rho_nk(4, 2)
     mins = [
-        pt_spectrum(state, QubitSubset.from_qubits(4, pos)).min_eigenvalue()
+        Fraction(min(pt_spectrum(state, QubitSubset.from_qubits(4, pos))), 2 * state.den)
         for pos in combinations(range(1, 5), 2)
     ]
     report_expected_failure("criterion 4 (rho_4,2 2:2 cut)",

@@ -1141,16 +1141,19 @@ def test_estimate_ends_at_large_theta(argv):
 
 
 def test_estimate_refuses_before_sampling(capsys, monkeypatch):
-    # at theta = 0 the likelihood cannot tell theta from -theta: refused before
-    # any repetition
+    # a bracket with 0 strictly inside holds theta' and its mirror -theta',
+    # which the likelihood cannot tell apart: refused before any repetition.
+    # At theta = 1e-3 the default bracket of rho_{8,2} reaches past 0; every
+    # estimate landed near 0, a spread a third of the Cramer-Rao bound
     def no_sampling(seed, stream):
         raise AssertionError("sampled a request it refuses")
 
     monkeypatch.setattr(estimation, "_rng", no_sampling)
-    code, out, err = run(capsys, "estimate", "--n", "6", "--k", "2", "--theta", "0",
-                         "--model", "sector-parity")
-    assert (code, out) == (2, "")
-    assert "mirror-symmetric" in err
+    for n, theta in (("6", "0"), ("8", "1e-3")):
+        code, out, err = run(capsys, "estimate", "--n", n, "--k", "2", "--theta", theta,
+                             "--model", "sector-parity", "--reps", "20")
+        assert (code, out) == (2, "")
+        assert "mirror-symmetric" in err and "mirror -theta'" in err
 
 
 def test_estimate_sector_parity_model(capsys):

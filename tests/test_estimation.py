@@ -179,7 +179,9 @@ def sampled_pvals(state, model_name, theta):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(estimation, "_rng", lambda seed, stream: Recorder())
         with pytest.raises(PvalsSeen) as seen:
-            run_monte_carlo(state, theta, model_name, shots=100, repetitions=1, seed=0)
+            # a bracket clear of 0, which the default one holds at small n theta
+            run_monte_carlo(state, theta, model_name, shots=100, repetitions=1, seed=0,
+                            bracket_halfwidth=theta / 2)
     return seen.value.args[0]
 
 
@@ -544,10 +546,11 @@ def test_refined_estimate_is_local_likelihood_minimum(state, model_name):
 
 
 def test_degenerate_bracket_reported():
-    # symmetric likelihood: a bracket spanning both mirror maxima is ambiguous
+    # P = (1 + cos 2 theta) / 2 is symmetric about pi/2: a bracket spanning
+    # both mirror maxima theta and pi - theta is ambiguous
     with pytest.raises(LikelihoodDegeneracyError):
         run_monte_carlo(
-            ghz_state(2), theta_true=0.3, model="global-parity",
+            ghz_state(2), theta_true=1.2, model="global-parity",
             shots=1000, repetitions=1, seed=0, bracket_halfwidth=1.0,
         )
 
@@ -572,16 +575,17 @@ def test_run_validates_inputs():
 
 def test_run_refuses_a_bracket_its_grid_cannot_resolve(monkeypatch):
     # the 512-point grid resolves the fastest fringe (w = 4 for n = 4) while a
-    # step is at most a quarter period pi/8: up to halfwidth 511 pi/16 ~ 100.3
+    # step is at most a quarter period pi/8: up to halfwidth 511 pi/16 ~ 100.3;
+    # theta = 200 keeps either bracket clear of 0
     def sampled(seed, stream):
         raise AssertionError("sampled")
 
     monkeypatch.setattr(estimation, "_rng", sampled)
     with pytest.raises(DomainError, match="too wide"):
-        run_monte_carlo(ghz_state(4), 0.3, "global-parity", shots=1000, repetitions=1,
+        run_monte_carlo(ghz_state(4), 200.0, "global-parity", shots=1000, repetitions=1,
                         seed=0, bracket_halfwidth=100.5)
     with pytest.raises(AssertionError, match="sampled"):
-        run_monte_carlo(ghz_state(4), 0.3, "global-parity", shots=1000, repetitions=1,
+        run_monte_carlo(ghz_state(4), 200.0, "global-parity", shots=1000, repetitions=1,
                         seed=0, bracket_halfwidth=100.3)
 
 

@@ -50,7 +50,7 @@ EXPORTS = {
     # bell
     "DetectionRow", "detection_comparison", "hs_norm_sq",
     # oracles
-    "CorrelationTensorSummary", "PhaseGenerator", "PtSpectrum", "brute_force_tensor",
+    "CorrelationTensorSummary", "PhaseGenerator", "brute_force_tensor",
     "hs_norm_sq_exact", "pt_dense_oracle", "pt_spectrum", "qfi_from_dense",
     "qfi_spectral", "to_dense",
     # estimation
@@ -170,3 +170,11 @@ def test_package_import_loads_no_submodule():
     out = fresh_interpreter("import json, sys, ghzmetro\n"
                             "print(json.dumps(sorted(sys.modules)))")
     assert [name for name in json.loads(out) if name.startswith("ghzmetro.")] == []
+
+
+def test_oracles_import_loads_no_bell():
+    # an oracle calls none of the routes it checks: the Bell oracle reads the
+    # axial term off sectors() itself
+    out = fresh_interpreter("import json, sys, ghzmetro.oracles\n"
+                            "print(json.dumps(sorted(sys.modules)))")
+    assert "ghzmetro.bell" not in json.loads(out)

@@ -11,7 +11,7 @@ import pytest
 
 from ghzmetro.bell import detection_comparison
 from ghzmetro.estimation import EstimationRun
-from ghzmetro.oracles import CorrelationTensorSummary, PhaseGenerator, PtSpectrum
+from ghzmetro.oracles import CorrelationTensorSummary, PhaseGenerator
 from ghzmetro.ptranspose import CertificateResult, CutStatus, QubitSubset
 from ghzmetro.qfi import family_report, scaled_k
 from ghzmetro.states import GhzDiagonalState, build_rho_nk, build_rho_nkm
@@ -82,10 +82,6 @@ RECORDS = {
         "fisher_classical=2.5, fisher_quantum=3.0, bracket=(0.1, 0.5))",
         False),
     "PhaseGenerator": (lambda: PhaseGenerator(3), "PhaseGenerator(n=3)", True),
-    "PtSpectrum": (
-        lambda: PtSpectrum(QubitSubset(2, 1), {0: (F(1, 2), F(0)), 1: (F(1, 4), F(1, 4))}),
-        "PtSpectrum(subset=QubitSubset(n=2, mask=1), pairs={0: (Fraction(1, 2), "
-        "Fraction(0, 1)), 1: (Fraction(1, 4), Fraction(1, 4))})", False),
     "CorrelationTensorSummary": (
         lambda: CorrelationTensorSummary(2, {(0, 0): 1.0, (2, 2): -0.5}, 1.25),
         "CorrelationTensorSummary(n=2, nonzero_elements={(0, 0): 1.0, (2, 2): -0.5}, "
