@@ -18,7 +18,8 @@ of each weight w, so it has no size limit; sector parity lists ``sectors()``
 (n <= 20 for a band state), as its counts are drawn per sector.  Classical
 Fisher information uses the analytic derivatives and, to keep its printed
 digits, the P sampling reads, except where a fringe cancelled past 10 bits:
-there it reads the nonnegative floor form (``classical_fisher``).  A seeded
+there it reads the nonnegative floor form, and where that form leaves the
+normal float range, its theta-scaled sums (``classical_fisher``).  A seeded
 counter-based Monte Carlo loop estimates theta by bracketed maximum
 likelihood (a grid, then golden-section search) to compare the empirical
 spread with the Cramer-Rao bound 1/sqrt(shots * F).  Outcomes with the same
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
@@ -375,18 +377,38 @@ def classical_fisher(state: SectorState, theta: float, model) -> float:
     floor form (base - sum|a|)/2 + sum_{a>0} a cos^2(w theta/2) + sum_{a<0} |a|
     sin^2(w theta/2) sums nonnegative terms.  Where the fringe lost over 10 bits
     (P < 2^-10 base) F_C reads the floor form, else the P sampling reads, as
-    the floor form would move the last printed digits of F_C there."""
+    the floor form would move the last printed digits of F_C there.
+
+    A row whose class floor is 0 and whose terms are all sin^2 terms has P of
+    order theta^2 and P' of order theta, which leave the normal float range
+    below |theta| ~ 1e-154.  Where P or P'^2 of such a row is not a normal
+    float (theta != 0), dP^2/P reads theta-scaled sums: with h = w theta/2,
+    P = theta^2/4 sum|a| w^2 sinc^2(h) and P' = theta/2 sum|a| w^2 sinc(h)
+    cos(h), so dP^2/P = (sum|a| w^2 sinc(h) cos(h))^2 / sum|a| w^2 sinc^2(h)."""
     p = model.probabilities(state, theta)
     dp = model.derivatives(state, theta)
     w, base, terms, row_class, _, floor = model._tables(state)
     floor_p = [f / 2.0 for f in floor]
-    for c, j, a in terms:  # half of fl(w theta), the phase dP/dtheta reads
-        edge = (math.cos if a > 0.0 else math.sin)(w[j] * theta / 2.0)
+    # theta-scaled (P', P) sums of each class with floor 0 and only sin^2 terms
+    scaled = [[0.0, 0.0] if f == 0.0 else None for f in floor]
+    for c, j, a in terms:
+        half = w[j] * theta / 2.0  # half of fl(w theta), the phase dP/dtheta reads
+        edge = (math.cos if a > 0.0 else math.sin)(half)
         floor_p[c] += abs(a) * edge * edge
+        if a > 0.0:
+            scaled[c] = None
+        elif scaled[c] is not None:
+            sinc = edge / half if half else 1.0
+            scaled[c][0] -= a * w[j] * w[j] * sinc * math.cos(half)
+            scaled[c][1] -= a * w[j] * w[j] * sinc * sinc
     total = 0.0
     for pk, dk, c in zip(p, dp, row_class):
         pk = pk if pk >= base[c] * 2.0**-10 else floor_p[c]
-        if pk > 0.0:  # P = 0 adds 0
+        if theta and scaled[c] is not None and min(pk, dk * dk) < sys.float_info.min:
+            slope, height = scaled[c]
+            if height > 0.0:
+                total += slope * slope / height
+        elif pk > 0.0:  # P = 0 adds 0
             total += dk * dk / pk
     return total
 
@@ -479,8 +501,9 @@ def _mle(
     for t, v in refined[1:]:
         if abs(t - theta_hat) > 4 * spacing and v - nll_hat < 1e-6:
             raise LikelihoodDegeneracyError(
-                f"maxima near theta = {theta_hat:.6g} and {t:.6g} are "
-                "indistinguishable; shrink the bracket"
+                f"maxima near theta = {theta_hat:.6g} and {t:.6g}, more than 4 grid "
+                "steps apart, have negative log-likelihoods within 1e-6: a mirror of "
+                "theta lies inside the bracket, or the likelihood is flat to float precision"
             )
     return theta_hat
 

@@ -59,11 +59,10 @@ def first_nppt_mask(state, m):
     return None
 
 
-def family_grid(n_max, strict=False):
-    """All (n, k) family parameters up to n_max; strict drops the 2k == n edge."""
+def family_grid(n_max):
+    """All (n, k) family parameters up to n_max."""
     for n in range(2, n_max + 1):
-        top = (n - 1) // 2 if strict else n // 2
-        for k in range(1, top + 1):
+        for k in range(1, n // 2 + 1):
             yield n, k
 
 

@@ -3,7 +3,6 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -13,16 +12,14 @@ from ghzmetro import (
     GhzDiagonalState,
     brute_force_tensor,
     build_rho_nk,
-    build_rho_nkm,
     detection_comparison,
     ghz_state,
     hs_norm_sq,
     hs_norm_sq_exact,
     maximally_mixed_state,
     qfi_closed_nk,
-    to_dense,
 )
-from conftest import family_grid, family_members, random_state_strategy
+from conftest import family_grid, random_state_strategy
 
 X, Y, Z = oracles.AXIS_X, oracles.AXIS_Y, oracles.AXIS_Z
 
@@ -44,13 +41,6 @@ def structure_rule(state, axes):
     return -total if (y // 2) & 1 else total
 
 
-def dense_trace(rho, axes):
-    op = oracles.PAULI[axes[0]]
-    for a in axes[1:]:
-        op = np.kron(op, oracles.PAULI[a])
-    return float(np.trace(op @ rho).real)
-
-
 # -- single-tuple expectations -----------------------------------------------------
 
 def test_bell_state_correlations():
@@ -59,12 +49,6 @@ def test_bell_state_correlations():
     assert structure_rule(state, (Y, Y)) == -1
     assert structure_rule(state, (Z, Z)) == 1
     assert structure_rule(state, (X, Y)) == 0
-
-
-def test_mixed_axis_tuples_vanish():
-    for n, k in family_grid(5):
-        for axes in brute_force_tensor(build_rho_nk(n, k)).nonzero_elements:
-            assert not (Z in axes and (X in axes or Y in axes)), axes
 
 
 def test_all_z_odd_n_vanishes():
@@ -76,14 +60,6 @@ def test_all_z_rho_42():
     assert bell.axial_expectation(build_rho_nk(4, 2)) == pytest.approx(3 / 11)
 
 
-def test_expectations_match_dense_traces():
-    state = build_rho_nk(4, 2)
-    rho = to_dense(state)
-    for axes in product((X, Y, Z), repeat=4):
-        dense_val = dense_trace(rho, axes)
-        assert float(structure_rule(state, axes)) == pytest.approx(dense_val, abs=1e-12)
-
-
 # -- structure rules and norms vs brute force -------------------------------------------
 
 def assert_rules_match_brute_force(state):
@@ -91,8 +67,8 @@ def assert_rules_match_brute_force(state):
     for axes in product((X, Y, Z), repeat=state.n):
         a = float(structure_rule(state, axes))
         b = brute.nonzero_elements.get(axes, 0.0)
-        assert abs(a - b) < 1e-10, axes
-    assert abs(float(hs_norm_sq_exact(state)) - brute.hs_norm_sq) < 1e-10
+        assert abs(a - b) <= 1e-12, axes
+    assert abs(float(hs_norm_sq_exact(state)) - brute.hs_norm_sq) <= 1e-12
 
 
 @pytest.mark.parametrize("n,k", list(family_grid(6)))
@@ -104,30 +80,6 @@ def test_summary_matches_brute_force(n, k):
 @given(random_state_strategy(max_n=4))
 def test_summary_matches_brute_force_random(state):
     assert_rules_match_brute_force(state)
-
-
-@settings(max_examples=20, deadline=None)
-@given(random_state_strategy(max_n=4))
-def test_single_tuple_matches_dense_random(state):
-    rho = to_dense(state)
-    for axes in [(X,) * state.n, (Y, Y) + (X,) * (state.n - 2),
-                 (Z,) * state.n, (Z, X) + (Y,) * (state.n - 2)]:
-        dense_val = dense_trace(rho, axes)
-        assert float(structure_rule(state, axes)) == pytest.approx(dense_val, abs=1e-12)
-
-
-def test_nonzero_tuple_count():
-    # every even-y planar tuple survives for these states, plus all-z when n even
-    for n, k in family_grid(6):
-        brute = brute_force_tensor(build_rho_nk(n, k))
-        expected = (1 << (n - 1)) + (1 if n % 2 == 0 else 0)
-        assert len(brute.nonzero_elements) == expected
-    assert len(brute_force_tensor(bell_pair()).nonzero_elements) == 3
-
-
-def test_stored_tuples_are_axial_or_planar():
-    for axes in brute_force_tensor(build_rho_nk(6, 2)).nonzero_elements:
-        assert all(a == Z for a in axes) or all(a != Z for a in axes)
 
 
 # -- Hilbert-Schmidt norm --------------------------------------------------------------
@@ -143,14 +95,6 @@ def test_hs_exact_family_values():
     assert hs_norm_sq_exact(build_rho_nk(4, 2)) == Fraction(49, 121)
     assert hs_norm_sq_exact(build_rho_nk(5, 2)) == Fraction(3, 8)
     assert hs_norm_sq_exact(build_rho_nk(6, 2)) == Fraction(81, 121)
-
-
-def test_hs_float_vs_exact():
-    # both routes are rational, so they must agree exactly, on every member
-    # up to the mask scan's cap
-    for n, k, m in family_members(12):
-        state = build_rho_nkm(n, k, m)
-        assert hs_norm_sq(state) == hs_norm_sq_exact(state)
 
 
 @settings(max_examples=30, deadline=None)

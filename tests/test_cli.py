@@ -616,19 +616,6 @@ def test_bell_norm_past_the_float_range_prints_inf(capsys, n):
     assert code == 0 and out.splitlines()[2].split(",")[3:] == [decimal, "Bell-only"]
 
 
-def test_estimate_reproducible_bytes(capsys):
-    args = ("estimate", "--n", "4", "--k", "2", "--theta", "0.3",
-            "--shots", "400", "--reps", "4", "--seed", "42", "--no-timestamp")
-    code_a, out_a, _ = run(capsys, *args)
-    code_b, out_b, _ = run(capsys, *args)
-    assert code_a == code_b == 0
-    assert out_a == out_b
-    payload = json.loads(out_a)
-    assert payload["run"]["seed"] == 42
-    assert payload["run"]["state_params"] == {"n": 4, "k": 2, "m": None}
-    assert len(payload["run"]["estimates"]) == 4
-
-
 def test_figure2_monotone(capsys):
     code, out, _ = run(capsys, "figure", "--id", "2", "--n-max", "40",
                        "--no-timestamp")
@@ -869,13 +856,6 @@ def test_plain_reader_reads_as_argparse(argv):
         same_attributes(plain, argv)
 
 
-def test_byte_identical_without_timestamp(capsys):
-    args = ("figure", "--id", "2", "--n-max", "12", "--exact", "--no-timestamp")
-    _, a, _ = run(capsys, *args)
-    _, b, _ = run(capsys, *args)
-    assert a == b
-
-
 def test_qfi_mixed_member_beyond_build_limit(capsys):
     # the mixed-family QFI is a closed form: no 2^(n-1) table, no size guard
     code, out, _ = run(capsys, "qfi", "--n", "100", "--k", "3", "--m", "2",
@@ -1052,15 +1032,6 @@ def test_estimate_models_are_the_parser_choices(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_qfi_json_payload(capsys):
-    code, out, _ = run(capsys, "qfi", "--n", "8", "--k", "2", "--m", "1",
-                       "--format", "json", "--no-timestamp")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["report"]["f_q"]["exact"] == "352/93"
-    assert payload["report"]["mixed_lower_bound"]["exact"] == "16/5"
-
-
 # the JSON each command builds from the fields of its records
 JSON_PAYLOADS = [
     (("state", "--n", "4", "--k", "1", "--m", "1"), "state",
@@ -1154,6 +1125,18 @@ def test_estimate_refuses_before_sampling(capsys, monkeypatch):
                              "--model", "sector-parity", "--reps", "20")
         assert (code, out) == (2, "")
         assert "mirror-symmetric" in err and "mirror -theta'" in err
+
+
+def test_estimate_reports_a_flat_likelihood(capsys):
+    # across these brackets the likelihood is flat to float precision, so
+    # grid maxima far apart tie and no narrower bracket helps; at 1e-200
+    # F_C = F_Q, so the request reaches the search before it is refused
+    for n, k, theta, bracket in (("12", "3", "1e-7", "5e-8"), ("8", "2", "1e-200", "5e-201")):
+        code, out, err = run(capsys, "estimate", "--n", n, "--k", k, "--theta", theta,
+                             "--bracket", bracket, "--model", "sector-parity",
+                             "--reps", "2", "--shots", "100")
+        assert (code, out) == (2, "")
+        assert "more than 4 grid steps apart" in err and "flat to float precision" in err
 
 
 def test_estimate_sector_parity_model(capsys):

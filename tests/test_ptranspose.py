@@ -97,15 +97,6 @@ def test_pt_spectrum_refuses_above_sector_listing_cap():
     assert min(pt_spectrum(build_rho_nk(6, 2), QubitSubset(6, 1))) >= 0
 
 
-@pytest.mark.parametrize("n,k", list(family_grid(7)))
-def test_family_spectra_match_dense(n, k):
-    state = build_rho_nk(n, k)
-    for subset in all_subsets(n, sizes=range(1, min(n, 3))):
-        exact = [v / (2 * state.den) for v in sorted(pt_spectrum(state, subset))]
-        dense = sorted(np.linalg.eigvalsh(pt_dense_oracle(state, subset)))
-        assert max(abs(a - b) for a, b in zip(exact, dense)) < 1e-12
-
-
 @settings(max_examples=60, deadline=None)
 @given(random_state_strategy(max_n=5), st.data())
 def test_random_spectra_match_dense(state, data):
@@ -138,20 +129,17 @@ def test_double_transposition_is_identity():
 
 
 def test_complement_subset_same_spectrum():
-    state = build_rho_nk(6, 2)
-    for subset in all_subsets(6, sizes=[1, 2, 3]):
-        a = sorted(pt_spectrum(state, subset))
-        complement = QubitSubset(6, 0b111111 ^ subset.mask)
-        b = sorted(pt_spectrum(state, complement))
-        assert a == b
+    # equal exact spectra let acceptance criterion 4 run its dense oracle once
+    # per complement pair, at the subset that holds qubit 1 (bit n - 1)
+    for n, k in family_grid(8):
+        state = build_rho_nk(n, k)
+        full = (1 << n) - 1
+        for mask in range(1 << (n - 1), full):
+            assert (sorted(pt_spectrum(state, QubitSubset(n, mask)))
+                    == sorted(pt_spectrum(state, QubitSubset(n, full ^ mask)))), (n, k, mask)
 
 
 # -- single-qubit certificate -----------------------------------------------------
-
-@pytest.mark.parametrize("n,k", list(family_grid(12)))
-def test_family_certificate_holds(n, k):
-    assert ppt_single_qubit_certificate(build_rho_nk(n, k)).holds
-
 
 def test_ghz_certificate_fails_with_witness():
     # the coherence of sector 0 meets the empty sector 1 at the first mask
@@ -225,17 +213,6 @@ def test_cut_witness_reproduces_negativity():
 def test_ghz_nppt_every_cut():
     rows = cut_classification(ghz_state(5))
     assert all(row.status == "NPPT" for row in rows)
-
-
-def test_mixed_family_ppt_up_to_width():
-    # mixing width m protects all cuts of size <= m + 1
-    for n in range(4, 9):
-        for k in range(1, n // 2):
-            for m in range(1, n // 2 - k + 1):
-                state = build_rho_nkm(n, k, m)
-                for row in cut_classification(state):
-                    if row.cut_size <= m + 1:
-                        assert row.status == "PPT", (n, k, m, row)
 
 
 def test_mixed_family_nppt_beyond_width():
