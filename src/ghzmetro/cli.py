@@ -203,7 +203,8 @@ def cmd_qfi(args):
         return {"report": fields}, deviation
     lines = [fmt_number(report.f_q, args.exact)]
     lines.append(f"f_q/n = {fmt_number(report.snl_ratio, args.exact)}")
-    lines.append(f"lower_bound = {fmt_number(report.lower_bound, args.exact)}")
+    if report.lower_bound is not None:
+        lines.append(f"lower_bound = {fmt_number(report.lower_bound, args.exact)}")
     if report.mixed_lower_bound is not None:
         lines.append(
             f"mixed_lower_bound = {fmt_number(report.mixed_lower_bound, args.exact)}"

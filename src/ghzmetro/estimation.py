@@ -15,16 +15,15 @@ Both are one fringe formula, evaluated in ``_FringeModel`` over float tables
 built once from the state's integer rows (s, d) over ``state.den``, with one
 division by ``den`` per entry: global parity sums mult * d over the classes
 of each weight w, so it has no size limit; sector parity lists ``sectors()``
-(n <= 20 for a band state), as its counts are drawn per sector.  Classical
-Fisher information uses the analytic derivatives and, to keep its printed
-digits, the P sampling reads, except where a fringe cancelled past 10 bits:
-there it reads the nonnegative floor form, and where that form leaves the
-normal float range, its theta-scaled sums (``classical_fisher``).  A seeded
-counter-based Monte Carlo loop estimates theta by bracketed maximum
-likelihood (a grid, then golden-section search) to compare the empirical
-spread with the Cramer-Rao bound 1/sqrt(shots * F).  Outcomes with the same
-integer row (the same s, d and w) form one class, so the likelihood sums
-their counts and takes one logarithm per class.
+(n <= 20 for a band state), as its counts are drawn per sector.  Outcomes
+with the same integer row (the same s, d and w) form one class, and the
+model works class by class.  Classical Fisher information adds one analytic
+term per class, from the P sampling reads, except where a fringe cancelled
+past 10 bits: there from the nonnegative floor form, and where that form
+leaves the normal float range, from theta-scaled sums (``classical_fisher``).
+A seeded counter-based Monte Carlo loop estimates theta by bracketed maximum
+likelihood (a grid, then golden-section search; one logarithm per class) to
+compare the empirical spread with the Cramer-Rao bound 1/sqrt(shots * F).
 
 The module needs no numpy.  ``_rng`` is numpy's Philox4x64-10 stream keyed
 through its ``SeedSequence``, and its ``multinomial`` transcribes numpy's
@@ -37,7 +36,7 @@ import math
 import operator
 import sys
 from operator import itemgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, LikelihoodDegeneracyError
 from .qfi import qfi_ghz_diagonal
@@ -282,28 +281,25 @@ def _pairwise_sum(x: Sequence[float]) -> float:
 # -- measurement models -------------------------------------------------------
 
 
+def _class_sums(terms: Sequence[tuple], wave: Sequence[float], classes: int) -> List[float]:
+    """Each class's fringe sum of coef * wave[column], added in ``terms`` order."""
+    sums = [0.0] * classes
+    for c, j, a in terms:
+        sums[c] += a * wave[j]
+    return sums
+
+
 class _FringeModel:
     """P(theta) = (base + coef . cos(w theta)) / 2, one coefficient column per
-    weight w, ascending.  A model lists its outcome rows (base, ((w, coef),
-    ...)) in integers over ``state.den`` and each outcome's row; equal rows
-    form one class.  The last state's tables are kept."""
+    weight w, ascending.  A model lists one row (base, ((w, coef), ...)) per
+    outcome over ``state.den``; equal rows form one class, the unit of every
+    table.  Only ``probabilities`` expands classes to rows.  The last state's tables are kept."""
 
     _state = None
 
     def probabilities(self, state: SectorState, theta: float) -> List[float]:
-        return self._fringe(state, theta, derivative=False)
-
-    def derivatives(self, state: SectorState, theta: float) -> List[float]:
-        return self._fringe(state, theta, derivative=True)
-
-    def _fringe(self, state: SectorState, theta: float, derivative: bool) -> List[float]:
         w, base, terms, _, expand, _ = self._tables(state)
-        wave = [wj * math.sin(wj * theta) if derivative else math.cos(wj * theta) for wj in w]
-        fringe = [0.0] * len(base)
-        for c, j, a in terms:
-            fringe[c] += a * wave[j]
-        if derivative:
-            return list(expand([-f / 2.0 for f in fringe]))
+        fringe = _class_sums(terms, [math.cos(wj * theta) for wj in w], len(base))
         return list(expand([(b + f) / 2.0 for b, f in zip(base, fringe)]))
 
     def _tables(self, state: SectorState) -> tuple:
@@ -311,9 +307,8 @@ class _FringeModel:
         # a sparse state holds dicts, so states are compared by identity, not
         # hashed; holding it keeps its id from being reused by another state
         if self._state is not state:
-            rows, order = self._rows(state)
             classes = {}
-            row_class = [classes.setdefault(rows[r], len(classes)) for r in order]
+            row_class = [classes.setdefault(row, len(classes)) for row in self._rows(state)]
             den = state.den
             w = sorted({wi for _, row_terms in classes for wi, _ in row_terms})
             col = {wi: j for j, wi in enumerate(w)}
@@ -332,13 +327,13 @@ class GlobalParity(_FringeModel):
 
     name = "global-parity"
 
-    def _rows(self, state: SectorState) -> tuple:
+    def _rows(self, state: SectorState) -> List[tuple]:
         coef = {}  # weight -> the exact sum of mult * d over its classes, times den
         for rep, mult, _, d in state.classes():
             wi = weight(state.n, rep)
             coef[wi] = coef.get(wi, 0) + mult * d
         terms = tuple(sorted(coef.items()))
-        return [(state.den, terms), (state.den, tuple((wi, -a) for wi, a in terms))], [0, 1]
+        return [(state.den, terms), (state.den, tuple((wi, -a) for wi, a in terms))]
 
 
 class SectorParity(_FringeModel):
@@ -351,12 +346,10 @@ class SectorParity(_FringeModel):
 
     name = "sector-parity"
 
-    def _rows(self, state: SectorState) -> tuple:
-        first, order = {}, []  # (w, s, d) -> the index of its + row
+    def _rows(self, state: SectorState) -> Iterator[tuple]:
         for i, s, d in state.sectors():  # a band state repeats its classes' rows
-            r = first.setdefault((weight(state.n, i), s, d), 2 * len(first))
-            order += (r, r + 1)
-        return [(s, ((wi, sign * d),)) for wi, s, d in first for sign in (1, -1)], order
+            wi = weight(state.n, i)
+            yield from ((s, ((wi, d),)), (s, ((wi, -d),)))
 
 
 MODELS = {GlobalParity.name: GlobalParity, SectorParity.name: SectorParity}
@@ -371,7 +364,8 @@ def get_model(name: str):
 
 
 def classical_fisher(state: SectorState, theta: float, model) -> float:
-    """sum_mu (dP/dtheta)^2 / P over the outcomes (analytic derivatives).
+    """sum_mu (dP/dtheta)^2 / P over the outcomes (analytic derivatives): one
+    term per outcome class, added once per outcome row, in row order.
 
     P = (base + sum_w a cos(w theta))/2 cancels near a zero of its fringe; its
     floor form (base - sum|a|)/2 + sum_{a>0} a cos^2(w theta/2) + sum_{a<0} |a|
@@ -379,15 +373,15 @@ def classical_fisher(state: SectorState, theta: float, model) -> float:
     (P < 2^-10 base) F_C reads the floor form, else the P sampling reads, as
     the floor form would move the last printed digits of F_C there.
 
-    A row whose class floor is 0 and whose terms are all sin^2 terms has P of
+    A class whose floor is 0 and whose terms are all sin^2 terms has P of
     order theta^2 and P' of order theta, which leave the normal float range
-    below |theta| ~ 1e-154.  Where P or P'^2 of such a row is not a normal
+    below |theta| ~ 1e-154.  Where P or P'^2 of such a class is not a normal
     float (theta != 0), dP^2/P reads theta-scaled sums: with h = w theta/2,
     P = theta^2/4 sum|a| w^2 sinc^2(h) and P' = theta/2 sum|a| w^2 sinc(h)
     cos(h), so dP^2/P = (sum|a| w^2 sinc(h) cos(h))^2 / sum|a| w^2 sinc^2(h)."""
-    p = model.probabilities(state, theta)
-    dp = model.derivatives(state, theta)
     w, base, terms, row_class, _, floor = model._tables(state)
+    fringe = _class_sums(terms, [math.cos(wj * theta) for wj in w], len(base))
+    turn = _class_sums(terms, [wj * math.sin(wj * theta) for wj in w], len(base))
     floor_p = [f / 2.0 for f in floor]
     # theta-scaled (P', P) sums of each class with floor 0 and only sin^2 terms
     scaled = [[0.0, 0.0] if f == 0.0 else None for f in floor]
@@ -401,15 +395,19 @@ def classical_fisher(state: SectorState, theta: float, model) -> float:
             sinc = edge / half if half else 1.0
             scaled[c][0] -= a * w[j] * w[j] * sinc * math.cos(half)
             scaled[c][1] -= a * w[j] * w[j] * sinc * sinc
-    total = 0.0
-    for pk, dk, c in zip(p, dp, row_class):
-        pk = pk if pk >= base[c] * 2.0**-10 else floor_p[c]
+    term = [0.0] * len(base)  # P = 0 adds 0
+    for c, (b, f, t) in enumerate(zip(base, fringe, turn)):
+        pk, dk = (b + f) / 2.0, -t / 2.0
+        pk = pk if pk >= b * 2.0**-10 else floor_p[c]
         if theta and scaled[c] is not None and min(pk, dk * dk) < sys.float_info.min:
             slope, height = scaled[c]
             if height > 0.0:
-                total += slope * slope / height
-        elif pk > 0.0:  # P = 0 adds 0
-            total += dk * dk / pk
+                term[c] = slope * slope / height
+        elif pk > 0.0:
+            term[c] = dk * dk / pk
+    total = 0.0
+    for c in row_class:
+        total += term[c]
     return total
 
 

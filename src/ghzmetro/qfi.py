@@ -92,15 +92,16 @@ class QfiReport(_Record):
     a(1-2a)^2 n^2, the scaling of the finite-n lower bound.  Neither is the
     limit: with k = round(a n), F_Q/n^2 -> a(1-2a)^2/(1-a), so the two tend
     to (1-2a)/(1-a) and 1/(1-a) (0.858 and 1.144 at a = 1/8, n = 3000).
-    Both are reported and neither is asserted; only ``lower_bound <= f_q``
-    is a theorem here.
+    Both are reported and neither is asserted.  Each bound that is set is at
+    most ``f_q``: ``lower_bound`` = (n-2k)^2 k/(n+1) bounds rho_{n,k} only, so
+    it is None for m >= 1, where ``mixed_lower_bound`` is the member's bound.
     """
 
     n: int
     k: int
     f_q: Fraction
     snl_ratio: Fraction
-    lower_bound: Fraction
+    lower_bound: Optional[Fraction]
     s_nk: Fraction
     m: Optional[int]
     a: Optional[Fraction]
@@ -128,7 +129,7 @@ def family_report(
         a=a,
         f_q=f_q,
         snl_ratio=f_q / n,
-        lower_bound=qfi_lower_bound_nk(n, k),
+        lower_bound=None if m else qfi_lower_bound_nk(n, k),
         s_nk=s_nk,
         mixed_lower_bound=mixed_bound,
         ratio_limit_form=ratio_limit,

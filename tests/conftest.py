@@ -6,6 +6,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ghzmetro import GhzDiagonalState, PhaseGenerator, QubitSubset, pt_spectrum, to_dense
+from ghzmetro.bell import axial_expectation
+from ghzmetro.oracles import AXIS_Y, AXIS_Z
 
 
 def random_state_strategy(min_n=2, max_n=5):
@@ -64,6 +66,19 @@ def family_grid(n_max):
     for n in range(2, n_max + 1):
         for k in range(1, n // 2 + 1):
             yield n, k
+
+
+def structure_rule(state, axes):
+    """One full correlation, exactly, by the structure rules in ``ghzmetro.bell``."""
+    if AXIS_Z in axes:
+        return axial_expectation(state) if set(axes) == {AXIS_Z} else Fraction(0)
+    y_mask = sum(1 << (state.n - 1 - pos) for pos, a in enumerate(axes) if a == AXIS_Y)
+    y = y_mask.bit_count()
+    if y & 1:
+        return Fraction(0)
+    total = Fraction(sum(-d if (y_mask & i).bit_count() & 1 else d
+                         for i, _, d in state.sectors()), state.den)
+    return -total if (y // 2) & 1 else total
 
 
 def ghz_vector(n, i, sign):

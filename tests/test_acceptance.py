@@ -17,7 +17,7 @@ the closed forms changed.
 """
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -53,11 +53,12 @@ from ghzmetro import (
     to_dense,
 )
 from ghzmetro.bell import axial_expectation
-from conftest import family_grid, family_members
+from ghzmetro.oracles import AXIS_X, AXIS_Y, AXIS_Z
+from conftest import family_grid, family_members, structure_rule
 
 SPECTRAL_TOL = 1e-9
 PT_TOL = 1e-12
-TENSOR_ORACLE_TOL = 1e-10
+TENSOR_ORACLE_TOL = 1e-12
 FISHER_REL_TOL = 1e-9
 
 
@@ -350,6 +351,11 @@ def test_c9_tensor_structure():
         brute = brute_force_tensor(state)
         assert abs(brute.hs_norm_sq - float(hs_norm_sq(state))) <= TENSOR_ORACLE_TOL
         assert abs(brute.hs_norm_sq - float(hs_norm_sq_exact(state))) <= TENSOR_ORACLE_TOL
+        # each of the 3^n tuples as the structure rules give it
+        for axes in product((AXIS_X, AXIS_Y, AXIS_Z), repeat=n):
+            rule = float(structure_rule(state, axes))
+            assert abs(rule - brute.nonzero_elements.get(axes, 0.0)) <= TENSOR_ORACLE_TOL, \
+                (n, k, axes)
         # mixed axial/planar tuples vanish identically
         for axes in brute.nonzero_elements:
             assert all(x == 3 for x in axes) or all(x != 3 for x in axes)
@@ -362,9 +368,9 @@ def test_c9_tensor_structure():
     assert hs_norm_sq_exact(bell_pair) == 3
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
-    report("criterion 9", f"closed form and mask scan equal the 3^n brute force; "
-                          f"only axial or planar tuples survive; Bell pair norm "
-                          f"exactly 3 ({elapsed:.1f}s)")
+    report("criterion 9", f"structure rules, closed form and mask scan equal the 3^n "
+                          f"brute force; only axial or planar tuples survive; Bell "
+                          f"pair norm exactly 3 ({elapsed:.1f}s)")
 
 
 # -- criterion 10: estimation suite ------------------------------------------------------

@@ -19,26 +19,13 @@ from ghzmetro import (
     maximally_mixed_state,
     qfi_closed_nk,
 )
-from conftest import family_grid, random_state_strategy
+from conftest import random_state_strategy, structure_rule
 
 X, Y, Z = oracles.AXIS_X, oracles.AXIS_Y, oracles.AXIS_Z
 
 
 def bell_pair():
     return GhzDiagonalState(2, {0: Fraction(1)}, {})
-
-
-def structure_rule(state, axes):
-    """One full correlation, exactly, by the structure rules in ``ghzmetro.bell``."""
-    if Z in axes:
-        return bell.axial_expectation(state) if set(axes) == {Z} else Fraction(0)
-    y_mask = sum(1 << (state.n - 1 - pos) for pos, a in enumerate(axes) if a == Y)
-    y = y_mask.bit_count()
-    if y & 1:
-        return Fraction(0)
-    total = Fraction(sum(-d if (y_mask & i).bit_count() & 1 else d
-                         for i, _, d in state.sectors()), state.den)
-    return -total if (y // 2) & 1 else total
 
 
 # -- single-tuple expectations -----------------------------------------------------
@@ -62,24 +49,16 @@ def test_all_z_rho_42():
 
 # -- structure rules and norms vs brute force -------------------------------------------
 
-def assert_rules_match_brute_force(state):
+@settings(max_examples=25, deadline=None)
+@given(random_state_strategy(max_n=4))
+def test_summary_matches_brute_force_random(state):
+    # the family members are compared in acceptance criterion 9
     brute = brute_force_tensor(state)
     for axes in product((X, Y, Z), repeat=state.n):
         a = float(structure_rule(state, axes))
         b = brute.nonzero_elements.get(axes, 0.0)
         assert abs(a - b) <= 1e-12, axes
     assert abs(float(hs_norm_sq_exact(state)) - brute.hs_norm_sq) <= 1e-12
-
-
-@pytest.mark.parametrize("n,k", list(family_grid(6)))
-def test_summary_matches_brute_force(n, k):
-    assert_rules_match_brute_force(build_rho_nk(n, k))
-
-
-@settings(max_examples=25, deadline=None)
-@given(random_state_strategy(max_n=4))
-def test_summary_matches_brute_force_random(state):
-    assert_rules_match_brute_force(state)
 
 
 # -- Hilbert-Schmidt norm --------------------------------------------------------------

@@ -250,16 +250,12 @@ def exact_fisher(state, model_name, t):
 @settings(max_examples=60, deadline=None)
 @given(random_state_strategy(max_n=8), THETAS, st.sampled_from(["global-parity", "sector-parity"]))
 def test_derivatives_and_fisher_match_numpy(state, theta, model_name):
-    # derivatives against the numpy tables; F_C against exact rationals at
-    # theta = 2 atan(u) for the float u = tan(theta / 2), whose cosine
-    # (1 - u^2) / (1 + u^2) is rational, while the float 2 atan(u) lies within
-    # an ulp or two of it
-    model = get_model(model_name)
-    assert np.asarray(model.derivatives(state, theta)) == pytest.approx(
-        numpy_derivatives(state, model_name, theta), rel=1e-12, abs=1e-15)
+    # F_C against exact rationals at theta = 2 atan(u) for the float
+    # u = tan(theta / 2), whose cosine (1 - u^2) / (1 + u^2) is rational,
+    # while the float 2 atan(u) lies within an ulp or two of it
     u = Fraction(math.tan(theta / 2))
     t = (1 - u * u) / (1 + u * u)
-    got = classical_fisher(state, 2 * math.atan(float(u)), model)
+    got = classical_fisher(state, 2 * math.atan(float(u)), get_model(model_name))
     assert got == pytest.approx(float(exact_fisher(state, model_name, t)), rel=1e-12, abs=1e-15)
 
 
@@ -324,25 +320,16 @@ def test_global_parity_fisher_matches_closed_form_beyond_sector_cap(monkeypatch,
 # -- classical Fisher information ---------------------------------------------------
 
 def test_fisher_finite_difference_agreement():
-    model = GlobalParity()
-    for state in (build_rho_nk(6, 2), build_rho_nk(5, 2)):
-        for theta in (0.15, 0.6):
-            a = classical_fisher(state, theta, model)
-            p = np.asarray(model.probabilities(state, theta))
-            dp = (np.asarray(model.probabilities(state, theta + FD_STEP))
-                  - np.asarray(model.probabilities(state, theta - FD_STEP))) / (2.0 * FD_STEP)
-            b = float(np.sum(dp[p > 1e-15] ** 2 / p[p > 1e-15]))
-            assert a == pytest.approx(b, abs=1e-6)
-
-
-def test_probability_derivatives_match_finite_differences():
+    # F_C from the analytic P' against F_C from central differences of P
     for model in (GlobalParity(), SectorParity()):
-        for state in (build_rho_nk(6, 2), build_rho_nk(4, 2), ghz_state(5)):
-            for theta in (0.1, 0.45, 1.2):
-                analytic = np.asarray(model.derivatives(state, theta))
-                fd = (np.asarray(model.probabilities(state, theta + FD_STEP))
-                      - np.asarray(model.probabilities(state, theta - FD_STEP))) / (2 * FD_STEP)
-                assert np.max(np.abs(analytic - fd)) < 1e-6
+        for state in (build_rho_nk(6, 2), build_rho_nk(5, 2), build_rho_nk(4, 2), ghz_state(5)):
+            for theta in (0.1, 0.15, 0.45, 0.6, 1.2):
+                a = classical_fisher(state, theta, model)
+                p = np.asarray(model.probabilities(state, theta))
+                dp = (np.asarray(model.probabilities(state, theta + FD_STEP))
+                      - np.asarray(model.probabilities(state, theta - FD_STEP))) / (2.0 * FD_STEP)
+                b = float(np.sum(dp[p > 1e-15] ** 2 / p[p > 1e-15]))
+                assert a == pytest.approx(b, abs=1e-6), (model.name, state.n, theta)
 
 
 @settings(max_examples=100, deadline=None)
@@ -382,7 +369,7 @@ def test_sector_parity_saturates_sector_term():
     i0 = 0  # dominant sector, w = 4
     theta = np.pi / (2 * weight(4, i0))
     p = model.probabilities(state, theta)
-    dp = model.derivatives(state, theta)
+    dp = numpy_derivatives(state, model.name, theta)
     contrib = sum(
         d * d / v for (o, _), v, d in zip(sector_outcomes(state), p, dp) if o == i0
     )

@@ -30,7 +30,7 @@ from ghzmetro import (
     to_dense,
     weight,
 )
-from conftest import family_grid, ghz_vector, random_state_strategy
+from conftest import family_grid, family_members, ghz_vector, random_state_strategy
 
 
 # -- generator -----------------------------------------------------------------
@@ -215,6 +215,15 @@ def test_mixed_bound_values():
     assert qfi_lower_bound_nkm(8, 2, 1) == Fraction(16, 5)
     assert qfi_ghz_diagonal(build_rho_nkm(8, 2, 1)) == Fraction(352, 93)
     assert Fraction(352, 93) >= Fraction(16, 5)
+
+
+def test_every_reported_bound_is_below_the_qfi():
+    # (n - 2k)^2 k/(n + 1) bounds rho_{n,k} only, so a member with m >= 1
+    # reports its mixed bound alone
+    for n, k, m in family_members(40):
+        rep = family_report(n, k, m=m)
+        bounds = [b for b in (rep.lower_bound, rep.mixed_lower_bound) if b is not None]
+        assert len(bounds) == 1 and bounds[0] <= rep.f_q, (n, k, m)
 
 
 def test_mixed_bound_domain():

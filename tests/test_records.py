@@ -60,7 +60,7 @@ RECORDS = {
     "QfiReport": (
         lambda: family_report(12, 3, m=1),
         "QfiReport(n=12, k=3, f_q=Fraction(2784, 397), snl_ratio=Fraction(232, 397), "
-        "lower_bound=Fraction(108, 13), s_nk=Fraction(79, 299), m=1, a=None, "
+        "lower_bound=None, s_nk=Fraction(79, 299), m=1, a=None, "
         "mixed_lower_bound=Fraction(6, 1), ratio_limit_form=None, ratio_bound_form=None)",
         True),
     "QfiReport-scan-ratio": (
