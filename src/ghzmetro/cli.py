@@ -345,30 +345,27 @@ def figure4_rows(points, exact: bool) -> Iterator[List[str]]:
 
 
 # Per figure: its parameter list option (k or a), parsed as int or Fraction,
-# and its n grid option (n_max, the scan 1..n_max, or n), each followed by
-# its default written as an option value; then its CSV header and its rows.
+# and the defaults of that option and of --n, each written as an option value;
+# then its CSV header and its rows.
 FIGURES = {
-    2: ("k", int, "2,3", "n_max", 200, "n,k,f_q,n_times_k,ratio", figure2_rows),
-    3: ("a", Fraction, "1/8,1/4,3/8", "n", "8..120",
+    2: ("k", int, "2,3", "1..200", "n,k,f_q,n_times_k,ratio", figure2_rows),
+    3: ("a", Fraction, "1/8,1/4,3/8", "8..120",
         "n,a,k,f_q,lower_bound,ratio_limit_form,ratio_bound_form", figure3_rows),
-    4: ("k", int, "2,3", "n", "4..10", "n,k,f_q_over_n,hs_norm_sq,verdict", figure4_rows),
+    4: ("k", int, "2,3", "4..10", "n,k,f_q_over_n,hs_norm_sq,verdict", figure4_rows),
 }
 
 
 def cmd_figure(args):
-    param, kind, param_default, grid, grid_default, header, rows_of = FIGURES[args.id]
-    for option in ("n_max", "k", "a", "n"):
-        if getattr(args, option) is not None and option not in (param, grid):
-            raise DomainError(f"figure {args.id} does not read --{option.replace('_', '-')}")
+    param, kind, param_default, n_default, header, rows_of = FIGURES[args.id]
+    for option in {row[0] for row in FIGURES.values()} - {param}:
+        if getattr(args, option) is not None:
+            raise DomainError(f"figure {args.id} does not read --{option}")
     params = getattr(args, param)
     params = parse_list(param_default if params is None else params, f"--{param}", kind)
     if param == "k" and min(params) < 1:
         raise DomainError(f"need k >= 1, got k = {min(params)}")
-    ns = getattr(args, grid)
-    ns = grid_default if ns is None else ns
-    ns = range(1, ns + 1) if grid == "n_max" else parse_list(ns, "--n", int)
-    # counted without len(), which overflows past 2^63 values
-    points = len(params) * (max(ns.stop - 1, 0) if grid == "n_max" else len(ns))
+    ns = parse_list(n_default if args.n is None else args.n, "--n", int)
+    points = len(params) * len(ns)
     if points > GRID_POINT_LIMIT:
         raise SizeLimitError(f"figure {args.id}: a grid of {points} points, "
                              f"more than {GRID_POINT_LIMIT}")
@@ -436,10 +433,9 @@ COMMANDS = {
                       "maximum-likelihood bracket halfwidth (radians)"))),
     "figure": (cmd_figure, "regenerate scan CSVs", (
         ("--id", tuple(sorted(FIGURES)), None, True, None),
-        ("--n-max", int, None, False, "figure 2 scan end (default 200)"),
         ("--k", str, None, False, 'comma list, e.g. "2,3"'),
         ("--a", str, None, False, 'comma list, e.g. "1/8,1/4"'),
-        ("--n", str, None, False, 'range like "8..120"'),
+        ("--n", str, None, False, 'comma list or range like "8..120"'),
     ) + COMMON_OPTIONS + EXACT_OPTIONS),
 }
 

@@ -347,9 +347,14 @@ class SectorParity(_FringeModel):
     name = "sector-parity"
 
     def _rows(self, state: SectorState) -> Iterator[tuple]:
+        pairs = {}  # (s, d, popcount) -> its two rows, built once
         for i, s, d in state.sectors():  # a band state repeats its classes' rows
-            wi = weight(state.n, i)
-            yield from ((s, ((wi, d),)), (s, ((wi, -d),)))
+            key = (s, d, i.bit_count())
+            rows = pairs.get(key)
+            if rows is None:
+                wi = state.n - 2 * key[2]  # weight(n, i) of a listed sector
+                rows = pairs[key] = ((s, ((wi, d),)), (s, ((wi, -d),)))
+            yield from rows
 
 
 MODELS = {GlobalParity.name: GlobalParity, SectorParity.name: SectorParity}

@@ -68,7 +68,8 @@ class QubitSubset(_Record):
 
     @property
     def qubits(self) -> Tuple[int, ...]:
-        return tuple(q for q in range(1, self.n + 1) if self.mask >> (self.n - q) & 1)
+        return tuple(q for q, bit in enumerate(format(self.mask, f"0{self.n}b"), 1)
+                     if bit == "1")
 
 
 class CertificateResult(_Record):

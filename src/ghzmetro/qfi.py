@@ -55,7 +55,7 @@ def qfi_closed_nk(n: int, k: int, m: int = 0) -> Fraction:
 
 def qfi_lower_bound_nk(n: int, k: int) -> Fraction:
     """Exact lower bound (n - 2k)^2 * k / (n + 1) on the family QFI."""
-    _check_family(n, k)
+    _check_family(n, k, 0)
     return Fraction((n - 2 * k) ** 2 * k, n + 1)
 
 

@@ -269,7 +269,7 @@ def maximally_mixed_state(n: int) -> BandState:
 FAMILY_BIT_LIMIT = 1 << 27  # bits of (k + m + 1) binomial or class rows of n bits each
 
 
-def _check_family(n: int, k: int, m: int = 0) -> None:
+def _check_family(n: int, k: int, m: int) -> None:
     """Parameters with k+m > n/2 would make the table sum to less than 1 (the
     required bands do not exist) and are rejected rather than renormalized.
     A member whose rows would pass ``FAMILY_BIT_LIMIT`` is refused before

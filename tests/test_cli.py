@@ -102,18 +102,15 @@ def test_state_domain_error_exit_code(capsys):
     ("figure", "--id", "2", "--k", ""),
     ("ppt", "--n", "6", "--k", "2", "--cuts", ","),
     # list options the figure does not read
-    ("figure", "--id", "2", "--n-max", "6", "--n", "10..4", "--a", ","),
-    ("figure", "--id", "2", "--n", "4..8"),
+    ("figure", "--id", "2", "--n", "10..4", "--a", ","),
     ("figure", "--id", "2", "--a", "1/4"),
     ("figure", "--id", "3", "--k", "2"),
-    ("figure", "--id", "3", "--n-max", "10"),
     ("figure", "--id", "4", "--a", "1/4"),
-    ("figure", "--id", "4", "--n-max", "10"),
     # grids that hold no family member
     ("figure", "--id", "4", "--n", "4..5", "--k", "3"),
-    ("figure", "--id", "2", "--k", "5", "--n-max", "10"),
+    ("figure", "--id", "2", "--k", "5", "--n", "1..10"),
     # k below 1, refused before the scan reaches any n
-    ("figure", "--id", "2", "--k", "2,0", "--n-max", "8"),
+    ("figure", "--id", "2", "--k", "2,0", "--n", "1..8"),
     ("figure", "--id", "4", "--k", "0"),
     ("figure", "--id", "2", "--k=-1"),
     # list items int() alone would read: an underscore, a space, a non-ASCII digit
@@ -226,6 +223,9 @@ USAGE_ERRORS = [
      "ghzmetro qfi: error: argument --n: expected one argument"),
     (("estimate", "--n", "4", "--k", "1", "--theta=--"),
      "ghzmetro estimate: error: argument --theta: expected one argument"),
+    # every figure reads its n grid from --n
+    (("figure", "--id", "2", "--n-max", "200"),
+     "ghzmetro: error: unrecognized arguments: --n-max 200"),
 ]
 
 
@@ -528,9 +528,8 @@ def test_family_past_the_row_budget_exits_3(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("ppt", "--n", "100000", "--k", "1"),  # about 11 GB of witness masks and qubits
     ("ppt", "--n", "20000", "--k", "1", "--cuts", ",".join(map(str, range(5000, 10001)))),
-    ("figure", "--id", "2", "--n-max", "1000000000000"),
-    ("figure", "--id", "2", "--n-max", "1" + "0" * 30),  # past what len() of a range takes
-    ("figure", "--id", "2", "--k", "2,3", "--n-max", "40000"),
+    ("figure", "--id", "2", "--n", "1..1000000000000"),
+    ("figure", "--id", "2", "--k", "2,3", "--n", "1..40000"),
     ("figure", "--id", "4", "--n", "4..1000000000000"),
     ("figure", "--id", "3", "--a", "1/8,1/4", "--n", ",".join(map(str, range(8, 40008)))),
 ])
@@ -564,8 +563,8 @@ def test_grid_of_the_point_limit_runs(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "GRID_POINT_LIMIT", 14)
     for argv, code in [(("figure", "--id", "4"), 0),
                        (("figure", "--id", "4", "--n", "4..11"), 3),
-                       (("figure", "--id", "2", "--k", "2", "--n-max", "14"), 0),
-                       (("figure", "--id", "2", "--k", "2", "--n-max", "15"), 3)]:
+                       (("figure", "--id", "2", "--k", "2", "--n", "1..14"), 0),
+                       (("figure", "--id", "2", "--k", "2", "--n", "1..15"), 3)]:
         assert run(capsys, *argv)[0] == code
 
 
@@ -616,8 +615,21 @@ def test_bell_norm_past_the_float_range_prints_inf(capsys, n):
     assert code == 0 and out.splitlines()[2].split(",")[3:] == [decimal, "Bell-only"]
 
 
+def test_figure2_reads_its_n_grid_from_n(capsys):
+    def body(*argv):  # the CSV header and rows
+        code, out, _ = run(capsys, "figure", "--id", "2", *argv, "--no-timestamp")
+        assert code == 0
+        return out.splitlines()[1:]
+
+    default = body()
+    assert body("--n", "1..200") == default
+    # figure 2 starts k = 3 at n = 7, so n = 6 prints no row
+    assert body("--k", "3", "--n", "10,20,6") == [default[0]] + [
+        row for row in default if row.startswith(("10,3,", "20,3,"))]
+
+
 def test_figure2_monotone(capsys):
-    code, out, _ = run(capsys, "figure", "--id", "2", "--n-max", "40",
+    code, out, _ = run(capsys, "figure", "--id", "2", "--n", "1..40",
                        "--no-timestamp")
     assert code == 0
     lines = out.strip().splitlines()
@@ -688,7 +700,7 @@ def test_figure4_runs_to_forty_qubits(capsys):
 
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "fig2.csv"
-    code, out, _ = run(capsys, "figure", "--id", "2", "--n-max", "10",
+    code, out, _ = run(capsys, "figure", "--id", "2", "--n", "1..10",
                        "--output", str(target), "--no-timestamp")
     assert code == 0
     assert out == ""
@@ -740,8 +752,8 @@ GOLDEN_STDOUT = {
         "00301b61c50bebd53c60b8a2006c2d46dc6ddcd7dcfd1be70d60fecb8434d02a",
     "bell --n 8 --k 2 --components":
         "8e5caff2e007d83f13c5fbcf7254740e98734f592c4940eadbcc0528e9210636",
-    "figure --id 2 --n-max 200":
-        "10c10f10d4b1ad78f6fc81dbad6f1cace6d0bf290e1f6e2ad6addbb68f34c90f",
+    "figure --id 2 --n 1..200":
+        "07c11e988e0ba91f93dd0f8516a8c2fd4f6d06527a0ff69189a2750f0c063952",
     "figure --id 3 --a 1/8,1/4,3/8 --n 8..120":
         "dcad6d5f70897e6ed7a2061e59048da1c3cc89b70d8a80338818f07260f921f7",
     "figure --id 4 --k 2,3 --n 4..10":
@@ -761,7 +773,7 @@ GOLDEN_STDOUT = {
     "ppt --help": "effb1a5bec49dd0594dbd74bc61a1c0c5c33800f87f47157f940727c2f3ece8a",
     "bell --help": "1154a4d3326675ae419e2f58c47bb465026ce17a54c2589c536cd4be88b5319a",
     "estimate --help": "08fb990b6e6c83070162c1721eb7d0b7e154174f9adb5a32d3e326e6c464a43b",
-    "figure --help": "1c15569bbf551a8feb82a3430f9041dd2ee1bc71e1aad36fce0bbab2bd4703f9",
+    "figure --help": "791d0ac62d01b1798d4a7f53ffbb09ce358af6dd40d60888c0a5286dfe43c973",
 }
 
 
@@ -964,7 +976,7 @@ FAMILY_ARGS = ["--n", "8", "--k", "2", "--no-timestamp"]
     (["state", *FAMILY_ARGS], {"ghzmetro.states"}),
     (["ppt", *FAMILY_ARGS], {"ghzmetro.states", "ghzmetro.ptranspose"}),
     (["bell", *FAMILY_ARGS], QFI | {"ghzmetro.bell"}),
-    (["figure", "--id", "2", "--n-max", "9", "--no-timestamp"], QFI),
+    (["figure", "--id", "2", "--n", "1..9", "--no-timestamp"], QFI),
     (["figure", "--id", "3", "--no-timestamp"], QFI),
     (["figure", "--id", "4", "--no-timestamp"], QFI | {"ghzmetro.bell"}),
     (["estimate", *FAMILY_ARGS, "--theta", "0.3", "--reps", "2", "--shots", "100"],

@@ -33,7 +33,6 @@ PINNED = {
     "qfi.family_report(a)",
     "qfi.family_report(m)",
     "qfi.qfi_closed_nk(m)",
-    "states._check_family(m)",
 }
 
 EXPORTS = {
@@ -75,7 +74,7 @@ CLI_OPTIONS = {
     "bell": COMMON | FAMILY | {"--exact", "--oracle", "--components", "--format"},
     "estimate": COMMON | FAMILY | {"--theta", "--shots", "--reps", "--seed", "--model",
                                    "--bracket"},
-    "figure": COMMON | {"--id", "--n-max", "--k", "--a", "--n", "--exact"},
+    "figure": COMMON | {"--id", "--k", "--a", "--n", "--exact"},
 }
 
 

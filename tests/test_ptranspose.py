@@ -97,15 +97,6 @@ def test_pt_spectrum_refuses_above_sector_listing_cap():
     assert min(pt_spectrum(build_rho_nk(6, 2), QubitSubset(6, 1))) >= 0
 
 
-@pytest.mark.parametrize("n,k", list(family_grid(7)))
-def test_family_spectra_match_dense(n, k):
-    state = build_rho_nk(n, k)
-    for subset in all_subsets(n, sizes=range(1, min(n, 3))):
-        exact = [v / (2 * state.den) for v in sorted(pt_spectrum(state, subset))]
-        dense = sorted(np.linalg.eigvalsh(pt_dense_oracle(state, subset)))
-        assert max(abs(a - b) for a, b in zip(exact, dense)) < 1e-12
-
-
 @settings(max_examples=60, deadline=None)
 @given(random_state_strategy(max_n=5), st.data())
 def test_random_spectra_match_dense(state, data):
@@ -149,11 +140,6 @@ def test_complement_subset_same_spectrum():
 
 
 # -- single-qubit certificate -----------------------------------------------------
-
-@pytest.mark.parametrize("n,k", list(family_grid(12)))
-def test_family_certificate_holds(n, k):
-    assert ppt_single_qubit_certificate(build_rho_nk(n, k)).holds
-
 
 def test_ghz_certificate_fails_with_witness():
     # the coherence of sector 0 meets the empty sector 1 at the first mask

@@ -30,7 +30,7 @@ from ghzmetro import (
     to_dense,
     weight,
 )
-from conftest import family_grid, family_members, ghz_vector, random_state_strategy
+from conftest import family_members, ghz_vector, random_state_strategy
 
 
 # -- generator -----------------------------------------------------------------
@@ -131,13 +131,6 @@ def test_closed_nk_matches_class_sum_at_large_n(m):
 def test_class_sum_at_four_thousand_qubits_and_the_widest_k():
     # 2k + 1 classes of 4096-bit rows, summed as one integer sum
     assert qfi_ghz_diagonal(build_rho_nk(4096, 2047)) == qfi_closed_nk(4096, 2047)
-
-
-@pytest.mark.parametrize("n,k", list(family_grid(8)))
-def test_closed_vs_spectral(n, k):
-    closed = float(qfi_closed_nk(n, k))
-    spectral = qfi_from_dense(to_dense(build_rho_nk(n, k)), PhaseGenerator(n))
-    assert abs(closed - spectral) < 1e-9
 
 
 def test_closed_nk_domain():
