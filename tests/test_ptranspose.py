@@ -97,6 +97,15 @@ def test_pt_spectrum_refuses_above_sector_listing_cap():
     assert min(pt_spectrum(build_rho_nk(6, 2), QubitSubset(6, 1))) >= 0
 
 
+@pytest.mark.parametrize("n,k", list(family_grid(7)))
+def test_family_spectra_match_dense(n, k):
+    state = build_rho_nk(n, k)
+    for subset in all_subsets(n, sizes=range(1, min(n, 3))):
+        exact = [v / (2 * state.den) for v in sorted(pt_spectrum(state, subset))]
+        dense = sorted(np.linalg.eigvalsh(pt_dense_oracle(state, subset)))
+        assert max(abs(a - b) for a, b in zip(exact, dense)) < 1e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_state_strategy(max_n=5), st.data())
 def test_random_spectra_match_dense(state, data):
