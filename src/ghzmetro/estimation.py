@@ -16,11 +16,12 @@ built once from the state's integer rows (s, d) over ``state.den``, with one
 division by ``den`` per entry: global parity sums mult * d over the classes
 of each weight w, so it has no size limit; sector parity lists ``sectors()``
 (n <= 20 for a band state), as its counts are drawn per sector.  Outcomes
-with the same integer row (the same s, d and w) form one class, and the
-model works class by class.  Classical Fisher information adds one analytic
-term per class, from the P sampling reads, except where a fringe cancelled
-past 10 bits: there from the nonnegative floor form, and where that form
-leaves the normal float range, from theta-scaled sums (``classical_fisher``).
+with the same integer row (the same s, d and w) form one class: the model
+gives one probability per class, and only the draw lays them out over the
+outcomes.  Classical Fisher information adds one analytic term per class,
+from the P sampling reads, except where a fringe cancelled past 10 bits:
+there from the nonnegative floor form, and where that form leaves the
+normal float range, from theta-scaled sums (``classical_fisher``).
 A seeded counter-based Monte Carlo loop estimates theta by bracketed maximum
 likelihood (a grid, then golden-section search; one logarithm per class) to
 compare the empirical spread with the Cramer-Rao bound 1/sqrt(shots * F).
@@ -35,7 +36,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, LikelihoodDegeneracyError
@@ -293,17 +293,18 @@ class _FringeModel:
     """P(theta) = (base + coef . cos(w theta)) / 2, one coefficient column per
     weight w, ascending.  A model lists one row (base, ((w, coef), ...)) per
     outcome over ``state.den``; equal rows form one class, the unit of every
-    table.  Only ``probabilities`` expands classes to rows.  The last state's tables are kept."""
+    table.  ``probabilities`` gives one value per class; only the Monte Carlo
+    draw lays them out over the outcome rows.  The last state's tables are kept."""
 
     _state = None
 
     def probabilities(self, state: SectorState, theta: float) -> List[float]:
-        w, base, terms, _, expand, _ = self._tables(state)
+        w, base, terms, _, _ = self._tables(state)
         fringe = _class_sums(terms, [math.cos(wj * theta) for wj in w], len(base))
-        return list(expand([(b + f) / 2.0 for b, f in zip(base, fringe)]))
+        return [(b + f) / 2.0 for b, f in zip(base, fringe)]
 
     def _tables(self, state: SectorState) -> tuple:
-        """(w, class bases, (class, column, coef) terms, row classes, expander, class floors)."""
+        """(w, class bases, (class, column, coef) terms, row classes, class floors)."""
         # a sparse state holds dicts, so states are compared by identity, not
         # hashed; holding it keeps its id from being reused by another state
         if self._state is not state:
@@ -316,9 +317,8 @@ class _FringeModel:
                      for wi, a in row_terms]
             self._state = state
             self._cached = ([float(wi) for wi in w], [b / den for b, _ in classes], terms,
-                            row_class, itemgetter(*row_class),
-                            [(b - sum(abs(a) for _, a in row_terms)) / den  # >= 0: |d| <= s
-                             for b, row_terms in classes])
+                            row_class, [(b - sum(abs(a) for _, a in row_terms)) / den
+                                        for b, row_terms in classes])  # floors >= 0: |d| <= s
         return self._cached
 
 
@@ -384,7 +384,7 @@ def classical_fisher(state: SectorState, theta: float, model) -> float:
     float (theta != 0), dP^2/P reads theta-scaled sums: with h = w theta/2,
     P = theta^2/4 sum|a| w^2 sinc^2(h) and P' = theta/2 sum|a| w^2 sinc(h)
     cos(h), so dP^2/P = (sum|a| w^2 sinc(h) cos(h))^2 / sum|a| w^2 sinc^2(h)."""
-    w, base, terms, row_class, _, floor = model._tables(state)
+    w, base, terms, row_class, floor = model._tables(state)
     fringe = _class_sums(terms, [math.cos(wj * theta) for wj in w], len(base))
     turn = _class_sums(terms, [wj * math.sin(wj * theta) for wj in w], len(base))
     floor_p = [f / 2.0 for f in floor]
@@ -466,21 +466,19 @@ def _mle(
     """Bracketed maximum likelihood: coarse grid, refine, degeneracy check.
 
     The rows of one outcome class share a probability, so the negative log
-    likelihood takes one logarithm per class with counts, read at the
-    class's first row.
+    likelihood takes one logarithm per class with counts, each class's
+    counts summed and read in the order of its first counted row.
     """
-    per_class = {}  # class -> (its first row, the counts of its rows)
-    for row, (cls, n) in enumerate(zip(model._tables(state)[3], counts)):  # row classes
+    picks = {}  # class -> the counts of its rows
+    for cls, n in zip(model._tables(state)[3], counts):  # row classes
         if n:
-            first, total = per_class.get(cls, (row, 0))
-            per_class[cls] = (first, total + int(n))
-    picks = list(per_class.values())
+            picks[cls] = picks.get(cls, 0) + int(n)
 
     def nll_at(t: float) -> float:
         p = model.probabilities(state, t)
         total = 0.0
-        for row, n in picks:
-            pr = p[row]
+        for cls, n in picks.items():
+            pr = p[cls]
             total -= n * math.log(pr if pr > 1e-300 else 1e-300)
         return total
 
@@ -573,7 +571,8 @@ def run_monte_carlo(
             f"measurement carries no phase information at theta = {theta_true}"
         )
 
-    probs = model.probabilities(state, theta_true)
+    per_class = model.probabilities(state, theta_true)
+    probs = [per_class[c] for c in model._tables(state)[3]]  # laid out over the outcomes
     if min(probs) < -1e-12 or abs(_pairwise_sum(probs) - 1.0) > 1e-9:
         raise DomainError("model probabilities are not a distribution")
     probs = [max(p, 0.0) for p in probs]

@@ -78,6 +78,18 @@ def sector_outcomes(state):
     return [(i, s) for i, _, _ in state.sectors() for s in (+1, -1)]
 
 
+def outcome_probabilities(model, state, theta):
+    """The model's per-class probabilities laid out over its outcome rows, as
+    ``run_monte_carlo`` lays them out for the draw."""
+    p = model.probabilities(state, theta)
+    return [p[c] for c in model._tables(state)[3]]
+
+
+def test_sector_parity_gives_one_probability_per_class():
+    # rho_{8,3}: 93 populated sectors, so 186 outcome rows, in 12 classes
+    assert len(SectorParity().probabilities(build_rho_nk(8, 3), 0.2)) == 12
+
+
 def test_ghz_parity_fringe():
     n, model = 4, GlobalParity()
     for theta in (0.0, 0.1, 0.7, 2.0):
@@ -89,7 +101,7 @@ def test_ghz_parity_fringe():
 def test_sector_parity_at_zero_phase():
     state = build_rho_nk(4, 2)
     model = SectorParity()
-    p = model.probabilities(state, 0.0)
+    p = outcome_probabilities(model, state, 0.0)
     rows = {i: (s, d) for i, s, d in state.sectors()}
     for (i, sign), prob in zip(sector_outcomes(state), p):
         s, d = rows[i]
@@ -102,7 +114,7 @@ def test_distribution_normalization(model_name):
     model = get_model(model_name)
     for state in (ghz_state(3), build_rho_nk(6, 2), build_rho_nk(5, 2)):
         for theta in np.linspace(-2, 2, 17):
-            p = np.asarray(model.probabilities(state, theta))
+            p = np.asarray(outcome_probabilities(model, state, theta))
             assert p.min() > -1e-15
             assert abs(p.sum() - 1.0) < 1e-12
 
@@ -127,7 +139,7 @@ def test_sector_parity_matches_born_rule():
     model = SectorParity()
     for theta in (0.3, 1.1):
         rho_t = evolve_dense(state, theta)
-        p = model.probabilities(state, theta)
+        p = outcome_probabilities(model, state, theta)
         for (i, sign), prob in zip(sector_outcomes(state), p):
             v = ghz_vector(4, i, sign)
             assert prob == pytest.approx(float((v @ rho_t @ v).real), abs=1e-12)
@@ -193,7 +205,7 @@ def test_sector_parity_probabilities_match_numpy_bitwise():
     model = SectorParity()
     for state in PARITY_STATES:
         for theta in PARITY_THETAS:
-            assert model.probabilities(state, theta) == list(
+            assert outcome_probabilities(model, state, theta) == list(
                 numpy_probabilities(state, model.name, theta))
             assert sampled_pvals(state, model.name, theta) == list(
                 numpy_pvals(state, model.name, theta))
@@ -205,7 +217,7 @@ def test_global_parity_probabilities_within_one_ulp():
     model = GlobalParity()
     for state in PARITY_STATES:
         for theta in PARITY_THETAS:
-            for got, want in ((model.probabilities(state, theta),
+            for got, want in ((outcome_probabilities(model, state, theta),
                                numpy_probabilities(state, model.name, theta)),
                               (sampled_pvals(state, model.name, theta),
                                numpy_pvals(state, model.name, theta))):
@@ -325,9 +337,10 @@ def test_fisher_finite_difference_agreement():
         for state in (build_rho_nk(6, 2), build_rho_nk(5, 2), build_rho_nk(4, 2), ghz_state(5)):
             for theta in (0.1, 0.15, 0.45, 0.6, 1.2):
                 a = classical_fisher(state, theta, model)
-                p = np.asarray(model.probabilities(state, theta))
-                dp = (np.asarray(model.probabilities(state, theta + FD_STEP))
-                      - np.asarray(model.probabilities(state, theta - FD_STEP))) / (2.0 * FD_STEP)
+                p = np.asarray(outcome_probabilities(model, state, theta))
+                dp = (np.asarray(outcome_probabilities(model, state, theta + FD_STEP))
+                      - np.asarray(outcome_probabilities(model, state, theta - FD_STEP))
+                      ) / (2.0 * FD_STEP)
                 b = float(np.sum(dp[p > 1e-15] ** 2 / p[p > 1e-15]))
                 assert a == pytest.approx(b, abs=1e-6), (model.name, state.n, theta)
 
@@ -368,7 +381,7 @@ def test_sector_parity_saturates_sector_term():
     model = SectorParity()
     i0 = 0  # dominant sector, w = 4
     theta = np.pi / (2 * weight(4, i0))
-    p = model.probabilities(state, theta)
+    p = outcome_probabilities(model, state, theta)
     dp = numpy_derivatives(state, model.name, theta)
     contrib = sum(
         d * d / v for (o, _), v, d in zip(sector_outcomes(state), p, dp) if o == i0
@@ -505,11 +518,11 @@ def test_refined_estimate_is_local_likelihood_minimum(state, model_name):
     bracket = (theta - halfwidth, theta + halfwidth)
 
     def nll(t):
-        return -float(np.sum(counts * np.log(model.probabilities(state, t))))
+        return -float(np.sum(counts * np.log(outcome_probabilities(model, state, t))))
 
     for seed in range(3):
         counts = np.random.default_rng(seed).multinomial(
-            2000, model.probabilities(state, theta))
+            2000, outcome_probabilities(model, state, theta))
         est = _mle(state, model, counts, bracket)
         assert bracket[0] < est < bracket[1]
         assert nll(est) <= min(nll(est - 1e-6), nll(est + 1e-6))
