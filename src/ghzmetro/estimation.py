@@ -13,15 +13,15 @@ modeled in closed form:
 
 Both are one fringe formula, evaluated in ``_FringeModel`` over float tables
 built once from the state's integer rows (s, d) over ``state.den``, with one
-division by ``den`` per entry: global parity sums mult * d over the classes
-of each weight w, so it has no size limit; sector parity lists ``sectors()``
-(n <= 20 for a band state), as its counts are drawn per sector.  Outcomes
-with the same integer row (the same s, d and w) form one class: the model
-gives one probability per class, and only the draw lays them out over the
-outcomes.  Classical Fisher information adds one analytic term per class,
-from the P sampling reads, except where a fringe cancelled past 10 bits:
-there from the nonnegative floor form, and where that form leaves the
-normal float range, from theta-scaled sums (``classical_fisher``).
+division by ``den`` per entry.  Outcomes with one fringe form a class, read
+from ``state.classes()``: global parity sums mult * d over the classes of each
+weight w, so it has no size limit; sector parity keys them by (s, popcount,
++-d), and lists ``sectors()`` (n <= 20 for a band state) only to order the
+outcome rows of the draw.  The model gives one probability per class; only
+the draw lays them out over the outcomes.  Classical Fisher information adds
+one analytic term per class, from the P sampling reads, except where a fringe
+cancelled past 10 bits: there from the nonnegative floor form, and where it
+leaves the normal float range, from theta-scaled sums (``classical_fisher``).
 A seeded counter-based Monte Carlo loop estimates theta by bracketed maximum
 likelihood (a grid, then golden-section search; one logarithm per class) to
 compare the empirical spread with the Cramer-Rao bound 1/sqrt(shots * F).
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError, LikelihoodDegeneracyError
 from .qfi import qfi_ghz_diagonal
@@ -291,10 +291,10 @@ def _class_sums(terms: Sequence[tuple], wave: Sequence[float], classes: int) -> 
 
 class _FringeModel:
     """P(theta) = (base + coef . cos(w theta)) / 2, one coefficient column per
-    weight w, ascending.  A model lists one row (base, ((w, coef), ...)) per
-    outcome over ``state.den``; equal rows form one class, the unit of every
-    table.  ``probabilities`` gives one value per class; only the Monte Carlo
-    draw lays them out over the outcome rows.  The last state's tables are kept."""
+    weight w, ascending.  A model's ``_classes`` reads ``state.classes()`` into
+    its distinct rows (base, ((w, coef), ...)) over ``state.den``, one per outcome
+    class, the unit of every table, and the class of each outcome row.  The last
+    state's tables are kept."""
 
     _state = None
 
@@ -308,8 +308,7 @@ class _FringeModel:
         # a sparse state holds dicts, so states are compared by identity, not
         # hashed; holding it keeps its id from being reused by another state
         if self._state is not state:
-            classes = {}
-            row_class = [classes.setdefault(row, len(classes)) for row in self._rows(state)]
+            classes, row_class = self._classes(state)
             den = state.den
             w = sorted({wi for _, row_terms in classes for wi, _ in row_terms})
             col = {wi: j for j, wi in enumerate(w)}
@@ -327,13 +326,14 @@ class GlobalParity(_FringeModel):
 
     name = "global-parity"
 
-    def _rows(self, state: SectorState) -> List[tuple]:
+    def _classes(self, state: SectorState) -> Tuple[List[tuple], List[int]]:
         coef = {}  # weight -> the exact sum of mult * d over its classes, times den
         for rep, mult, _, d in state.classes():
             wi = weight(state.n, rep)
             coef[wi] = coef.get(wi, 0) + mult * d
         terms = tuple(sorted(coef.items()))
-        return [(state.den, terms), (state.den, tuple((wi, -a) for wi, a in terms))]
+        rows = [(state.den, terms), (state.den, tuple((wi, -a) for wi, a in terms))]
+        return (rows, [0, 1]) if rows[0] != rows[1] else (rows[:1], [0, 0])  # every a = 0
 
 
 class SectorParity(_FringeModel):
@@ -341,20 +341,20 @@ class SectorParity(_FringeModel):
 
     Outcomes are (i, +1) and (i, -1) for every populated sector i; the
     classical information of this measurement saturates sector i's QFI
-    contribution at w_i * theta = pi/2.
+    contribution at w_i * theta = pi/2.  Its classes, one per (s, popcount, +-d),
+    come from ``state.classes()``; ``sectors()`` only orders the outcome rows.
     """
 
     name = "sector-parity"
 
-    def _rows(self, state: SectorState) -> Iterator[tuple]:
-        pairs = {}  # (s, d, popcount) -> its two rows, built once
-        for i, s, d in state.sectors():  # a band state repeats its classes' rows
-            key = (s, d, i.bit_count())
-            rows = pairs.get(key)
-            if rows is None:
-                wi = state.n - 2 * key[2]  # weight(n, i) of a listed sector
-                rows = pairs[key] = ((s, ((wi, d),)), (s, ((wi, -d),)))
-            yield from rows
+    def _classes(self, state: SectorState) -> Tuple[List[tuple], List[int]]:
+        index, pair = {}, {}  # (s, popcount, +-d) -> class; (s, d, popcount) -> both
+        for rep, _, s, d in state.classes():  # in the order sectors() first meets them
+            c = rep.bit_count()
+            pair[s, d, c] = (index.setdefault((s, c, d), len(index)),
+                             index.setdefault((s, c, -d), len(index)))  # one class if d = 0
+        rows = [(s, ((state.n - 2 * c, d),)) for s, c, d in index]
+        return rows, [k for i, s, d in state.sectors() for k in pair[s, d, i.bit_count()]]
 
 
 MODELS = {GlobalParity.name: GlobalParity, SectorParity.name: SectorParity}

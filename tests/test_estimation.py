@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ghzmetro import (
     DomainError,
@@ -88,6 +88,56 @@ def outcome_probabilities(model, state, theta):
 def test_sector_parity_gives_one_probability_per_class():
     # rho_{8,3}: 93 populated sectors, so 186 outcome rows, in 12 classes
     assert len(SectorParity().probabilities(build_rho_nk(8, 3), 0.2)) == 12
+
+
+def merged_tables(model, state):
+    """The tables by the row-merge rule: one row (base, ((w, coef), ...)) per
+    outcome over ``den``, equal rows hashed into one class in order of first
+    appearance."""
+    if model.name == "global-parity":
+        coef = {}
+        for rep, mult, _, d in state.classes():
+            wi = weight(state.n, rep)
+            coef[wi] = coef.get(wi, 0) + mult * d
+        terms = tuple(sorted(coef.items()))
+        rows = [(state.den, terms), (state.den, tuple((wi, -a) for wi, a in terms))]
+    else:
+        rows = [(s, ((weight(state.n, i), sign * d),))
+                for i, s, d in state.sectors() for sign in (1, -1)]
+    classes = {}
+    row_class = [classes.setdefault(row, len(classes)) for row in rows]
+    w = sorted({wi for _, terms in classes for wi, _ in terms})
+    return ([float(wi) for wi in w], [b / state.den for b, _ in classes],
+            [(c, w.index(wi), a / state.den) for c, (_, terms) in enumerate(classes)
+             for wi, a in terms],
+            row_class, [(b - sum(abs(a) for _, a in terms)) / state.den for b, terms in classes])
+
+
+def assert_tables_merge_equal_rows(state):
+    for model in (GlobalParity(), SectorParity()):
+        assert model._tables(state) == merged_tables(model, state), model.name
+
+
+def test_tables_merge_equal_rows_on_family_and_mixed_states():
+    # every coefficient of the maximally mixed state is 0, so global parity's
+    # two outcome rows are equal and form one class
+    assert len(GlobalParity().probabilities(maximally_mixed_state(4), 0.3)) == 1
+    for n, k, m in family_members(12):
+        assert_tables_merge_equal_rows(build_rho_nkm(n, k, m))
+    for n in range(2, 9):
+        assert_tables_merge_equal_rows(maximally_mixed_state(n))
+
+
+# sectors 1 and 2 of n = 3 share a popcount: first equal rows (s, d), then
+# swapped weights, whose + row is the other's - row
+@example(GhzDiagonalState(3, {1: Fraction(1, 4), 2: Fraction(1, 4)},
+                          {1: Fraction(1, 8), 2: Fraction(1, 8), 3: Fraction(1, 4)}))
+@example(GhzDiagonalState(3, {1: Fraction(1, 4), 2: Fraction(1, 8), 3: Fraction(1, 4)},
+                          {1: Fraction(1, 8), 2: Fraction(1, 4)}))
+@settings(max_examples=100, deadline=None)
+@given(random_state_strategy(max_n=5))
+def test_tables_merge_equal_rows_on_random_states(state):
+    assert_tables_merge_equal_rows(state)
 
 
 def test_ghz_parity_fringe():
@@ -490,6 +540,7 @@ def test_run_reads_state_tables_once(monkeypatch, model_name):
         assert 1 <= calls["classes"] <= 5  # not once per likelihood evaluation
     else:
         assert 1 <= calls["sectors"] <= 5  # not once per likelihood evaluation
+        assert 1 <= calls["classes"] <= 5  # its outcome classes are read from them
 
 
 def test_run_tracks_cramer_rao():
