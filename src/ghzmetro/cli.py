@@ -171,7 +171,7 @@ def cmd_state(args):
                    for i, s, d in state.sectors() for lp, lm in [lam[s, d]]]
         return {"state": {"n": state.n, "entries": entries}, "summary": summary}, None
     lines = [f"{state_label(args)} on {state.n} qubits"]
-    lines.append(f"normalization: {state.trace()} (exact)")
+    lines.append(f"normalization: {summary['trace']} (exact)")
     lines.append(
         "sectors: {sectors_populated}/{sectors_total} populated, "
         "{sectors_pure_even} pure-even, {sectors_balanced} balanced".format(**summary)
@@ -241,11 +241,7 @@ def cmd_ppt(args):
     deviation = oracle_deviation(args, "check_ppt", state, cert, table)
     if args.format == "json":
         return {
-            "single_qubit_certificate": {
-                "holds": cert.holds,
-                "witness_j": cert.witness_j,
-                "witness_i": cert.witness_i,
-            },
+            "single_qubit_certificate": cert._asdict(),
             "cuts": [row._asdict() for row in table],
         }, deviation
     lines = [f"{state_label(args)}: single-qubit PPT certificate: "

@@ -19,9 +19,10 @@ weight w, so it has no size limit; sector parity keys them by (s, popcount,
 +-d), and lists ``sectors()`` (n <= 20 for a band state) only to order the
 outcome rows of the draw.  The model gives one probability per class; only
 the draw lays them out over the outcomes.  Classical Fisher information adds
-one analytic term per class, from the P sampling reads, except where a fringe
-cancelled past 10 bits: there from the nonnegative floor form, and where it
-leaves the normal float range, from theta-scaled sums (``classical_fisher``).
+one analytic term per class over the P ``probabilities`` gives the draw,
+except where a fringe cancelled past 10 bits: there over the nonnegative
+floor form, and where it leaves the normal float range, from theta-scaled
+sums (``classical_fisher``).
 A seeded counter-based Monte Carlo loop estimates theta by bracketed maximum
 likelihood (a grid, then golden-section search; one logarithm per class) to
 compare the empirical spread with the Cramer-Rao bound 1/sqrt(shots * F).
@@ -375,8 +376,8 @@ def classical_fisher(state: SectorState, theta: float, model) -> float:
     P = (base + sum_w a cos(w theta))/2 cancels near a zero of its fringe; its
     floor form (base - sum|a|)/2 + sum_{a>0} a cos^2(w theta/2) + sum_{a<0} |a|
     sin^2(w theta/2) sums nonnegative terms.  Where the fringe lost over 10 bits
-    (P < 2^-10 base) F_C reads the floor form, else the P sampling reads, as
-    the floor form would move the last printed digits of F_C there.
+    (P < 2^-10 base) F_C reads the floor form, else the draw's P from
+    ``model.probabilities``, as the floor form would move F_C's last digits.
 
     A class whose floor is 0 and whose terms are all sin^2 terms has P of
     order theta^2 and P' of order theta, which leave the normal float range
@@ -385,7 +386,6 @@ def classical_fisher(state: SectorState, theta: float, model) -> float:
     P = theta^2/4 sum|a| w^2 sinc^2(h) and P' = theta/2 sum|a| w^2 sinc(h)
     cos(h), so dP^2/P = (sum|a| w^2 sinc(h) cos(h))^2 / sum|a| w^2 sinc^2(h)."""
     w, base, terms, row_class, floor = model._tables(state)
-    fringe = _class_sums(terms, [math.cos(wj * theta) for wj in w], len(base))
     turn = _class_sums(terms, [wj * math.sin(wj * theta) for wj in w], len(base))
     floor_p = [f / 2.0 for f in floor]
     # theta-scaled (P', P) sums of each class with floor 0 and only sin^2 terms
@@ -401,9 +401,8 @@ def classical_fisher(state: SectorState, theta: float, model) -> float:
             scaled[c][0] -= a * w[j] * w[j] * sinc * math.cos(half)
             scaled[c][1] -= a * w[j] * w[j] * sinc * sinc
     term = [0.0] * len(base)  # P = 0 adds 0
-    for c, (b, f, t) in enumerate(zip(base, fringe, turn)):
-        pk, dk = (b + f) / 2.0, -t / 2.0
-        pk = pk if pk >= b * 2.0**-10 else floor_p[c]
+    for c, (b, p, t) in enumerate(zip(base, model.probabilities(state, theta), turn)):
+        pk, dk = (p if p >= b * 2.0**-10 else floor_p[c]), -t / 2.0
         if theta and scaled[c] is not None and min(pk, dk * dk) < sys.float_info.min:
             slope, height = scaled[c]
             if height > 0.0:

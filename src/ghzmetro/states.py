@@ -141,21 +141,23 @@ class SectorState(_Record):
     """Reads shared by both state types.  Each type's ``_normalize()`` checks
     its fields and returns its classes ``(representative, multiplicity,
     lambda^+, lambda^-)``, ascending.  Construction stores each as the integer
-    row ``(representative, multiplicity, s, d)`` over ``den``, the least
-    common denominator of the weights, with s / den = lambda^+ + lambda^- and
-    d / den = lambda^+ - lambda^-, and checks the trace.  ``classes()`` yields
-    the stored rows.  A class's sectors are related by a qubit permutation
-    and share s and d; the lowest is the representative.  ``sectors()`` yields
-    the rows ``(i, s_i, d_i)`` over the same ``den`` of the populated sectors,
-    ascending i.
+    row ``(representative, multiplicity, s, d)`` over ``den``, the lcm of the
+    weights' distinct denominators, each divided into it once, with s / den =
+    lambda^+ + lambda^- and d / den = lambda^+ - lambda^-, and checks the
+    trace.  ``classes()`` yields the stored rows.  A class's sectors are
+    related by a qubit permutation and share s and d; the lowest is the
+    representative.  ``sectors()`` yields the rows ``(i, s_i, d_i)`` over the
+    same ``den`` of the populated sectors, ascending i.
     """
 
     def __post_init__(self):
         if self.n < 2:
             raise DomainError(f"need at least 2 qubits, got n = {self.n}")
         rows = tuple(self._normalize())
-        den = math.lcm(*(x.denominator for row in rows for x in row[2:]))
-        ints = ([x.numerator * (den // x.denominator) for x in row[2:]] for row in rows)
+        denominators = {x.denominator for row in rows for x in row[2:]}
+        den = math.lcm(*denominators)
+        scale = {q: den // q for q in denominators}
+        ints = ([x.numerator * scale[x.denominator] for x in row[2:]] for row in rows)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_classes", tuple((rep, mult, p + q, p - q) for
                                                    (rep, mult, _, _), (p, q) in zip(rows, ints)))

@@ -538,12 +538,25 @@ def test_family_past_the_row_budget_exits_3(capsys, argv):
     ("figure", "--id", "2", "--k", "2,3", "--n", "1..40000"),
     ("figure", "--id", "4", "--n", "4..1000000000000"),
     ("figure", "--id", "3", "--a", "1/8,1/4", "--n", ",".join(map(str, range(8, 40008)))),
+    ("ppt", "--n", "67108864", "--k", "1"),  # the largest member the row budget admits
 ])
 def test_listing_past_its_budget_exits_3(capsys, argv):
     # refused from the counts alone, before any cut is classified or grid built
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.startswith("size limit:")
+
+
+def test_default_cut_listing_bound_is_the_sum_over_its_cuts(capsys):
+    # the default cut list 1..n/2 is bounded in closed form, to the byte of
+    # the same request that lists every cut
+    cuts = ",".join(map(str, range(1, 50001)))
+    results = [run(capsys, "ppt", "--n", "100000", "--k", "1", *extra)
+               for extra in [(), ("--cuts", cuts)]]
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert (code, out) == (3, "")
+    assert "11255225000 bytes" in err
 
 
 @pytest.mark.parametrize("argv, last_cut", [
@@ -1073,6 +1086,8 @@ JSON_PAYLOADS = [
       "m": None, "a": "1/4", "mixed_lower_bound": None,
       "ratio_limit_form": {"exact": "2396/2517", "float": 0.9519268970997219},
       "ratio_bound_form": {"exact": "4792/2517", "float": 1.9038537941994438}}),
+    (("ppt", "--n", "6", "--k", "2", "--cuts", "1,2"), "single_qubit_certificate",
+     {"holds": True, "witness_j": None, "witness_i": None}),
 ]
 
 

@@ -449,6 +449,34 @@ def test_sector_parity_saturates_family_qfi_everywhere():
         assert classical_fisher(state, theta, SectorParity()) == pytest.approx(fq, abs=1e-9)
 
 
+class RecordingModel:
+    """Forwards every read to ``model``, recording the theta of each
+    ``probabilities`` call."""
+
+    def __init__(self, model):
+        self.model, self.thetas = model, []
+
+    def probabilities(self, state, theta):
+        self.thetas.append(theta)
+        return self.model.probabilities(state, theta)
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+
+@pytest.mark.parametrize("model_name", ["global-parity", "sector-parity"])
+@pytest.mark.parametrize("theta", [0.3, 1e-200])  # 1e-200: the theta-scaled sums
+def test_fisher_reads_the_probabilities_the_draw_samples(model_name, theta):
+    # F_C divides by the P that probabilities gives the draw, read once, and
+    # evaluates no second copy of the fringe formula
+    for n, k, m in [(8, 2, 0), (12, 3, 1)]:
+        state = build_rho_nkm(n, k, m)
+        proxy = RecordingModel(get_model(model_name))
+        f_c = classical_fisher(state, theta, proxy)
+        assert proxy.thetas == [theta], (n, k, m)
+        assert f_c == classical_fisher(state, theta, get_model(model_name)), (n, k, m)
+
+
 # -- sampler: numpy's Philox multinomial, reproduced ------------------------------------
 
 def numpy_generator(seed, stream):

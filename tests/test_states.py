@@ -314,6 +314,24 @@ def test_classes_are_read_without_arithmetic(monkeypatch):
     assert all(a is b for got, old in zip(again, rows) for a, b in zip(got, old))
 
 
+def test_each_denominator_enters_the_lcm_once(monkeypatch):
+    # den is the lcm of the distinct weight denominators: one argument each,
+    # however many class rows share it
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return lcm(*args)
+
+    monkeypatch.setattr(states.math, "lcm", recording)
+    build_rho_nkm(64, 16, 1)
+    sixths = GhzDiagonalState(3, {0: Fraction(1, 6), 1: Fraction(1, 6), 2: Fraction(1, 6)},
+                              {3: Fraction(1, 2)})
+    assert sixths.den == 6
+    assert len(calls) == 2
+    assert all(len(set(args)) == len(args) for args in calls), calls
+
+
 # -- state invariants ---------------------------------------------------------
 
 def test_state_rejects_bad_tables():
