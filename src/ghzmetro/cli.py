@@ -260,21 +260,22 @@ def cmd_ppt(args):
     return lines, deviation
 
 
+def detection_fields(state, k: int, exact: bool) -> tuple:
+    """A member's Bell detection row and fields n, k, f_q, f_q_over_n, hs_norm_sq, verdict."""
+    from .bell import detection_comparison, hs_norm_sq
+
+    row = detection_comparison(state)
+    return row, [str(state.n), str(k)] + [fmt_number(x, exact) for x in (
+        row.f_q, row.f_q_over_n, hs_norm_sq(state) if exact else row.hs_norm_sq)] + [row.verdict]
+
+
 def cmd_bell(args):
     from . import bell
 
     state = build_state(args)
-    row = bell.detection_comparison(state)
+    row, values = detection_fields(state, args.k, args.exact)
     deviation = oracle_deviation(args, "check_bell", state, row)
     header = ["n", "k", "f_q", "f_q_over_n", "hs_norm_sq", "verdict"]
-    values = [
-        str(args.n),
-        str(args.k),
-        fmt_number(row.f_q, args.exact),
-        fmt_number(row.f_q_over_n, args.exact),
-        fmt_number(bell.hs_norm_sq(state) if args.exact else row.hs_norm_sq, args.exact),
-        row.verdict,
-    ]
     if args.components:
         planar = bell.planar_square_sum(state)
         axial = bell.axial_expectation(state)
@@ -328,16 +329,12 @@ def figure3_rows(points, exact: bool) -> Iterator[List[str]]:
 
 
 def figure4_rows(points, exact: bool) -> Iterator[List[str]]:
-    from .bell import detection_comparison, hs_norm_sq
     from .states import build_rho_nk
 
     for k, n in points:
         if 2 * k <= n:
-            state = build_rho_nk(n, k)
-            row = detection_comparison(state)
-            yield [str(n), str(k), fmt_number(row.f_q_over_n, exact),
-                   fmt_number(hs_norm_sq(state) if exact else row.hs_norm_sq, exact),
-                   row.verdict]
+            _, fields = detection_fields(build_rho_nk(n, k), k, exact)
+            yield fields[:2] + fields[3:]  # all but f_q
 
 
 # Per figure: its parameter list option (k or a), parsed as int or Fraction,

@@ -16,13 +16,13 @@ built once from the state's integer rows (s, d) over ``state.den``, with one
 division by ``den`` per entry.  Outcomes with one fringe form a class, read
 from ``state.classes()``: global parity sums mult * d over the classes of each
 weight w, so it has no size limit; sector parity keys them by (s, popcount,
-+-d), and lists ``sectors()`` (n <= 20 for a band state) only to order the
-outcome rows of the draw.  The model gives one probability per class; only
-the draw lays them out over the outcomes.  Classical Fisher information adds
-one analytic term per class over the P ``probabilities`` gives the draw,
-except where a fringe cancelled past 10 bits: there over the nonnegative
-floor form, and where it leaves the normal float range, from theta-scaled
-sums (``classical_fisher``).
++-d), and walks the state's sectors (n <= 20 for a band state) only to lay out
+the draw's outcome rows by state class.  The model gives one probability per
+class; only the draw lays them out over the outcomes.  Classical Fisher
+information adds one analytic term per class over the P ``probabilities``
+gives the draw, except where a fringe cancelled past 10 bits: there over the
+nonnegative floor form, and where it leaves the normal float range, from
+theta-scaled sums (``classical_fisher``).
 A seeded counter-based Monte Carlo loop estimates theta by bracketed maximum
 likelihood (a grid, then golden-section search; one logarithm per class) to
 compare the empirical spread with the Cramer-Rao bound 1/sqrt(shots * F).
@@ -34,10 +34,11 @@ through its ``SeedSequence``, and its ``multinomial`` transcribes numpy's
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, LikelihoodDegeneracyError
 from .qfi import qfi_ghz_diagonal
@@ -112,21 +113,17 @@ def _philox(counter: int, k0: int, k1: int) -> Tuple[int, int, int, int]:
     return x0, x1, x2, x3
 
 
+def _stream(key: Tuple[int, int]) -> Iterator[int]:
+    """The 64-bit words of a Philox4x64-10 stream: blocks of counters 1, 2, ..."""
+    for counter in itertools.count(1):
+        yield from _philox(counter, *key)
+
+
 class _Philox:
-    """Philox4x64-10 stream; the counter is bumped before each 4-word block."""
+    """Philox4x64-10 stream; ``next64`` returns its next word."""
 
     def __init__(self, key: Tuple[int, int]):
-        self._key = key
-        self._counter = 0
-        self._block = iter(())
-
-    def next64(self) -> int:
-        word = next(self._block, None)
-        if word is None:
-            self._counter += 1
-            self._block = iter(_philox(self._counter, *self._key))
-            word = next(self._block)
-        return word
+        self.next64 = _stream(key).__next__
 
     def random(self) -> float:
         return (self.next64() >> 11) * 2.0**-53
@@ -343,19 +340,20 @@ class SectorParity(_FringeModel):
     Outcomes are (i, +1) and (i, -1) for every populated sector i; the
     classical information of this measurement saturates sector i's QFI
     contribution at w_i * theta = pi/2.  Its classes, one per (s, popcount, +-d),
-    come from ``state.classes()``; ``sectors()`` only orders the outcome rows.
+    come from ``state.classes()``, and each sector's outcome rows take the pair
+    of its state class, read from the state's sector walk.
     """
 
     name = "sector-parity"
 
     def _classes(self, state: SectorState) -> Tuple[List[tuple], List[int]]:
-        index, pair = {}, {}  # (s, popcount, +-d) -> class; (s, d, popcount) -> both
-        for rep, _, s, d in state.classes():  # in the order sectors() first meets them
+        index, pair = {}, []  # (s, popcount, +-d) -> class; state class -> both
+        for rep, _, s, d in state.classes():  # in the order the sector walk first meets them
             c = rep.bit_count()
-            pair[s, d, c] = (index.setdefault((s, c, d), len(index)),
-                             index.setdefault((s, c, -d), len(index)))  # one class if d = 0
+            pair.append((index.setdefault((s, c, d), len(index)),
+                         index.setdefault((s, c, -d), len(index))))  # one class if d = 0
         rows = [(s, ((state.n - 2 * c, d),)) for s, c, d in index]
-        return rows, [k for i, s, d in state.sectors() for k in pair[s, d, i.bit_count()]]
+        return rows, [k for _, j in state._sector_classes() for k in pair[j]]
 
 
 MODELS = {GlobalParity.name: GlobalParity, SectorParity.name: SectorParity}

@@ -16,8 +16,9 @@ table; ``BandState`` stores one weight pair per populated band, 0..k+m for
 a family member.  Each state builds and checks its class table once, at
 construction; formulas read it through ``classes()``, so they run on the
 band classes at any n.  ``sectors()`` lists the populated sectors one by
-one.  All eigenvalues are exact rationals, held as integer rows (s, d) over
-one denominator per state, and both readers yield those rows, so every
+one from each type's walk ``_sector_classes()`` of (sector, class) pairs.
+All eigenvalues are exact rationals, held as integer rows (s, d) over one
+denominator per state, and both readers yield those rows, so every
 closed-form quantity is tolerance-free.
 """
 from __future__ import annotations
@@ -146,8 +147,8 @@ class SectorState(_Record):
     lambda^+ + lambda^- and d / den = lambda^+ - lambda^-, and checks the
     trace.  ``classes()`` yields the stored rows.  A class's sectors are
     related by a qubit permutation and share s and d; the lowest is the
-    representative.  ``sectors()`` yields the rows ``(i, s_i, d_i)`` over the
-    same ``den`` of the populated sectors, ascending i.
+    representative.  Each type walks its populated sectors i, ascending, in
+    ``_sector_classes()``, as pairs ``(i, c)``, c the index of i's class row.
     """
 
     def __post_init__(self):
@@ -170,6 +171,11 @@ class SectorState(_Record):
 
     def trace(self) -> Fraction:
         return Fraction(sum(mult * s for _, mult, s, _ in self._classes), self.den)
+
+    def sectors(self) -> Iterator[Tuple[int, int, int]]:
+        """Rows ``(i, s_i, d_i)`` over ``den`` of the populated sectors, ascending i."""
+        rows = [(s, d) for _, _, s, d in self._classes]
+        return ((i, *rows[c]) for i, c in self._sector_classes())
 
 
 class GhzDiagonalState(SectorState):
@@ -197,14 +203,11 @@ class GhzDiagonalState(SectorState):
         lp, lm = self.lambda_plus, self.lambda_minus
         return ((i, 1, lp.get(i, 0), lm.get(i, 0)) for i in sorted(lp.keys() | lm.keys()))
 
-    def sectors(self) -> Iterator[Tuple[int, int, int]]:
-        """Rows ``(i, s_i, d_i)`` over ``den`` of the populated sectors, ascending i.
-
-        Stored entries are nonzero and nonnegative, so the populated sectors
+    def _sector_classes(self) -> Iterator[Tuple[int, int]]:
+        """Stored entries are nonzero and nonnegative, so the populated sectors
         are exactly the keys of the two tables, each its own class; the walk
-        costs O(support), not O(2^(n-1)).
-        """
-        return ((i, s, d) for i, _, s, d in self.classes())
+        costs O(support), not O(2^(n-1))."""
+        return ((i, c) for c, (i, _, _, _) in enumerate(self._classes))
 
 
 SECTOR_LIST_LIMIT = 20  # qubit cap of listing a band state's sectors one by one
@@ -219,7 +222,7 @@ class BandState(SectorState):
     permutation changes a band, so the state is invariant under all of them.
     Its classes are the popcounts c <= t and n - t <= c < n: representative
     ``(1 << c) - 1``, multiplicity C(n-1, c), band min(c, n-c).  Every family
-    member is stored this way, and only ``sectors()`` lists sectors one by one.
+    member is stored this way, and only the sector walk lists sectors one by one.
     """
 
     n: int
@@ -240,16 +243,17 @@ class BandState(SectorState):
         return (((1 << c) - 1, mult[min(c, n - 1 - c)], p, q)
                 for c, p, q in rows if p or q)
 
-    def sectors(self) -> Iterator[Tuple[int, int, int]]:
-        """Rows ``(i, s_i, d_i)`` over ``den`` of the populated sectors, ascending
-        i, each looked up by its popcount's class.  Refused above ``SECTOR_LIST_LIMIT``
-        qubits when called, before any row is listed."""
+    def _sector_classes(self) -> Iterator[Tuple[int, int]]:
+        """Each sector's class is its popcount's.  Refused above
+        ``SECTOR_LIST_LIMIT`` qubits when called, before any sector is listed."""
         if self.n > SECTOR_LIST_LIMIT:
             raise SizeLimitError(f"listing the sectors one by one needs "
                                  f"n <= {SECTOR_LIST_LIMIT}, got n = {self.n}")
-        rows = {rep.bit_count(): (s, d) for rep, _, s, d in self.classes()}
-        return ((i, *rows[c]) for i in range(1 << (self.n - 1))
-                if (c := i.bit_count()) in rows)
+        index = [None] * self.n  # popcount -> class
+        for c, (rep, _, _, _) in enumerate(self._classes):
+            index[rep.bit_count()] = c
+        return ((i, c) for i in range(1 << (self.n - 1))
+                if (c := index[i.bit_count()]) is not None)
 
 
 # -- reference states -------------------------------------------------------

@@ -402,6 +402,25 @@ def test_ppt_oracle_certificate_mismatch_exits_4(capsys, monkeypatch):
     assert "certificate" in err
 
 
+def test_ppt_prints_a_failing_certificate_witness(capsys, monkeypatch):
+    # every family member's cut 1 is PPT, so only a patched certificate fails;
+    # perfbench's parse_ppt reads the witness line and the JSON fields
+    import ghzmetro.ptranspose as ptranspose
+    from ghzmetro.ptranspose import CertificateResult
+
+    monkeypatch.setattr(ptranspose, "ppt_single_qubit_certificate",
+                        lambda state: CertificateResult(False, 3, 1))
+    code, out, _ = run(capsys, "ppt", "--n", "6", "--k", "2", "--no-timestamp")
+    assert code == 0
+    assert out.splitlines()[1:4] == ["rho_6,2: single-qubit PPT certificate: fails",
+                                     "  witness: j = 3, i = 1", "cut 1: PPT"]
+    code, out, _ = run(capsys, "ppt", "--n", "6", "--k", "2", "--format", "json",
+                       "--no-timestamp")
+    cert = json.loads(out)["single_qubit_certificate"]
+    assert code == 0
+    assert (cert["holds"], cert["witness_j"], cert["witness_i"]) == (False, 3, 1)
+
+
 @pytest.mark.parametrize("k, status", [(2, "PPT"), (3, "NPPT")])
 def test_ppt_oracle_catches_a_wrong_verdict(capsys, monkeypatch, k, status):
     # rho_{6,2} is NPPT at cuts 2 and 3 and rho_{6,3} is PPT at every cut;

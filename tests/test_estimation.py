@@ -554,7 +554,7 @@ def test_run_reproducible():
 @pytest.mark.parametrize("model_name", ["global-parity", "sector-parity"])
 def test_run_reads_state_tables_once(monkeypatch, model_name):
     state = build_rho_nk(6, 2)
-    calls = {"sectors": 0, "classes": 0}
+    calls = {"_sector_classes": 0, "classes": 0}
     for method in calls:
         def counted(self, method=method, read=getattr(type(state), method)):
             calls[method] += 1
@@ -564,10 +564,10 @@ def test_run_reads_state_tables_once(monkeypatch, model_name):
     run_monte_carlo(state, theta_true=0.2, model=model_name, shots=1000,
                     repetitions=3, seed=5)
     if model_name == "global-parity":  # reads the classes, never a sector
-        assert calls["sectors"] == 0
+        assert calls["_sector_classes"] == 0
         assert 1 <= calls["classes"] <= 5  # not once per likelihood evaluation
     else:
-        assert 1 <= calls["sectors"] <= 5  # not once per likelihood evaluation
+        assert 1 <= calls["_sector_classes"] <= 5  # not once per likelihood evaluation
         assert 1 <= calls["classes"] <= 5  # its outcome classes are read from them
 
 

@@ -95,6 +95,8 @@ def test_pt_spectrum_refuses_above_sector_listing_cap():
     with pytest.raises(SizeLimitError):
         pt_spectrum(build_rho_nk(30, 7), QubitSubset(30, 1))
     assert min(pt_spectrum(build_rho_nk(6, 2), QubitSubset(6, 1))) >= 0
+    with pytest.raises(DomainError, match="subset size"):
+        pt_spectrum(build_rho_nk(4, 1), QubitSubset(5, 1))
 
 
 @pytest.mark.parametrize("n,k", list(family_grid(7)))

@@ -77,6 +77,8 @@ def test_spectral_validates_inputs():
     bad[0, 1] = 0.5  # not orthonormal
     with pytest.raises(DomainError):
         qfi_spectral([0.25] * 4, bad, gen)
+    with pytest.raises(DomainError, match="negative eigenvalue"):  # unit trace
+        qfi_spectral([0.5, 0.5, 0.25, -0.25], np.eye(4), gen)
 
 
 # -- GHZ-diagonal closed form ------------------------------------------------------

@@ -68,6 +68,8 @@ def test_weight_rejects_non_representative():
         weight(4, 8)
     with pytest.raises(DomainError):
         weight(4, -1)
+    with pytest.raises(DomainError, match="outside"):
+        canonical_index(16, 4)  # raw indices of 4 qubits stop at 15
 
 
 # -- GHZ basis ----------------------------------------------------------------
@@ -104,6 +106,8 @@ def test_binom_normalizer():
     assert binom_normalizer(7, 2) == Fraction(1, 29)  # 1 + 7 + 21
     for n in (2, 5, 9):
         assert binom_normalizer(n, 0) == 1
+    with pytest.raises(DomainError, match="0 <= k <= n"):
+        binom_normalizer(4, 5)
 
 
 def test_binomial_row_matches_comb():
