@@ -1,5 +1,5 @@
-"""The program's argparse parser, built from the option table that ``cli``
-passes in.  ``cli`` reads a plain command line itself and hands this parser
+"""The program's argparse parser, built from the option table that ``commands``
+passes in.  ``commands`` reads a plain command line itself and hands this parser
 every other line: an option shortened or written with ``=``, a negative
 value, ``--``, help, ``--version`` with more arguments and every usage error.
 Help and usage errors are 78 columns wide (argparse's width at 80 columns),

@@ -16,7 +16,8 @@ import ghzmetro
 from ghzmetro import estimation
 from ghzmetro.bell import hs_norm_sq
 from ghzmetro.errors import SizeLimitError
-from ghzmetro.cli import COMMANDS, main, parse_list, read_number, read_plain
+from ghzmetro.cli import main
+from ghzmetro.commands import COMMANDS, parse_list, read_number, read_plain
 from ghzmetro.qfi import qfi_closed_nk
 from ghzmetro.states import GhzDiagonalState, build_rho_nk, build_rho_nkm
 from ghzmetro.usage import StoreOne, parser
@@ -66,6 +67,25 @@ def test_state_json_roundtrip(capsys):
     assert state.trace() == 1
     assert state == as_sparse(build_rho_nkm(8, 2, 1))
     assert payload["state"]["entries"][0]["lp"] == "1/93"
+
+
+def test_large_output_is_written_in_bounded_blocks(monkeypatch):
+    # 2.1 MB of JSON arrives in several writes, none of them over 1 MiB, so no
+    # string holds the whole output; the bytes are those of one json.dumps
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    stdout = Recorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["state", "--n", "16", "--k", "7", "--format", "json", "--no-timestamp"]) == 0
+    assert len(stdout.writes) > 1
+    assert max(map(len, stdout.writes)) <= 1 << 20
+    assert hashlib.sha256("".join(stdout.writes).encode()).hexdigest() == (
+        "80b25e90015e0ecfd4777dfd6438528827bac6c8347c14bb1e05ed72681a7436")
 
 
 def test_state_domain_error_exit_code(capsys):
@@ -591,14 +611,14 @@ def test_largest_ppt_listings_run(capsys, argv, last_cut):
 
 
 def test_grid_of_the_point_limit_runs(capsys, monkeypatch):
-    import ghzmetro.cli as cli_mod
+    import ghzmetro.commands as commands
 
-    limit = cli_mod.GRID_POINT_LIMIT
+    limit = commands.GRID_POINT_LIMIT
     assert parse_list(f"1..{limit}", "--n", int)[-1] == limit
     with pytest.raises(SizeLimitError):
         parse_list(f"0..{limit}", "--n", int)
     # figure 4's default grid is k = 2, 3 by n = 4..10, 14 points
-    monkeypatch.setattr(cli_mod, "GRID_POINT_LIMIT", 14)
+    monkeypatch.setattr(commands, "GRID_POINT_LIMIT", 14)
     for argv, code in [(("figure", "--id", "4"), 0),
                        (("figure", "--id", "4", "--n", "4..11"), 3),
                        (("figure", "--id", "2", "--k", "2", "--n", "1..14"), 0),
@@ -1002,13 +1022,15 @@ def cli_process(argv, refuse_numpy=False):
     return proc.returncode, proc.stdout, err, set(loaded.split())
 
 
-START_UP = {"dataclasses", "inspect", "json", "datetime", "argparse", "gettext", "locale"}
-USAGE = {"argparse", "gettext", "locale", "ghzmetro.usage"}  # help and usage errors
-QFI = {"ghzmetro.states", "ghzmetro.qfi"}
+START_UP = {"dataclasses", "inspect", "json", "datetime", "argparse", "gettext", "locale",
+            "fractions", "decimal"}
+COMMAND = {"ghzmetro.commands", "ghzmetro.errors", "fractions", "decimal"}  # all but --version
+USAGE = COMMAND | {"argparse", "gettext", "locale", "ghzmetro.usage"}  # help and usage errors
+QFI = COMMAND | {"ghzmetro.states", "ghzmetro.qfi"}
 FAMILY_ARGS = ["--n", "8", "--k", "2", "--no-timestamp"]
 
 
-# each request with the START_UP modules it may load and the library modules it loads
+# each request with the START_UP modules it may load and the ghzmetro modules it loads
 @pytest.mark.parametrize("argv, allowed", [
     (["qfi", "--n", "7", "--k", "2", "--no-timestamp"], QFI),
     (["qfi", "--n", "7", "--k", "2", "--format", "json", "--no-timestamp"], QFI | {"json"}),
@@ -1016,8 +1038,8 @@ FAMILY_ARGS = ["--n", "8", "--k", "2", "--no-timestamp"]
     (["--version"], set()),  # the request the benchmark's setup time measures
     (["--help"], USAGE),
     (["qfi", "--n", "x"], USAGE),  # a usage error
-    (["state", *FAMILY_ARGS], {"ghzmetro.states"}),
-    (["ppt", *FAMILY_ARGS], {"ghzmetro.states", "ghzmetro.ptranspose"}),
+    (["state", *FAMILY_ARGS], COMMAND | {"ghzmetro.states"}),
+    (["ppt", *FAMILY_ARGS], COMMAND | {"ghzmetro.states", "ghzmetro.ptranspose"}),
     (["bell", *FAMILY_ARGS], QFI | {"ghzmetro.bell"}),
     (["figure", "--id", "2", "--n", "1..9", "--no-timestamp"], QFI),
     (["figure", "--id", "3", "--no-timestamp"], QFI),
@@ -1028,15 +1050,15 @@ FAMILY_ARGS = ["--n", "8", "--k", "2", "--no-timestamp"]
 def test_cli_start_up_imports(argv, allowed):
     # json is loaded only to write JSON, datetime only to print a timestamp;
     # a command line that parses is read without argparse, gettext or locale.
-    # Importing the CLI loads ghzmetro.errors alone, and each request exactly
-    # the library modules it runs.
+    # Importing the CLI loads no other ghzmetro module: --version is answered
+    # before the commands (and fractions, which their table names) load, and
+    # each other request loads exactly the library modules it runs.
     code, out, err, loaded = cli_process(argv)
     # a usage error exits 2 with stderr alone, any other request 0 with stdout alone
     assert (code, bool(out), bool(err)) in ((0, True, False), (2, False, True))
     assert loaded & START_UP <= allowed
     assert {name for name in loaded if name.partition(".")[0] == "ghzmetro"} == {
-        "ghzmetro", "ghzmetro.cli", "ghzmetro.errors",
-        *(name for name in allowed if name.startswith("ghzmetro."))}
+        "ghzmetro", "ghzmetro.cli", *(name for name in allowed if name.startswith("ghzmetro."))}
 
 
 @pytest.mark.parametrize("command", ["qfi", "ppt", "bell"])

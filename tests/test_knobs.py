@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 import ghzmetro
-from ghzmetro.cli import COMMANDS, read_number
+from ghzmetro.commands import COMMANDS, read_number
 from ghzmetro.states import _Record
 from ghzmetro.usage import parser
 
