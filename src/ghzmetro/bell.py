@@ -21,6 +21,24 @@ exists for those measurements).
 ``hs_norm_sq`` evaluates that closed form exactly, each part one integer sum
 over the state's integer class rows, at most 2t + 1 of them for a ``BandState``
 with top band t (every family member), so it lists no sector.
+``detection_comparison`` sums each part once and keeps both on its row, so
+every printed Bell value is read from the record its verdict came from.
+
+Bound A: without a Bell violation the QFI stays below sqrt(3) n.  Let P be
+the planar sum, s_i = lambda_i^+ + lambda_i^- and w_i = n - 2|i| the phase
+speed of sector i.  Since |d_i| <= s_i, by Cauchy-Schwarz
+
+    F_Q = sum_i w_i^2 d_i^2 / s_i <= sum_i w_i^2 |d_i|
+        <= (sum_i w_i^4)^(1/2) (sum_i d_i^2)^(1/2),
+
+and over the 2^(n-1) representatives sum_i w_i^4 = 2^(n-1) (3n^2 - 2n), the
+fourth moment of a sum of n random signs, so F_Q^2 <= (3n^2 - 2n) P.  All
+two-setting WWZB correlation inequalities hold iff the in-plane sum of T^2 is
+at most 1 in every choice of one local plane per qubit (Zukowski & Brukner,
+PRL 88, 210401 (2002)), and P is that sum in the x-y planes.  So a state
+that satisfies all of them has P <= 1 and F_Q <= sqrt(3n^2 - 2n) < sqrt(3) n.
+Equality holds where d_i = s_i is proportional to w_i^2 (lambda^+ on band b
+(n - 2b)^2 / (2^(n-1) n), lambda^- = 0): there F_Q = 3n - 2 and P = 3 - 2/n.
 """
 from __future__ import annotations
 
@@ -55,13 +73,21 @@ def hs_norm_sq(state: SectorState) -> Fraction:
 
 
 class DetectionRow(_Record):
-    """QFI-witness vs correlation-Bell-condition comparison for one state."""
+    """QFI-witness vs correlation-Bell-condition comparison for one state,
+    with the exact planar and axial parts of the norm its verdict read."""
 
     n: int
     f_q: Fraction
     f_q_over_n: Fraction
-    hs_norm_sq: float  # float of the exact norm (inf past 2^1024); verdicts use the rational
+    hs_norm_sq: float  # float of planar_sq + axial_sq (inf past 2^1024)
     verdict: str
+    planar_sq: Fraction
+    axial_sq: Fraction
+
+
+# verdict by (QFI witness fires, Bell side fires)
+_VERDICTS = {(True, False): "QFI-only detection", (True, True): "both",
+             (False, True): "Bell-only", (False, False): "neither"}
 
 
 def detection_comparison(state: SectorState) -> DetectionRow:
@@ -70,28 +96,15 @@ def detection_comparison(state: SectorState) -> DetectionRow:
     ``hs_norm_sq < 1`` certifies a hidden-variable model for the correlation
     inequalities, so only the QFI witness can fire there; ``hs >= 1`` leaves
     the Bell condition undecided and is reported as the Bell side "firing"
-    for comparison purposes.
+    for comparison purposes.  Both sides are decided on exact rationals.
     """
     f_q = qfi_ghz_diagonal(state)
-    hs = hs_norm_sq(state)
+    planar, axial_sq = planar_square_sum(state), axial_expectation(state) ** 2
+    hs = planar + axial_sq
     try:
         hs_float = float(hs)
     except OverflowError:  # 2^(n-1) sum d^2 passes 2^1024 from about n = 1046 on
         hs_float = math.inf
-    qfi_detects = f_q > state.n
-    bell_side = hs >= 1
-    if qfi_detects and not bell_side:
-        verdict = "QFI-only detection"
-    elif qfi_detects and bell_side:
-        verdict = "both"
-    elif bell_side:
-        verdict = "Bell-only"
-    else:
-        verdict = "neither"
-    return DetectionRow(
-        n=state.n,
-        f_q=f_q,
-        f_q_over_n=f_q / state.n,
-        hs_norm_sq=hs_float,
-        verdict=verdict,
-    )
+    return DetectionRow(n=state.n, f_q=f_q, f_q_over_n=f_q / state.n, hs_norm_sq=hs_float,
+                        verdict=_VERDICTS[f_q > state.n, hs >= 1],
+                        planar_sq=planar, axial_sq=axial_sq)

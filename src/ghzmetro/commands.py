@@ -161,7 +161,23 @@ def oracle_deviation(args: SimpleNamespace, check: str, *printed) -> Optional[fl
 
 # -- subcommands ---------------------------------------------------------------
 # Each returns (body, deviation): a JSON payload or the body lines, and the
-# oracle deviation when --oracle ran, else None.
+# oracle deviation when --oracle ran, else None.  ``state`` makes its listing
+# as it is written, one sector at a time, in either format.
+
+
+class Streamed(list):
+    """A nonempty list whose items ``__iter__`` makes one at a time.  The JSON
+    encoder with ``indent`` tests a list with ``bool`` and then iterates it,
+    so it encodes each item as it is made."""
+
+    def __init__(self, items: Iterator):
+        self.items = items
+
+    def __iter__(self):
+        return self.items
+
+    def __bool__(self):
+        return True
 
 
 def cmd_state(args):
@@ -179,21 +195,20 @@ def cmd_state(args):
     # lambda^+- = (s +- d) / (2 den), printed once per distinct class row
     lam = {(s, d): (str(Fraction(s + d, 2 * state.den)), str(Fraction(s - d, 2 * state.den)))
            for _, _, s, d in classes}
+    # the listing is made as it is written; the walk refuses n > 20 here, before any write
+    rows = state.sectors()
     if args.format == "json":
-        entries = [{"i": i, "lp": lp, "lm": lm}
-                   for i, s, d in state.sectors() for lp, lm in [lam[s, d]]]
+        entries = Streamed({"i": i, "lp": lp, "lm": lm}
+                           for i, s, d in rows for lp, lm in [lam[s, d]])
         return {"state": {"n": state.n, "entries": entries}, "summary": summary}, None
-    lines = [f"{state_label(args)} on {state.n} qubits"]
-    lines.append(f"normalization: {summary['trace']} (exact)")
-    lines.append(
+    return chain((
+        f"{state_label(args)} on {state.n} qubits",
+        f"normalization: {summary['trace']} (exact)",
         "sectors: {sectors_populated}/{sectors_total} populated, "
-        "{sectors_pure_even} pure-even, {sectors_balanced} balanced".format(**summary)
-    )
-    lines.append(f"{'i':>6}  {'bits':>{state.n}}  band  lambda+    lambda-")
-    for i, s, d in state.sectors():
-        lp, lm = lam[s, d]
-        lines.append(f"{i:>6}  {i:0{state.n}b}  {min_ones(state.n, i):>4}  {lp:<9}  {lm:<9}")
-    return lines, None
+        "{sectors_pure_even} pure-even, {sectors_balanced} balanced".format(**summary),
+        f"{'i':>6}  {'bits':>{state.n}}  band  lambda+    lambda-",
+    ), (f"{i:>6}  {i:0{state.n}b}  {min_ones(state.n, i):>4}  {lp:<9}  {lm:<9}"
+        for i, s, d in rows for lp, lm in [lam[s, d]])), None
 
 
 def cmd_qfi(args):
@@ -275,25 +290,22 @@ def cmd_ppt(args):
 
 def detection_fields(state, k: int, exact: bool) -> tuple:
     """A member's Bell detection row and fields n, k, f_q, f_q_over_n, hs_norm_sq, verdict."""
-    from .bell import detection_comparison, hs_norm_sq
+    from .bell import detection_comparison
 
     row = detection_comparison(state)
+    hs = row.planar_sq + row.axial_sq if exact else row.hs_norm_sq
     return row, [str(state.n), str(k)] + [fmt_number(x, exact) for x in (
-        row.f_q, row.f_q_over_n, hs_norm_sq(state) if exact else row.hs_norm_sq)] + [row.verdict]
+        row.f_q, row.f_q_over_n, hs)] + [row.verdict]
 
 
 def cmd_bell(args):
-    from . import bell
-
     state = build_state(args)
     row, values = detection_fields(state, args.k, args.exact)
     deviation = oracle_deviation(args, "check_bell", state, row)
     header = ["n", "k", "f_q", "f_q_over_n", "hs_norm_sq", "verdict"]
     if args.components:
-        planar = bell.planar_square_sum(state)
-        axial = bell.axial_expectation(state)
         header += ["planar_sq", "axial_sq"]
-        values += [fmt_number(planar, args.exact), fmt_number(axial * axial, args.exact)]
+        values += [fmt_number(row.planar_sq, args.exact), fmt_number(row.axial_sq, args.exact)]
     if args.format == "json":
         return {"row": dict(zip(header, values))}, deviation
     return [",".join(header), ",".join(values)], deviation
@@ -506,10 +518,10 @@ def run(argv: List[str]) -> int:
             encoder = json.JSONEncoder(indent=2, sort_keys=True)
             pieces = chain(encoder.iterencode({"meta": meta, **body}), ("\n",))
         else:
-            if deviation is not None and args.format == "text":
-                body.append(f"oracle max deviation = {deviation:.3e}")
             header = "# " + " | ".join(f"{k}: {v}" for k, v in meta.items())
-            pieces = (line + "\n" for line in (header, *body))
+            tail = (f"oracle max deviation = {deviation:.3e}",) if (
+                deviation is not None and args.format == "text") else ()
+            pieces = (line + "\n" for line in chain((header,), body, tail))
         emit(pieces, args.output)
         if deviation is not None and args.format == "csv":  # keeps the CSV parseable
             print(f"oracle max deviation = {deviation:.3e}", file=sys.stderr)

@@ -25,6 +25,17 @@ and the empty popcounts k + w < t < n - k - w exist iff 2(k + w) < n - 1; if
 none does, every cut is PPT.  Else a cut c <= w + 1 keeps each range inside
 0..k+w or n-k-w..n-1 (PPT), a cut c > k + w sends class 0 to t = c (NPPT), and
 in between class k - 1 (c - w even) or k - 2 (odd) reaches t = k + w + 1 (NPPT).
+
+PPT on every cut caps the QFI at n.  As the mask runs over the nonempty
+proper subsets, canon(j XOR mask) runs over every sector but j, so a state is
+PPT on every cut iff |d_j| <= s_i for all sectors i and j, empty ones (s = 0)
+included: max |d| <= min s.  The 2^(n-1) sums s_i add up to 1, so min s <=
+2^(1-n); with w_i = n - 2|i| the phase speed of sector i, whose squares sum to
+2^(n-1) n over the representatives, F_Q = sum_i w_i^2 d_i^2 / s_i <=
+sum_i w_i^2 |d_i| <= 2^(1-n) sum_i w_i^2 = n.  The dephased |+>^n (every
+lambda^+ = 2^(1-n)) attains it.  So a GHZ-diagonal probe beats shot noise only
+if it is NPPT on some cut; rho_{n,k,w} with 2(k + w) >= n - 1, PPT on every
+cut by the cut law, never does.
 """
 from __future__ import annotations
 

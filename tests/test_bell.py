@@ -9,17 +9,20 @@ from hypothesis import given, settings
 import ghzmetro.bell as bell
 import ghzmetro.oracles as oracles
 from ghzmetro import (
+    BandState,
     GhzDiagonalState,
     brute_force_tensor,
     build_rho_nk,
+    build_rho_nkm,
     detection_comparison,
     ghz_state,
     hs_norm_sq,
     hs_norm_sq_exact,
     maximally_mixed_state,
     qfi_closed_nk,
+    weight,
 )
-from conftest import random_state_strategy, structure_rule
+from conftest import family_members, random_state_strategy, structure_rule
 
 X, Y, Z = oracles.AXIS_X, oracles.AXIS_Y, oracles.AXIS_Z
 
@@ -122,6 +125,15 @@ def test_detection_row_fields():
     assert row.hs_norm_sq == float(hs_norm_sq_exact(build_rho_nk(8, 2)))
 
 
+
+def test_detection_row_keeps_the_exact_parts_of_its_norm():
+    for state in (build_rho_nk(8, 2), build_rho_nk(9, 2), ghz_state(4)):
+        row = detection_comparison(state)
+        assert row.planar_sq == bell.planar_square_sum(state)
+        assert row.axial_sq == bell.axial_expectation(state) ** 2
+        assert row.planar_sq + row.axial_sq == hs_norm_sq(state)
+        assert row.hs_norm_sq == float(hs_norm_sq(state))
+
 @pytest.mark.parametrize("n, k, overflows", [
     (1045, 1, False), (1046, 1, True), (1053, 2, False), (1054, 2, True)])
 def test_detection_row_norm_past_the_float_range_is_inf(n, k, overflows):
@@ -132,3 +144,44 @@ def test_detection_row_norm_past_the_float_range_is_inf(n, k, overflows):
     assert (hs >= 2**1024) == overflows
     assert row.hs_norm_sq == (float("inf") if overflows else float(hs))
     assert row.verdict == ("both" if row.f_q > n else "Bell-only")  # hs >= 1, exactly
+
+
+# -- Bound A: F_Q^2 <= (3n^2 - 2n) P ----------------------------------------------------
+
+def test_fourth_moment_of_the_sector_weights():
+    # over the representatives, sum w^4 = 2^(n-1) (3n^2 - 2n): the fourth moment
+    # of a sum of n random signs
+    for n in range(2, 15):
+        assert sum(weight(n, i) ** 4 for i in range(1 << (n - 1))) == (
+            (1 << (n - 1)) * (3 * n * n - 2 * n))
+
+
+def bound_a(state):
+    """(F_Q^2, (3n^2 - 2n) P) from the state's detection row."""
+    row, n = detection_comparison(state), state.n
+    return row.f_q ** 2, (3 * n * n - 2 * n) * row.planar_sq
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_state_strategy(max_n=8))
+def test_bound_a_on_sparse_states(state):
+    f_q_sq, cap = bound_a(state)
+    assert f_q_sq <= cap
+
+
+def test_bound_a_on_every_member_to_forty_qubits():
+    for n, k, m in family_members(40):
+        f_q_sq, cap = bound_a(build_rho_nkm(n, k, m))
+        assert f_q_sq <= cap, (n, k, m)
+
+
+def test_bound_a_is_attained():
+    # lambda^+ on band b = (n - 2b)^2 / (2^(n-1) n), lambda^- = 0: d_i = s_i is
+    # proportional to w_i^2, so both steps of the proof are equalities
+    for n in [*range(2, 20), 32, 64]:
+        bands = n // 2 + 1
+        state = BandState(n, tuple(Fraction((n - 2 * b) ** 2, (1 << (n - 1)) * n)
+                                   for b in range(bands)), (0,) * bands)
+        row = detection_comparison(state)
+        assert (row.f_q, row.planar_sq) == (3 * n - 2, 3 - Fraction(2, n)), n
+        assert bound_a(state) == ((3 * n - 2) ** 2,) * 2

@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ghzmetro
-from ghzmetro import estimation
+from ghzmetro import bell, estimation
 from ghzmetro.bell import hs_norm_sq
 from ghzmetro.errors import SizeLimitError
 from ghzmetro.cli import main
@@ -87,6 +89,26 @@ def test_large_output_is_written_in_bounded_blocks(monkeypatch):
     assert hashlib.sha256("".join(stdout.writes).encode()).hexdigest() == (
         "80b25e90015e0ecfd4777dfd6438528827bac6c8347c14bb1e05ed72681a7436")
 
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_state_listing_is_made_as_it_is_written(monkeypatch, fmt):
+    # 2^17 sectors (5.9 MB of text, 9.0 MB of JSON) pass through at most one
+    # write block at a time; a listing built before the first write peaks at
+    # 13 MiB (text) and 23 MiB (JSON)
+    class Discard:
+        def write(self, text):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Discard())
+    assert main(["state", "--n", "4", "--k", "2", "--format", fmt]) == 0  # the imports
+    tracemalloc.start()
+    try:
+        assert main(["state", "--n", "18", "--k", "8", "--format", fmt, "--no-timestamp"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 def test_state_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "state", "--n", "4", "--k", "3")
@@ -521,6 +543,26 @@ def test_exact_prints_bell_norms_as_rationals(capsys):
             expected = hs_norm_sq(build_rho_nk(int(n), int(k)))
             assert hs == (str(expected) if exact else format(float(expected), ".17g"))
 
+
+
+def test_each_bell_sum_runs_once_per_row(capsys, monkeypatch):
+    # every printed Bell value, --exact and --components included, is read
+    # from the detection row, which sums each part once
+    calls = Counter()
+    for name in ("planar_square_sum", "axial_expectation"):
+        def counted(state, _name=name, _sum=getattr(bell, name)):
+            calls[_name] += 1
+            return _sum(state)
+        monkeypatch.setattr(bell, name, counted)
+    code, out, _ = run(capsys, "bell", "--n", "8", "--k", "2", "--exact", "--components",
+                       "--no-timestamp")
+    assert code == 0 and out.splitlines()[2].endswith(",1593/1369,both,1152/1369,441/1369")
+    assert calls == {"planar_square_sum": 1, "axial_expectation": 1}
+    calls.clear()
+    code, out, _ = run(capsys, "figure", "--id", "4", "--exact", "--no-timestamp")
+    rows = len(out.splitlines()) - 2
+    assert code == 0 and rows == 12
+    assert calls == {"planar_square_sum": rows, "axial_expectation": rows}
 
 def test_bell_runs_at_n17(capsys):
     code, out, _ = run(capsys, "bell", "--n", "17", "--k", "2", "--no-timestamp")

@@ -23,6 +23,8 @@ from ghzmetro import (
     ppt_single_qubit_certificate,
     pt_dense_oracle,
     pt_spectrum,
+    qfi_closed_nk,
+    qfi_ghz_diagonal,
     to_dense,
 )
 from ghzmetro.ptranspose import _class_table, _first_violation
@@ -337,6 +339,52 @@ def test_cut_law_on_every_member_to_sixty_qubits():
             assert cut_classification(build_rho_nkm(n, k, m)) == cut_law(
                 n, k, m, range(1, n // 2 + 1)), (n, k, m)
 
+
+
+# -- PPT on every cut caps the QFI at n --------------------------------------------
+
+@st.composite
+def full_support_states(draw, max_n=7):
+    """Every sector populated: s_i >= floor > 0 and |d_i| <= min(s_i, cap), so a
+    cap up to the floor keeps every cut PPT and a larger one may not."""
+    n = draw(st.integers(2, max_n))
+    floor = draw(st.integers(1, 6))
+    cap = draw(st.integers(0, floor + 3))
+    sums = draw(st.lists(st.integers(floor, floor + 4), min_size=1 << (n - 1),
+                         max_size=1 << (n - 1)))
+    diffs = [draw(st.integers(-min(s, cap), min(s, cap))) for s in sums]
+    half = 2 * sum(sums)
+    return GhzDiagonalState(n, {i: Fraction(s + d, half) for i, (s, d) in enumerate(zip(sums, diffs))},
+                            {i: Fraction(s - d, half) for i, (s, d) in enumerate(zip(sums, diffs))})
+
+
+@settings(max_examples=60, deadline=None)
+@given(full_support_states())
+def test_ppt_on_every_cut_caps_the_qfi_at_n(state):
+    rows = list(state.sectors())
+    assert len(rows) == 1 << (state.n - 1)
+    every_cut_ppt = all(row.status == "PPT" for row in cut_classification(state))
+    # the proof's rule, an oracle of the verdict: max |d| <= min s over all sectors
+    assert every_cut_ppt == (max(abs(d) for _, _, d in rows) <= min(s for _, s, _ in rows))
+    if every_cut_ppt:
+        assert qfi_ghz_diagonal(state) <= state.n
+
+
+def test_dephased_plus_state_attains_the_cap():
+    # every lambda^+ = 2^(1-n), every lambda^- = 0: separable, PPT on every cut
+    for n in range(2, 13):
+        bands = n // 2 + 1
+        state = BandState(n, (Fraction(1, 1 << (n - 1)),) * bands, (0,) * bands)
+        assert all(row.status == "PPT" for row in cut_classification(state)), n
+        assert qfi_ghz_diagonal(state) == n
+
+
+def test_family_members_ppt_on_every_cut_stay_below_shot_noise():
+    # by the cut law every cut of rho_{n,k,m} is PPT iff 2(k + m) >= n - 1
+    best = max(qfi_closed_nk(n, k, m) / n for n, k, m in family_members(60)
+               if 2 * (k + m) >= n - 1)
+    assert best <= 1
+    assert float(best) == pytest.approx(0.99652, abs=1e-5)  # at (59, 29, 0)
 
 @st.composite
 def family_parameters(draw, max_n):

@@ -73,7 +73,8 @@ RECORDS = {
     "DetectionRow": (
         lambda: detection_comparison(build_rho_nk(8, 2)),
         "DetectionRow(n=8, f_q=Fraction(352, 37), f_q_over_n=Fraction(44, 37), "
-        "hs_norm_sq=1.1636230825420015, verdict='both')", True),
+        "hs_norm_sq=1.1636230825420015, verdict='both', planar_sq=Fraction(1152, 1369), "
+        "axial_sq=Fraction(441, 1369))", True),
     "EstimationRun": (
         run,
         "EstimationRun(model='sector-parity', theta_true=0.3, shots=100, repetitions=2, "
