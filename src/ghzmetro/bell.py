@@ -39,6 +39,15 @@ PRL 88, 210401 (2002)), and P is that sum in the x-y planes.  So a state
 that satisfies all of them has P <= 1 and F_Q <= sqrt(3n^2 - 2n) < sqrt(3) n.
 Equality holds where d_i = s_i is proportional to w_i^2 (lambda^+ on band b
 (n - 2b)^2 / (2^(n-1) n), lambda^- = 0): there F_Q = 3n - 2 and P = 3 - 2/n.
+
+Bound B: without a violation, global parity stays at shot noise.  It reads
+C(theta) = sum_i d_i cos(w_i theta).  For any unit (a, b), Cauchy-Schwarz gives
+
+    a C + b C' / sqrt(n) <= |d| (sum_i (a^2 + b^2 w_i^2 / n))^(1/2) = sqrt(P),
+
+as sum_i w_i^2 = 2^(n-1) n, so C^2 + C'^2 / n <= P.  Its Fisher information is
+then F_C = C'^2 / (1 - C^2) <= n (P - C^2) / (1 - C^2), at most n when P <= 1.
+The dephased |+>^n (every lambda^+ = 2^(1-n)) has C^2 = P = 1 at theta = 0.
 """
 from __future__ import annotations
 

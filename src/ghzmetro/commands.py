@@ -181,8 +181,6 @@ class Streamed(list):
 
 
 def cmd_state(args):
-    from .states import min_ones
-
     state = build_state(args)
     classes = list(state.classes())
     summary = {
@@ -192,23 +190,23 @@ def cmd_state(args):
         "sectors_pure_even": sum(mult for _, mult, s, d in classes if d == s),
         "sectors_balanced": sum(mult for _, mult, _, d in classes if d == 0),
     }
-    # lambda^+- = (s +- d) / (2 den), printed once per distinct class row
-    lam = {(s, d): (str(Fraction(s + d, 2 * state.den)), str(Fraction(s - d, 2 * state.den)))
-           for _, _, s, d in classes}
+    # one cell per class: lambda^+- = (s +- d) / (2 den); text puts its band first
+    cells = [{"lp": str(Fraction(s + d, 2 * state.den)),
+              "lm": str(Fraction(s - d, 2 * state.den))} for _, _, s, d in classes]
     # the listing is made as it is written; the walk refuses n > 20 here, before any write
-    rows = state.sectors()
+    walk = state._sector_classes()
     if args.format == "json":
-        entries = Streamed({"i": i, "lp": lp, "lm": lm}
-                           for i, s, d in rows for lp, lm in [lam[s, d]])
+        entries = Streamed({"i": i, **cells[c]} for i, c in walk)
         return {"state": {"n": state.n, "entries": entries}, "summary": summary}, None
+    tails = ["  {:>4}  {lp:<9}  {lm:<9}".format(min(b := rep.bit_count(), state.n - b), **cell)
+             for (rep, *_), cell in zip(classes, cells)]
     return chain((
         f"{state_label(args)} on {state.n} qubits",
         f"normalization: {summary['trace']} (exact)",
         "sectors: {sectors_populated}/{sectors_total} populated, "
         "{sectors_pure_even} pure-even, {sectors_balanced} balanced".format(**summary),
         f"{'i':>6}  {'bits':>{state.n}}  band  lambda+    lambda-",
-    ), (f"{i:>6}  {i:0{state.n}b}  {min_ones(state.n, i):>4}  {lp:<9}  {lm:<9}"
-        for i, s, d in rows for lp, lm in [lam[s, d]])), None
+    ), (f"{i:>6}  {i:0{state.n}b}{tails[c]}" for i, c in walk)), None
 
 
 def cmd_qfi(args):

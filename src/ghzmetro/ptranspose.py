@@ -10,14 +10,15 @@ exact spectrum
     j = canon(i XOR mask),
 
 without building a matrix.  A cut m:(n-m) is PPT when every size-m subset
-has a nonnegative transposed spectrum.  One exact search, ``_first_violation``,
-decides every verdict: each cut size of ``cut_classification`` and the
-single-qubit certificate, which is cut size 1.  A sparse ``GhzDiagonalState``
-has every subset inspected.  A ``BandState`` (every family member) is
-invariant under qubit permutations, so its first subset, ``(1 << m) - 1``,
-decides the cut.  A sector of popcount a with b ones inside it moves to
-t = a + m - 2b, so class a meets the partner range |a - m|, |a - m| + 2, ...,
-n - 1 - |a + m - (n - 1)|, and the cut is NPPT iff some s_t < |d_a| there.
+has a nonnegative transposed spectrum.  One exact search per state, built
+once by ``_search``, decides every verdict: each cut size of
+``cut_classification`` and the single-qubit certificate, which is cut size 1.
+A sparse ``GhzDiagonalState`` has every subset inspected.  A ``BandState``
+(every family member) is invariant under qubit permutations, so its first
+subset, ``(1 << m) - 1``, decides the cut.  A sector of popcount a with b ones
+inside it moves to t = a + m - 2b, so class a meets the partner range
+|a - m|, |a - m| + 2, ..., n - 1 - |a + m - (n - 1)|, and the cut is NPPT iff
+some s_t < |d_a| there.
 
 Hence the cut law of rho_{n,k,w} at cut sizes c <= n//2.  Its coherent classes,
 a < k and a > n - k, have |d_a| = s_a = lam, the other populated ones s >= lam,
@@ -40,7 +41,7 @@ cut by the cut law, never does.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import DomainError
 from .states import (
@@ -99,7 +100,7 @@ def ppt_single_qubit_certificate(state: SectorState) -> CertificateResult:
     1 being PPT.  The witness of a failure is the lowest violating sector j
     at the first violating single-qubit mask, paired with its partner there.
     """
-    hit = _first_violation(state, 1, _class_table(state))
+    hit = _search(state)(1)
     if hit is None:
         return CertificateResult(True)
     mask, j = hit
@@ -129,53 +130,49 @@ def cut_classification(
     for m in sizes:
         if not 1 <= m <= n - 1:
             raise DomainError(f"cut size {m} outside 1..{n - 1}")
-    table = _class_table(state)
-    out: List[CutStatus] = []
-    for m in sizes:
-        hit = _first_violation(state, m, table)
-        out.append(CutStatus(m, "PPT") if hit is None else CutStatus(m, "NPPT", hit[0]))
-    return out
+    search = _search(state)
+    return [CutStatus(m, "PPT") if hit is None else CutStatus(m, "NPPT", hit[0])
+            for m, hit in zip(sizes, map(search, sizes))]
 
 
-def _class_table(state: SectorState):
-    """``_first_violation``'s input.  Sparse: {representative: (s, |d|)}.  Band:
-    ``(a, run_end)`` per coherent popcount a; ``run_end``, one per distinct |d|,
-    maps each popcount with s >= |d_a| to the last of its step-2 run of such."""
-    band = isinstance(state, BandState)
-    rows = {j.bit_count() if band else j: (s, abs(d)) for j, _, s, d in state.classes()}
-    if not band:
-        return rows
+def _search(state: SectorState) -> Callable[[int], Optional[Tuple[int, int]]]:
+    """The cut search of ``state``, its table built once: m -> ``(mask, j)``,
+    the first NPPT size-m mask in ``combinations`` order and the lowest sector
+    j there with s_{canon(j XOR mask)} < |d_j|, or None if the cut is PPT (as
+    i -> canon(i XOR mask) is a bijection, such a j exists iff the mask is
+    NPPT).  A sparse state has every mask inspected.  A ``BandState`` maps, per
+    distinct |d|, each popcount with s >= |d| to the last of its step-2 run of
+    such; class a first fails at the t past the run that starts its partner
+    range, if t is in range, at r = (a - m + t)/2 ones outside the mask and
+    b = (a + m - t)/2 inside.  The least (r, b) is the lowest violating sector.
+    """
+    n = state.n
+    if not isinstance(state, BandState):
+        sums = {j: s for j, _, s, _ in state.classes()}
+        coherent = [(j, abs(d)) for j, _, _, d in state.classes() if d]
+
+        def sparse(m):
+            for pos in combinations(range(n), m):
+                mask = sum(1 << p for p in pos)
+                for j, bound in coherent:
+                    if sums.get(canonical_index(j ^ mask, n), 0) < bound:
+                        return mask, j
+            return None
+        return sparse
+    rows = {j.bit_count(): (s, abs(d)) for j, _, s, d in state.classes()}
     runs = {bound: {} for _, bound in rows.values() if bound}
     for bound, run_end in runs.items():
         for t in sorted(rows, reverse=True):
             if rows[t][0] >= bound:
                 run_end[t] = run_end.get(t + 2, t)
-    return [(a, runs[bound]) for a, (_, bound) in rows.items() if bound]
+    coherent = [(a, runs[bound]) for a, (_, bound) in rows.items() if bound]
 
-
-def _first_violation(state: SectorState, m: int, table) -> Optional[Tuple[int, int]]:
-    """``(mask, j)``: the first NPPT size-m mask in ``combinations`` order and
-    the lowest sector j there with s_{canon(j XOR mask)} < |d_j|; None if the
-    cut is PPT.  As i -> canon(i XOR mask) is a bijection, a mask is NPPT
-    exactly when such a j exists; a sparse state has every mask inspected.  A
-    ``BandState``'s class a first fails at the t past the ``table`` run that
-    starts its partner range, if t is in range: at r = (a - m + t)/2 ones
-    outside the mask and b = (a + m - t)/2 inside.  The least (r, b) over
-    classes is the lowest violating sector, ``(1 << b) - 1 | ((1 << r) - 1) << m``.
-    """
-    n, empty = state.n, (0, 0)
-    if isinstance(state, BandState):
-        hits = [((a - m + t) // 2, (a + m - t) // 2) for a, run_end in table
-                if (t := run_end.get(abs(a - m), abs(a - m) - 2) + 2)
-                <= n - 1 - abs(a + m - n + 1)]
-        if not hits:
+    def band(m):
+        hit = min((((a - m + t) // 2, (a + m - t) // 2) for a, run_end in coherent
+                   if (t := run_end.get(abs(a - m), abs(a - m) - 2) + 2)
+                   <= n - 1 - abs(a + m - n + 1)), default=None)
+        if hit is None:
             return None
-        r, b = min(hits)
+        r, b = hit
         return (1 << m) - 1, (1 << b) - 1 | ((1 << r) - 1) << m
-    coherent = [(j, bound) for j, (_, bound) in table.items() if bound]
-    for pos in combinations(range(n), m):
-        mask = sum(1 << p for p in pos)
-        for j, bound in coherent:
-            if table.get(canonical_index(j ^ mask, n), empty)[0] < bound:
-                return mask, j
-    return None
+    return band

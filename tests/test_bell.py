@@ -1,5 +1,6 @@
 """Correlation tensor: structure rules, closed form vs oracles, detection verdicts."""
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -23,6 +24,7 @@ from ghzmetro import (
     weight,
 )
 from conftest import family_members, random_state_strategy, structure_rule
+from test_estimation import chebyshev, exact_fisher
 
 X, Y, Z = oracles.AXIS_X, oracles.AXIS_Y, oracles.AXIS_Z
 
@@ -185,3 +187,63 @@ def test_bound_a_is_attained():
         row = detection_comparison(state)
         assert (row.f_q, row.planar_sq) == (3 * n - 2, 3 - Fraction(2, n)), n
         assert bound_a(state) == ((3 * n - 2) ** 2,) * 2
+
+
+# -- Bound B: C^2 + C'^2 / n <= P, so P <= 1 keeps global parity at F_C <= n ----------
+
+COSINES = (Fraction(1), Fraction(9, 10), Fraction(1, 2), Fraction(1, 7), Fraction(0),
+           Fraction(-3, 5))
+cached_chebyshev = lru_cache(maxsize=None)(chebyshev)
+
+
+def parity_fringe(state, t):
+    """(C^2, C'^2) of global parity at cos(theta) = t, exactly, from the class
+    rows: C = sum_i d_i T_|w_i|(t), C'^2 = (1 - t^2) (sum_i d_i |w_i| U_|w_i|-1(t))^2."""
+    c = slope = 0
+    for j, mult, _, d in state.classes():
+        w = abs(state.n - 2 * j.bit_count())
+        t_w, u_w = cached_chebyshev(w, t)
+        c += mult * d * t_w
+        slope += mult * d * w * u_w
+    return Fraction(c, state.den) ** 2, (1 - t * t) * Fraction(slope, state.den) ** 2
+
+
+def assert_bound_b(state):
+    """C^2 + C'^2 / n <= P at every cosine, and F_C = C'^2 / (1 - C^2) <= n
+    where P <= 1 and C^2 < 1; returns the F_C values that P <= 1 capped."""
+    n, p = state.n, detection_comparison(state).planar_sq
+    capped = []
+    for t in COSINES:
+        c_sq, slope_sq = parity_fringe(state, t)
+        assert c_sq + slope_sq / n <= p, t
+        if p <= 1 and c_sq < 1:
+            capped.append(slope_sq / (1 - c_sq))
+            assert capped[-1] <= n, t
+    return capped
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_state_strategy(max_n=8))
+def test_bound_b_on_sparse_states(state):
+    assert_bound_b(state)
+    # the fringe is global parity's: its F_C is the outcome-by-outcome one
+    for t in COSINES:
+        c_sq, slope_sq = parity_fringe(state, t)
+        if c_sq < 1:
+            assert slope_sq / (1 - c_sq) == exact_fisher(state, "global-parity", t), t
+
+
+def test_bound_b_on_every_member_to_forty_qubits():
+    capped = 0
+    for n, k, m in family_members(40):
+        capped += len(assert_bound_b(build_rho_nkm(n, k, m)))
+    assert capped  # some members have P <= 1
+
+
+def test_bound_b_is_attained_by_the_dephased_plus_state():
+    # every lambda^+ = 2^(1-n), lambda^- = 0: at theta = 0, C^2 = P = 1
+    for n in range(2, 21):
+        bands = n // 2 + 1
+        state = BandState(n, (Fraction(1, 1 << (n - 1)),) * bands, (0,) * bands)
+        assert parity_fringe(state, Fraction(1)) == (1, 0), n
+        assert detection_comparison(state).planar_sq == 1, n

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ghzmetro
-from ghzmetro import bell, estimation
+from ghzmetro import bell, estimation, states
 from ghzmetro.bell import hs_norm_sq
 from ghzmetro.errors import SizeLimitError
 from ghzmetro.cli import main
@@ -109,6 +109,22 @@ def test_state_listing_is_made_as_it_is_written(monkeypatch, fmt):
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_state_listing_derives_no_class_value_per_sector(capsys, monkeypatch, fmt):
+    # each class's band and lambda^+- are made once; a sector reads its class's
+    # cell, so neither min_ones nor the (i, s, d) rows of sectors() are read
+    argv = ("state", "--n", "12", "--k", "3", "--m", "1", "--format", fmt, "--no-timestamp")
+    unpatched = run(capsys, *argv)
+
+    def refuse(*args):
+        raise AssertionError("a value derived per sector")
+
+    monkeypatch.setattr(states, "min_ones", refuse)
+    monkeypatch.setattr(states.SectorState, "sectors", refuse)
+    assert unpatched[0] == 0 and run(capsys, *argv) == unpatched
+
 
 def test_state_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "state", "--n", "4", "--k", "3")

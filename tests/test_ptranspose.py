@@ -27,7 +27,7 @@ from ghzmetro import (
     qfi_ghz_diagonal,
     to_dense,
 )
-from ghzmetro.ptranspose import _class_table, _first_violation
+from ghzmetro.ptranspose import _search
 from conftest import (
     as_sparse,
     family_grid,
@@ -282,13 +282,12 @@ def test_band_symmetric_route_matches_exhaustive(state):
     # of the same state, listed sector by sector, finds at the same mask
     sparse = as_sparse(state)
     for m in range(1, state.n):
-        assert (_first_violation(state, m, _class_table(state))
-                == _first_violation(sparse, m, _class_table(sparse))), m
+        assert _search(state)(m) == _search(sparse)(m), m
     assert ppt_single_qubit_certificate(state) == ppt_single_qubit_certificate(sparse)
 
 
 def band_cut_walk(state, m):
-    """Reference for the band branch of ``_first_violation``: walk every
+    """Reference for the band branch of ``_search``: walk every
     sector of the first size-m mask, r ones outside it and b inside, in
     ascending (r, b), and return the first whose partner popcount r + m - b
     has s below its class's |d|."""
@@ -303,9 +302,9 @@ def band_cut_walk(state, m):
 
 
 def assert_partner_range_matches_walk(state):
-    table = _class_table(state)
+    search = _search(state)
     for m in range(1, state.n):
-        assert _first_violation(state, m, table) == band_cut_walk(state, m), (state, m)
+        assert search(m) == band_cut_walk(state, m), (state, m)
 
 
 def test_partner_range_rule_matches_walk_on_references():
