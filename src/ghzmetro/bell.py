@@ -18,11 +18,10 @@ with their complements, so by Parseval that planar sum is exactly
 correlation Bell condition is satisfied (a local hidden-variable model
 exists for those measurements).
 
-``hs_norm_sq`` evaluates that closed form exactly, each part one integer sum
-over the state's integer class rows, at most 2t + 1 of them for a ``BandState``
-with top band t (every family member), so it lists no sector.
-``detection_comparison`` sums each part once and keeps both on its row, so
-every printed Bell value is read from the record its verdict came from.
+``detection_comparison`` evaluates that closed form exactly, each part one
+integer sum over the class rows (at most 2t + 1 for a ``BandState`` with top
+band t, every family member), so it lists no sector; it keeps both parts on
+its row, and every printed full norm is their sum.
 
 Bound A: without a Bell violation the QFI stays below sqrt(3) n.  Let P be
 the planar sum, s_i = lambda_i^+ + lambda_i^- and w_i = n - 2|i| the phase
@@ -72,15 +71,6 @@ def planar_square_sum(state: SectorState) -> Fraction:
     return Fraction(total << (state.n - 1), state.den * state.den)
 
 
-def hs_norm_sq(state: SectorState) -> Fraction:
-    """Squared Hilbert-Schmidt norm of the full-correlation tensor, exactly.
-
-    Planar part in closed form plus the axial term squared; below 1 the
-    correlation Bell condition is guaranteed satisfied.
-    """
-    return planar_square_sum(state) + axial_expectation(state) ** 2
-
-
 class DetectionRow(_Record):
     """QFI-witness vs correlation-Bell-condition comparison for one state,
     with the exact planar and axial parts of the norm its verdict read."""
@@ -88,7 +78,7 @@ class DetectionRow(_Record):
     n: int
     f_q: Fraction
     f_q_over_n: Fraction
-    hs_norm_sq: float  # float of planar_sq + axial_sq (inf past 2^1024)
+    hs_norm_sq: float  # float of planar_sq + axial_sq (inf past 2^1024); no command reads it
     verdict: str
     planar_sq: Fraction
     axial_sq: Fraction
@@ -102,7 +92,7 @@ _VERDICTS = {(True, False): "QFI-only detection", (True, True): "both",
 def detection_comparison(state: SectorState) -> DetectionRow:
     """Classify which entanglement test fires: QFI (f_q/n > 1), Bell (hs >= 1).
 
-    ``hs_norm_sq < 1`` certifies a hidden-variable model for the correlation
+    A norm below 1 certifies a hidden-variable model for the correlation
     inequalities, so only the QFI witness can fire there; ``hs >= 1`` leaves
     the Bell condition undecided and is reported as the Bell side "firing"
     for comparison purposes.  Both sides are decided on exact rationals.

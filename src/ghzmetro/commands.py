@@ -31,10 +31,10 @@ only to write JSON and ``datetime`` only to print a timestamp.  Exit codes:
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain, islice
 from types import SimpleNamespace
-from typing import Iterable, Iterator, List, Optional, Sequence
 
 from . import __version__
 from .errors import CrossCheckError, DomainError, GhzmetroError, SizeLimitError
@@ -117,7 +117,7 @@ def blocks(pieces: Iterable[str]) -> Iterator[str]:
         yield "".join(chain((first,), islice(pieces, WRITE_PIECES - 1)))
 
 
-def emit(pieces: Iterable[str], output: Optional[str]) -> None:
+def emit(pieces: Iterable[str], output: str | None) -> None:
     if output is not None:  # an empty path is refused by open, as "No such file"
         try:
             with open(output, "w") as fh:
@@ -145,7 +145,7 @@ def state_label(args: SimpleNamespace) -> str:
     return f"rho_{args.n},{args.k}"
 
 
-def oracle_deviation(args: SimpleNamespace, check: str, *printed) -> Optional[float]:
+def oracle_deviation(args: SimpleNamespace, check: str, *printed) -> float | None:
     """``oracles.<check>(*printed)`` under ``--oracle``, else None.
 
     ``oracles`` loads numpy, so only ``--oracle`` imports it.
@@ -291,9 +291,8 @@ def detection_fields(state, k: int, exact: bool) -> tuple:
     from .bell import detection_comparison
 
     row = detection_comparison(state)
-    hs = row.planar_sq + row.axial_sq if exact else row.hs_norm_sq
     return row, [str(state.n), str(k)] + [fmt_number(x, exact) for x in (
-        row.f_q, row.f_q_over_n, hs)] + [row.verdict]
+        row.f_q, row.f_q_over_n, row.planar_sq + row.axial_sq)] + [row.verdict]
 
 
 def cmd_bell(args):
@@ -330,7 +329,7 @@ def cmd_estimate(args):
 # in the order of ``points``.  The library is imported once per figure.
 
 
-def figure2_rows(points, exact: bool) -> Iterator[List[str]]:
+def figure2_rows(points, exact: bool) -> Iterator[list[str]]:
     from .qfi import family_report
 
     for k, n in points:
@@ -340,7 +339,7 @@ def figure2_rows(points, exact: bool) -> Iterator[List[str]]:
                    fmt_number(rep.f_q / (n * k), exact)]
 
 
-def figure3_rows(points, exact: bool) -> Iterator[List[str]]:
+def figure3_rows(points, exact: bool) -> Iterator[list[str]]:
     from .qfi import family_report, scaled_k
 
     for a, n in points:
@@ -351,7 +350,7 @@ def figure3_rows(points, exact: bool) -> Iterator[List[str]]:
                 (rep.f_q, rep.lower_bound, rep.ratio_limit_form, rep.ratio_bound_form)]
 
 
-def figure4_rows(points, exact: bool) -> Iterator[List[str]]:
+def figure4_rows(points, exact: bool) -> Iterator[list[str]]:
     from .states import build_rho_nk
 
     for k, n in points:
@@ -460,7 +459,7 @@ COMMANDS = {
 # argparse, built from the same table by ``usage``, reads every line but these.
 
 
-def read_plain(argv: List[str]) -> Optional[SimpleNamespace]:
+def read_plain(argv: list[str]) -> SimpleNamespace | None:
     """The command, its handler ``func`` and the value of each of its options,
     named as the option without its dashes, ``-`` read as ``_``; None unless
     the line is plain.  A plain line is a command, then options of that
@@ -496,7 +495,7 @@ def read_plain(argv: List[str]) -> Optional[SimpleNamespace]:
         for option in options})
 
 
-def run(argv: List[str]) -> int:
+def run(argv: list[str]) -> int:
     """Read the command line ``argv``, run its command, write its output and
     return the exit code.  ``cli.main`` answers a lone ``--version`` itself."""
     args = read_plain(argv)

@@ -38,7 +38,7 @@ import itertools
 import math
 import operator
 import sys
-from typing import Iterator, List, Optional, Sequence, Tuple
+from collections.abc import Iterator, Sequence
 
 from .errors import DomainError, LikelihoodDegeneracyError
 from .qfi import qfi_ghz_diagonal
@@ -59,7 +59,7 @@ SHOTS_MAX = (1 << 63) - 1  # numpy's multinomial, whose draws are reproduced, co
 _M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
 
 
-def _words(x: int) -> List[int]:
+def _words(x: int) -> list[int]:
     """Little-endian 32-bit words of x >= 0, at least one."""
     out = [x & _M32]
     while x > _M32:
@@ -68,7 +68,7 @@ def _words(x: int) -> List[int]:
     return out
 
 
-def _seed_key(seed: int, stream: int) -> Tuple[int, int]:
+def _seed_key(seed: int, stream: int) -> tuple[int, int]:
     """Philox key of SeedSequence(seed, spawn_key=(stream,)): the entropy
     words hashed into a 4-word pool, then ``generate_state(2, uint64)``."""
     run = _words(seed)
@@ -103,7 +103,7 @@ def _seed_key(seed: int, stream: int) -> Tuple[int, int]:
     return state[0] | state[1] << 32, state[2] | state[3] << 32
 
 
-def _philox(counter: int, k0: int, k1: int) -> Tuple[int, int, int, int]:
+def _philox(counter: int, k0: int, k1: int) -> tuple[int, int, int, int]:
     """The 4-word block of a counter below 2^64: ten rounds, key bumped after each."""
     x0, x1, x2, x3 = counter, 0, 0, 0
     for _ in range(10):
@@ -113,7 +113,7 @@ def _philox(counter: int, k0: int, k1: int) -> Tuple[int, int, int, int]:
     return x0, x1, x2, x3
 
 
-def _stream(key: Tuple[int, int]) -> Iterator[int]:
+def _stream(key: tuple[int, int]) -> Iterator[int]:
     """The 64-bit words of a Philox4x64-10 stream: blocks of counters 1, 2, ..."""
     for counter in itertools.count(1):
         yield from _philox(counter, *key)
@@ -122,13 +122,13 @@ def _stream(key: Tuple[int, int]) -> Iterator[int]:
 class _Philox:
     """Philox4x64-10 stream; ``next64`` returns its next word."""
 
-    def __init__(self, key: Tuple[int, int]):
+    def __init__(self, key: tuple[int, int]):
         self.next64 = _stream(key).__next__
 
     def random(self) -> float:
         return (self.next64() >> 11) * 2.0**-53
 
-    def multinomial(self, n: int, pvals: Sequence[float]) -> List[int]:
+    def multinomial(self, n: int, pvals: Sequence[float]) -> list[int]:
         """numpy's ``random_multinomial``: one conditional binomial per outcome."""
         counts = [0] * len(pvals)
         remaining_p = 1.0
@@ -279,7 +279,7 @@ def _pairwise_sum(x: Sequence[float]) -> float:
 # -- measurement models -------------------------------------------------------
 
 
-def _class_sums(terms: Sequence[tuple], wave: Sequence[float], classes: int) -> List[float]:
+def _class_sums(terms: Sequence[tuple], wave: Sequence[float], classes: int) -> list[float]:
     """Each class's fringe sum of coef * wave[column], added in ``terms`` order."""
     sums = [0.0] * classes
     for c, j, a in terms:
@@ -296,7 +296,7 @@ class _FringeModel:
 
     _state = None
 
-    def probabilities(self, state: SectorState, theta: float) -> List[float]:
+    def probabilities(self, state: SectorState, theta: float) -> list[float]:
         w, base, terms, _, _ = self._tables(state)
         fringe = _class_sums(terms, [math.cos(wj * theta) for wj in w], len(base))
         return [(b + f) / 2.0 for b, f in zip(base, fringe)]
@@ -324,7 +324,7 @@ class GlobalParity(_FringeModel):
 
     name = "global-parity"
 
-    def _classes(self, state: SectorState) -> Tuple[List[tuple], List[int]]:
+    def _classes(self, state: SectorState) -> tuple[list[tuple], list[int]]:
         coef = {}  # weight -> the exact sum of mult * d over its classes, times den
         for rep, mult, _, d in state.classes():
             wi = weight(state.n, rep)
@@ -346,7 +346,7 @@ class SectorParity(_FringeModel):
 
     name = "sector-parity"
 
-    def _classes(self, state: SectorState) -> Tuple[List[tuple], List[int]]:
+    def _classes(self, state: SectorState) -> tuple[list[tuple], list[int]]:
         index, pair = {}, []  # (s, popcount, +-d) -> class; state class -> both
         for rep, _, s, d in state.classes():  # in the order the sector walk first meets them
             c = rep.bit_count()
@@ -425,16 +425,16 @@ class EstimationRun(_Record):
     repetitions: int
     seed: int
     rng_algorithm: str
-    estimates: List[float]
+    estimates: list[float]
     empirical_std: float
     empirical_std_err: float
     crlb: float
     fisher_classical: float
     fisher_quantum: float
-    bracket: Tuple[float, float]
+    bracket: tuple[float, float]
 
 
-def _golden_section(f, lo: float, hi: float) -> Tuple[float, float]:
+def _golden_section(f, lo: float, hi: float) -> tuple[float, float]:
     """Minimize a unimodal f on [lo, hi] until the bracket is below ``MLE_TOL``,
     or until a step no longer narrows it: at |theta| >= 2^26 adjacent floats
     lie more than ``MLE_TOL`` apart."""
@@ -458,7 +458,7 @@ def _mle(
     state: SectorState,
     model,
     counts: Sequence[int],
-    bracket: Tuple[float, float],
+    bracket: tuple[float, float],
 ) -> float:
     """Bracketed maximum likelihood: coarse grid, refine, degeneracy check.
 
@@ -487,7 +487,7 @@ def _mle(
     candidates = {i for i in range(1, GRID_POINTS - 1)
                   if nll[i] <= nll[i - 1] and nll[i] <= nll[i + 1]} | {best}
 
-    def refine(idx: int) -> Tuple[float, float]:
+    def refine(idx: int) -> tuple[float, float]:
         left = grid[max(idx - 1, 0)]
         right = grid[min(idx + 1, GRID_POINTS - 1)]
         return _golden_section(nll_at, left, right)
@@ -513,7 +513,7 @@ def run_monte_carlo(
     shots: int,
     repetitions: int,
     seed: int,
-    bracket_halfwidth: Optional[float] = None,
+    bracket_halfwidth: float | None = None,
 ) -> EstimationRun:
     """Repeatedly sample ``shots`` outcomes and estimate theta by bracketed MLE.
 

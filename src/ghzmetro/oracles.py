@@ -167,7 +167,7 @@ PAULI = {
 
 
 def hs_norm_sq_exact(state: SectorState) -> Fraction:
-    """Hilbert-Schmidt square by the exact 2^n-mask scan; oracle for ``hs_norm_sq``.
+    """Hilbert-Schmidt square by the exact 2^n-mask scan; oracle for the Bell row's norm.
     The axial term Tr[Z^(x n) rho] sums s_i/(2 den) at |i> and at |i_bar>."""
     _check_size("exact mask scan", state.n, DENSE_LIMIT)
     support, axial = [], 0
@@ -265,10 +265,11 @@ def check_ppt(
 
 
 def check_bell(state: SectorState, row: DetectionRow) -> float:
-    """Deviation of the printed ``hs_norm_sq`` from the 3^n dense trace
-    (n <= ``BRUTE_CAP``) or the exact mask scan (n <= ``DENSE_LIMIT``)."""
+    """Deviation of the printed full norm ``planar_sq + axial_sq`` from the 3^n
+    dense trace (n <= ``BRUTE_CAP``) or the exact mask scan (n <= ``DENSE_LIMIT``)."""
     if state.n <= BRUTE_CAP:
         oracle = brute_force_tensor(state).hs_norm_sq
     else:
         oracle = float(hs_norm_sq_exact(state))
-    return _within_tolerance(abs(oracle - row.hs_norm_sq), "correlation oracle")
+    printed = float(row.planar_sq + row.axial_sq)
+    return _within_tolerance(abs(oracle - printed), "correlation oracle")

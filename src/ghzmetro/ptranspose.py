@@ -40,8 +40,8 @@ cut by the cut law, never does.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from itertools import combinations
-from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import DomainError
 from .states import (
@@ -79,7 +79,7 @@ class QubitSubset(_Record):
         return cls(n, mask)
 
     @property
-    def qubits(self) -> Tuple[int, ...]:
+    def qubits(self) -> tuple[int, ...]:
         return tuple(q for q, bit in enumerate(format(self.mask, f"0{self.n}b"), 1)
                      if bit == "1")
 
@@ -88,8 +88,8 @@ class CertificateResult(_Record):
     """Outcome of the single-qubit PPT certificate with failure witness."""
 
     holds: bool
-    witness_j: Optional[int] = None
-    witness_i: Optional[int] = None
+    witness_j: int | None = None
+    witness_i: int | None = None
 
 
 def ppt_single_qubit_certificate(state: SectorState) -> CertificateResult:
@@ -112,12 +112,12 @@ class CutStatus(_Record):
 
     cut_size: int
     status: str  # "PPT" | "NPPT"
-    witness_mask: Optional[int] = None
+    witness_mask: int | None = None
 
 
 def cut_classification(
-    state: SectorState, cut_sizes: Optional[Iterable[int]] = None
-) -> List[CutStatus]:
+    state: SectorState, cut_sizes: Iterable[int] | None = None
+) -> list[CutStatus]:
     """Classify each cut size m as PPT or NPPT, exactly.
 
     A cut m:(n-m) counts as PPT only when every size-m subset has nonnegative
@@ -135,7 +135,7 @@ def cut_classification(
             for m, hit in zip(sizes, map(search, sizes))]
 
 
-def _search(state: SectorState) -> Callable[[int], Optional[Tuple[int, int]]]:
+def _search(state: SectorState) -> Callable[[int], tuple[int, int] | None]:
     """The cut search of ``state``, its table built once: m -> ``(mask, j)``,
     the first NPPT size-m mask in ``combinations`` order and the lowest sector
     j there with s_{canon(j XOR mask)} < |d_j|, or None if the cut is PPT (as

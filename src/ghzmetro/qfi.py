@@ -14,12 +14,20 @@ Two exact routes to the same number, each the other's check:
 The generic spectral formula on a dense eigendecomposition is their oracle
 in ``oracles``.  Alongside live the family lower bounds and the report that
 the CLI prints for one family member.
+
+Two exact verdicts show how weak the members' entanglement is.  A GHZ-diagonal
+state is genuinely multipartite entangled iff its largest GHZ weight exceeds
+1/2 (Guhne & Seevinck, NJP 12, 053002 (2010)).  A member's largest weight is
+1/S(n, k+m) <= 1/(n+1), so every member is biseparable, while GHZ_n is not.
+Write n = s k + r.  If no entangled block has more than k qubits, F_Q <=
+s k^2 + r^2 (Hyllus et al., PRA 85, 022321 (2012); Toth, PRA 85, 022322
+(2012)), so F_Q > s k^2 + r^2 certifies entanglement depth k + 1.  The
+F_Q-best member at n = 1000 (k = 192) certifies depth 91, GHZ_n depth n.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Tuple
 
 from .errors import DomainError
 from .states import (
@@ -38,7 +46,7 @@ def qfi_ghz_diagonal(state: SectorState) -> Fraction:
                         for j, mult, s, d in state.classes() if d), lcm * state.den)
 
 
-def _family_forms(n: int, k: int, m: int) -> Tuple[Fraction, Fraction]:
+def _family_forms(n: int, k: int, m: int) -> tuple[Fraction, Fraction]:
     """(F_Q, s_nk) of the (n, k, m) member from its one row C(n, 0..k+m)."""
     _check_family(n, k, m)
     row = _binomial_row(n, k + m)
@@ -101,17 +109,17 @@ class QfiReport(_Record):
     k: int
     f_q: Fraction
     snl_ratio: Fraction
-    lower_bound: Optional[Fraction]
+    lower_bound: Fraction | None
     s_nk: Fraction
-    m: Optional[int]
-    a: Optional[Fraction]
-    mixed_lower_bound: Optional[Fraction]
-    ratio_limit_form: Optional[Fraction]
-    ratio_bound_form: Optional[Fraction]
+    m: int | None
+    a: Fraction | None
+    mixed_lower_bound: Fraction | None
+    ratio_limit_form: Fraction | None
+    ratio_bound_form: Fraction | None
 
 
 def family_report(
-    n: int, k: int, m: Optional[int] = None, a: Optional[Fraction] = None
+    n: int, k: int, m: int | None = None, a: Fraction | None = None
 ) -> QfiReport:
     """Assemble the full report for one (n, k[, m]) family member."""
     f_q, s_nk = _family_forms(n, k, m or 0)

@@ -24,9 +24,9 @@ closed-form quantity is tolerance-free.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from itertools import accumulate, chain
-from typing import Iterator, Mapping, Tuple
 
 from .errors import DomainError, SizeLimitError
 
@@ -166,13 +166,13 @@ class SectorState(_Record):
         if total != 1:
             raise DomainError(f"eigenvalues must sum to 1 exactly, got {total}")
 
-    def classes(self) -> Iterator[Tuple[int, int, int, int]]:
+    def classes(self) -> Iterator[tuple[int, int, int, int]]:
         return iter(self._classes)
 
     def trace(self) -> Fraction:
         return Fraction(sum(mult * s for _, mult, s, _ in self._classes), self.den)
 
-    def sectors(self) -> Iterator[Tuple[int, int, int]]:
+    def sectors(self) -> Iterator[tuple[int, int, int]]:
         """Rows ``(i, s_i, d_i)`` over ``den`` of the populated sectors, ascending i."""
         rows = [(s, d) for _, _, s, d in self._classes]
         return ((i, *rows[c]) for i, c in self._sector_classes())
@@ -191,7 +191,7 @@ class GhzDiagonalState(SectorState):
     lambda_plus: Mapping[int, Fraction]
     lambda_minus: Mapping[int, Fraction]
 
-    def _normalize(self) -> Iterator[Tuple[int, int, Fraction, Fraction]]:
+    def _normalize(self) -> Iterator[tuple[int, int, Fraction, Fraction]]:
         for name in ("lambda_plus", "lambda_minus"):
             table = {i: _as_fraction(v) for i, v in getattr(self, name).items()}
             for i, v in table.items():
@@ -203,7 +203,7 @@ class GhzDiagonalState(SectorState):
         lp, lm = self.lambda_plus, self.lambda_minus
         return ((i, 1, lp.get(i, 0), lm.get(i, 0)) for i in sorted(lp.keys() | lm.keys()))
 
-    def _sector_classes(self) -> Iterator[Tuple[int, int]]:
+    def _sector_classes(self) -> Iterator[tuple[int, int]]:
         """Stored entries are nonzero and nonnegative, so the populated sectors
         are exactly the keys of the two tables, each its own class; the walk
         costs O(support), not O(2^(n-1))."""
@@ -226,10 +226,10 @@ class BandState(SectorState):
     """
 
     n: int
-    plus: Tuple[Fraction, ...]
-    minus: Tuple[Fraction, ...]
+    plus: tuple[Fraction, ...]
+    minus: tuple[Fraction, ...]
 
-    def _normalize(self) -> Iterator[Tuple[int, int, Fraction, Fraction]]:
+    def _normalize(self) -> Iterator[tuple[int, int, Fraction, Fraction]]:
         n = self.n
         plus, minus = (tuple(map(_as_fraction, table)) for table in (self.plus, self.minus))
         if not 1 <= len(plus) == len(minus) <= n // 2 + 1 or min(plus + minus) < 0:
@@ -243,7 +243,7 @@ class BandState(SectorState):
         return (((1 << c) - 1, mult[min(c, n - 1 - c)], p, q)
                 for c, p, q in rows if p or q)
 
-    def _sector_classes(self) -> Iterator[Tuple[int, int]]:
+    def _sector_classes(self) -> Iterator[tuple[int, int]]:
         """Each sector's class is its popcount's.  Refused above
         ``SECTOR_LIST_LIMIT`` qubits when called, before any sector is listed."""
         if self.n > SECTOR_LIST_LIMIT:

@@ -8,7 +8,7 @@ whatever the terminal; a plain line loads neither this module nor argparse.
 from __future__ import annotations
 
 import argparse
-from typing import Callable
+from collections.abc import Callable
 
 from . import __version__
 

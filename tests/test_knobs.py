@@ -47,7 +47,7 @@ EXPORTS = {
     "QfiReport", "family_report", "qfi_closed_nk", "qfi_ghz_diagonal",
     "qfi_lower_bound_nk", "qfi_lower_bound_nkm", "s_factor", "scaled_k",
     # bell
-    "DetectionRow", "detection_comparison", "hs_norm_sq",
+    "DetectionRow", "detection_comparison",
     # oracles
     "CorrelationTensorSummary", "PhaseGenerator", "brute_force_tensor",
     "hs_norm_sq_exact", "pt_dense_oracle", "pt_spectrum", "qfi_from_dense",

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzmetro import (
+    BandState,
     DomainError,
     GhzDiagonalState,
     PhaseGenerator,
+    binom_normalizer,
     build_rho_nk,
     build_rho_nkm,
     family_report,
@@ -265,3 +267,65 @@ def test_family_report_mixed():
     assert report.f_q == Fraction(352, 93)
     assert report.mixed_lower_bound == Fraction(16, 5)
 
+
+# -- entanglement verdicts: biseparability and certified depth ---------------------
+
+def largest_ghz_weight(state):
+    """Largest GHZ-basis weight (s + |d|) / (2 den) over the state's classes."""
+    return max(Fraction(s + abs(d), 2 * state.den) for _, _, s, d in state.classes())
+
+
+def depth_cap(n, k):
+    """F_Q cap s k^2 + r^2 (n = s k + r) of states with no entangled block above k qubits."""
+    s, r = divmod(n, k)
+    return s * k * k + r * r
+
+
+def certified_depth(n, f_q):
+    """The entanglement depth F_Q certifies: 1 + the largest k whose cap it exceeds."""
+    return 1 + max((k for k in range(1, n + 1) if f_q > depth_cap(n, k)), default=0)
+
+
+def partitions(n, largest):
+    """Every partition of n into parts of at most ``largest``, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for b in range(min(n, largest), 0, -1):
+        for rest in partitions(n - b, b):
+            yield (b, *rest)
+
+
+def test_every_member_is_biseparable():
+    # GME iff the largest GHZ weight exceeds 1/2; a member's is 1/S(n, k+m)
+    for n, k, m in family_members(60):
+        largest = largest_ghz_weight(build_rho_nkm(n, k, m))
+        assert largest == binom_normalizer(n, k + m) <= Fraction(1, n + 1), (n, k, m)
+    for n in range(2, 21):
+        assert largest_ghz_weight(ghz_state(n)) == 1
+
+
+def test_depth_cap_is_the_best_partition():
+    # the largest sum of squared block sizes over partitions of n into blocks <= k
+    for n in range(1, 31):
+        best = [0] * (n + 1)  # best[b]: over the partitions whose largest part is b
+        for p in partitions(n, n):
+            best[p[0]] = max(best[p[0]], sum(b * b for b in p))
+        for k in range(1, n + 1):
+            assert max(best[1:k + 1]) == depth_cap(n, k), (n, k)
+
+
+@pytest.mark.parametrize("n, k, depth", [
+    (16, 4, 2), (32, 7, 4), (64, 13, 7), (256, 50, 25), (1000, 192, 91)])
+def test_qfi_best_member_certifies_depth(n, k, depth):
+    assert max(range(1, n // 2 + 1), key=lambda j: qfi_closed_nk(n, j)) == k
+    assert certified_depth(n, qfi_closed_nk(n, k)) == depth
+
+
+def test_ghz_certifies_full_depth_and_the_dephased_plus_state_depth_one():
+    for n in range(2, 21):
+        assert certified_depth(n, qfi_ghz_diagonal(ghz_state(n))) == n
+        bands = n // 2 + 1
+        plus = BandState(n, (Fraction(1, 1 << (n - 1)),) * bands, (0,) * bands)
+        assert qfi_ghz_diagonal(plus) == n
+        assert certified_depth(n, qfi_ghz_diagonal(plus)) == 1

@@ -17,8 +17,8 @@ from ghzmetro import (
     build_rho_nkm,
     canonical_index,
     cut_classification,
+    detection_comparison,
     ghz_state,
-    hs_norm_sq,
     maximally_mixed_state,
     min_ones,
     ppt_single_qubit_certificate,
@@ -275,7 +275,7 @@ def assert_rows_over_one_denominator(state):
         assert rows[i.bit_count() if band else i][1:] == [s, d]
 
 
-CLASS_SUMS = (qfi_ghz_diagonal, planar_square_sum, axial_expectation, hs_norm_sq,
+CLASS_SUMS = (qfi_ghz_diagonal, planar_square_sum, axial_expectation, detection_comparison,
               ppt_single_qubit_certificate)
 
 
