@@ -15,13 +15,15 @@ other line, help and usage errors included, goes to the argparse parser that
 ``usage`` builds from the same table, so argparse defines what a line means.
 Every number the command line takes, an option value or an item of a list
 option (``parse_list``), is read by ``read_number``: ASCII only, with no
-underscore or whitespace.  Each handler
-builds its JSON payload from the fields of the records it prints.  This
-module imports only ``__version__``, ``errors`` and the standard library;
-each handler imports the library names it runs, once per command (a figure
-once for all its rows), so help and usage errors load no library module,
-and a command only the modules it runs.  ``--version`` alone never loads
-this module: the entry point ``cli`` answers it first.
+underscore or whitespace.  Each handler builds its JSON payload from the
+fields of the records it prints; the rows of ``bell`` and ``figure`` and the
+``qfi`` text are (column name, printed value) pairs, so each header, key or
+label is written where its value is made.  This module imports only
+``__version__``, ``errors`` and the standard library; each handler imports
+the library names it runs, once per command (a figure once for all its
+rows), so help and usage errors load no library module, and a command only
+the modules it runs.  ``--version`` alone never loads this module: the entry
+point ``cli`` answers it first.
 ``--oracle`` hands what a command prints to ``oracles.check_*`` through
 ``oracle_deviation``, which alone imports ``oracles`` (it loads numpy, the
 ``oracle`` extra; without it ``--oracle`` exits 2); ``json`` is imported
@@ -227,23 +229,14 @@ def cmd_qfi(args):
                   else x for name, x in report._asdict().items()}
         fields["a"] = None if report.a is None else str(report.a)
         return {"report": fields}, deviation
-    lines = [fmt_number(report.f_q, args.exact)]
-    lines.append(f"f_q/n = {fmt_number(report.snl_ratio, args.exact)}")
-    if report.lower_bound is not None:
-        lines.append(f"lower_bound = {fmt_number(report.lower_bound, args.exact)}")
-    if report.mixed_lower_bound is not None:
-        lines.append(
-            f"mixed_lower_bound = {fmt_number(report.mixed_lower_bound, args.exact)}"
-        )
-    lines.append(f"s_nk = {fmt_number(report.s_nk, args.exact)}")
-    if report.a is not None:
-        lines.append(f"k = {report.k} (from a = {report.a})")
-        lines.append(
-            f"ratio_limit_form = {fmt_number(report.ratio_limit_form, args.exact)}"
-        )
-        lines.append(
-            f"ratio_bound_form = {fmt_number(report.ratio_bound_form, args.exact)}"
-        )
+    fields = (("f_q/n", report.snl_ratio), ("lower_bound", report.lower_bound),
+              ("mixed_lower_bound", report.mixed_lower_bound), ("s_nk", report.s_nk),
+              ("k", None if report.a is None else f"{report.k} (from a = {report.a})"),
+              ("ratio_limit_form", report.ratio_limit_form),
+              ("ratio_bound_form", report.ratio_bound_form))
+    lines = [fmt_number(report.f_q, args.exact)] + [
+        f"{label} = {x if isinstance(x, str) else fmt_number(x, args.exact)}"
+        for label, x in fields if x is not None]
     return lines, deviation
 
 
@@ -287,25 +280,26 @@ def cmd_ppt(args):
 
 
 def detection_fields(state, k: int, exact: bool) -> tuple:
-    """A member's Bell detection row and fields n, k, f_q, f_q_over_n, hs_norm_sq, verdict."""
+    """A member's Bell detection row and its printed columns, name to value."""
     from .bell import detection_comparison
 
     row = detection_comparison(state)
-    return row, [str(state.n), str(k)] + [fmt_number(x, exact) for x in (
-        row.f_q, row.f_q_over_n, row.planar_sq + row.axial_sq)] + [row.verdict]
+    return row, {"n": str(state.n), "k": str(k), "f_q": fmt_number(row.f_q, exact),
+                 "f_q_over_n": fmt_number(row.f_q_over_n, exact),
+                 "hs_norm_sq": fmt_number(row.planar_sq + row.axial_sq, exact),
+                 "verdict": row.verdict}
 
 
 def cmd_bell(args):
     state = build_state(args)
-    row, values = detection_fields(state, args.k, args.exact)
+    row, fields = detection_fields(state, args.k, args.exact)
     deviation = oracle_deviation(args, "check_bell", state, row)
-    header = ["n", "k", "f_q", "f_q_over_n", "hs_norm_sq", "verdict"]
     if args.components:
-        header += ["planar_sq", "axial_sq"]
-        values += [fmt_number(row.planar_sq, args.exact), fmt_number(row.axial_sq, args.exact)]
+        fields.update(planar_sq=fmt_number(row.planar_sq, args.exact),
+                      axial_sq=fmt_number(row.axial_sq, args.exact))
     if args.format == "json":
-        return {"row": dict(zip(header, values))}, deviation
-    return [",".join(header), ",".join(values)], deviation
+        return {"row": fields}, deviation
+    return [",".join(fields), ",".join(fields.values())], deviation
 
 
 def cmd_estimate(args):
@@ -325,53 +319,53 @@ def cmd_estimate(args):
                     "state_params": {"n": args.n, "k": args.k, "m": args.m}}}, None
 
 
-# Each figure's rows: the fields of each grid point (parameter, n) on its plot,
-# in the order of ``points``.  The library is imported once per figure.
+# Each figure's rows: each grid point (parameter, n) on its plot, in the order
+# of ``points``, as columns name to value, the library imported once per figure.
 
 
-def figure2_rows(points, exact: bool) -> Iterator[list[str]]:
+def figure2_rows(points, exact: bool) -> Iterator[dict[str, str]]:
     from .qfi import family_report
 
     for k, n in points:
         if n > 2 * k:  # figure 2 starts each k at n = 2k + 1
             rep = family_report(n, k)
-            yield [str(n), str(k), fmt_number(rep.f_q, exact), str(n * k),
-                   fmt_number(rep.f_q / (n * k), exact)]
+            yield {"n": str(n), "k": str(k), "f_q": fmt_number(rep.f_q, exact),
+                   "n_times_k": str(n * k), "ratio": fmt_number(rep.f_q / (n * k), exact)}
 
 
-def figure3_rows(points, exact: bool) -> Iterator[list[str]]:
+def figure3_rows(points, exact: bool) -> Iterator[dict[str, str]]:
     from .qfi import family_report, scaled_k
 
     for a, n in points:
         if n >= 3:  # else no k in [1, ceil(n/2) - 1]; scaled_k would refuse
             rep = family_report(n, scaled_k(a, n), a=a)
-            yield [str(n), str(a), str(rep.k)] + [
-                fmt_number(x, exact) for x in
-                (rep.f_q, rep.lower_bound, rep.ratio_limit_form, rep.ratio_bound_form)]
+            yield {"n": str(n), "a": str(a), "k": str(rep.k), **{
+                name: fmt_number(getattr(rep, name), exact) for name in
+                ("f_q", "lower_bound", "ratio_limit_form", "ratio_bound_form")}}
 
 
-def figure4_rows(points, exact: bool) -> Iterator[list[str]]:
+def figure4_rows(points, exact: bool) -> Iterator[dict[str, str]]:
     from .states import build_rho_nk
 
     for k, n in points:
         if 2 * k <= n:
             _, fields = detection_fields(build_rho_nk(n, k), k, exact)
-            yield fields[:2] + fields[3:]  # all but f_q
+            del fields["f_q"]
+            yield fields
 
 
 # Per figure: its parameter list option (k or a), parsed as int or Fraction,
 # and the defaults of that option and of --n, each written as an option value;
-# then its CSV header and its rows.
+# then its rows, whose column names are its CSV header.
 FIGURES = {
-    2: ("k", int, "2,3", "1..200", "n,k,f_q,n_times_k,ratio", figure2_rows),
-    3: ("a", Fraction, "1/8,1/4,3/8", "8..120",
-        "n,a,k,f_q,lower_bound,ratio_limit_form,ratio_bound_form", figure3_rows),
-    4: ("k", int, "2,3", "4..10", "n,k,f_q_over_n,hs_norm_sq,verdict", figure4_rows),
+    2: ("k", int, "2,3", "1..200", figure2_rows),
+    3: ("a", Fraction, "1/8,1/4,3/8", "8..120", figure3_rows),
+    4: ("k", int, "2,3", "4..10", figure4_rows),
 }
 
 
 def cmd_figure(args):
-    param, kind, param_default, n_default, header, rows_of = FIGURES[args.id]
+    param, kind, param_default, n_default, rows_of = FIGURES[args.id]
     for option in {row[0] for row in FIGURES.values()} - {param}:
         if getattr(args, option) is not None:
             raise DomainError(f"figure {args.id} does not read --{option}")
@@ -384,11 +378,12 @@ def cmd_figure(args):
     if points > GRID_POINT_LIMIT:
         raise SizeLimitError(f"figure {args.id}: a grid of {points} points, "
                              f"more than {GRID_POINT_LIMIT}")
-    grid_points = ((p, n) for p in sorted(params) for n in sorted(ns))
-    rows = [",".join(row) for row in rows_of(grid_points, args.exact)]
-    if not rows:
+    rows = rows_of(((p, n) for p in sorted(params) for n in sorted(ns)), args.exact)
+    first = next(rows, None)
+    if first is None:
         raise DomainError(f"figure {args.id}: no family member in the requested grid")
-    return [header] + rows, None
+    # each row is joined as it is made, so the grid holds lines, not rows
+    return [",".join(first)] + [",".join(row.values()) for row in chain((first,), rows)], None
 
 
 # -- option table --------------------------------------------------------------

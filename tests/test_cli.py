@@ -593,6 +593,19 @@ def test_bell_columns_come_from_the_exact_parts(capsys, monkeypatch):
     assert [run(capsys, *argv, "--no-timestamp") for argv in argvs] == expected
 
 
+@pytest.mark.parametrize("flags", [(), ("--components",), ("--exact",),
+                                   ("--components", "--exact")])
+def test_bell_json_row_holds_the_csv_columns_by_name(capsys, flags):
+    member = ("bell", "--n", "8", "--k", "2", *flags, "--no-timestamp")
+    code, out, _ = run(capsys, *member)
+    assert code == 0
+    header, values = (line.split(",") for line in out.splitlines()[1:])
+    assert len(header) == len(values) == (8 if "--components" in flags else 6)
+    code, out, _ = run(capsys, *member, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["row"] == dict(zip(header, values))
+
+
 def test_bell_runs_at_n17(capsys):
     code, out, _ = run(capsys, "bell", "--n", "17", "--k", "2", "--no-timestamp")
     assert code == 0
@@ -908,6 +921,18 @@ GOLDEN_STDOUT = {
     "bell --help": "1154a4d3326675ae419e2f58c47bb465026ce17a54c2589c536cd4be88b5319a",
     "estimate --help": "08fb990b6e6c83070162c1721eb7d0b7e154174f9adb5a32d3e326e6c464a43b",
     "figure --help": "791d0ac62d01b1798d4a7f53ffbb09ce358af6dd40d60888c0a5286dfe43c973",
+    # recorded before bell, figure and the qfi text built their rows as
+    # (column name, printed value) pairs; the n = 1046 row prints "inf" norms
+    "bell --n 8 --k 2 --components --format json":
+        "0b92aab8ff9fac3066779ce9fdb71cdea7b6ae96651f7b9bb46186dcbf80788f",
+    "bell --n 1046 --k 1 --components --format json":
+        "dff8ded07f298d6e2a224a1cefe847adf8ef73472cce70962130d08a2ab7a574",
+    "qfi --n 100 --a 1/4":
+        "3434ef975a1918ba09f2c189def5eb64f798357bb3e48e0f9e3fc4c5b6dec6a0",
+    "qfi --n 12 --k 3 --m 2":
+        "87b891c5ba49dfac52f20ea6cc5bf8c1b7155340ef41cd74d7c601001118018c",
+    "figure --id 2 --k 2,3,50 --n 100..120 --exact":
+        "15be4c1ab6764f51b3cb8e8928c1b958f4e0f452dfc41b62b6cff9de391ac1d1",
 }
 
 
@@ -1218,6 +1243,10 @@ JSON_PAYLOADS = [
       "ratio_bound_form": {"exact": "4792/2517", "float": 1.9038537941994438}}),
     (("ppt", "--n", "6", "--k", "2", "--cuts", "1,2"), "single_qubit_certificate",
      {"holds": True, "witness_j": None, "witness_i": None}),
+    (("bell", "--n", "8", "--k", "2", "--components"), "row",
+     {"n": "8", "k": "2", "f_q": "9.513513513513514", "f_q_over_n": "1.1891891891891893",
+      "hs_norm_sq": "1.1636230825420015", "verdict": "both",
+      "planar_sq": "0.84149013878743606", "axial_sq": "0.32213294375456536"}),
 ]
 
 
