@@ -47,6 +47,35 @@ C(theta) = sum_i d_i cos(w_i theta).  For any unit (a, b), Cauchy-Schwarz gives
 as sum_i w_i^2 = 2^(n-1) n, so C^2 + C'^2 / n <= P.  Its Fisher information is
 then F_C = C'^2 / (1 - C^2) <= n (P - C^2) / (1 - C^2), at most n when P <= 1.
 The dephased |+>^n (every lambda^+ = 2^(1-n)) has C^2 = P = 1 at theta = 0.
+
+The two-setting WWZB condition, bracketed: with t the axial expectation and
+M the largest square of A(alpha) = sum_i d_i cos(sum_q +-alpha_q), the x-only
+correlation along product x-y directions, the in-plane supremum satisfies
+
+    max(P, M + t^2) <= sup <= max(P, M + t^2) + 2^(1-n) sqrt(M) |t|.
+
+Every plane meets the x-y plane, so plane q has an orthonormal basis u_q,
+v_q = s_q w_q + c_q z with u_q, w_q orthogonal unit vectors in the x-y plane.
+Take v_q on a set V of qubits and u_q off it: as tuples mixing z with x/y
+vanish, that correlation is prod_{q in V} s_q A_V, plus prod_q c_q t when V
+holds every qubit, where A_V is the x/y-only correlation reading w_q on V and
+u_q off it.  With x_q = s_q^2 the in-plane sum is
+
+    sum_V prod_{q in V} x_q A_V^2 + prod_q (1 - x_q) t^2
+        + 2 prod_q sqrt(x_q (1 - x_q)) A_all t.
+
+The first two terms are multilinear in x, so their maximum over [0, 1]^n is
+at a vertex x = 1_W: sum_{V subset of W} A_V^2 <= P if W is not empty, as
+sum_V A_V^2 = P in every x-y basis, and A_empty^2 + t^2 if it is.  The cross
+term is at most 2^(1-n) |A_all t| <= 2^(1-n) sqrt(M) |t|.  The lower end is
+attained: the x-y planes give P, and the planes spanned by u_q and z give
+A_empty^2 + t^2.  At alpha = 0, A = <X^(x)n> = sum_i d_i, so (sum_i d_i)^2 <=
+M <= (sum_i |d_i|)^2, and M = (sum_i d_i)^2 when every d_i >= 0, as on every
+family member; then both ends are exact rationals, and the upper end is at
+most 1 iff the lower end lo is and (1 - lo)^2 >= 4^(1-n) M t^2.  For odd n,
+t = 0 and M <= P, so the supremum is exactly P: all WWZB inequalities hold
+iff P <= 1.  The full norm P + t^2, which every frame reads alike, bounds the
+supremum from above, so a norm >= 1 ("both") leaves the condition open.
 """
 from __future__ import annotations
 

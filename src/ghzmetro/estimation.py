@@ -530,8 +530,9 @@ def run_monte_carlo(
     pi/(2 w_max) of the fastest fringe, which the grid cannot resolve.  Also
     refused before any sampling: a bracket with 0 strictly inside, where the
     likelihood cannot tell theta' from its mirror -theta'; a state whose
-    sectors all have weight 0, which U(theta) does not turn; and one with no
-    Fisher information at theta_true.
+    sectors all have weight 0, which U(theta) does not turn; and a
+    measurement whose F_C at theta_true reads 0, named as without phase
+    information only if no outcome has a fringe of nonzero weight.
     """
     if not 100 <= shots <= SHOTS_MAX:
         raise DomainError(f"need 100 <= shots <= 2^63 - 1, got {shots}")
@@ -564,6 +565,11 @@ def run_monte_carlo(
                           "symmetric, so theta' and its mirror -theta' fit every count alike")
     fisher = classical_fisher(state, theta_true, model)
     if fisher <= 0.0:
+        w, _, terms, _, _ = model._tables(state)
+        if any(a and w[j] for _, j, a in terms):  # a fringe that turns with theta
+            raise DomainError(f"the classical Fisher information at theta = {theta_true} is "
+                              "0 in floating point: a stationary point of the outcome "
+                              "probabilities, or underflow near theta = 0")
         raise DomainError(
             f"measurement carries no phase information at theta = {theta_true}"
         )

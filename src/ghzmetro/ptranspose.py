@@ -88,8 +88,8 @@ class CertificateResult(_Record):
     """Outcome of the single-qubit PPT certificate with failure witness."""
 
     holds: bool
-    witness_j: int | None = None
-    witness_i: int | None = None
+    witness_j: int | None
+    witness_i: int | None
 
 
 def ppt_single_qubit_certificate(state: SectorState) -> CertificateResult:
@@ -102,7 +102,7 @@ def ppt_single_qubit_certificate(state: SectorState) -> CertificateResult:
     """
     hit = _search(state)(1)
     if hit is None:
-        return CertificateResult(True)
+        return CertificateResult(True, None, None)
     mask, j = hit
     return CertificateResult(False, j, canonical_index(j ^ mask, state.n))
 
@@ -112,7 +112,7 @@ class CutStatus(_Record):
 
     cut_size: int
     status: str  # "PPT" | "NPPT"
-    witness_mask: int | None = None
+    witness_mask: int | None
 
 
 def cut_classification(
@@ -131,7 +131,7 @@ def cut_classification(
         if not 1 <= m <= n - 1:
             raise DomainError(f"cut size {m} outside 1..{n - 1}")
     search = _search(state)
-    return [CutStatus(m, "PPT") if hit is None else CutStatus(m, "NPPT", hit[0])
+    return [CutStatus(m, "PPT", None) if hit is None else CutStatus(m, "NPPT", hit[0])
             for m, hit in zip(sizes, map(search, sizes))]
 
 

@@ -81,17 +81,13 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-_MISSING = object()
-
-
 class _Record:
     """Frozen record, as a frozen dataclass behaves but cheaper to import.
 
-    The fields are the annotations of the class and its bases in MRO order,
-    and a class attribute named after a field is its default.  ``__init__``
-    takes the fields by position or keyword and calls ``__post_init__``;
-    afterwards nothing can be assigned or deleted.  Equality (between records
-    of one class) and hash are those of the field values.
+    The fields are the annotations of the class and its bases in MRO order.
+    ``__init__`` takes every field, by position or keyword, and calls
+    ``__post_init__``; afterwards nothing can be assigned or deleted.
+    Equality (between records of one class) and hash are those of the fields.
     """
 
     _fields = ()  # set on each subclass
@@ -107,10 +103,9 @@ class _Record:
             raise TypeError(f"{cls.__name__}() takes the fields {', '.join(self._fields)}")
         given.update(kwargs)
         for name in self._fields:
-            value = given[name] if name in given else getattr(cls, name, _MISSING)
-            if value is _MISSING:
+            if name not in given:
                 raise TypeError(f"{cls.__name__}() missing field {name!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, given[name])
         self.__post_init__()
 
     def __post_init__(self):

@@ -245,3 +245,70 @@ def test_bound_b_is_attained_by_the_dephased_plus_state():
         state = BandState(n, (Fraction(1, 1 << (n - 1)),) * bands, (0,) * bands)
         assert parity_fringe(state, Fraction(1)) == (1, 0), n
         assert detection_comparison(state).planar_sq == 1, n
+
+
+# -- the two-setting WWZB condition: max(P, M + t^2) <= sup <= that + 2^(1-n) sqrt(M) |t| --
+
+# the members the QFI detects whose full norm is >= 1 ("both") while every
+# two-setting WWZB inequality holds, with their lower ends
+WWZB_SILENT = {(8, 2, 0): 0.84149, (10, 3, 0): 0.92562, (12, 4, 0): 0.97132,
+               (14, 5, 0): 0.99906, (24, 7, 1): 0.98592}
+
+
+def x_correlation(state):
+    """<X^(x)n> = sum_i d_i, exactly, from the class rows."""
+    return Fraction(sum(mult * d for _, mult, _, d in state.classes()), state.den)
+
+
+def test_wwzb_bracket_decides_every_member_to_sixty_qubits():
+    # every d_i >= 0, so M = <X^(x)n>^2 and both ends of the bracket are exact;
+    # the upper end lo + 2^(1-n) sqrt(M) |t| is at most 1 iff lo <= 1 and
+    # (1 - lo)^2 >= 4^(1-n) M t^2
+    members = both = violated = 0
+    silent = {}
+    for n, k, m in family_members(60):
+        if m > 3:
+            continue
+        members += 1
+        state = build_rho_nkm(n, k, m)
+        assert all(d >= 0 for _, _, _, d in state.classes()), (n, k, m)
+        p, t = bell.planar_square_sum(state), bell.axial_expectation(state)
+        x_sq = x_correlation(state) ** 2  # M
+        lo, gap_sq = max(p, x_sq + t * t), x_sq * t * t / 4 ** (n - 1)
+        assert lo > 1 or (1 - lo) ** 2 >= gap_sq, (n, k, m)  # never undecided
+        if detection_comparison(state).verdict == "both":
+            both += 1
+            if lo > 1:
+                violated += 1
+            else:
+                assert (1 - lo) ** 2 > gap_sq, (n, k, m)
+                silent[n, k, m] = round(float(lo), 5)
+    assert (members, both, violated) == (3254, 1075, 1070)
+    assert silent == WWZB_SILENT
+
+
+def assert_plane_sums_match_brute_force(state):
+    """The x/y-only squares of the dense tensor sum to P, and the x/z-only ones,
+    the all-x and all-z correlations, to <X^(x)n>^2 + t^2: the two candidates of
+    the bracket's lower end."""
+    tensor = brute_force_tensor(state).nonzero_elements
+    xy = sum(v * v for axes, v in tensor.items() if Z not in axes)
+    xz = sum(v * v for axes, v in tensor.items() if Y not in axes)
+    assert abs(xy - float(bell.planar_square_sum(state))) <= 1e-12
+    assert abs(xz - float(x_correlation(state) ** 2
+                          + bell.axial_expectation(state) ** 2)) <= 1e-12
+
+
+def test_wwzb_bracket_parts_match_brute_force():
+    mixed_signs = GhzDiagonalState(4, {0: Fraction(1, 2), 3: Fraction(1, 8)},
+                                   {1: Fraction(1, 4), 3: Fraction(1, 8)})
+    states = [build_rho_nkm(n, k, m) for n, k, m in family_members(6) if m <= 2]
+    assert len(states) == 14
+    for state in (*states, ghz_state(6), mixed_signs):
+        assert_plane_sums_match_brute_force(state)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_state_strategy(max_n=5))
+def test_wwzb_bracket_parts_match_brute_force_random(state):
+    assert_plane_sums_match_brute_force(state)

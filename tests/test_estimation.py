@@ -684,6 +684,21 @@ def test_run_refuses_measurement_without_information(monkeypatch, state, theta,
         run_monte_carlo(state, theta, model_name, shots=1000, repetitions=200, seed=0)
 
 
+def test_run_refuses_fisher_lost_to_underflow_for_what_it_is(monkeypatch):
+    # global parity on rho_{4,2} has F_C ~ 10.67 theta^2, which leaves the
+    # float range near theta = 1e-162: the state has a fringe, so the refusal
+    # names the floating-point zero, not a lack of phase information
+    def no_sampling(seed, stream):
+        raise AssertionError("sampled a request it refuses")
+
+    monkeypatch.setattr(estimation, "_rng", no_sampling)
+    assert classical_fisher(build_rho_nk(4, 2), 1e-300, GlobalParity()) == 0.0
+    with pytest.raises(DomainError, match="0 in floating point") as refused:
+        run_monte_carlo(build_rho_nk(4, 2), 1e-300, "global-parity", shots=1000,
+                        repetitions=2, seed=0, bracket_halfwidth=1e-301)
+    assert "no phase information" not in str(refused.value)
+
+
 def test_run_refuses_negative_seed():
     with pytest.raises(DomainError, match="seed"):
         run_monte_carlo(ghz_state(2), 0.3, "global-parity", shots=1000,

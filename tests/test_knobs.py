@@ -26,9 +26,6 @@ LIBRARY_MODULES = ("states", "qfi", "ptranspose", "bell", "oracles", "estimation
 
 PINNED = {
     "estimation.run_monte_carlo(bracket_halfwidth)",
-    "ptranspose.CertificateResult.__init__(witness_i)",
-    "ptranspose.CertificateResult.__init__(witness_j)",
-    "ptranspose.CutStatus.__init__(witness_mask)",
     "ptranspose.cut_classification(cut_sizes)",
     "qfi.family_report(a)",
     "qfi.family_report(m)",

@@ -329,7 +329,7 @@ def cut_law(n, k, m, cut_sizes):
     and every larger cut up to n//2 is NPPT at its first mask; otherwise
     every cut is PPT."""
     return [CutStatus(c, "NPPT", (1 << c) - 1) if m + 1 < c and 2 * (k + m) < n - 1
-            else CutStatus(c, "PPT") for c in cut_sizes]
+            else CutStatus(c, "PPT", None) for c in cut_sizes]
 
 
 def test_cut_law_on_every_member_to_sixty_qubits():
@@ -416,14 +416,14 @@ def test_band_cut_walk_at_a_hundred_thousand_qubits():
     # only class 0 of rho_{n,1} is coherent, and for cut m its partner lies on
     # band m: band 1 holds weight, band 2 is empty
     assert cut_classification(build_rho_nk(100000, 1), [1, 2]) == [
-        CutStatus(1, "PPT"), CutStatus(2, "NPPT", 0b11)]
+        CutStatus(1, "PPT", None), CutStatus(2, "NPPT", 0b11)]
 
 
 def test_band_cut_walk_at_eight_hundred_qubits():
     # mixing width 2 protects the cuts of size <= 3; every larger cut is NPPT
     # at its first mask
     assert cut_classification(build_rho_nkm(801, 200, 2)) == (
-        [CutStatus(m, "PPT") for m in (1, 2, 3)]
+        [CutStatus(m, "PPT", None) for m in (1, 2, 3)]
         + [CutStatus(m, "NPPT", (1 << m) - 1) for m in range(4, 401)])
 
 
@@ -431,12 +431,12 @@ def test_every_cut_ppt_at_two_thousand_and_one_qubits():
     # 2k = n - 1: every popcount is populated, so no partner range meets an
     # empty class
     assert cut_classification(build_rho_nk(2001, 1000)) == [
-        CutStatus(m, "PPT") for m in range(1, 1001)]
+        CutStatus(m, "PPT", None) for m in range(1, 1001)]
 
 
 def test_cut_verdicts_at_sixteen_hundred_qubits():
     assert cut_classification(build_rho_nk(1600, 400)) == (
-        [CutStatus(1, "PPT")] + [CutStatus(m, "NPPT", (1 << m) - 1) for m in range(2, 801)])
+        [CutStatus(1, "PPT", None)] + [CutStatus(m, "NPPT", (1 << m) - 1) for m in range(2, 801)])
 
 
 def test_asymmetric_state_is_scanned_past_the_first_subset():

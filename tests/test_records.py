@@ -46,13 +46,13 @@ RECORDS = {
         True),
     "QubitSubset": (lambda: QubitSubset(4, 0b0110), "QubitSubset(n=4, mask=6)", True),
     "CertificateResult": (
-        lambda: CertificateResult(True),
+        lambda: CertificateResult(True, None, None),
         "CertificateResult(holds=True, witness_j=None, witness_i=None)", True),
     "CertificateResult-witness": (
         lambda: CertificateResult(False, 3, 1),
         "CertificateResult(holds=False, witness_j=3, witness_i=1)", True),
     "CutStatus": (
-        lambda: CutStatus(1, "PPT"),
+        lambda: CutStatus(1, "PPT", None),
         "CutStatus(cut_size=1, status='PPT', witness_mask=None)", True),
     "CutStatus-witness": (
         lambda: CutStatus(cut_size=2, status="NPPT", witness_mask=0b0011),
@@ -103,6 +103,8 @@ def test_record_matches_frozen_dataclass(name):
         pass
 
     assert Sub(*values) != record and record != Sub(*values)
+    with pytest.raises(TypeError, match="missing field"):  # every field is required
+        type(record)(*values[:-1])
     if hashable:
         assert hash(record) == hash(twin) == hash(values)
     else:
@@ -119,11 +121,13 @@ def test_record_matches_frozen_dataclass(name):
 
 
 def test_records_differ_by_field_and_type():
-    assert CutStatus(1, "PPT") != CutStatus(1, "NPPT")
+    assert CutStatus(1, "PPT", None) != CutStatus(1, "NPPT", None)
     assert QubitSubset(4, 6) != QubitSubset(4, 5)
-    assert CertificateResult(True) == CertificateResult(holds=True, witness_i=None)
+    assert CertificateResult(True, None, None) == CertificateResult(
+        holds=True, witness_i=None, witness_j=None)
     assert PhaseGenerator(3) != QubitSubset(3, 1) and PhaseGenerator(3) != 3
-    assert len({CutStatus(1, "PPT"), CutStatus(1, "PPT"), CutStatus(2, "PPT")}) == 2
+    assert len({CutStatus(1, "PPT", None), CutStatus(1, "PPT", None),
+                CutStatus(2, "PPT", None)}) == 2
 
 
 @pytest.mark.parametrize("args, kwargs", [
@@ -131,6 +135,7 @@ def test_records_differ_by_field_and_type():
     ((1, "PPT", None, 4), {}),  # one value too many
     ((1, "PPT"), {"status": "NPPT"}),  # a field given twice
     ((1, "PPT"), {"witness": 3}),  # no such field
+    ((1, "PPT"), {}),  # the witness missing: no field has a default
 ])
 def test_record_init_refuses_what_a_dataclass_refuses(args, kwargs):
     with pytest.raises(TypeError):
