@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,12 +24,9 @@ from .ptranspose import CertificateResult, CutStatus, QubitSubset
 from .qfi import QfiReport
 from .states import SECTOR_LIST_LIMIT, SectorState, _Record, build_rho_nkm, canonical_index
 
-if TYPE_CHECKING:
-    from .bell import DetectionRow
-
 BRUTE_CAP = 6  # qubit cap of the 3^n dense-trace enumeration
 DENSE_LIMIT = 12  # qubit cap of every dense matrix and of the 2^n-mask scan
-NORM_TOL = 1e-10  # unit-trace and nonnegativity tolerance of a decomposition
+NORM_TOL = 1e-10  # unit-trace and nonnegativity tolerance of a spectrum
 SUPPORT_TOL = 1e-12  # pairs with p_a + p_b at or below this are off the support
 ZERO_TOL = 1e-12  # brute-force elements at or below this are reported as zero
 ORACLE_TOL = 1e-9  # largest deviation an ``--oracle`` check lets pass
@@ -77,21 +73,18 @@ class PhaseGenerator(_Record):
         return (self.n - 2 * counts) / 2.0
 
 
-def qfi_spectral(
-    eigenvalues: Sequence[float], eigenvectors: np.ndarray, generator: PhaseGenerator
-) -> float:
-    """Spectral-formula QFI from an eigendecomposition of a unit-trace state,
+def qfi_from_dense(rho: np.ndarray, generator: PhaseGenerator) -> float:
+    """Spectral-formula QFI of a dense unit-trace state,
     2 sum_{a,b} (p_a - p_b)^2 / (p_a + p_b) |<a|Z|b>|^2.
 
     Pairs with p_a + p_b below ``SUPPORT_TOL`` are skipped (the formula is
-    restricted to the support, where it is finite).  The decomposition is
-    validated: eigenvalues must sum to 1 and be nonnegative to ``NORM_TOL``,
-    the eigenvector columns orthonormal to 1e-10.  Both the check and the sum
-    run over ``EIGVEC_BLOCK`` eigenvectors <a| at a time, so no temporary is
-    dim x dim.
+    restricted to the support, where it is finite).  The eigenvalues of
+    ``rho`` must sum to 1 and be nonnegative to ``NORM_TOL``.  The sum runs
+    over ``EIGVEC_BLOCK`` eigenvectors <a| at a time: no temporary is dim x dim.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    v = np.asarray(eigenvectors)
+    if np.shape(rho) != (1 << generator.n,) * 2:
+        raise DomainError("generator size does not match state")
+    lam, v = np.linalg.eigh(rho)
     if abs(lam.sum() - 1.0) > NORM_TOL:
         raise DomainError(f"eigenvalues sum to {lam.sum()}, not 1")
     if lam.min() < -NORM_TOL:
@@ -102,10 +95,6 @@ def qfi_spectral(
     for start in range(0, len(lam), EIGVEC_BLOCK):
         block = slice(start, start + EIGVEC_BLOCK)
         bras = v[:, block].conj().T
-        gram = bras @ v
-        gram[:, block] -= np.eye(len(bras))
-        if np.max(np.abs(gram)) > 1e-10:
-            raise DomainError("eigenvector columns are not orthonormal to 1e-10")
         zmat = (bras * z) @ v
         num = (lam[block, None] - lam[None, :]) ** 2
         den = lam[block, None] + lam[None, :]
@@ -114,16 +103,10 @@ def qfi_spectral(
     return float(2.0 * total)
 
 
-def qfi_from_dense(rho: np.ndarray, generator: PhaseGenerator) -> float:
-    """Convenience wrapper: eigendecompose a dense state and apply the formula."""
-    lam, v = np.linalg.eigh(rho)
-    return qfi_spectral(lam, v, generator)
-
-
 # -- partial transposition -----------------------------------------------------
 
 
-def pt_spectrum(state: SectorState, subset: QubitSubset) -> List[int]:
+def pt_spectrum(state: SectorState, subset: QubitSubset) -> list[int]:
     """Spectrum of the state transposed over ``subset`` in integers over
     ``2 * state.den``, no dense matrix built: entries 2i and 2i + 1 are
     s_i + d_j and s_i - d_j, with j the partner of sector i under ``subset``."""
@@ -133,7 +116,7 @@ def pt_spectrum(state: SectorState, subset: QubitSubset) -> List[int]:
     rows = [(0, 0)] * (1 << (state.n - 1))
     for i, s, d in state.sectors():
         rows[i] = (s, d)
-    spectrum: List[int] = []
+    spectrum: list[int] = []
     for i, (s, _) in enumerate(rows):
         d = rows[canonical_index(i ^ subset.mask, state.n)][1]
         spectrum += (s + d, s - d)
@@ -142,6 +125,8 @@ def pt_spectrum(state: SectorState, subset: QubitSubset) -> List[int]:
 
 def pt_dense_oracle(state: SectorState, subset: QubitSubset) -> np.ndarray:
     """Element-wise partial transposition of the dense realization."""
+    if subset.n != state.n:
+        raise DomainError("subset size does not match state")
     rho = to_dense(state)
     return partial_transpose_dense(rho, state.n, subset.mask)
 
@@ -184,34 +169,21 @@ def hs_norm_sq_exact(state: SectorState) -> Fraction:
     return Fraction(total, state.den ** 2) + Fraction(axial, 2 * state.den) ** 2
 
 
-class CorrelationTensorSummary(_Record):
-    """Nonzero full-correlation elements and their squared Hilbert-Schmidt norm."""
-
-    n: int
-    nonzero_elements: Dict[Tuple[int, ...], float]
-    hs_norm_sq: float
-
-
-def brute_force_tensor(state: SectorState) -> CorrelationTensorSummary:
-    """Full 3^n dense-trace enumeration; the oracle for the fast paths."""
+def brute_force_tensor(state: SectorState) -> dict[tuple[int, ...], float]:
+    """Full 3^n dense-trace enumeration; the oracle for the fast paths.  Returns
+    every full correlation above ``ZERO_TOL``, keyed by its axes."""
     n = state.n
     _check_size("brute-force tensor", n, BRUTE_CAP)
-    elements: Dict[Tuple[int, ...], float] = {}
-    total = 0.0
+    elements = {}
     rho_t = to_dense(state).T.copy()
     for axes in product((AXIS_X, AXIS_Y, AXIS_Z), repeat=n):
         op = PAULI[axes[0]]
         for a in axes[1:]:
             op = np.kron(op, PAULI[a])
         t = float(np.sum(op * rho_t).real)  # Tr[op @ rho]
-        total += t * t
         if abs(t) > ZERO_TOL:
             elements[axes] = t
-    return CorrelationTensorSummary(
-        n=n,
-        nonzero_elements=elements,
-        hs_norm_sq=total,
-    )
+    return elements
 
 
 # -- checks of printed results -------------------------------------------------
@@ -230,9 +202,7 @@ def check_qfi(report: QfiReport) -> float:
     return _within_tolerance(abs(spectral - float(report.f_q)), "spectral QFI oracle")
 
 
-def check_ppt(
-    state: SectorState, cert: CertificateResult, table: List[CutStatus]
-) -> float:
+def check_ppt(state: SectorState, cert: CertificateResult, table: list[CutStatus]) -> float:
     """Re-derive a PPT report; returns the largest exact-vs-dense eigenvalue deviation.
 
     Each cut row is checked at its witness mask, or at the first subset
@@ -268,7 +238,7 @@ def check_bell(state: SectorState, row: DetectionRow) -> float:
     """Deviation of the printed full norm ``planar_sq + axial_sq`` from the 3^n
     dense trace (n <= ``BRUTE_CAP``) or the exact mask scan (n <= ``DENSE_LIMIT``)."""
     if state.n <= BRUTE_CAP:
-        oracle = brute_force_tensor(state).hs_norm_sq
+        oracle = sum(t * t for t in brute_force_tensor(state).values())
     else:
         oracle = float(hs_norm_sq_exact(state))
     printed = float(row.planar_sq + row.axial_sq)

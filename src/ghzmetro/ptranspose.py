@@ -10,9 +10,10 @@ exact spectrum
     j = canon(i XOR mask),
 
 without building a matrix.  A cut m:(n-m) is PPT when every size-m subset
-has a nonnegative transposed spectrum.  One exact search per state, built
-once by ``_search``, decides every verdict: each cut size of
-``cut_classification`` and the single-qubit certificate, which is cut size 1.
+has a nonnegative transposed spectrum.  One exact search per call, built by
+``_search``, decides every verdict of that call: each cut size of
+``cut_classification`` or the single-qubit certificate, which is cut size 1;
+``ppt`` builds it once for the certificate and once for the table.
 A sparse ``GhzDiagonalState`` has every subset inspected.  A ``BandState``
 (every family member) is invariant under qubit permutations, so its first
 subset, ``(1 << m) - 1``, decides the cut.  A sector of popcount a with b ones

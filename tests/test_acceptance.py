@@ -348,22 +348,23 @@ def test_c9_tensor_structure():
     for n, k in family_grid(6):
         state = build_rho_nk(n, k)
         brute = brute_force_tensor(state)
-        assert abs(brute.hs_norm_sq - float(full_norm(state))) <= TENSOR_ORACLE_TOL
-        assert abs(brute.hs_norm_sq - float(hs_norm_sq_exact(state))) <= TENSOR_ORACLE_TOL
+        norm = sum(t * t for t in brute.values())
+        assert abs(norm - float(full_norm(state))) <= TENSOR_ORACLE_TOL
+        assert abs(norm - float(hs_norm_sq_exact(state))) <= TENSOR_ORACLE_TOL
         # each of the 3^n tuples as the structure rules give it
         for axes in product((AXIS_X, AXIS_Y, AXIS_Z), repeat=n):
             rule = float(structure_rule(state, axes))
-            assert abs(rule - brute.nonzero_elements.get(axes, 0.0)) <= TENSOR_ORACLE_TOL, \
+            assert abs(rule - brute.get(axes, 0.0)) <= TENSOR_ORACLE_TOL, \
                 (n, k, axes)
         # mixed axial/planar tuples vanish identically
-        for axes in brute.nonzero_elements:
+        for axes in brute:
             assert all(x == 3 for x in axes) or all(x != 3 for x in axes)
         probe = (3,) + (1,) * (n - 1)
-        assert probe not in brute.nonzero_elements
+        assert probe not in brute
         # every even-y planar tuple survives, plus the all-z tuple for even n
-        assert len(brute.nonzero_elements) == (1 << (n - 1)) + (n % 2 == 0)
+        assert len(brute) == (1 << (n - 1)) + (n % 2 == 0)
     bell_pair = GhzDiagonalState(2, {0: Fraction(1)}, {})
-    assert len(brute_force_tensor(bell_pair).nonzero_elements) == 3
+    assert len(brute_force_tensor(bell_pair)) == 3
     assert hs_norm_sq_exact(bell_pair) == 3
     elapsed = time.monotonic() - start
     assert elapsed < 120.0

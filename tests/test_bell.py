@@ -60,9 +60,9 @@ def test_summary_matches_brute_force_random(state):
     brute = brute_force_tensor(state)
     for axes in product((X, Y, Z), repeat=state.n):
         a = float(structure_rule(state, axes))
-        b = brute.nonzero_elements.get(axes, 0.0)
+        b = brute.get(axes, 0.0)
         assert abs(a - b) <= 1e-12, axes
-    assert abs(float(hs_norm_sq_exact(state)) - brute.hs_norm_sq) <= 1e-12
+    assert abs(float(hs_norm_sq_exact(state)) - sum(t * t for t in brute.values())) <= 1e-12
 
 
 # -- Hilbert-Schmidt norm --------------------------------------------------------------
@@ -85,8 +85,8 @@ def test_hs_exact_family_values():
 def test_hs_closed_form_equals_scan_random(state):
     assert full_norm(state) == hs_norm_sq_exact(state)
     if state.n <= 5:
-        brute = brute_force_tensor(state)
-        assert abs(float(full_norm(state)) - brute.hs_norm_sq) < 1e-12
+        brute = sum(t * t for t in brute_force_tensor(state).values())
+        assert abs(float(full_norm(state)) - brute) < 1e-12
 
 
 def test_hs_norm_at_four_thousand_qubits_and_the_widest_k():
@@ -291,7 +291,7 @@ def assert_plane_sums_match_brute_force(state):
     """The x/y-only squares of the dense tensor sum to P, and the x/z-only ones,
     the all-x and all-z correlations, to <X^(x)n>^2 + t^2: the two candidates of
     the bracket's lower end."""
-    tensor = brute_force_tensor(state).nonzero_elements
+    tensor = brute_force_tensor(state)
     xy = sum(v * v for axes, v in tensor.items() if Z not in axes)
     xz = sum(v * v for axes, v in tensor.items() if Y not in axes)
     assert abs(xy - float(bell.planar_square_sum(state))) <= 1e-12

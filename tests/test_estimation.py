@@ -684,6 +684,21 @@ def test_run_refuses_measurement_without_information(monkeypatch, state, theta,
         run_monte_carlo(state, theta, model_name, shots=1000, repetitions=200, seed=0)
 
 
+def test_run_reads_shots_as_an_integer(monkeypatch):
+    # a shot count is read as seed is: 100.5 is refused before the first draw,
+    # and a numpy integer runs as the int it stands for
+    run = run_monte_carlo(ghz_state(4), 0.2, "global-parity", np.int64(1000), 1, 1)
+    assert run == run_monte_carlo(ghz_state(4), 0.2, "global-parity", 1000, 1, 1)
+    assert type(run.shots) is int
+
+    def no_sampling(seed, stream):
+        raise AssertionError("sampled a request it refuses")
+
+    monkeypatch.setattr(estimation, "_rng", no_sampling)
+    with pytest.raises(TypeError):
+        run_monte_carlo(ghz_state(4), 0.2, "global-parity", 100.5, 1, 1)
+
+
 def test_run_refuses_fisher_lost_to_underflow_for_what_it_is(monkeypatch):
     # global parity on rho_{4,2} has F_C ~ 10.67 theta^2, which leaves the
     # float range near theta = 1e-162: the state has a fringe, so the refusal

@@ -46,9 +46,8 @@ EXPORTS = {
     # bell
     "DetectionRow", "detection_comparison",
     # oracles
-    "CorrelationTensorSummary", "PhaseGenerator", "brute_force_tensor",
-    "hs_norm_sq_exact", "pt_dense_oracle", "pt_spectrum", "qfi_from_dense",
-    "qfi_spectral", "to_dense",
+    "PhaseGenerator", "brute_force_tensor", "hs_norm_sq_exact", "pt_dense_oracle",
+    "pt_spectrum", "qfi_from_dense", "to_dense",
     # estimation
     "RNG_ALGORITHM", "EstimationRun", "GlobalParity", "SectorParity",
     "classical_fisher", "get_model", "run_monte_carlo",
@@ -114,6 +113,13 @@ def test_only_oracles_import_numpy():
     importers = {path.name for path in Path(ghzmetro.__file__).parent.glob("*.py")
                  if re.search(r"^(import|from) numpy\b", path.read_text(), re.M)}
     assert importers == {"oracles.py"}
+
+
+def test_no_module_imports_typing():
+    # annotations are builtin generics, written under postponed evaluation
+    importers = {path.name for path in Path(ghzmetro.__file__).parent.glob("*.py")
+                 if re.search(r"^(import|from) typing\b", path.read_text(), re.M)}
+    assert importers == set()
 
 
 def test_cli_options_are_pinned():

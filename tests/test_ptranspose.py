@@ -130,6 +130,12 @@ def test_pt_preserves_trace_and_diagonal():
         assert sum(pt_spectrum(state, subset)) == 2 * state.den
 
 
+def test_dense_oracle_refuses_a_subset_of_another_size():
+    # as pt_spectrum does: a 4-qubit mask would transpose the wrong qubit of 3
+    with pytest.raises(DomainError, match="does not match"):
+        pt_dense_oracle(ghz_state(3), QubitSubset(4, 1))
+
+
 def test_double_transposition_is_identity():
     state = build_rho_nk(5, 2)
     from ghzmetro.oracles import partial_transpose_dense

@@ -26,7 +26,6 @@ from ghzmetro import (
     qfi_ghz_diagonal,
     qfi_lower_bound_nk,
     qfi_lower_bound_nkm,
-    qfi_spectral,
     s_factor,
     scaled_k,
     to_dense,
@@ -73,14 +72,15 @@ def test_spectral_rho_42():
 
 def test_spectral_validates_inputs():
     gen = PhaseGenerator(2)
-    with pytest.raises(DomainError):
-        qfi_spectral([0.5, 0.2, 0.2, 0.2], np.eye(4), gen)  # not unit trace
-    bad = np.eye(4)
-    bad[0, 1] = 0.5  # not orthonormal
-    with pytest.raises(DomainError):
-        qfi_spectral([0.25] * 4, bad, gen)
+    with pytest.raises(DomainError, match="not 1"):
+        qfi_from_dense(np.diag([0.5, 0.2, 0.2, 0.2]), gen)  # not unit trace
     with pytest.raises(DomainError, match="negative eigenvalue"):  # unit trace
-        qfi_spectral([0.5, 0.5, 0.25, -0.25], np.eye(4), gen)
+        qfi_from_dense(np.diag([0.5, 0.5, 0.25, -0.25]), gen)
+
+
+def test_spectral_refuses_a_generator_of_another_size():
+    with pytest.raises(DomainError, match="does not match"):
+        qfi_from_dense(to_dense(ghz_state(3)), PhaseGenerator(4))
 
 
 # -- GHZ-diagonal closed form ------------------------------------------------------
@@ -113,7 +113,8 @@ def test_blocked_spectral_sum_is_the_double_sum(state, block):
             if p[a] + p[b] > oracles.SUPPORT_TOL:
                 expected += 2 * (p[a] - p[b]) ** 2 / (p[a] + p[b]) * zmat[a][b] ** 2
     with mock.patch.object(oracles, "EIGVEC_BLOCK", block):
-        assert qfi_spectral(lam, v, gen) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        spectral = qfi_from_dense(to_dense(state), gen)
+    assert spectral == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 # -- family closed form --------------------------------------------------------------
