@@ -19,13 +19,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("CrossCheckError", "DomainError", "GhzmetroError", "LikelihoodDegeneracyError",
                "SizeLimitError"),
-    "states": ("BandState", "GhzDiagonalState", "binom_normalizer", "build_rho_nk",
-               "build_rho_nkm", "canonical_index", "ghz_state", "maximally_mixed_state",
-               "min_ones", "weight"),
+    "states": ("BandState", "GhzDiagonalState", "build_rho_nk", "build_rho_nkm",
+               "canonical_index", "ghz_state", "maximally_mixed_state", "weight"),
     "ptranspose": ("CutStatus", "QubitSubset", "cut_classification",
                    "ppt_single_qubit_certificate"),
-    "qfi": ("QfiReport", "family_report", "qfi_closed_nk", "qfi_ghz_diagonal",
-            "qfi_lower_bound_nk", "qfi_lower_bound_nkm", "s_factor", "scaled_k"),
+    "qfi": ("QfiReport", "family_report", "qfi_closed_nk", "qfi_ghz_diagonal", "scaled_k"),
     "bell": ("DetectionRow", "detection_comparison"),
     "oracles": ("PhaseGenerator", "brute_force_tensor", "hs_norm_sq_exact", "pt_dense_oracle",
                 "pt_spectrum", "qfi_from_dense", "to_dense"),

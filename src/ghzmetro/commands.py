@@ -293,7 +293,7 @@ def detection_fields(state, k: int, exact: bool) -> tuple:
 def cmd_bell(args):
     state = build_state(args)
     row, fields = detection_fields(state, args.k, args.exact)
-    deviation = oracle_deviation(args, "check_bell", state, row)
+    deviation = oracle_deviation(args, "check_bell", state, row.planar_sq + row.axial_sq)
     if args.components:
         fields.update(planar_sq=fmt_number(row.planar_sq, args.exact),
                       axial_sq=fmt_number(row.axial_sq, args.exact))

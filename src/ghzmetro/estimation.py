@@ -534,7 +534,7 @@ def run_monte_carlo(
     measurement whose F_C at theta_true reads 0, named as without phase
     information only if no outcome has a fringe of nonzero weight.
     """
-    shots = operator.index(shots)
+    shots, repetitions, seed = map(operator.index, (shots, repetitions, seed))
     if not 100 <= shots <= SHOTS_MAX:
         raise DomainError(f"need 100 <= shots <= 2^63 - 1, got {shots}")
     if repetitions < 1:

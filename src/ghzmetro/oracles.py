@@ -234,12 +234,11 @@ def check_ppt(state: SectorState, cert: CertificateResult, table: list[CutStatus
     return deviation
 
 
-def check_bell(state: SectorState, row: DetectionRow) -> float:
-    """Deviation of the printed full norm ``planar_sq + axial_sq`` from the 3^n
+def check_bell(state: SectorState, norm: Fraction) -> float:
+    """Deviation of the printed exact full norm ``planar_sq + axial_sq`` from the 3^n
     dense trace (n <= ``BRUTE_CAP``) or the exact mask scan (n <= ``DENSE_LIMIT``)."""
     if state.n <= BRUTE_CAP:
         oracle = sum(t * t for t in brute_force_tensor(state).values())
     else:
         oracle = float(hs_norm_sq_exact(state))
-    printed = float(row.planar_sq + row.axial_sq)
-    return _within_tolerance(abs(oracle - printed), "correlation oracle")
+    return _within_tolerance(abs(oracle - float(norm)), "correlation oracle")

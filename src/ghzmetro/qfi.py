@@ -12,8 +12,8 @@ Two exact routes to the same number, each the other's check:
   and, by (j+1) C(n,j+1) = (n-j) C(n,j), g(j+1) - g(j) = [(n-2j)^2 - n] C(n,j).
 
 The generic spectral formula on a dense eigendecomposition is their oracle
-in ``oracles``.  Alongside live the family lower bounds and the report that
-the CLI prints for one family member.
+in ``oracles``.  ``family_report``, which the CLI prints for one family
+member, holds F_Q, s_nk and the member's lower bound, all from that one row.
 
 Two exact verdicts show how weak the members' entanglement is.  A GHZ-diagonal
 state is genuinely multipartite entangled iff its largest GHZ weight exceeds
@@ -61,27 +61,6 @@ def qfi_closed_nk(n: int, k: int, m: int = 0) -> Fraction:
     return _family_forms(n, k, m)[0]
 
 
-def qfi_lower_bound_nk(n: int, k: int) -> Fraction:
-    """Exact lower bound (n - 2k)^2 * k / (n + 1) on the family QFI."""
-    _check_family(n, k, 0)
-    return Fraction((n - 2 * k) ** 2 * k, n + 1)
-
-
-def s_factor(n: int, k: int) -> Fraction:
-    """Binomial-ratio factor sum_{j<k} C(n,j) / sum_{j<=k} C(n,j); >= k/(n+1)."""
-    return _family_forms(n, k, 0)[1]
-
-
-def qfi_lower_bound_nkm(n: int, k: int, m: int) -> Fraction:
-    """Lower bound on the wider-mixing family QFI, taken literally:
-    (n-2k)^2 * k(k+1)...(k+m) / [ m * (n-k)(n-k-1)...(n-k-m) ]."""
-    if m < 1:
-        raise DomainError(f"mixing width must be >= 1 for this bound, got m = {m}")
-    _check_family(n, k, m)
-    return Fraction((n - 2 * k) ** 2 * math.prod(range(k, k + m + 1)),
-                    m * math.prod(range(n - k - m, n - k + 1)))
-
-
 def scaled_k(a: Fraction, n: int) -> int:
     """k(n) = round(a*n), half-up, clipped into [1, ceil(n/2) - 1]."""
     if not 0 < a < Fraction(1, 2):
@@ -102,7 +81,8 @@ class QfiReport(_Record):
     to (1-2a)/(1-a) and 1/(1-a) (0.858 and 1.144 at a = 1/8, n = 3000).
     Both are reported and neither is asserted.  Each bound that is set is at
     most ``f_q``: ``lower_bound`` = (n-2k)^2 k/(n+1) bounds rho_{n,k} only, so
-    it is None for m >= 1, where ``mixed_lower_bound`` is the member's bound.
+    it is None for m >= 1, where ``mixed_lower_bound`` is the member's bound,
+    taken literally: (n-2k)^2 k(k+1)...(k+m) / [m (n-k)(n-k-1)...(n-k-m)].
     """
 
     n: int
@@ -123,7 +103,12 @@ def family_report(
 ) -> QfiReport:
     """Assemble the full report for one (n, k[, m]) family member."""
     f_q, s_nk = _family_forms(n, k, m or 0)
-    mixed_bound = qfi_lower_bound_nkm(n, k, m) if m else None
+    bound = mixed_bound = None
+    if m:
+        mixed_bound = Fraction((n - 2 * k) ** 2 * math.prod(range(k, k + m + 1)),
+                               m * math.prod(range(n - k - m, n - k + 1)))
+    else:
+        bound = Fraction((n - 2 * k) ** 2 * k, n + 1)
     ratio_limit = ratio_bound = None
     if a is not None:
         a = Fraction(a)
@@ -137,7 +122,7 @@ def family_report(
         a=a,
         f_q=f_q,
         snl_ratio=f_q / n,
-        lower_bound=None if m else qfi_lower_bound_nk(n, k),
+        lower_bound=bound,
         s_nk=s_nk,
         mixed_lower_bound=mixed_bound,
         ratio_limit_form=ratio_limit,

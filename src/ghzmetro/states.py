@@ -56,23 +56,9 @@ def weight(n: int, i: int) -> int:
     return n - 2 * i.bit_count()
 
 
-def min_ones(n: int, i: int) -> int:
-    """Band of sector i: the smaller one-count among its two member strings."""
-    _check_representative(i, n)
-    ones = i.bit_count()
-    return min(ones, n - ones)
-
-
 def _binomial_row(n: int, top: int) -> list:
     """[C(n, 0), ..., C(n, top)] by C(n, j+1) = C(n, j) (n - j) / (j + 1), exactly."""
     return list(accumulate(range(top), lambda c, j: c * (n - j) // (j + 1), initial=1))
-
-
-def binom_normalizer(n: int, k: int) -> Fraction:
-    """Exact 1 / sum_{j=0}^{k} C(n, j); big-integer arithmetic, no overflow."""
-    if not 0 <= k <= n:
-        raise DomainError(f"need 0 <= k <= n, got k = {k}, n = {n}")
-    return Fraction(1, sum(_binomial_row(n, k)))
 
 
 def _as_fraction(x) -> Fraction:
@@ -212,9 +198,10 @@ class BandState(SectorState):
     """GHZ-diagonal state that depends on a sector only through its band.
 
     ``plus[b]`` / ``minus[b]`` are the even and odd weights of every sector
-    on band b = 0..t (``min_ones``); construction drops trailing bands whose
-    two weights are zero, and the bands above t are empty.  No qubit
-    permutation changes a band, so the state is invariant under all of them.
+    on band b = 0..t, the smaller one-count min(c, n - c) of its two strings;
+    construction drops trailing bands whose two weights are zero, and the
+    bands above t are empty.  No qubit permutation changes a band, so the
+    state is invariant under all of them.
     Its classes are the popcounts c <= t and n - t <= c < n: representative
     ``(1 << c) - 1``, multiplicity C(n-1, c), band min(c, n-c).  Every family
     member is stored this way, and only the sector walk lists sectors one by one.
@@ -308,6 +295,6 @@ def build_rho_nkm(n: int, k: int, m: int) -> BandState:
     The normalizer is ``1 / sum_{j<=k+m} C(n,j)``; m = 0 is ``build_rho_nk``.
     """
     _check_family(n, k, m)
-    lam = binom_normalizer(n, k + m)
+    lam = Fraction(1, sum(_binomial_row(n, k + m)))
     mixed = tuple(lam if 2 * b == n else lam / 2 for b in range(k, k + m + 1))
     return BandState(n, (lam,) * k + mixed, (0,) * k + mixed)

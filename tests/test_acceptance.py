@@ -44,10 +44,7 @@ from ghzmetro import (
     qfi_closed_nk,
     qfi_from_dense,
     qfi_ghz_diagonal,
-    qfi_lower_bound_nk,
-    qfi_lower_bound_nkm,
     run_monte_carlo,
-    s_factor,
     scaled_k,
     to_dense,
 )
@@ -217,15 +214,16 @@ def test_c4_rho42_two_cut_negativity_claim():
 def test_c5_bounds_exact():
     for n in range(2, 61):
         for k in range(1, n // 2 + 1):
-            assert qfi_closed_nk(n, k) >= qfi_lower_bound_nk(n, k)
-            assert s_factor(n, k) >= Fraction(k, n + 1)
+            rep = family_report(n, k)
+            assert rep.f_q >= rep.lower_bound
+            assert rep.s_nk >= Fraction(k, n + 1)
     violations = []
     for n in range(4, 13):
         for k in range(1, n // 2):
             for m in range(1, n // 2 - k + 1):
                 f_q = qfi_ghz_diagonal(build_rho_nkm(n, k, m))
                 assert qfi_closed_nk(n, k, m) == f_q, (n, k, m)
-                if f_q < qfi_lower_bound_nkm(n, k, m):
+                if f_q < family_report(n, k, m=m).mixed_lower_bound:
                     violations.append((n, k, m))
     assert violations == []
     report("criterion 5", "threshold bound exact to n = 60; mixed-family bound "

@@ -114,14 +114,13 @@ def test_state_listing_is_made_as_it_is_written(monkeypatch, fmt):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_state_listing_derives_no_class_value_per_sector(capsys, monkeypatch, fmt):
     # each class's band and lambda^+- are made once; a sector reads its class's
-    # cell, so neither min_ones nor the (i, s, d) rows of sectors() are read
+    # cell, so the (i, s, d) rows of sectors() are not read
     argv = ("state", "--n", "12", "--k", "3", "--m", "1", "--format", fmt, "--no-timestamp")
     unpatched = run(capsys, *argv)
 
     def refuse(*args):
         raise AssertionError("a value derived per sector")
 
-    monkeypatch.setattr(states, "min_ones", refuse)
     monkeypatch.setattr(states.SectorState, "sectors", refuse)
     assert unpatched[0] == 0 and run(capsys, *argv) == unpatched
 
@@ -1247,6 +1246,14 @@ JSON_PAYLOADS = [
      {"n": "8", "k": "2", "f_q": "9.513513513513514", "f_q_over_n": "1.1891891891891893",
       "hs_norm_sq": "1.1636230825420015", "verdict": "both",
       "planar_sq": "0.84149013878743606", "axial_sq": "0.32213294375456536"}),
+    (("qfi", "--n", "12", "--k", "3"), "report",
+     {"n": 12, "k": 3,
+      "f_q": {"exact": "5568/299", "float": 18.622073578595316},
+      "snl_ratio": {"exact": "464/299", "float": 1.5518394648829432},
+      "lower_bound": {"exact": "108/13", "float": 8.307692307692308},
+      "s_nk": {"exact": "79/299", "float": 0.26421404682274247},
+      "m": None, "a": None, "mixed_lower_bound": None,
+      "ratio_limit_form": None, "ratio_bound_form": None}),
 ]
 
 

@@ -685,18 +685,21 @@ def test_run_refuses_measurement_without_information(monkeypatch, state, theta,
 
 
 def test_run_reads_shots_as_an_integer(monkeypatch):
-    # a shot count is read as seed is: 100.5 is refused before the first draw,
-    # and a numpy integer runs as the int it stands for
-    run = run_monte_carlo(ghz_state(4), 0.2, "global-parity", np.int64(1000), 1, 1)
+    # shots, repetitions and seed are read as integers: a float is refused
+    # before the first draw, and a numpy integer or a bool runs as the plain
+    # int it stands for, which the record holds
+    run = run_monte_carlo(ghz_state(4), 0.2, "global-parity", np.int64(1000), True,
+                          np.int64(1))
     assert run == run_monte_carlo(ghz_state(4), 0.2, "global-parity", 1000, 1, 1)
-    assert type(run.shots) is int
+    assert [type(v) for v in (run.shots, run.repetitions, run.seed)] == [int] * 3
 
     def no_sampling(seed, stream):
         raise AssertionError("sampled a request it refuses")
 
     monkeypatch.setattr(estimation, "_rng", no_sampling)
-    with pytest.raises(TypeError):
-        run_monte_carlo(ghz_state(4), 0.2, "global-parity", 100.5, 1, 1)
+    for counts in ((100.5, 1, 1), (1000, 1.0, 1), (1000, 1, 1.0)):
+        with pytest.raises(TypeError):
+            run_monte_carlo(ghz_state(4), 0.2, "global-parity", *counts)
 
 
 def test_run_refuses_fisher_lost_to_underflow_for_what_it_is(monkeypatch):

@@ -13,7 +13,6 @@ from ghzmetro import (
     DomainError,
     GhzDiagonalState,
     PhaseGenerator,
-    binom_normalizer,
     build_rho_nk,
     build_rho_nkm,
     family_report,
@@ -24,9 +23,6 @@ from ghzmetro import (
     qfi_closed_nk,
     qfi_from_dense,
     qfi_ghz_diagonal,
-    qfi_lower_bound_nk,
-    qfi_lower_bound_nkm,
-    s_factor,
     scaled_k,
     to_dense,
     weight,
@@ -162,7 +158,7 @@ def test_closed_forms_match_per_j_sums():
     for n in range(2, 121):
         weighted, partial = per_j_sums(n)
         for k in range(1, n // 2 + 1):
-            assert s_factor(n, k) == Fraction(partial[k - 1], partial[k]), (n, k)
+            assert family_report(n, k).s_nk == Fraction(partial[k - 1], partial[k]), (n, k)
             for m in range(n // 2 - k + 1):
                 assert qfi_closed_nk(n, k, m) == Fraction(weighted[k], partial[k + m]), (n, k, m)
                 members += 1
@@ -192,8 +188,8 @@ def test_family_closed_forms_build_one_row(monkeypatch):
         (lambda: family_report(100, 25, a=Fraction(1, 4)), (100, 25)),
         (lambda: qfi_closed_nk(12, 3, 2), (12, 5)),
         (lambda: qfi_closed_nk(100, 25), (100, 25)),
-        (lambda: s_factor(12, 3), (12, 3)),
-        (lambda: s_factor(100, 25), (100, 25)),
+        (lambda: family_report(12, 3), (12, 3)),
+        (lambda: family_report(100, 25, m=0), (100, 25)),
     ]
     for call, row in calls:
         rows.clear()
@@ -204,13 +200,13 @@ def test_family_closed_forms_build_one_row(monkeypatch):
 # -- bounds ----------------------------------------------------------------------------
 
 def test_lower_bound_values():
-    assert qfi_lower_bound_nk(4, 2) == 0  # degenerate at 2k == n
-    assert qfi_lower_bound_nk(100, 25) == Fraction(62500, 101)
+    assert family_report(4, 2).lower_bound == 0  # degenerate at 2k == n
+    assert family_report(100, 25).lower_bound == Fraction(62500, 101)
 
 
 def test_mixed_bound_values():
-    assert qfi_lower_bound_nkm(10, 2, 2) == Fraction(9, 7)
-    assert qfi_lower_bound_nkm(8, 2, 1) == Fraction(16, 5)
+    assert family_report(10, 2, m=2).mixed_lower_bound == Fraction(9, 7)
+    assert family_report(8, 2, m=1).mixed_lower_bound == Fraction(16, 5)
     assert qfi_ghz_diagonal(build_rho_nkm(8, 2, 1)) == Fraction(352, 93)
     assert Fraction(352, 93) >= Fraction(16, 5)
 
@@ -226,9 +222,7 @@ def test_every_reported_bound_is_below_the_qfi():
 
 def test_mixed_bound_domain():
     with pytest.raises(DomainError):
-        qfi_lower_bound_nkm(8, 2, 0)
-    with pytest.raises(DomainError):
-        qfi_lower_bound_nkm(8, 2, 3)
+        family_report(8, 2, m=3)
 
 
 # -- scan reports ------------------------------------------------------------------
@@ -300,8 +294,8 @@ def partitions(n, largest):
 def test_every_member_is_biseparable():
     # GME iff the largest GHZ weight exceeds 1/2; a member's is 1/S(n, k+m)
     for n, k, m in family_members(60):
-        largest = largest_ghz_weight(build_rho_nkm(n, k, m))
-        assert largest == binom_normalizer(n, k + m) <= Fraction(1, n + 1), (n, k, m)
+        state = build_rho_nkm(n, k, m)
+        assert largest_ghz_weight(state) == state.plus[0] <= Fraction(1, n + 1), (n, k, m)
     for n in range(2, 21):
         assert largest_ghz_weight(ghz_state(n)) == 1
 

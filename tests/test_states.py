@@ -12,7 +12,6 @@ from ghzmetro import (
     GhzDiagonalState,
     PhaseGenerator,
     SizeLimitError,
-    binom_normalizer,
     build_rho_nk,
     build_rho_nkm,
     canonical_index,
@@ -20,7 +19,6 @@ from ghzmetro import (
     detection_comparison,
     ghz_state,
     maximally_mixed_state,
-    min_ones,
     ppt_single_qubit_certificate,
     qfi_ghz_diagonal,
     to_dense,
@@ -102,12 +100,10 @@ def test_basis_orthogonality():
 # -- normalizer ---------------------------------------------------------------
 
 def test_binom_normalizer():
-    assert binom_normalizer(4, 2) == Fraction(1, 11)
-    assert binom_normalizer(7, 2) == Fraction(1, 29)  # 1 + 7 + 21
-    for n in (2, 5, 9):
-        assert binom_normalizer(n, 0) == 1
-    with pytest.raises(DomainError, match="0 <= k <= n"):
-        binom_normalizer(4, 5)
+    # a member's band-0 weight is its normalizer 1 / S(n, k + m)
+    assert build_rho_nk(4, 2).plus[0] == Fraction(1, 11)
+    assert build_rho_nk(7, 2).plus[0] == Fraction(1, 29)  # 1 + 7 + 21
+    assert build_rho_nkm(7, 1, 1).plus[0] == Fraction(1, 29)
 
 
 def test_binomial_row_matches_comb():
@@ -119,7 +115,7 @@ def test_binomial_row_matches_comb():
 
 def test_binom_normalizer_big_n():
     # big-integer path: no overflow, exact denominator
-    val = binom_normalizer(10_000, 2)
+    val = build_rho_nk(10_000, 2).plus[0]
     assert val == Fraction(1, 1 + 10_000 + comb(10_000, 2))
 
 
@@ -186,7 +182,7 @@ def test_rho_821():
     assert state.trace() == 1
     # bands 2 and 3 both mixed at lam/2
     for i, lp, lm in rows:
-        band = min_ones(8, i)
+        band = min(i.bit_count(), 8 - i.bit_count())
         if band >= 2:
             assert lp == lm == lam / 2
 
@@ -208,7 +204,7 @@ def test_rho_nkm_boundary_band_doubles():
     state = build_rho_nkm(6, 1, 2)
     lam = Fraction(1, 42)
     assert state.trace() == 1
-    top = [lp for i, lp, _ in lambda_rows(state) if min_ones(6, i) == 3]
+    top = [lp for i, lp, _ in lambda_rows(state) if min(i.bit_count(), 6 - i.bit_count()) == 3]
     assert len(top) == comb(6, 3) // 2
     assert all(lp == lam for lp in top)
 
@@ -239,7 +235,8 @@ def test_band_sectors_match_range_scan():
     for state in band_references():
         pairs = list(zip(state.plus, state.minus))
         pairs += [(0, 0)] * (state.n // 2 + 1 - len(pairs))
-        scan = [(i, *pairs[min_ones(state.n, i)]) for i in range(1 << (state.n - 1))]
+        scan = [(i, *pairs[min(i.bit_count(), state.n - i.bit_count())])
+                for i in range(1 << (state.n - 1))]
         assert lambda_rows(state) == [row for row in scan if row[1] or row[2]]
 
 
