@@ -27,8 +27,8 @@ _EXPORTS = {
     "bell": ("DetectionRow", "detection_comparison"),
     "oracles": ("PhaseGenerator", "brute_force_tensor", "hs_norm_sq_exact", "pt_dense_oracle",
                 "pt_spectrum", "qfi_from_dense", "to_dense"),
-    "estimation": ("RNG_ALGORITHM", "EstimationRun", "GlobalParity", "SectorParity",
-                   "classical_fisher", "get_model", "run_monte_carlo"),
+    "estimation": ("RNG_ALGORITHM", "EstimationRun", "classical_fisher", "get_model",
+                   "run_monte_carlo"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 # a star import reads every name, so it loads numpy

@@ -27,13 +27,14 @@ point ``cli`` answers it first.
 ``--oracle`` hands what a command prints to ``oracles.check_*`` through
 ``oracle_deviation``, which alone imports ``oracles`` (it loads numpy, the
 ``oracle`` extra; without it ``--oracle`` exits 2); ``json`` is imported
-only to write JSON and ``datetime`` only to print a timestamp.  Exit codes:
-0 success, 2 domain error, 3 size-limit error, 4 internal cross-check failure.
+only to write JSON and ``datetime`` only to print a timestamp.  Exit codes: 0
+success, 1 stdout closed, 2 domain error, 3 size limit, 4 cross-check failure.
 """
 from __future__ import annotations
 
+import os
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain, islice
 from types import SimpleNamespace
@@ -112,24 +113,22 @@ def provenance(args: SimpleNamespace, argv: Sequence[str]) -> dict:
     return meta
 
 
-def blocks(pieces: Iterable[str]) -> Iterator[str]:
-    """``pieces`` joined in runs of up to ``WRITE_PIECES``."""
+def write_blocks(pieces: Iterable[str], write: Callable[[str], object]) -> None:
+    """``write`` each run of up to ``WRITE_PIECES`` of ``pieces``, joined."""
     pieces = iter(pieces)
     for first in pieces:
-        yield "".join(chain((first,), islice(pieces, WRITE_PIECES - 1)))
+        write("".join(chain((first,), islice(pieces, WRITE_PIECES - 1))))
 
 
 def emit(pieces: Iterable[str], output: str | None) -> None:
     if output is not None:  # an empty path is refused by open, as "No such file"
         try:
             with open(output, "w") as fh:
-                for block in blocks(pieces):
-                    fh.write(block)
+                write_blocks(pieces, fh.write)
         except OSError as exc:
             raise DomainError(f"cannot write --output {output!r}: {exc.strerror}") from exc
     else:
-        for block in blocks(pieces):
-            sys.stdout.write(block)
+        write_blocks(pieces, sys.stdout.write)
 
 
 def build_state(args: SimpleNamespace):
@@ -141,10 +140,7 @@ def build_state(args: SimpleNamespace):
 
 
 def state_label(args: SimpleNamespace) -> str:
-    m = getattr(args, "m", None)
-    if m:
-        return f"rho_{args.n},{args.k},{m}"
-    return f"rho_{args.n},{args.k}"
+    return f"rho_{args.n},{args.k},{args.m}" if args.m else f"rho_{args.n},{args.k}"
 
 
 def oracle_deviation(args: SimpleNamespace, check: str, *printed) -> float | None:
@@ -309,7 +305,7 @@ def cmd_estimate(args):
     run = estimation.run_monte_carlo(
         state,
         theta_true=args.theta,
-        model=args.model,
+        model=estimation.get_model(args.model),
         shots=args.shots,
         repetitions=args.reps,
         seed=args.seed,
@@ -514,7 +510,11 @@ def run(argv: list[str]) -> int:
             tail = (f"oracle max deviation = {deviation:.3e}",) if (
                 deviation is not None and args.format == "text") else ()
             pieces = (line + "\n" for line in chain((header,), body, tail))
-        emit(pieces, args.output)
+        try:
+            emit(pieces, args.output)
+        except BrokenPipeError:  # the reader closed stdout: the exit flush goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         if deviation is not None and args.format == "csv":  # keeps the CSV parseable
             print(f"oracle max deviation = {deviation:.3e}", file=sys.stderr)
         return 0

@@ -251,7 +251,7 @@ def _stirling(x: float) -> float:
 def _rng(seed: int, stream: int) -> _Philox:
     """Independent reproducible stream: Philox keyed by (seed, stream index),
     as ``numpy.random.Philox(SeedSequence(seed, spawn_key=(stream,)))`` is."""
-    return _Philox(_seed_key(operator.index(seed), stream))
+    return _Philox(_seed_key(seed, stream))
 
 
 def _pairwise_sum(x: Sequence[float]) -> float:
@@ -360,6 +360,7 @@ MODELS = {GlobalParity.name: GlobalParity, SectorParity.name: SectorParity}
 
 
 def get_model(name: str):
+    """A new measurement model of the class ``MODELS`` maps ``name`` to."""
     try:
         return MODELS[name]()
     except KeyError as exc:
@@ -515,7 +516,8 @@ def run_monte_carlo(
     seed: int,
     bracket_halfwidth: float | None = None,
 ) -> EstimationRun:
-    """Repeatedly sample ``shots`` outcomes and estimate theta by bracketed MLE.
+    """Repeatedly sample ``shots`` outcomes of ``model``, a measurement model
+    from ``get_model``, and estimate theta by bracketed MLE.
 
     Each repetition draws from its own counter-based stream (seed, index), so
     results are bit-reproducible and order-independent.  The default bracket
@@ -541,8 +543,6 @@ def run_monte_carlo(
         raise DomainError("need at least one repetition")
     if seed < 0:
         raise DomainError(f"need a seed >= 0, got {seed}")
-    if isinstance(model, str):
-        model = get_model(model)
     w_max = max(abs(weight(state.n, rep)) for rep, _, _, _ in state.classes())
     if w_max == 0:
         raise DomainError("every populated sector has weight 0, so the state "

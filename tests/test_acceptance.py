@@ -25,10 +25,8 @@ from scipy.stats import chi2
 
 from ghzmetro import (
     GhzDiagonalState,
-    GlobalParity,
     PhaseGenerator,
     QubitSubset,
-    SectorParity,
     brute_force_tensor,
     build_rho_nk,
     build_rho_nkm,
@@ -49,6 +47,7 @@ from ghzmetro import (
     to_dense,
 )
 from ghzmetro.bell import axial_expectation
+from ghzmetro.estimation import GlobalParity, SectorParity
 from ghzmetro.oracles import AXIS_X, AXIS_Y, AXIS_Z
 from conftest import family_grid, family_members, full_norm, structure_rule
 
@@ -407,7 +406,7 @@ def test_c10_monte_carlo_cramer_rao():
     start = time.monotonic()
     reps = 200
     run = run_monte_carlo(
-        ghz_state(4), theta_true=np.pi / 16, model="global-parity",
+        ghz_state(4), theta_true=np.pi / 16, model=GlobalParity(),
         shots=10_000, repetitions=reps, seed=2024,
     )
     assert run.crlb == pytest.approx(1 / 400)
@@ -416,13 +415,13 @@ def test_c10_monte_carlo_cramer_rao():
     assert low <= ratio <= 1.3, ratio
     # deterministic replay: bit-identical estimates from the same seed
     again = run_monte_carlo(
-        ghz_state(4), theta_true=np.pi / 16, model="global-parity",
+        ghz_state(4), theta_true=np.pi / 16, model=GlobalParity(),
         shots=10_000, repetitions=reps, seed=2024,
     )
     assert again.estimates == run.estimates
     # never beats the quantum limit (sector parity saturates it here)
     run82 = run_monte_carlo(
-        build_rho_nk(8, 2), theta_true=0.19, model="sector-parity",
+        build_rho_nk(8, 2), theta_true=0.19, model=SectorParity(),
         shots=10_000, repetitions=60, seed=5,
     )
     qfi_floor = run82.empirical_std * np.sqrt(10_000 * run82.fisher_quantum)

@@ -932,6 +932,10 @@ GOLDEN_STDOUT = {
         "87b891c5ba49dfac52f20ea6cc5bf8c1b7155340ef41cd74d7c601001118018c",
     "figure --id 2 --k 2,3,50 --n 100..120 --exact":
         "15be4c1ab6764f51b3cb8e8928c1b958f4e0f452dfc41b62b6cff9de391ac1d1",
+    # global parity at the default 10,000 shots draws each count by BTPE (n p > 30),
+    # where the pins above draw by inversion alone
+    "estimate --n 8 --k 2 --theta 0.19 --reps 3":
+        "e180d415e6f2fc1b16cb89783d6df8a8dd15bd048b38315359571b863f6395a8",
 }
 
 
@@ -1174,6 +1178,20 @@ def test_no_command_loads_typing(argv):
     assert "typing" not in loaded
 
 
+def test_closed_stdout_exits_1_quietly():
+    # the reader takes one line of a 1.4 MB listing and closes the pipe: the
+    # next write fails, and the run exits 1 with no traceback on stderr
+    src = str(Path(ghzmetro.__file__).resolve().parent.parent)
+    proc = subprocess.Popen([sys.executable, "-m", "ghzmetro.cli", "state", "--n", "16",
+                             "--k", "7", "--no-timestamp"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first.startswith(b"# tool: ghzmetro")
+    assert (proc.returncode, err) == (1, b"")
+
+
 @pytest.mark.parametrize("command", ["qfi", "ppt", "bell"])
 def test_oracle_without_numpy_exits_2_naming_the_extra(command):
     code, out, err, loaded = cli_process([command, "--n", "6", "--k", "2", "--oracle"],
@@ -1269,7 +1287,8 @@ def test_estimate_json_holds_every_run_field(capsys):
             "--seed", "1", "--model", "sector-parity")
     code, out, _ = run(capsys, "estimate", *argv, "--no-timestamp")
     assert code == 0
-    record = estimation.run_monte_carlo(build_rho_nk(4, 2), 0.3, "sector-parity",
+    record = estimation.run_monte_carlo(build_rho_nk(4, 2), 0.3,
+                                        estimation.get_model("sector-parity"),
                                         shots=100, repetitions=2, seed=1)
     assert json.loads(out)["run"] == {
         "model": "sector-parity", "theta_true": 0.3, "shots": 100, "repetitions": 2,

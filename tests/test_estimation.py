@@ -9,9 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from ghzmetro import (
     DomainError,
     GhzDiagonalState,
-    GlobalParity,
     LikelihoodDegeneracyError,
-    SectorParity,
     build_rho_nk,
     build_rho_nkm,
     classical_fisher,
@@ -23,7 +21,7 @@ from ghzmetro import (
     weight,
 )
 from ghzmetro import estimation
-from ghzmetro.estimation import _mle
+from ghzmetro.estimation import GlobalParity, SectorParity, _mle
 from conftest import evolve_dense, family_members, ghz_vector, random_state_strategy
 
 FD_STEP = 1e-5  # central finite-difference step of the Fisher cross-check
@@ -241,8 +239,8 @@ def sampled_pvals(state, model_name, theta):
         patch.setattr(estimation, "_rng", lambda seed, stream: Recorder())
         with pytest.raises(PvalsSeen) as seen:
             # a bracket clear of 0, which the default one holds at small n theta
-            run_monte_carlo(state, theta, model_name, shots=100, repetitions=1, seed=0,
-                            bracket_halfwidth=theta / 2)
+            run_monte_carlo(state, theta, get_model(model_name), shots=100, repetitions=1,
+                            seed=0, bracket_halfwidth=theta / 2)
     return seen.value.args[0]
 
 
@@ -541,7 +539,7 @@ def test_readme_run_counts_known_answer(model_name):
 
 def test_run_reproducible():
     state = ghz_state(4)
-    kwargs = dict(theta_true=np.pi / 16, model="global-parity",
+    kwargs = dict(theta_true=np.pi / 16, model=GlobalParity(),
                   shots=1000, repetitions=5, seed=7)
     a = run_monte_carlo(state, **kwargs)
     b = run_monte_carlo(state, **kwargs)
@@ -561,7 +559,7 @@ def test_run_reads_state_tables_once(monkeypatch, model_name):
             return read(self)
 
         monkeypatch.setattr(type(state), method, counted)
-    run_monte_carlo(state, theta_true=0.2, model=model_name, shots=1000,
+    run_monte_carlo(state, theta_true=0.2, model=get_model(model_name), shots=1000,
                     repetitions=3, seed=5)
     if model_name == "global-parity":  # reads the classes, never a sector
         assert calls["_sector_classes"] == 0
@@ -573,7 +571,7 @@ def test_run_reads_state_tables_once(monkeypatch, model_name):
 
 def test_run_tracks_cramer_rao():
     run = run_monte_carlo(
-        ghz_state(4), theta_true=np.pi / 16, model="global-parity",
+        ghz_state(4), theta_true=np.pi / 16, model=GlobalParity(),
         shots=10_000, repetitions=60, seed=11,
     )
     assert run.crlb == pytest.approx(1 / (4 * 100))
@@ -581,7 +579,7 @@ def test_run_tracks_cramer_rao():
 
 
 def test_quadruple_shots_halves_spread():
-    base = dict(theta_true=np.pi / 16, model="global-parity", repetitions=40)
+    base = dict(theta_true=np.pi / 16, model=GlobalParity(), repetitions=40)
     state = ghz_state(4)
     small = run_monte_carlo(state, shots=2_500, seed=3, **base)
     big = run_monte_carlo(state, shots=10_000, seed=4, **base)
@@ -612,18 +610,17 @@ def test_degenerate_bracket_reported():
     # both mirror maxima theta and pi - theta is ambiguous
     with pytest.raises(LikelihoodDegeneracyError):
         run_monte_carlo(
-            ghz_state(2), theta_true=1.2, model="global-parity",
+            ghz_state(2), theta_true=1.2, model=GlobalParity(),
             shots=1000, repetitions=1, seed=0, bracket_halfwidth=1.0,
         )
 
 
 def test_run_validates_inputs():
     with pytest.raises(DomainError):
-        run_monte_carlo(ghz_state(2), 0.3, "global-parity",
+        run_monte_carlo(ghz_state(2), 0.3, GlobalParity(),
                         shots=50, repetitions=1, seed=0)
-    with pytest.raises(DomainError):
-        run_monte_carlo(ghz_state(2), 0.3, "no-such-model",
-                        shots=1000, repetitions=1, seed=0)
+    with pytest.raises(DomainError, match="unknown measurement model 'no-such-model'"):
+        get_model("no-such-model")
     # a zero-width bracket returns theta itself as every estimate, with a
     # spread of 0 below the Cramer-Rao bound; a negative one is reversed; at
     # theta = 1e17 the default halfwidth pi/16 rounds away to zero width
@@ -631,7 +628,7 @@ def test_run_validates_inputs():
     for theta, halfwidth in ((nan, None), (inf, None), (1e17, None), (0.3, 0.0),
                              (0.3, -0.1), (0.3, nan), (0.3, inf)):
         with pytest.raises(DomainError):
-            run_monte_carlo(build_rho_nk(4, 1), theta, "global-parity", shots=1000,
+            run_monte_carlo(build_rho_nk(4, 1), theta, GlobalParity(), shots=1000,
                             repetitions=2, seed=0, bracket_halfwidth=halfwidth)
 
 
@@ -644,10 +641,10 @@ def test_run_refuses_a_bracket_its_grid_cannot_resolve(monkeypatch):
 
     monkeypatch.setattr(estimation, "_rng", sampled)
     with pytest.raises(DomainError, match="too wide"):
-        run_monte_carlo(ghz_state(4), 200.0, "global-parity", shots=1000, repetitions=1,
+        run_monte_carlo(ghz_state(4), 200.0, GlobalParity(), shots=1000, repetitions=1,
                         seed=0, bracket_halfwidth=100.5)
     with pytest.raises(AssertionError, match="sampled"):
-        run_monte_carlo(ghz_state(4), 200.0, "global-parity", shots=1000, repetitions=1,
+        run_monte_carlo(ghz_state(4), 200.0, GlobalParity(), shots=1000, repetitions=1,
                         seed=0, bracket_halfwidth=100.3)
 
 
@@ -664,7 +661,7 @@ def test_run_refuses_state_without_phase_speed(monkeypatch, state):
     monkeypatch.setattr(estimation, "_rng", no_sampling)
     for halfwidth in (None, 0.1):
         with pytest.raises(DomainError, match="weight 0"):
-            run_monte_carlo(state, 0.3, "global-parity", shots=1000, repetitions=2,
+            run_monte_carlo(state, 0.3, GlobalParity(), shots=1000, repetitions=2,
                             seed=0, bracket_halfwidth=halfwidth)
 
 
@@ -681,16 +678,16 @@ def test_run_refuses_measurement_without_information(monkeypatch, state, theta,
 
     monkeypatch.setattr(estimation, "_rng", no_sampling)
     with pytest.raises(DomainError, match=reason):
-        run_monte_carlo(state, theta, model_name, shots=1000, repetitions=200, seed=0)
+        run_monte_carlo(state, theta, get_model(model_name), shots=1000, repetitions=200, seed=0)
 
 
 def test_run_reads_shots_as_an_integer(monkeypatch):
     # shots, repetitions and seed are read as integers: a float is refused
     # before the first draw, and a numpy integer or a bool runs as the plain
     # int it stands for, which the record holds
-    run = run_monte_carlo(ghz_state(4), 0.2, "global-parity", np.int64(1000), True,
+    run = run_monte_carlo(ghz_state(4), 0.2, GlobalParity(), np.int64(1000), True,
                           np.int64(1))
-    assert run == run_monte_carlo(ghz_state(4), 0.2, "global-parity", 1000, 1, 1)
+    assert run == run_monte_carlo(ghz_state(4), 0.2, GlobalParity(), 1000, 1, 1)
     assert [type(v) for v in (run.shots, run.repetitions, run.seed)] == [int] * 3
 
     def no_sampling(seed, stream):
@@ -699,7 +696,7 @@ def test_run_reads_shots_as_an_integer(monkeypatch):
     monkeypatch.setattr(estimation, "_rng", no_sampling)
     for counts in ((100.5, 1, 1), (1000, 1.0, 1), (1000, 1, 1.0)):
         with pytest.raises(TypeError):
-            run_monte_carlo(ghz_state(4), 0.2, "global-parity", *counts)
+            run_monte_carlo(ghz_state(4), 0.2, GlobalParity(), *counts)
 
 
 def test_run_refuses_fisher_lost_to_underflow_for_what_it_is(monkeypatch):
@@ -712,20 +709,20 @@ def test_run_refuses_fisher_lost_to_underflow_for_what_it_is(monkeypatch):
     monkeypatch.setattr(estimation, "_rng", no_sampling)
     assert classical_fisher(build_rho_nk(4, 2), 1e-300, GlobalParity()) == 0.0
     with pytest.raises(DomainError, match="0 in floating point") as refused:
-        run_monte_carlo(build_rho_nk(4, 2), 1e-300, "global-parity", shots=1000,
+        run_monte_carlo(build_rho_nk(4, 2), 1e-300, GlobalParity(), shots=1000,
                         repetitions=2, seed=0, bracket_halfwidth=1e-301)
     assert "no phase information" not in str(refused.value)
 
 
 def test_run_refuses_negative_seed():
     with pytest.raises(DomainError, match="seed"):
-        run_monte_carlo(ghz_state(2), 0.3, "global-parity", shots=1000,
+        run_monte_carlo(ghz_state(2), 0.3, GlobalParity(), shots=1000,
                         repetitions=1, seed=-1)
 
 
 def test_run_json_fields():
     run = run_monte_carlo(
-        build_rho_nk(4, 2), theta_true=0.4, model="sector-parity",
+        build_rho_nk(4, 2), theta_true=0.4, model=SectorParity(),
         shots=500, repetitions=3, seed=1,
     )
     assert run.rng_algorithm == "philox4x64"

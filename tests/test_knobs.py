@@ -48,8 +48,7 @@ EXPORTS = {
     "PhaseGenerator", "brute_force_tensor", "hs_norm_sq_exact", "pt_dense_oracle",
     "pt_spectrum", "qfi_from_dense", "to_dense",
     # estimation
-    "RNG_ALGORITHM", "EstimationRun", "GlobalParity", "SectorParity",
-    "classical_fisher", "get_model", "run_monte_carlo",
+    "RNG_ALGORITHM", "EstimationRun", "classical_fisher", "get_model", "run_monte_carlo",
     # errors
     "CrossCheckError", "DomainError", "GhzmetroError", "LikelihoodDegeneracyError",
     "SizeLimitError",
