@@ -28,11 +28,11 @@ point ``cli`` answers it first.
 ``oracle_deviation``, which alone imports ``oracles`` (it loads numpy, the
 ``oracle`` extra; without it ``--oracle`` exits 2); ``json`` is imported
 only to write JSON and ``datetime`` only to print a timestamp.  Exit codes: 0
-success, 1 stdout closed, 2 domain error, 3 size limit, 4 cross-check failure.
+success, 1 stdout closed (``cli.main`` catches it), 2 domain error, 3 size
+limit, 4 cross-check failure.
 """
 from __future__ import annotations
 
-import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
@@ -129,6 +129,7 @@ def emit(pieces: Iterable[str], output: str | None) -> None:
             raise DomainError(f"cannot write --output {output!r}: {exc.strerror}") from exc
     else:
         write_blocks(pieces, sys.stdout.write)
+        sys.stdout.flush()  # a closed stdout fails here, not at the interpreter's exit
 
 
 def build_state(args: SimpleNamespace):
@@ -510,11 +511,7 @@ def run(argv: list[str]) -> int:
             tail = (f"oracle max deviation = {deviation:.3e}",) if (
                 deviation is not None and args.format == "text") else ()
             pieces = (line + "\n" for line in chain((header,), body, tail))
-        try:
-            emit(pieces, args.output)
-        except BrokenPipeError:  # the reader closed stdout: the exit flush goes to devnull
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 1
+        emit(pieces, args.output)  # a closed stdout raises BrokenPipeError to cli.main
         if deviation is not None and args.format == "csv":  # keeps the CSV parseable
             print(f"oracle max deviation = {deviation:.3e}", file=sys.stderr)
         return 0

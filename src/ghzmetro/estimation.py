@@ -11,15 +11,16 @@ modeled in closed form:
   measure parity within it:
   P(i, +-) = [(lambda_i^+ + lambda_i^-) +- (lambda_i^+ - lambda_i^-) cos(w_i theta)] / 2.
 
-Both are one fringe formula, evaluated in ``_FringeModel`` over float tables
-built once from the state's integer rows (s, d) over ``state.den``, with one
-division by ``den`` per entry.  Outcomes with one fringe form a class, read
-from ``state.classes()``: global parity sums mult * d over the classes of each
-weight w, so it has no size limit; sector parity keys them by (s, popcount,
-+-d), and walks the state's sectors (n <= 20 for a band state) only to lay out
-the draw's outcome rows by state class.  The model gives one probability per
-class; only the draw lays them out over the outcomes.  Classical Fisher
-information adds one analytic term per class over the P ``probabilities``
+Both are one fringe formula, evaluated in ``_FringeModel`` over one float row
+(base, floor, ((w, a), ...)) per outcome class, built once from the state's
+integer rows (s, d) over ``state.den``, with one division by ``den`` per
+entry.  Outcomes with one fringe form a class, read from ``state.classes()``:
+global parity sums mult * d over the classes of each weight w, so it has no
+size limit; sector parity keys them by (s, popcount, +-d), and walks the
+state's sectors (n <= 20 for a band state) only to lay out the draw's outcome
+rows by state class.  The model gives one probability per class; only the
+draw lays them out over the outcomes.  Classical Fisher information makes one
+pass over each class's row for one analytic term over the P ``probabilities``
 gives the draw, except where a fringe cancelled past 10 bits: there over the
 nonnegative floor form, and where it leaves the normal float range, from
 theta-scaled sums (``classical_fisher``).
@@ -279,43 +280,37 @@ def _pairwise_sum(x: Sequence[float]) -> float:
 # -- measurement models -------------------------------------------------------
 
 
-def _class_sums(terms: Sequence[tuple], wave: Sequence[float], classes: int) -> list[float]:
-    """Each class's fringe sum of coef * wave[column], added in ``terms`` order."""
-    sums = [0.0] * classes
-    for c, j, a in terms:
-        sums[c] += a * wave[j]
-    return sums
-
-
 class _FringeModel:
-    """P(theta) = (base + coef . cos(w theta)) / 2, one coefficient column per
-    weight w, ascending.  A model's ``_classes`` reads ``state.classes()`` into
-    its distinct rows (base, ((w, coef), ...)) over ``state.den``, one per outcome
-    class, the unit of every table, and the class of each outcome row.  The last
-    state's tables are kept."""
+    """P(theta) = (base + sum_w a cos(w theta)) / 2 for each outcome class.  A
+    model's ``_classes`` reads ``state.classes()`` into its distinct integer rows
+    (b, ((w, a), ...)) over ``state.den``, one per outcome class, and the class of
+    each outcome row.  ``_tables`` turns each row into floats (base, floor,
+    ((w, a), ...)), one division by ``den`` per entry, with the floor
+    (b - sum|a|)/den >= 0 (|d| <= s) taken in integers.  The last state's
+    tables are kept."""
 
     _state = None
 
     def probabilities(self, state: SectorState, theta: float) -> list[float]:
-        w, base, terms, _, _ = self._tables(state)
-        fringe = _class_sums(terms, [math.cos(wj * theta) for wj in w], len(base))
-        return [(b + f) / 2.0 for b, f in zip(base, fringe)]
+        out = []
+        for base, _, terms in self._tables(state)[0]:
+            fringe = 0.0
+            for w, a in terms:
+                fringe += a * math.cos(w * theta)
+            out.append((base + fringe) / 2.0)
+        return out
 
-    def _tables(self, state: SectorState) -> tuple:
-        """(w, class bases, (class, column, coef) terms, row classes, class floors)."""
+    def _tables(self, state: SectorState) -> tuple[list[tuple], list[int]]:
+        """(the class rows (base, floor, ((w, a), ...)), the row classes)."""
         # a sparse state holds dicts, so states are compared by identity, not
         # hashed; holding it keeps its id from being reused by another state
         if self._state is not state:
-            classes, row_class = self._classes(state)
+            rows, row_class = self._classes(state)
             den = state.den
-            w = sorted({wi for _, row_terms in classes for wi, _ in row_terms})
-            col = {wi: j for j, wi in enumerate(w)}
-            terms = [(c, col[wi], a / den) for c, (_, row_terms) in enumerate(classes)
-                     for wi, a in row_terms]
             self._state = state
-            self._cached = ([float(wi) for wi in w], [b / den for b, _ in classes], terms,
-                            row_class, [(b - sum(abs(a) for _, a in row_terms)) / den
-                                        for b, row_terms in classes])  # floors >= 0: |d| <= s
+            self._cached = ([(b / den, (b - sum(abs(a) for _, a in terms)) / den,
+                              tuple((float(w), a / den) for w, a in terms))
+                             for b, terms in rows], row_class)
         return self._cached
 
 
@@ -384,30 +379,27 @@ def classical_fisher(state: SectorState, theta: float, model) -> float:
     float (theta != 0), dP^2/P reads theta-scaled sums: with h = w theta/2,
     P = theta^2/4 sum|a| w^2 sinc^2(h) and P' = theta/2 sum|a| w^2 sinc(h)
     cos(h), so dP^2/P = (sum|a| w^2 sinc(h) cos(h))^2 / sum|a| w^2 sinc^2(h)."""
-    w, base, terms, row_class, floor = model._tables(state)
-    turn = _class_sums(terms, [wj * math.sin(wj * theta) for wj in w], len(base))
-    floor_p = [f / 2.0 for f in floor]
-    # theta-scaled (P', P) sums of each class with floor 0 and only sin^2 terms
-    scaled = [[0.0, 0.0] if f == 0.0 else None for f in floor]
-    for c, j, a in terms:
-        half = w[j] * theta / 2.0  # half of fl(w theta), the phase dP/dtheta reads
-        edge = (math.cos if a > 0.0 else math.sin)(half)
-        floor_p[c] += abs(a) * edge * edge
-        if a > 0.0:
-            scaled[c] = None
-        elif scaled[c] is not None:
-            sinc = edge / half if half else 1.0
-            scaled[c][0] -= a * w[j] * w[j] * sinc * math.cos(half)
-            scaled[c][1] -= a * w[j] * w[j] * sinc * sinc
-    term = [0.0] * len(base)  # P = 0 adds 0
-    for c, (b, p, t) in enumerate(zip(base, model.probabilities(state, theta), turn)):
-        pk, dk = (p if p >= b * 2.0**-10 else floor_p[c]), -t / 2.0
-        if theta and scaled[c] is not None and min(pk, dk * dk) < sys.float_info.min:
-            slope, height = scaled[c]
-            if height > 0.0:
-                term[c] = slope * slope / height
-        elif pk > 0.0:
-            term[c] = dk * dk / pk
+    classes, row_class = model._tables(state)
+    term = []  # P = 0 adds 0
+    for (base, floor, terms), p in zip(classes, model.probabilities(state, theta)):
+        turn, floor_p = 0.0, floor / 2.0
+        scaled, slope, height = floor == 0.0, 0.0, 0.0  # the sums hold while no a > 0
+        for w, a in terms:
+            turn += a * (w * math.sin(w * theta))
+            half = w * theta / 2.0  # half of fl(w theta), the phase dP/dtheta reads
+            edge = (math.cos if a > 0.0 else math.sin)(half)
+            floor_p += abs(a) * edge * edge
+            if a > 0.0:
+                scaled = False
+            elif scaled:
+                sinc = edge / half if half else 1.0
+                slope -= a * w * w * sinc * math.cos(half)
+                height -= a * w * w * sinc * sinc
+        pk, dk = (p if p >= base * 2.0**-10 else floor_p), -turn / 2.0
+        if theta and scaled and min(pk, dk * dk) < sys.float_info.min:
+            term.append(slope * slope / height if height > 0.0 else 0.0)
+        else:
+            term.append(dk * dk / pk if pk > 0.0 else 0.0)
     total = 0.0
     for c in row_class:
         total += term[c]
@@ -467,8 +459,9 @@ def _mle(
     likelihood takes one logarithm per class with counts, each class's
     counts summed and read in the order of its first counted row.
     """
+    _, row_class = model._tables(state)
     picks = {}  # class -> the counts of its rows
-    for cls, n in zip(model._tables(state)[3], counts):  # row classes
+    for cls, n in zip(row_class, counts):
         if n:
             picks[cls] = picks.get(cls, 0) + int(n)
 
@@ -565,9 +558,9 @@ def run_monte_carlo(
         raise DomainError(f"bracket {bracket} straddles 0: the likelihood is mirror-"
                           "symmetric, so theta' and its mirror -theta' fit every count alike")
     fisher = classical_fisher(state, theta_true, model)
+    classes, row_class = model._tables(state)
     if fisher <= 0.0:
-        w, _, terms, _, _ = model._tables(state)
-        if any(a and w[j] for _, j, a in terms):  # a fringe that turns with theta
+        if any(a and w for _, _, terms in classes for w, a in terms):  # a turning fringe
             raise DomainError(f"the classical Fisher information at theta = {theta_true} is "
                               "0 in floating point: a stationary point of the outcome "
                               "probabilities, or underflow near theta = 0")
@@ -576,7 +569,7 @@ def run_monte_carlo(
         )
 
     per_class = model.probabilities(state, theta_true)
-    probs = [per_class[c] for c in model._tables(state)[3]]  # laid out over the outcomes
+    probs = [per_class[c] for c in row_class]  # laid out over the outcomes
     if min(probs) < -1e-12 or abs(_pairwise_sum(probs) - 1.0) > 1e-9:
         raise DomainError("model probabilities are not a distribution")
     probs = [max(p, 0.0) for p in probs]

@@ -81,6 +81,9 @@ def test_large_output_is_written_in_bounded_blocks(monkeypatch):
         def write(self, text):
             self.writes.append(text)
 
+        def flush(self):
+            pass
+
     stdout = Recorder()
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(["state", "--n", "16", "--k", "7", "--format", "json", "--no-timestamp"]) == 0
@@ -98,6 +101,9 @@ def test_state_listing_is_made_as_it_is_written(monkeypatch, fmt):
     # 13 MiB (text) and 23 MiB (JSON)
     class Discard:
         def write(self, text):
+            pass
+
+        def flush(self):
             pass
 
     monkeypatch.setattr(sys, "stdout", Discard())
@@ -1178,18 +1184,39 @@ def test_no_command_loads_typing(argv):
     assert "typing" not in loaded
 
 
-def test_closed_stdout_exits_1_quietly():
-    # the reader takes one line of a 1.4 MB listing and closes the pipe: the
-    # next write fails, and the run exits 1 with no traceback on stderr
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--version"], ["qfi", "--n", "7", "--k", "2"],
+                                  ["bell", "--n", "6", "--k", "2", "--oracle"],
+                                  ["state", "--n", "16", "--k", "7", "--no-timestamp"]],
+                         ids=["version", "qfi", "bell-oracle", "state"])
+def test_closed_stdout_exits_1_quietly(argv, unbuffered):
+    # a closed stdout fails the write or, with buffered output, the flush
+    # after it: the run exits 1 with no traceback and no "Exception ignored"
+    # on stderr.  The state listing's reader takes its first line of 1.4 MB,
+    # then closes the pipe; the others find it closed before they start
     src = str(Path(ghzmetro.__file__).resolve().parent.parent)
-    proc = subprocess.Popen([sys.executable, "-m", "ghzmetro.cli", "state", "--n", "16",
-                             "--k", "7", "--no-timestamp"], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
-    assert first.startswith(b"# tool: ghzmetro")
-    assert (proc.returncode, err) == (1, b"")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    cmd = [sys.executable, "-m", "ghzmetro.cli", *argv]
+    if argv[0] == "state":
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert first.startswith(b"# tool: ghzmetro")
+        code = proc.returncode
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  timeout=60)
+        finally:
+            os.close(write_end)
+        code, err = proc.returncode, proc.stderr
+    assert (code, err) == (1, b"")
 
 
 @pytest.mark.parametrize("command", ["qfi", "ppt", "bell"])

@@ -1,4 +1,5 @@
 """Phase evolution, measurement models, classical Fisher, Monte Carlo runs."""
+import hashlib
 import math
 from fractions import Fraction
 
@@ -80,7 +81,8 @@ def outcome_probabilities(model, state, theta):
     """The model's per-class probabilities laid out over its outcome rows, as
     ``run_monte_carlo`` lays them out for the draw."""
     p = model.probabilities(state, theta)
-    return [p[c] for c in model._tables(state)[3]]
+    _, row_class = model._tables(state)
+    return [p[c] for c in row_class]
 
 
 def test_sector_parity_gives_one_probability_per_class():
@@ -91,7 +93,7 @@ def test_sector_parity_gives_one_probability_per_class():
 def merged_tables(model, state):
     """The tables by the row-merge rule: one row (base, ((w, coef), ...)) per
     outcome over ``den``, equal rows hashed into one class in order of first
-    appearance."""
+    appearance; each class as floats (base, floor, ((w, coef), ...))."""
     if model.name == "global-parity":
         coef = {}
         for rep, mult, _, d in state.classes():
@@ -104,11 +106,9 @@ def merged_tables(model, state):
                 for i, s, d in state.sectors() for sign in (1, -1)]
     classes = {}
     row_class = [classes.setdefault(row, len(classes)) for row in rows]
-    w = sorted({wi for _, terms in classes for wi, _ in terms})
-    return ([float(wi) for wi in w], [b / state.den for b, _ in classes],
-            [(c, w.index(wi), a / state.den) for c, (_, terms) in enumerate(classes)
-             for wi, a in terms],
-            row_class, [(b - sum(abs(a) for _, a in terms)) / state.den for b, terms in classes])
+    return ([(b / state.den, (b - sum(abs(a) for _, a in terms)) / state.den,
+              tuple((float(wi), a / state.den) for wi, a in terms)) for b, terms in classes],
+            row_class)
 
 
 def assert_tables_merge_equal_rows(state):
@@ -128,10 +128,16 @@ def test_tables_merge_equal_rows_on_family_and_mixed_states():
 
 # sectors 1 and 2 of n = 3 share a popcount: first equal rows (s, d), then
 # swapped weights, whose + row is the other's - row
-@example(GhzDiagonalState(3, {1: Fraction(1, 4), 2: Fraction(1, 4)},
-                          {1: Fraction(1, 8), 2: Fraction(1, 8), 3: Fraction(1, 4)}))
-@example(GhzDiagonalState(3, {1: Fraction(1, 4), 2: Fraction(1, 8), 3: Fraction(1, 4)},
-                          {1: Fraction(1, 8), 2: Fraction(1, 4)}))
+ROW_MERGE_EXAMPLES = (
+    GhzDiagonalState(3, {1: Fraction(1, 4), 2: Fraction(1, 4)},
+                     {1: Fraction(1, 8), 2: Fraction(1, 8), 3: Fraction(1, 4)}),
+    GhzDiagonalState(3, {1: Fraction(1, 4), 2: Fraction(1, 8), 3: Fraction(1, 4)},
+                     {1: Fraction(1, 8), 2: Fraction(1, 4)}),
+)
+
+
+@example(ROW_MERGE_EXAMPLES[0])
+@example(ROW_MERGE_EXAMPLES[1])
 @settings(max_examples=100, deadline=None)
 @given(random_state_strategy(max_n=5))
 def test_tables_merge_equal_rows_on_random_states(state):
@@ -342,12 +348,12 @@ def class_coefficients(state):
 def assert_parity_coefficients_are_class_sums(state):
     exact = class_coefficients(state)
     assert exact == sector_coefficients(state)
-    w, base, terms, row_class, *_ = GlobalParity()._tables(state)
-    assert w == sorted(float(wi) for wi in exact)
+    classes, row_class = GlobalParity()._tables(state)
     for row, sign in zip(row_class, (1, -1)):  # the + and - outcome rows
-        assert base[row] == 1.0
-        got = {w[j]: a for c, j, a in terms if c == row}
-        assert got == {float(wi): sign * float(a) for wi, a in exact.items()}
+        base, _, terms = classes[row]
+        assert base == 1.0
+        assert [w for w, _ in terms] == sorted(float(wi) for wi in exact)
+        assert dict(terms) == {float(wi): sign * float(a) for wi, a in exact.items()}
 
 
 def test_global_parity_coefficients_are_class_sums_on_family():
@@ -422,6 +428,26 @@ def test_ghz_global_parity_reaches_n_squared_near_zero():
     for theta in (1e-8, 1e-160, 1e-200):
         f_c = classical_fisher(ghz_state(4), theta, GlobalParity())
         assert f_c == pytest.approx(16, rel=1e-12), theta
+
+
+# members, GHZ, the maximally mixed state and the two sparse row-merge
+# examples: ordinary phases, the floor form near theta = 0 and pi/n, the
+# theta-scaled sums at 1e-160 and 1e-200, underflow at 1e-300, and a phase
+# past 2^26
+FISHER_PIN_STATES = [build_rho_nkm(n, k, m) for n, k, m in
+                     ((4, 2, 0), (6, 1, 1), (8, 3, 1), (12, 3, 1), (12, 6, 0))] + [
+    ghz_state(4), maximally_mixed_state(4), *ROW_MERGE_EXAMPLES]
+
+
+def test_fisher_bits_are_pinned():
+    # every F_C bit in every regime, both models: 162 values, the same
+    # operations in the same order as when the digest was recorded
+    values = [classical_fisher(state, theta, get_model(name))
+              for name in ("global-parity", "sector-parity") for state in FISHER_PIN_STATES
+              for theta in (0.3, 1e-8, 1e-12, 1e-160, 1e-200, 1e-300,
+                            math.pi / state.n - 1e-9, math.pi / state.n + 1e-9, 7e7)]
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == (
+        "bcd0337c7e8106498176670a10160f953da356eda4dffe075c8d380e59a6887b")
 
 
 def test_sector_parity_saturates_sector_term():
