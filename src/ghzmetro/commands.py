@@ -129,7 +129,7 @@ def emit(pieces: Iterable[str], output: str | None) -> None:
             raise DomainError(f"cannot write --output {output!r}: {exc.strerror}") from exc
     else:
         write_blocks(pieces, sys.stdout.write)
-        sys.stdout.flush()  # a closed stdout fails here, not at the interpreter's exit
+        sys.stdout.flush()  # before any stderr line; a closed stdout fails here
 
 
 def build_state(args: SimpleNamespace):

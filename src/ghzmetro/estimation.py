@@ -12,18 +12,18 @@ modeled in closed form:
   P(i, +-) = [(lambda_i^+ + lambda_i^-) +- (lambda_i^+ - lambda_i^-) cos(w_i theta)] / 2.
 
 Both are one fringe formula, evaluated in ``_FringeModel`` over one float row
-(base, floor, ((w, a), ...)) per outcome class, built once from the state's
-integer rows (s, d) over ``state.den``, with one division by ``den`` per
-entry.  Outcomes with one fringe form a class, read from ``state.classes()``:
-global parity sums mult * d over the classes of each weight w, so it has no
-size limit; sector parity keys them by (s, popcount, +-d), and walks the
-state's sectors (n <= 20 for a band state) only to lay out the draw's outcome
-rows by state class.  The model gives one probability per class; only the
-draw lays them out over the outcomes.  Classical Fisher information makes one
-pass over each class's row for one analytic term over the P ``probabilities``
-gives the draw, except where a fringe cancelled past 10 bits: there over the
-nonnegative floor form, and where it leaves the normal float range, from
-theta-scaled sums (``classical_fisher``).
+(base, floor, ((w, a), ...)) per outcome class, built from the state's integer
+rows (s, d) over ``state.den``.  Outcomes with one fringe form a class, read
+from ``state.classes()``: global parity sums mult * d over the classes of each
+weight w, so it has no size limit; sector parity keys them by (s, popcount,
++-d), and walks the state's sectors (n <= 20 for a band state) only to lay out
+the draw's outcome rows by state class.  A model keeps no state: a run builds
+these tables once, and evaluates ``probabilities``, one value per class, once
+at theta_true for both F_C and the draw, which alone lays them out over the
+outcomes.  Classical Fisher information makes one pass over each class's row
+for one analytic term over that P, except where a fringe cancelled past 10
+bits: there over the nonnegative floor form, and where it leaves the normal
+float range, from theta-scaled sums (``classical_fisher``).
 A seeded counter-based Monte Carlo loop estimates theta by bracketed maximum
 likelihood (a grid, then golden-section search; one logarithm per class) to
 compare the empirical spread with the Cramer-Rao bound 1/sqrt(shots * F).
@@ -286,14 +286,12 @@ class _FringeModel:
     (b, ((w, a), ...)) over ``state.den``, one per outcome class, and the class of
     each outcome row.  ``_tables`` turns each row into floats (base, floor,
     ((w, a), ...)), one division by ``den`` per entry, with the floor
-    (b - sum|a|)/den >= 0 (|d| <= s) taken in integers.  The last state's
-    tables are kept."""
+    (b - sum|a|)/den >= 0 (|d| <= s) taken in integers; ``probabilities``
+    reads the class rows it is handed.  A model keeps no state."""
 
-    _state = None
-
-    def probabilities(self, state: SectorState, theta: float) -> list[float]:
+    def probabilities(self, classes: list[tuple], theta: float) -> list[float]:
         out = []
-        for base, _, terms in self._tables(state)[0]:
+        for base, _, terms in classes:
             fringe = 0.0
             for w, a in terms:
                 fringe += a * math.cos(w * theta)
@@ -302,16 +300,11 @@ class _FringeModel:
 
     def _tables(self, state: SectorState) -> tuple[list[tuple], list[int]]:
         """(the class rows (base, floor, ((w, a), ...)), the row classes)."""
-        # a sparse state holds dicts, so states are compared by identity, not
-        # hashed; holding it keeps its id from being reused by another state
-        if self._state is not state:
-            rows, row_class = self._classes(state)
-            den = state.den
-            self._state = state
-            self._cached = ([(b / den, (b - sum(abs(a) for _, a in terms)) / den,
-                              tuple((float(w), a / den) for w, a in terms))
-                             for b, terms in rows], row_class)
-        return self._cached
+        rows, row_class = self._classes(state)
+        den = state.den
+        return ([(b / den, (b - sum(abs(a) for _, a in terms)) / den,
+                  tuple((float(w), a / den) for w, a in terms))
+                 for b, terms in rows], row_class)
 
 
 class GlobalParity(_FringeModel):
@@ -379,9 +372,15 @@ def classical_fisher(state: SectorState, theta: float, model) -> float:
     float (theta != 0), dP^2/P reads theta-scaled sums: with h = w theta/2,
     P = theta^2/4 sum|a| w^2 sinc^2(h) and P' = theta/2 sum|a| w^2 sinc(h)
     cos(h), so dP^2/P = (sum|a| w^2 sinc(h) cos(h))^2 / sum|a| w^2 sinc^2(h)."""
-    classes, row_class = model._tables(state)
+    tables = model._tables(state)
+    return _fisher(tables, theta, model.probabilities(tables[0], theta))
+
+
+def _fisher(tables: tuple[list[tuple], list[int]], theta: float, probs: list[float]) -> float:
+    """``classical_fisher`` from a model's ``tables`` and its ``probs`` at theta."""
+    classes, row_class = tables
     term = []  # P = 0 adds 0
-    for (base, floor, terms), p in zip(classes, model.probabilities(state, theta)):
+    for (base, floor, terms), p in zip(classes, probs):
         turn, floor_p = 0.0, floor / 2.0
         scaled, slope, height = floor == 0.0, 0.0, 0.0  # the sums hold while no a > 0
         for w, a in terms:
@@ -448,8 +447,8 @@ def _golden_section(f, lo: float, hi: float) -> tuple[float, float]:
 
 
 def _mle(
-    state: SectorState,
     model,
+    tables: tuple[list[tuple], list[int]],
     counts: Sequence[int],
     bracket: tuple[float, float],
 ) -> float:
@@ -459,14 +458,14 @@ def _mle(
     likelihood takes one logarithm per class with counts, each class's
     counts summed and read in the order of its first counted row.
     """
-    _, row_class = model._tables(state)
+    classes, row_class = tables
     picks = {}  # class -> the counts of its rows
     for cls, n in zip(row_class, counts):
         if n:
             picks[cls] = picks.get(cls, 0) + int(n)
 
     def nll_at(t: float) -> float:
-        p = model.probabilities(state, t)
+        p = model.probabilities(classes, t)
         total = 0.0
         for cls, n in picks.items():
             pr = p[cls]
@@ -557,8 +556,9 @@ def run_monte_carlo(
     if bracket[0] < 0 < bracket[1]:
         raise DomainError(f"bracket {bracket} straddles 0: the likelihood is mirror-"
                           "symmetric, so theta' and its mirror -theta' fit every count alike")
-    fisher = classical_fisher(state, theta_true, model)
-    classes, row_class = model._tables(state)
+    classes, row_class = tables = model._tables(state)
+    per_class = model.probabilities(classes, theta_true)  # read by F_C and the draw
+    fisher = _fisher(tables, theta_true, per_class)
     if fisher <= 0.0:
         if any(a and w for _, _, terms in classes for w, a in terms):  # a turning fringe
             raise DomainError(f"the classical Fisher information at theta = {theta_true} is "
@@ -568,7 +568,6 @@ def run_monte_carlo(
             f"measurement carries no phase information at theta = {theta_true}"
         )
 
-    per_class = model.probabilities(state, theta_true)
     probs = [per_class[c] for c in row_class]  # laid out over the outcomes
     if min(probs) < -1e-12 or abs(_pairwise_sum(probs) - 1.0) > 1e-9:
         raise DomainError("model probabilities are not a distribution")
@@ -576,7 +575,7 @@ def run_monte_carlo(
     total = _pairwise_sum(probs)
     pvals = [p / total for p in probs]
 
-    estimates = [_mle(state, model, _rng(seed, rep).multinomial(shots, pvals), bracket)
+    estimates = [_mle(model, tables, _rng(seed, rep).multinomial(shots, pvals), bracket)
                  for rep in range(repetitions)]
     empirical_std = math.sqrt(
         _pairwise_sum([(e - theta_true) * (e - theta_true) for e in estimates]) / repetitions)

@@ -4,13 +4,26 @@ every other line: an option shortened or written with ``=``, a negative
 value, ``--``, help, ``--version`` with more arguments and every usage error.
 Help and usage errors are 78 columns wide (argparse's width at 80 columns),
 whatever the terminal; a plain line loads neither this module nor argparse.
+Help or version text written to a closed stdout raises, as other output does.
 """
 from __future__ import annotations
 
 import argparse
+import sys
 from collections.abc import Callable
 
 from . import __version__
+
+
+class Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose failed write to stdout raises (argparse's
+    swallows it) for ``cli.main`` to end with exit 1; its subparsers share it."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
 
 
 class StoreOne(argparse.Action):
@@ -40,7 +53,7 @@ def parser(commands: dict, read_number: Callable) -> argparse.ArgumentParser:
     True when given; any other option reads one value, by ``read_number``
     for a number kind, and checks it against its choices."""
     formatter = lambda prog: argparse.HelpFormatter(prog, width=78)
-    program = argparse.ArgumentParser(
+    program = Parser(
         prog="ghzmetro", description="Exact metrology of GHZ-diagonal bound-entangled states",
         formatter_class=formatter)
     program.add_argument("--version", action="version", version=f"ghzmetro {__version__}")

@@ -80,14 +80,15 @@ def sector_outcomes(state):
 def outcome_probabilities(model, state, theta):
     """The model's per-class probabilities laid out over its outcome rows, as
     ``run_monte_carlo`` lays them out for the draw."""
-    p = model.probabilities(state, theta)
-    _, row_class = model._tables(state)
+    classes, row_class = model._tables(state)
+    p = model.probabilities(classes, theta)
     return [p[c] for c in row_class]
 
 
 def test_sector_parity_gives_one_probability_per_class():
     # rho_{8,3}: 93 populated sectors, so 186 outcome rows, in 12 classes
-    assert len(SectorParity().probabilities(build_rho_nk(8, 3), 0.2)) == 12
+    model = SectorParity()
+    assert len(model.probabilities(model._tables(build_rho_nk(8, 3))[0], 0.2)) == 12
 
 
 def merged_tables(model, state):
@@ -119,7 +120,8 @@ def assert_tables_merge_equal_rows(state):
 def test_tables_merge_equal_rows_on_family_and_mixed_states():
     # every coefficient of the maximally mixed state is 0, so global parity's
     # two outcome rows are equal and form one class
-    assert len(GlobalParity().probabilities(maximally_mixed_state(4), 0.3)) == 1
+    model = GlobalParity()
+    assert len(model.probabilities(model._tables(maximally_mixed_state(4))[0], 0.3)) == 1
     for n, k, m in family_members(12):
         assert_tables_merge_equal_rows(build_rho_nkm(n, k, m))
     for n in range(2, 9):
@@ -147,7 +149,7 @@ def test_tables_merge_equal_rows_on_random_states(state):
 def test_ghz_parity_fringe():
     n, model = 4, GlobalParity()
     for theta in (0.0, 0.1, 0.7, 2.0):
-        p = model.probabilities(ghz_state(n), theta)
+        p = outcome_probabilities(model, ghz_state(n), theta)
         assert p[0] == pytest.approx((1 + np.cos(n * theta)) / 2)
         assert p[1] == pytest.approx((1 - np.cos(n * theta)) / 2)
 
@@ -185,7 +187,7 @@ def test_global_parity_matches_born_rule():
     for theta in (0.2, 0.9):
         rho_t = evolve_dense(state, theta)
         born = float(np.trace(proj_plus @ rho_t).real)
-        assert model.probabilities(state, theta)[0] == pytest.approx(born, abs=1e-12)
+        assert outcome_probabilities(model, state, theta)[0] == pytest.approx(born, abs=1e-12)
 
 
 def test_sector_parity_matches_born_rule():
@@ -480,9 +482,9 @@ class RecordingModel:
     def __init__(self, model):
         self.model, self.thetas = model, []
 
-    def probabilities(self, state, theta):
+    def probabilities(self, classes, theta):
         self.thetas.append(theta)
-        return self.model.probabilities(state, theta)
+        return self.model.probabilities(classes, theta)
 
     def __getattr__(self, name):
         return getattr(self.model, name)
@@ -595,6 +597,26 @@ def test_run_reads_state_tables_once(monkeypatch, model_name):
         assert 1 <= calls["classes"] <= 5  # its outcome classes are read from them
 
 
+@pytest.mark.parametrize("model_name", ["global-parity", "sector-parity"])
+def test_run_evaluates_theta_true_once(model_name):
+    # F_C and the draw read one evaluation at theta_true; every later one is
+    # the likelihood's
+    state, theta = build_rho_nk(6, 2), 0.2
+    proxy = RecordingModel(get_model(model_name))
+    run = run_monte_carlo(state, theta, proxy, shots=1000, repetitions=3, seed=5)
+    assert proxy.thetas[0] == theta and proxy.thetas.count(theta) == 1
+    assert run == run_monte_carlo(state, theta, get_model(model_name), 1000, 3, 5)
+
+
+@pytest.mark.parametrize("model_name", ["global-parity", "sector-parity"])
+def test_models_keep_no_state(model_name):
+    model, state = get_model(model_name), build_rho_nk(6, 2)
+    run_monte_carlo(state, 0.2, model, shots=1000, repetitions=2, seed=5)
+    assert vars(model) == {}
+    classical_fisher(state, 0.2, model)
+    assert vars(model) == {}
+
+
 def test_run_tracks_cramer_rao():
     run = run_monte_carlo(
         ghz_state(4), theta_true=np.pi / 16, model=GlobalParity(),
@@ -626,7 +648,7 @@ def test_refined_estimate_is_local_likelihood_minimum(state, model_name):
     for seed in range(3):
         counts = np.random.default_rng(seed).multinomial(
             2000, outcome_probabilities(model, state, theta))
-        est = _mle(state, model, counts, bracket)
+        est = _mle(model, model._tables(state), counts, bracket)
         assert bracket[0] < est < bracket[1]
         assert nll(est) <= min(nll(est - 1e-6), nll(est + 1e-6))
 
