@@ -511,7 +511,7 @@ def run(argv: list[str]) -> int:
             tail = (f"oracle max deviation = {deviation:.3e}",) if (
                 deviation is not None and args.format == "text") else ()
             pieces = (line + "\n" for line in chain((header,), body, tail))
-        emit(pieces, args.output)  # a closed stdout raises BrokenPipeError to cli.main
+        emit(pieces, args.output)  # a failed stdout raises OSError to cli.main
         if deviation is not None and args.format == "csv":  # keeps the CSV parseable
             print(f"oracle max deviation = {deviation:.3e}", file=sys.stderr)
         return 0

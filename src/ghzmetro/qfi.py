@@ -5,15 +5,15 @@ Two exact routes to the same number, each the other's check:
 * ``qfi_ghz_diagonal`` — the GHZ-diagonal closed form
   sum_i w_i^2 (lambda_i^+ - lambda_i^-)^2 / (lambda_i^+ + lambda_i^-),
   one integer sum over the state's class rows, reduced once at the end;
-* ``qfi_closed_nk`` — the binomial-family closed form.  With S(n, t) =
+* ``family_report`` — the binomial-family closed form.  With S(n, t) =
   sum_{j<=t} C(n, j), F_Q = sum_{j<k} (n-2j)^2 C(n,j) / S(n,k+m)
   = [n S(n,k-1) + k(n-2k+1) C(n,k)] / S(n,k+m), and s_nk = S(n,k-1) / S(n,k),
   both read from one row C(n, 0..k+m).  Proof: g(j) = j(n-2j+1) C(n,j) has g(0) = 0
   and, by (j+1) C(n,j+1) = (n-j) C(n,j), g(j+1) - g(j) = [(n-2j)^2 - n] C(n,j).
 
 The generic spectral formula on a dense eigendecomposition is their oracle
-in ``oracles``.  ``family_report``, which the CLI prints for one family
-member, holds F_Q, s_nk and the member's lower bound, all from that one row.
+in ``oracles``.  The report, which the CLI prints for one family member, holds
+F_Q (``qfi_closed_nk`` alone), s_nk and the member's lower bound.
 
 Two exact verdicts show how weak the members' entanglement is.  A GHZ-diagonal
 state is genuinely multipartite entangled iff its largest GHZ weight exceeds
@@ -46,19 +46,10 @@ def qfi_ghz_diagonal(state: SectorState) -> Fraction:
                         for j, mult, s, d in state.classes() if d), lcm * state.den)
 
 
-def _family_forms(n: int, k: int, m: int) -> tuple[Fraction, Fraction]:
-    """(F_Q, s_nk) of the (n, k, m) member from its one row C(n, 0..k+m)."""
-    _check_family(n, k, m)
-    row = _binomial_row(n, k + m)
-    below = sum(row[:k])  # S(n, k-1)
-    return (Fraction(n * below + k * (n - 2 * k + 1) * row[k], below + sum(row[k:])),
-            Fraction(below, below + row[k]))
-
-
 def qfi_closed_nk(n: int, k: int, m: int = 0) -> Fraction:
     """Exact QFI of the (n, k, m) family without building the state: the mixed
     bands k..k+m carry no coherence, so only the pure bands j < k contribute."""
-    return _family_forms(n, k, m)[0]
+    return family_report(n, k, m).f_q
 
 
 def scaled_k(a: Fraction, n: int) -> int:
@@ -101,8 +92,11 @@ class QfiReport(_Record):
 def family_report(
     n: int, k: int, m: int | None = None, a: Fraction | None = None
 ) -> QfiReport:
-    """Assemble the full report for one (n, k[, m]) family member."""
-    f_q, s_nk = _family_forms(n, k, m or 0)
+    """Assemble the full report for one (n, k[, m]) family member from its row."""
+    _check_family(n, k, m or 0)
+    row = _binomial_row(n, k + (m or 0))
+    below = sum(row[:k])  # S(n, k-1)
+    f_q = Fraction(n * below + k * (n - 2 * k + 1) * row[k], below + sum(row[k:]))
     bound = mixed_bound = None
     if m:
         mixed_bound = Fraction((n - 2 * k) ** 2 * math.prod(range(k, k + m + 1)),
@@ -123,7 +117,7 @@ def family_report(
         f_q=f_q,
         snl_ratio=f_q / n,
         lower_bound=bound,
-        s_nk=s_nk,
+        s_nk=Fraction(below, below + row[k]),
         mixed_lower_bound=mixed_bound,
         ratio_limit_form=ratio_limit,
         ratio_bound_form=ratio_bound,

@@ -267,10 +267,8 @@ def _check_family(n: int, k: int, m: int) -> None:
     if k < 1 or 2 * k > n:
         raise DomainError(f"need 1 <= k <= n/2, got k = {k} for n = {n}")
     if 2 * (k + m) > n:
-        raise DomainError(
-            f"mixing range {list(range(k, k + m + 1))} is not normalizable for "
-            f"n = {n}: need k + m <= n/2"
-        )
+        raise DomainError(f"mixing range {k}..{k + m} is not normalizable for n = {n}: "
+                          "need k + m <= n/2")
     if (k + m + 1) * n > FAMILY_BIT_LIMIT:
         raise SizeLimitError(f"rho_{n},{k},{m} needs (k + m + 1) * n = {(k + m + 1) * n} "
                              f"bits of rows, more than {FAMILY_BIT_LIMIT} (2^27)")

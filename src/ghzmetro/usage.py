@@ -4,7 +4,7 @@ every other line: an option shortened or written with ``=``, a negative
 value, ``--``, help, ``--version`` with more arguments and every usage error.
 Help and usage errors are 78 columns wide (argparse's width at 80 columns),
 whatever the terminal; a plain line loads neither this module nor argparse.
-Help or version text written to a closed stdout raises, as other output does.
+Help or version text written to a failed stdout raises, as other output does.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from . import __version__
 
 class Parser(argparse.ArgumentParser):
     """An ``ArgumentParser`` whose failed write to stdout raises (argparse's
-    swallows it) for ``cli.main`` to end with exit 1; its subparsers share it."""
+    swallows it) for ``cli.main`` to end with exit 1 or 2; its subparsers share it."""
 
     def _print_message(self, message, file=None):
         if file is sys.stdout:

@@ -1047,6 +1047,14 @@ def test_qfi_mixed_member_beyond_build_limit(capsys):
     assert "mixing width" in err
 
 
+def test_unnormalizable_mixing_range_is_named_by_its_ends(capsys):
+    # the refusal names the range k..k+m, so its length does not grow with m
+    code, out, err = run(capsys, "qfi", "--n", "10", "--k", "1", "--m", "10000000")
+    assert (code, out) == (2, "")
+    assert err == ("error: mixing range 1..10000001 is not normalizable for n = 10: "
+                   "need k + m <= n/2\n")
+
+
 # every command but --oracle; estimate samples with its own Philox stream,
 # so it needs no numpy either.  scipy.optimize alone would add about 0.6 s to
 # every command's startup, numpy about 0.17 s
@@ -1198,6 +1206,70 @@ def test_closed_stdout_exits_1_quietly(argv, unbuffered):
             os.close(write_end)
         code, err = proc.returncode, proc.stderr
     assert (code, err) == (1, b"")
+
+
+def module_run(argv, unbuffered, stdout, stderr, **popen):
+    """Exit code, stdout and stderr of ``python -m ghzmetro.cli argv`` with the
+    two streams sent where the caller says, buffered or not."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(ghzmetro.__file__).resolve().parent.parent)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run([sys.executable, "-m", "ghzmetro.cli", *argv], stdout=stdout,
+                          stderr=stderr, env=env, timeout=60, **popen)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+BELL_ORACLE = ["bell", "--n", "6", "--k", "2", "--oracle"]
+
+
+@BUFFERING
+@pytest.mark.parametrize("target", ["closed", pytest.param("full", marks=DEV_FULL), "absent"])
+@pytest.mark.parametrize("argv, want", [(["qfi", "--n", "7", "--k", "2", "--m", "-1"], 2),
+                                        (["qfi", "--n", "x"], 2), (BELL_ORACLE, 0)],
+                         ids=["domain-error", "usage-error", "bell-oracle"])
+def test_failed_stderr_keeps_the_exit_code(argv, want, target, unbuffered):
+    # stderr is written once, after stdout, as the request ends: a stderr
+    # whose reader closed it, on a full device or absent (descriptor 2 closed
+    # at start-up) loses its lines, never the exit code or stdout.  The
+    # oracle's CSV reaches stdout whole
+    if target == "absent":
+        code, out, _ = module_run(argv, unbuffered, subprocess.PIPE, None,
+                                  preexec_fn=lambda: os.close(2))
+    else:
+        if target == "closed":
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+        else:
+            write_end = os.open("/dev/full", os.O_WRONLY)
+        try:
+            code, out, _ = module_run(argv, unbuffered, subprocess.PIPE, write_end)
+        finally:
+            os.close(write_end)
+    assert code == want
+    if want:
+        assert out == b""
+    else:
+        _, whole, _ = module_run(argv, unbuffered, subprocess.PIPE, subprocess.PIPE)
+        assert out.splitlines()[1:] == whole.splitlines()[1:]  # all but the timestamp header
+        assert len(whole.splitlines()) > 2
+
+
+@DEV_FULL
+@BUFFERING
+@pytest.mark.parametrize("argv", [["--version"], ["qfi", "--n", "7", "--k", "2"], ["--help"],
+                                  BELL_ORACLE], ids=["version", "qfi", "help", "bell-oracle"])
+def test_full_stdout_exits_2_with_one_line(argv, unbuffered):
+    # a stdout write that fails for a reason other than a closed pipe is
+    # refused as --output's is: one line on stderr, exit 2, no traceback
+    fd = os.open("/dev/full", os.O_WRONLY)
+    try:
+        code, _, err = module_run(argv, unbuffered, fd, subprocess.PIPE)
+    finally:
+        os.close(fd)
+    assert (code, err) == (2, b"error: cannot write stdout: No space left on device\n")
 
 
 @pytest.mark.parametrize("command", ["qfi", "ppt", "bell"])
