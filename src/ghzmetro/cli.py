@@ -4,9 +4,10 @@ any other command line goes to ``commands.run``, imported only then.
 
 Each request flushes stdout, then stderr, before it ends, so no stream fails
 at the interpreter's exit and decides the exit code there.  A stdout closed
-by its reader, buffered or not, ends the request with exit code 1 and nothing
-on stderr: help, ``--version`` and argparse's own output included.  A stdout
-that fails otherwise (a full disk) ends it with exit code 2 and the one line
+by its reader or absent (the process started without descriptor 1), buffered
+or not, ends the request with exit code 1 and nothing on stderr: help,
+``--version`` and argparse's own output included.  A stdout that fails
+otherwise (a full disk) ends it with exit code 2 and the one line
 ``error: cannot write stdout: <reason>``.  Stderr is block-buffered, so its
 lines are written at that last flush; if it fails, or the process started
 without one, they are lost and the exit code stands."""
@@ -24,6 +25,10 @@ def _to_devnull(stream) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    if sys.stdout is None:  # started without a descriptor 1: it fails as a closed pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        sys.stdout = open(write_end, "w")
     if sys.stderr is None:  # started without a descriptor 2: its lines are lost
         sys.stderr = open(os.devnull, "w")
     sys.stderr.reconfigure(line_buffering=False, write_through=False)

@@ -18,18 +18,18 @@ option (``parse_list``), is read by ``read_number``: ASCII only, with no
 underscore or whitespace.  Each handler builds its JSON payload from the
 fields of the records it prints; the rows of ``bell`` and ``figure`` and the
 ``qfi`` text are (column name, printed value) pairs, so each header, key or
-label is written where its value is made.  This module imports only
-``__version__``, ``errors`` and the standard library; each handler imports
-the library names it runs, once per command (a figure once for all its
-rows), so help and usage errors load no library module, and a command only
-the modules it runs.  ``--version`` alone never loads this module: the entry
-point ``cli`` answers it first.
+label is written where its value is made.  This module imports only the
+package root (``__version__`` and the error types) and the standard library;
+each handler imports the library names it runs, once per command (a figure
+once for all its rows), so help and usage errors load no library module, and
+a command only the modules it runs.  ``--version`` alone never loads this
+module: the entry point ``cli`` answers it first.
 ``--oracle`` hands what a command prints to ``oracles.check_*`` through
 ``oracle_deviation``, which alone imports ``oracles`` (it loads numpy, the
 ``oracle`` extra; without it ``--oracle`` exits 2); ``json`` is imported
 only to write JSON and ``datetime`` only to print a timestamp.  Exit codes: 0
-success, 1 stdout closed (``cli.main`` catches it), 2 domain error, 3 size
-limit, 4 cross-check failure.
+success, 1 stdout closed or absent (``cli.main`` catches it), 2 domain error,
+3 size limit, 4 cross-check failure.
 """
 from __future__ import annotations
 
@@ -39,8 +39,7 @@ from fractions import Fraction
 from itertools import chain, islice
 from types import SimpleNamespace
 
-from . import __version__
-from .errors import CrossCheckError, DomainError, GhzmetroError, SizeLimitError
+from . import CrossCheckError, DomainError, GhzmetroError, SizeLimitError, __version__
 
 
 # -- small parsing / formatting helpers --------------------------------------

@@ -41,7 +41,7 @@ import operator
 import sys
 from collections.abc import Iterator, Sequence
 
-from .errors import DomainError, LikelihoodDegeneracyError
+from . import DomainError, LikelihoodDegeneracyError
 from .qfi import qfi_ghz_diagonal
 from .states import SectorState, _Record, weight
 

@@ -19,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import CrossCheckError, DomainError, SizeLimitError
+from . import CrossCheckError, DomainError, SizeLimitError
 from .ptranspose import CertificateResult, CutStatus, QubitSubset
 from .qfi import QfiReport
 from .states import SECTOR_LIST_LIMIT, SectorState, _Record, build_rho_nkm, canonical_index

@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from itertools import combinations
 
-from .errors import DomainError
+from . import DomainError
 from .states import (
     BandState,
     SectorState,

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DomainError
+from . import DomainError
 from .states import (
     SectorState,
     _Record,

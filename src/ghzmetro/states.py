@@ -28,7 +28,7 @@ from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from itertools import accumulate, chain
 
-from .errors import DomainError, SizeLimitError
+from . import DomainError, SizeLimitError
 
 
 def canonical_index(r: int, n: int) -> int:

@@ -16,8 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ghzmetro
-from ghzmetro import bell, estimation, states
-from ghzmetro.errors import SizeLimitError
+from ghzmetro import SizeLimitError, bell, estimation, states
 from ghzmetro.cli import main
 from ghzmetro.commands import COMMANDS, parse_list, read_number, read_plain
 from ghzmetro.qfi import qfi_closed_nk
@@ -1117,7 +1116,7 @@ def cli_process(argv, refuse_numpy=False, site=True):
 
 START_UP = {"dataclasses", "inspect", "json", "datetime", "argparse", "gettext", "locale",
             "fractions", "decimal"}
-COMMAND = {"ghzmetro.commands", "ghzmetro.errors", "fractions", "decimal"}  # all but --version
+COMMAND = {"ghzmetro.commands", "fractions", "decimal"}  # all but --version
 USAGE = COMMAND | {"argparse", "gettext", "locale", "ghzmetro.usage"}  # help and usage errors
 QFI = COMMAND | {"ghzmetro.states", "ghzmetro.qfi"}
 FAMILY_ARGS = ["--n", "8", "--k", "2", "--no-timestamp"]
@@ -1170,59 +1169,70 @@ def test_no_command_loads_typing(argv):
     assert "typing" not in loaded
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", [["--version"], ["qfi", "--n", "7", "--k", "2"],
-                                  ["bell", "--n", "6", "--k", "2", "--oracle"],
-                                  ["state", "--n", "16", "--k", "7", "--no-timestamp"],
-                                  ["--help"], ["figure", "-h"], ["--version", "x"]],
-                         ids=["version", "qfi", "bell-oracle", "state", "help",
-                              "figure-help", "argparse-version"])
-def test_closed_stdout_exits_1_quietly(argv, unbuffered):
-    # a closed stdout fails the write or, with buffered output, the flush
-    # after it: the run exits 1 with no traceback and no "Exception ignored"
-    # on stderr, argparse's help and version text included.  The state
-    # listing's reader takes its first line of 1.4 MB, then closes the pipe;
-    # the others find it closed before they start
-    src = str(Path(ghzmetro.__file__).resolve().parent.parent)
+def module_env(unbuffered):
+    """Environment of a ``python -m ghzmetro.cli`` child: this source tree on its
+    path, its streams buffered or not."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = src
+    env["PYTHONPATH"] = str(Path(ghzmetro.__file__).resolve().parent.parent)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    cmd = [sys.executable, "-m", "ghzmetro.cli", *argv]
-    if argv[0] == "state":
-        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        _, err = proc.communicate(timeout=60)
-        assert first.startswith(b"# tool: ghzmetro")
-        code = proc.returncode
-    else:
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE, env=env,
-                                  timeout=60)
-        finally:
-            os.close(write_end)
-        code, err = proc.returncode, proc.stderr
-    assert (code, err) == (1, b"")
+    return env
 
 
 def module_run(argv, unbuffered, stdout, stderr, **popen):
     """Exit code, stdout and stderr of ``python -m ghzmetro.cli argv`` with the
     two streams sent where the caller says, buffered or not."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(ghzmetro.__file__).resolve().parent.parent)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.run([sys.executable, "-m", "ghzmetro.cli", *argv], stdout=stdout,
-                          stderr=stderr, env=env, timeout=60, **popen)
+                          stderr=stderr, env=module_env(unbuffered), timeout=60, **popen)
     return proc.returncode, proc.stdout, proc.stderr
 
 
 BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 BELL_ORACLE = ["bell", "--n", "6", "--k", "2", "--oracle"]
+
+
+@BUFFERING
+@pytest.mark.parametrize("argv, target", [
+    (["--version"], "closed"), (["qfi", "--n", "7", "--k", "2"], "closed"),
+    (BELL_ORACLE, "closed"), (["state", "--n", "16", "--k", "7", "--no-timestamp"], "read"),
+    (["--help"], "closed"), (["figure", "-h"], "closed"), (["--version", "x"], "closed"),
+    (["--version"], "absent"), (["qfi", "--n", "7", "--k", "2"], "absent"),
+    (["--help"], "absent"), (["qfi", "--n", "x"], "absent"),
+], ids=["version", "qfi", "bell-oracle", "state", "help", "figure-help", "argparse-version",
+        "version-absent", "qfi-absent", "help-absent", "usage-error-absent"])
+def test_closed_stdout_exits_1_quietly(argv, target, unbuffered):
+    # a closed stdout fails the write or, with buffered output, the flush
+    # after it: the run exits 1 with no traceback and no "Exception ignored"
+    # on stderr, argparse's help and version text included.  The state
+    # listing's reader takes its first line of 1.4 MB, then closes the pipe;
+    # the others find it closed before they start, or absent (descriptor 1
+    # closed at start-up), where a usage error still exits 2 with its lines
+    if target == "read":
+        proc = subprocess.Popen([sys.executable, "-m", "ghzmetro.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=module_env(unbuffered))
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert first.startswith(b"# tool: ghzmetro")
+        code = proc.returncode
+    elif target == "absent":
+        code, _, err = module_run(argv, unbuffered, None, subprocess.PIPE,
+                                  preexec_fn=lambda: os.close(1))
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, _, err = module_run(argv, unbuffered, write_end, subprocess.PIPE)
+        finally:
+            os.close(write_end)
+    if argv == ["qfi", "--n", "x"]:
+        lines = err.splitlines()
+        assert code == 2 and lines[0].startswith(b"usage: ghzmetro qfi ")
+        assert lines[-1] == b"ghzmetro qfi: error: argument --n: invalid int value: 'x'"
+    else:
+        assert (code, err) == (1, b"")
 
 
 @BUFFERING
@@ -1389,17 +1399,14 @@ def test_estimate_ends_at_large_theta(argv):
     # from |theta| = 2^26 on, adjacent floats lie more than MLE_TOL apart, so
     # the golden-section bracket stops narrowing; the search then stops too.
     # A new process with a timeout makes a search that never ends fail here.
-    src = str(Path(ghzmetro.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-m", "ghzmetro.cli", "estimate", "--n", "4",
-                           "--k", "2", *argv, "--reps", "1", "--no-timestamp"],
-                          capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=src))
+    code, out, err = module_run(["estimate", "--n", "4", "--k", "2", *argv, "--reps", "1",
+                                 "--no-timestamp"], False, subprocess.PIPE, subprocess.PIPE)
     if "--bracket" in argv:  # one grid step spans more than a quarter fringe period
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert "too wide" in proc.stderr
+        assert (code, out) == (2, b"")
+        assert b"too wide" in err
     else:  # the default bracket holds one fringe branch
-        assert (proc.returncode, proc.stderr) == (0, "")
-        run_ = json.loads(proc.stdout)["run"]
+        assert (code, err) == (0, b"")
+        run_ = json.loads(out)["run"]
         assert abs(run_["estimates"][0] - run_["theta_true"]) <= 3 * run_["crlb"]
 
 

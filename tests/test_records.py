@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from ghzmetro import DomainError
 from ghzmetro.bell import detection_comparison
 from ghzmetro.estimation import EstimationRun
 from ghzmetro.oracles import PhaseGenerator
@@ -139,7 +140,6 @@ def test_record_init_refuses_what_a_dataclass_refuses(args, kwargs):
 
 
 def test_post_init_runs_on_every_construction():
-    from ghzmetro.errors import DomainError
     with pytest.raises(DomainError, match="nonempty proper subset"):
         QubitSubset(n=3, mask=0b111)
     with pytest.raises(DomainError, match="sum to 1"):
